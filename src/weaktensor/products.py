@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .props import Automorphism, OrthoMap, orthomap_violation
 from .spaces import MAX_POINTS, SCAN_POINTS, ClosureSpace
-
-FRASER_ENUMERATION_CAP = 1 << 20
 
 
 class ProductUniverse:
@@ -45,15 +44,12 @@ class ProductUniverse:
         self.coordinate_masks = tuple(
             tuple(self._coord_mask(beta, q) for q in range(self.sizes[beta]))
             for beta in range(len(factors)))
-        # beta-fibers: flat ids grouped by the off-beta coordinates
-        fibers = []
-        for beta in range(len(factors)):
-            groups: dict[int, list[int]] = {}
-            for pid in range(total):
-                key = pid - self.decode(pid)[beta] * self.strides[beta]
-                groups.setdefault(key, []).append(pid)
-            fibers.append(tuple(tuple(g) for g in groups.values()))
-        self.fibers = tuple(fibers)
+        # beta-fibers: the flat ids that agree off the beta-th coordinate,
+        # listed by that coordinate, one fiber per point with it zero
+        self.fibers = tuple(
+            tuple(tuple(pid + q * self.strides[beta] for q in range(self.sizes[beta]))
+                  for pid in range(total) if self.decode(pid)[beta] == 0)
+            for beta in range(len(factors)))
 
     def _coord_mask(self, beta: int, q: int) -> int:
         m = 0
@@ -108,6 +104,13 @@ class ProductUniverse:
             m |= self.preimage_mask(beta, a)
         return m
 
+    @cached_property
+    def cylinders(self) -> tuple[int, ...]:
+        """The distinct cylinders, one per tuple of factor elements, in
+        first-seen order over ``itertools.product`` of the factor families."""
+        combos = itertools.product(*(f.masks for f in self.factors))
+        return tuple(dict.fromkeys(self.cylinder_mask(c) for c in combos))
+
     def full_box_mask(self, components: Sequence[int]) -> int:
         """The full box prod_a of one element per factor, as a flat mask."""
         m = self.full_mask
@@ -121,17 +124,35 @@ class ProductUniverse:
 
 
 # -- sections and the beta-join calculus -------------------------------------
+#
+# Position q of a beta-fiber is the flat id with beta-th coordinate q.
+
+def fiber_section(region: int, fiber: Sequence[int]) -> int:
+    """The section of a region on one fiber, as a factor mask."""
+    out = 0
+    for q, pid in enumerate(fiber):
+        if region >> pid & 1:
+            out |= 1 << q
+    return out
+
+
+def fiber_region(sec: int, fiber: Sequence[int]) -> int:
+    """The flat mask of a factor mask laid along one fiber."""
+    out = 0
+    while sec:
+        low = sec & -sec
+        out |= 1 << fiber[low.bit_length() - 1]
+        sec ^= low
+    return out
+
 
 def section(universe: ProductUniverse, region: int, beta: int, pid: int) -> int:
     """The beta-section of a region through a point, as a factor mask.
 
     This is {q in the beta-th factor | p[q, beta] in region}.
     """
-    out = 0
-    for q in range(universe.sizes[beta]):
-        if region >> universe.replace(pid, beta, q) & 1:
-            out |= 1 << q
-    return out
+    return fiber_section(region, [universe.replace(pid, beta, q)
+                                  for q in range(universe.sizes[beta])])
 
 
 def beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
@@ -142,17 +163,9 @@ def beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
     factor = universe.factors[beta]
     out = 0
     for fiber in universe.fibers[beta]:
-        sec = 0
-        for q, pid in enumerate(fiber):
-            if region >> pid & 1:
-                sec |= 1 << q
+        sec = fiber_section(region, fiber)
         if sec:
-            closed = factor.closure(sec)
-            mm = closed
-            while mm:
-                low = mm & -mm
-                out |= 1 << fiber[low.bit_length() - 1]
-                mm ^= low
+            out |= fiber_region(factor.closure(sec), fiber)
     return out
 
 
@@ -179,14 +192,9 @@ def fraser_join(universe: ProductUniverse, region: int) -> int:
 
 def in_fraser(universe: ProductUniverse, region: int) -> bool:
     """Membership in the Fraser product: every section closed in its factor."""
-    for beta in range(len(universe.factors)):
-        factor = universe.factors[beta]
-        for fiber in universe.fibers[beta]:
-            sec = 0
-            for q, pid in enumerate(fiber):
-                if region >> pid & 1:
-                    sec |= 1 << q
-            if not factor.is_closed(sec):
+    for factor, fibers in zip(universe.factors, universe.fibers):
+        for fiber in fibers:
+            if not factor.is_closed(fiber_section(region, fiber)):
                 return False
     return True
 
@@ -194,8 +202,7 @@ def in_fraser(universe: ProductUniverse, region: int) -> bool:
 def box_join(universe: ProductUniverse, region: int) -> int:
     """Intersection of all cylinders containing the region."""
     out = universe.full_mask
-    for components in itertools.product(*(f.masks for f in universe.factors)):
-        cyl = universe.cylinder_mask(components)
+    for cyl in universe.cylinders:
         if region & ~cyl == 0:
             out &= cyl
     return out
@@ -219,57 +226,27 @@ def in_xi(universe: ProductUniverse, region: int) -> bool:
 def box_product(factors: Sequence[ClosureSpace]) -> ClosureSpace:
     """Intersection-closure of all cylinders: the least weak tensor product."""
     universe = ProductUniverse(factors)
-    cylinders = {universe.cylinder_mask(c)
-                 for c in itertools.product(*(f.masks for f in factors))}
-    return ClosureSpace.from_closed_sets(universe.points, cylinders, product=universe)
+    return ClosureSpace.from_closed_sets(universe.points, universe.cylinders, product=universe)
 
 
 def fraser_product(factors: Sequence[ClosureSpace]) -> ClosureSpace:
     """All regions with every section closed: the greatest weak tensor product.
 
-    Enumerates along the cheapest axis and filters by the remaining
-    section conditions; refuses universes whose enumeration would exceed
-    the subset-scan cap.
+    Lays every choice of closed sections along the cheapest axis and keeps
+    the regions that pass ``in_fraser``.  A factor on m points has at most
+    2**m closed sets, so an axis costs at most 2**n regions on n points.
     """
     universe = ProductUniverse(factors)
     if universe.n_points > SCAN_POINTS:
         raise ValueError(f"Fraser enumeration capped at {SCAN_POINTS} points")
-    k = len(factors)
-    costs = []
-    for beta in range(k):
-        combos = len(factors[beta].masks) ** len(universe.fibers[beta])
-        costs.append(combos)
-    axis = min(range(k), key=lambda b: (costs[b], b))
-    if costs[axis] > FRASER_ENUMERATION_CAP:
-        raise ValueError("Fraser enumeration would exceed the subset-scan cap")
-    factor = universe.factors[axis]
-    family = []
+    # ties go to the later axis, which in_fraser checks after the earlier ones
+    axis = min(range(len(factors)),
+               key=lambda b: (len(universe.factors[b]) ** len(universe.fibers[b]), -b))
     fibers = universe.fibers[axis]
-    for choice in itertools.product(factor.masks, repeat=len(fibers)):
-        region = 0
-        for sec, fiber in zip(choice, fibers):
-            mm = sec
-            while mm:
-                low = mm & -mm
-                region |= 1 << fiber[low.bit_length() - 1]
-                mm ^= low
-        ok = True
-        for beta in range(k):
-            if beta == axis:
-                continue
-            fac = universe.factors[beta]
-            for fiber in universe.fibers[beta]:
-                sec = 0
-                for q, pid in enumerate(fiber):
-                    if region >> pid & 1:
-                        sec |= 1 << q
-                if not fac.is_closed(sec):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            family.append(region)
+    # the fibers are disjoint, so the union of the laid sections is their sum
+    regions = (sum(fiber_region(sec, fiber) for sec, fiber in zip(choice, fibers))
+               for choice in itertools.product(universe.factors[axis].masks, repeat=len(fibers)))
+    family = [region for region in regions if in_fraser(universe, region)]
     return ClosureSpace.from_closed_sets(universe.points, family, product=universe)
 
 
@@ -277,8 +254,9 @@ def mo_circle(first: ClosureSpace, second: ClosureSpace) -> ClosureSpace:
     """The circle product of two MO lattices: the box product plus all
     3-element sets with pairwise distinct coordinates.
 
-    Intersection-closure is verified at build time instead of trusted.
-    The covering/uniqueness statements target sizes 3 or >= 5; the
+    That the intersection-closure of the cylinders and triples adds no
+    other set is verified at build time instead of trusted.  The
+    covering/uniqueness statements target sizes 3 or >= 5; the
     construction itself only needs >= 3 atoms per factor.
     """
     for s in (first, second):
@@ -287,19 +265,16 @@ def mo_circle(first: ClosureSpace, second: ClosureSpace) -> ClosureSpace:
             raise ValueError("circle product factors must be MO lattices")
         if s.n_points < 3:
             raise ValueError("circle product factors need at least three atoms")
-    box = box_product([first, second])
-    universe = box.product
-    assert universe is not None
-    extra = []
-    for ids in itertools.combinations(range(universe.n_points), 3):
-        m = (1 << ids[0]) | (1 << ids[1]) | (1 << ids[2])
-        if in_xi(universe, m):
-            extra.append(m)
-    family = set(box.masks) | set(extra)
-    for a, b in itertools.combinations(family, 2):
-        if a & b not in family:
-            raise AssertionError("circle product family is not intersection-closed")
-    return ClosureSpace(universe.points, family, product=universe)
+    universe = ProductUniverse([first, second])
+    triples = ((1 << a) | (1 << b) | (1 << c)
+               for a, b, c in itertools.combinations(range(universe.n_points), 3))
+    xi = {m for m in triples if in_xi(universe, m)}
+    space = ClosureSpace.from_closed_sets(universe.points, universe.cylinders + tuple(xi),
+                                          product=universe)
+    # box and xi lie in the closure, so it is their union iff the rest is box-closed
+    if any(m not in xi and box_join(universe, m) != m for m in space.masks):
+        raise AssertionError("circle product family is not the box product plus the xi triples")
+    return space
 
 
 # -- product axioms -----------------------------------------------------------
@@ -320,28 +295,20 @@ def check_p1_p2_p3(candidate: ClosureSpace, universe: ProductUniverse
     """
     if candidate.n_points != universe.n_points or candidate.points != universe.points:
         return AxiomViolation("P1", "points are not the product of the factor points")
-    for components in itertools.product(*(f.masks for f in universe.factors)):
-        cyl = universe.cylinder_mask(components)
+    for cyl in universe.cylinders:
         if cyl not in candidate:
             return AxiomViolation(
                 "P2", "missing cylinder " + universe.render_set(cyl))
     for beta in range(len(universe.factors)):
         factor = universe.factors[beta]
-        fiber_masks = []
-        for fiber in universe.fibers[beta]:
-            fm = 0
-            for pid in fiber:
-                fm |= 1 << pid
-            fiber_masks.append((fm, fiber))
+        fiber_masks = [(fiber_region(factor.full_mask, fiber), fiber)
+                       for fiber in universe.fibers[beta]]
         for region in candidate.masks:
             if region == 0:
                 continue
             for fm, fiber in fiber_masks:
                 if region & ~fm == 0:
-                    sec = 0
-                    for q, pid in enumerate(fiber):
-                        if region >> pid & 1:
-                            sec |= 1 << q
+                    sec = fiber_section(region, fiber)
                     if not factor.is_closed(sec):
                         return AxiomViolation(
                             "P3",

@@ -12,7 +12,7 @@ of the bitwise OR.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .products import ProductUniverse
@@ -64,38 +64,35 @@ class ClosureSpace:
 
     def __init__(self, points: Sequence[str], masks: Iterable[int],
                  product: "ProductUniverse | None" = None):
-        points = tuple(points)
-        if not points:
-            raise ValueError("a closure space needs at least one point")
-        if len(points) > MAX_POINTS:
-            raise ValueError(f"universe of {len(points)} points exceeds the cap of {MAX_POINTS}")
-        if len(set(points)) != len(points):
-            raise ValueError("point labels must be unique")
-        for lbl in points:
-            if not lbl or any(ch.isspace() for ch in lbl):
-                raise ValueError(f"bad point label {lbl!r}")
+        points = _checked_points(points)
+        family = tuple(sorted(set(masks)))
+        if not family or family[0] != 0 or family[-1] != (1 << len(points)) - 1:
+            raise ValueError("closed family must contain the empty and the full set "
+                             "and no point outside the universe")
+        self._setup(points, family, _GeneratorClosure(len(points), family), product)
+        for i in range(len(self.points)):
+            if (1 << i) not in self._members:
+                raise ValueError(f"closed family must contain the singleton {self.points[i]!r}")
+        # the family is intersection-closed iff its own closure closes nothing else
+        for closed in next_closure(self.n_points, self.closure):
+            if closed not in self._members:
+                raise ValueError(
+                    f"family is not intersection-closed: {self.render_set(closed)!r} "
+                    "is an intersection of members but not a member")
+
+    def _setup(self, points: tuple[str, ...], masks: tuple[int, ...], close: Callable[[int], int],
+               product: "ProductUniverse | None" = None) -> "ClosureSpace":
+        """Fill a bare instance from a sorted family and its closure operator, unchecked:
+        the one way past the public checks, for families closed by construction."""
         self.points = points
-        self.masks = tuple(sorted(set(masks)))
-        self._members = frozenset(self.masks)
-        self._index = {m: i for i, m in enumerate(self.masks)}
+        self.masks = masks
+        self._members = frozenset(masks)
+        self._index = {m: i for i, m in enumerate(masks)}
         self.product = product
+        self._close = close
         self._coatoms: tuple[int, ...] | None = None
         self._automorphisms = None  # filled lazily by props.automorphisms
-        full = self.full_mask
-        if 0 not in self._members or full not in self._members:
-            raise ValueError("closed family must contain the empty and the full set")
-        for i in range(len(points)):
-            if (1 << i) not in self._members:
-                raise ValueError(f"closed family must contain the singleton {points[i]!r}")
-        # pairwise suffices for finite families; families past the bound
-        # only come from builders that close or enumerate by construction
-        if len(self.masks) <= 4096:
-            for i, a in enumerate(self.masks):
-                for b in self.masks[i + 1:]:
-                    if a & b not in self._members:
-                        raise ValueError(
-                            f"family is not intersection-closed: "
-                            f"{self.render_set(a)!r} and {self.render_set(b)!r}")
+        return self
 
     # -- basic structure ------------------------------------------------
 
@@ -149,31 +146,22 @@ class ClosureSpace:
         """Intersection-closure of ``subsets`` plus the forced members.
 
         The forced members are the empty set, the full set and all
-        singletons.  Applying this to a family that is already closed
-        returns it unchanged.
+        singletons.  NextClosure enumerates the intersections of these
+        generators, and the space keeps their generator closure; a family
+        that is already closed comes back unchanged.
         """
-        points = tuple(points)
-        if not points:
-            raise ValueError("a closure space needs at least one point")
+        points = _checked_points(points)
         full = (1 << len(points)) - 1
-        family = {0, full}
-        family.update(1 << i for i in range(len(points)))
+        generators = {0, *(1 << i for i in range(len(points)))}
         for m in subsets:
             if m & ~full:
                 raise ValueError(f"subset {m:#x} uses points outside the universe")
-            family.add(m)
-        frontier = list(family)
-        while frontier:
-            fresh = []
-            snapshot = list(family)
-            for a in frontier:
-                for b in snapshot:
-                    x = a & b
-                    if x not in family:
-                        family.add(x)
-                        fresh.append(x)
-            frontier = fresh
-        return cls(points, family, product=product)
+            generators.add(m)
+        # the full set is the empty intersection, so it need not be listed
+        generators = tuple(sorted(generators - {full}))
+        close = _GeneratorClosure(len(points), generators)
+        family = tuple(next_closure(len(points), close))
+        return cls.__new__(cls)._setup(points, family, close, product)
 
     # -- lattice operations ----------------------------------------------
 
@@ -183,11 +171,7 @@ class ClosureSpace:
             raise ValueError("subset uses points outside the universe")
         if subset in self._members:
             return subset
-        out = self.full_mask
-        for m in self.masks:
-            if subset & ~m == 0:
-                out &= m
-        return out
+        return self._close(subset)
 
     def _require_element(self, mask: int) -> None:
         if mask not in self._members:
@@ -257,15 +241,9 @@ class ClosureSpace:
         """
         coatoms = self.coatoms()
         full = self.full_mask
-        coatomistic, co_witness = True, None
-        for m in self.masks:
-            inter = full
-            for x in coatoms:
-                if m & ~x == 0:
-                    inter &= x
-            if inter != m:
-                coatomistic, co_witness = False, m
-                break
+        meet_of_coatoms = _GeneratorClosure(self.n_points, coatoms)
+        co_witness = next((m for m in self.masks if meet_of_coatoms(m) != m), None)
+        coatomistic = co_witness is None
         dual_cov, dc_witness = True, None
         for x in coatoms:
             for a in self.masks:
@@ -307,11 +285,7 @@ class ClosureSpace:
         """Meet of the central elements above the given atom."""
         if atom.bit_count() != 1 or atom not in self._members:
             raise ValueError("central_cover expects an atom of this space")
-        out = self.full_mask
-        for m in self.center():
-            if atom & m:
-                out &= m
-        return out
+        return _GeneratorClosure(self.n_points, self.center())(atom)
 
     def irreducible_components(self) -> list[tuple[int, ...]]:
         """Partition of the point ids by minimal nonzero central elements."""
@@ -327,6 +301,72 @@ class ClosureSpace:
         return [tuple(i for i in range(self.n_points) if m >> i & 1) for m in comps]
 
 
+# -- the closure core ------------------------------------------------------
+
+def _checked_points(points: Sequence[str]) -> tuple[str, ...]:
+    points = tuple(points)
+    if not points:
+        raise ValueError("a closure space needs at least one point")
+    if len(points) > MAX_POINTS:
+        raise ValueError(f"universe of {len(points)} points exceeds the cap of {MAX_POINTS}")
+    if len(set(points)) != len(points):
+        raise ValueError("point labels must be unique")
+    for lbl in points:
+        if not lbl or any(ch.isspace() for ch in lbl):
+            raise ValueError(f"bad point label {lbl!r}")
+    return points
+
+
+class _GeneratorClosure:
+    """The closure operator on ``n`` points whose closed sets are the
+    intersections of ``generators``: a subset maps to the AND of the
+    generators containing it, which are picked by intersecting per-point
+    incidence bitsets over the generator indices.  A class rather than a
+    nested function, so that spaces holding one stay picklable."""
+
+    def __init__(self, n: int, generators: Sequence[int]):
+        self.full = (1 << n) - 1
+        self.generators = tuple(generators)
+        self.incidence = [sum(1 << j for j, g in enumerate(generators) if g >> i & 1)
+                          for i in range(n)]
+        self.everything = (1 << len(generators)) - 1
+
+    def __call__(self, subset: int) -> int:
+        picked, incidence, generators = self.everything, self.incidence, self.generators
+        while subset:
+            low = subset & -subset
+            picked &= incidence[low.bit_length() - 1]
+            subset ^= low
+        out = self.full
+        while picked:
+            low = picked & -picked
+            out &= generators[low.bit_length() - 1]
+            picked ^= low
+        return out
+
+
+def next_closure(n: int, close: Callable[[int], int]) -> Iterator[int]:
+    """Every closed set of a closure operator on ``n`` points, in
+    increasing mask order (Ganter's NextClosure, 1984), at most ``n``
+    calls of ``close`` each.  The successor of a closed set A is
+    close(A without the points below i, plus i) for the lowest point i
+    not in A whose closure adds no point above i."""
+    full = (1 << n) - 1
+    current = close(0)
+    yield current
+    while current != full:
+        for i in range(n):
+            bit = 1 << i
+            if current & bit:
+                current ^= bit
+                continue
+            candidate = close(current | bit)
+            if (candidate ^ current) >> i == 1:
+                current = candidate
+                break
+        yield current
+
+
 # -- stock builders -------------------------------------------------------
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -340,16 +380,17 @@ def mo_space(n: int, labels: Sequence[str] | None = None) -> ClosureSpace:
     points = tuple(labels) if labels is not None else default_labels(n)
     if len(points) != n:
         raise ValueError("label count does not match n")
-    full = (1 << n) - 1
-    family = [0, full] + [1 << i for i in range(n)]
-    return ClosureSpace(points, family)
+    return ClosureSpace.from_closed_sets(points)
 
 
 def powerset_space(n: int, labels: Sequence[str] | None = None) -> ClosureSpace:
-    points = tuple(labels) if labels is not None else default_labels(n)
+    points = _checked_points(labels) if labels is not None else default_labels(n)
     if len(points) != n:
         raise ValueError("label count does not match n")
-    return ClosureSpace(points, range(1 << n))
+    # a subset is the intersection of the coatoms that contain it
+    coatoms = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    return ClosureSpace.__new__(ClosureSpace)._setup(points, tuple(range(1 << n)),
+                                                     _GeneratorClosure(n, coatoms))
 
 
 def two_space() -> ClosureSpace:

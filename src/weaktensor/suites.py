@@ -356,19 +356,9 @@ def _single_nonboolean_equality(spaces, args, rng):
         return "error", "at most one factor may be a non-powerset"
     beta = nonbool[0] if nonbool else 0
     factor = universe.factors[beta]
-    explicit = set()
-    for region in range(1 << universe.n_points):
-        ok = True
-        for fiber in universe.fibers[beta]:
-            sec = 0
-            for q, pid in enumerate(fiber):
-                if region >> pid & 1:
-                    sec |= 1 << q
-            if not factor.is_closed(sec):
-                ok = False
-                break
-        if ok:
-            explicit.add(region)
+    explicit = {region for region in range(1 << universe.n_points)
+                if all(factor.is_closed(products.fiber_section(region, fiber))
+                       for fiber in universe.fibers[beta])}
     if set(box.masks) == set(fraser.masks) == explicit:
         return "pass", f"three-way equality, {len(explicit)} closed sets"
     return "fail", (f"box={len(box)} fraser={len(fraser)} explicit={len(explicit)}")

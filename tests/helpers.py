@@ -16,7 +16,7 @@ def naive_intersection_closure(n_points: int, masks) -> set[int]:
     full = (1 << n_points) - 1
     family = {0, full} | {1 << i for i in range(n_points)} | set(masks)
     while True:
-        extra = {a & b for a, b in itertools.product(family, repeat=2)} - family
+        extra = {a & b for a, b in itertools.combinations(family, 2)} - family
         if not extra:
             return family
         family |= extra
@@ -52,9 +52,9 @@ def decode(universe, pid: int):
     return tuple(reversed(out))
 
 
-def box_family_oracle(universe) -> set[int]:
-    """Subsets that equal the intersection of the cylinders above them."""
-    assert universe.n_points <= 9
+def cylinder_oracle(universe) -> set[int]:
+    """Points with some coordinate in its factor's component, per tuple
+    of factor elements."""
     cylinders = set()
     for combo in itertools.product(*(f.masks for f in universe.factors)):
         cyl = 0
@@ -63,6 +63,13 @@ def box_family_oracle(universe) -> set[int]:
             if any(a >> c & 1 for a, c in zip(combo, coords)):
                 cyl |= 1 << pid
         cylinders.add(cyl)
+    return cylinders
+
+
+def box_family_oracle(universe) -> set[int]:
+    """Subsets that equal the intersection of the cylinders above them."""
+    assert universe.n_points <= 9
+    cylinders = cylinder_oracle(universe)
     full = (1 << universe.n_points) - 1
     out = set()
     for region in range(1 << universe.n_points):
@@ -78,27 +85,27 @@ def box_family_oracle(universe) -> set[int]:
 def fraser_family_oracle(universe) -> set[int]:
     """Subsets whose every coordinate section is closed, by the definition."""
     assert universe.n_points <= 16
+    # the line through every point along every coordinate, as flat ids
+    lines = set()
+    for beta in range(len(universe.factors)):
+        for pid in range(universe.n_points):
+            base = decode(universe, pid)
+            line = []
+            for q in range(universe.sizes[beta]):
+                coords = list(base)
+                coords[beta] = q
+                line.append(sum(c * s for c, s in zip(coords, universe.strides)))
+            lines.add((beta, tuple(line)))
+    checks = [(universe.factors[beta], line) for beta, line in sorted(lines)]
     out = set()
-    k = len(universe.factors)
     for region in range(1 << universe.n_points):
-        ok = True
-        for beta in range(k):
-            for pid in range(universe.n_points):
-                sec = 0
-                base = decode(universe, pid)
-                for q in range(universe.sizes[beta]):
-                    coords = list(base)
-                    coords[beta] = q
-                    flat = 0
-                    for c, s in zip(coords, universe.strides):
-                        flat += c * s
-                    if region >> flat & 1:
-                        sec |= 1 << q
-                if not universe.factors[beta].is_closed(sec):
-                    ok = False
-                    break
-            if not ok:
+        for factor, line in checks:
+            sec = 0
+            for q, flat in enumerate(line):
+                if region >> flat & 1:
+                    sec |= 1 << q
+            if not factor.is_closed(sec):
                 break
-        if ok:
+        else:
             out.add(region)
     return out

@@ -50,6 +50,34 @@ def test_from_closed_sets_idempotent():
         assert again.masks == s.masks
 
 
+def test_constructor_validates_large_families():
+    # 8114 sets, past any size bound: every subset of 13 points but the pairs
+    family = [m for m in range(1 << 13) if m.bit_count() != 2]
+    with pytest.raises(ValueError, match="not intersection-closed"):
+        ClosureSpace("abcdefghijklm", family)
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_generated_families_match_naive_closure(data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    full = (1 << n) - 1
+    subsets = data.draw(st.lists(st.integers(min_value=0, max_value=full), max_size=6))
+    closed = naive_intersection_closure(n, subsets)
+    assert ClosureSpace.from_closed_sets("abcdef"[:n], subsets).masks == tuple(sorted(closed))
+    listed = {0, full} | {1 << i for i in range(n)} | set(subsets)
+    if listed == closed:
+        assert ClosureSpace("abcdef"[:n], listed).masks == tuple(sorted(closed))
+    else:
+        with pytest.raises(ValueError, match="not intersection-closed"):
+            ClosureSpace("abcdef"[:n], listed)
+
+
+def test_family_outside_the_universe_rejected():
+    with pytest.raises(ValueError, match="outside the universe"):
+        ClosureSpace("ab", [0, 1, 2, 3, 4])
+
+
 def test_empty_point_list_rejected():
     with pytest.raises(ValueError):
         ClosureSpace.from_closed_sets([], [])
