@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .props import Automorphism, OrthoMap, orthomap_violation
 from .spaces import MAX_POINTS, SCAN_POINTS, ClosureSpace
@@ -318,24 +318,6 @@ def check_p1_p2_p3(candidate: ClosureSpace, universe: ProductUniverse
     return None
 
 
-def _generate_group(perms: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    identity = tuple(range(n))
-    group = {identity}
-    frontier = [p for p in perms]
-    for p in frontier:
-        group.add(tuple(p))
-    while frontier:
-        fresh = []
-        for g in list(group):
-            for h in frontier:
-                comp = tuple(g[h[i]] for i in range(n))
-                if comp not in group:
-                    group.add(comp)
-                    fresh.append(comp)
-        frontier = fresh
-    return sorted(group)
-
-
 @dataclass(frozen=True)
 class P4Violation:
     factor_perms: tuple[tuple[int, ...], ...]
@@ -346,28 +328,25 @@ def check_p4(candidate: ClosureSpace, universe: ProductUniverse,
              generators: Sequence[Sequence[Automorphism]]) -> Optional[P4Violation]:
     """Check that every product of factor automorphisms lifts.
 
-    For each tuple v in the groups generated per factor, the induced
-    point permutation p -> (v_a(p_a))_a must map closed sets to closed
-    sets.  Returns the first failing tuple with a witness set.
+    Each given factor automorphism v is lifted alone, with the identity
+    on the other factors: p -> p[v(p_beta), beta].  Lifting is a
+    homomorphism and maps that preserve the family compose, so every
+    tuple in the groups generated per factor lifts iff these do.
+    Returns the first failing one-generator tuple with a witness set.
     """
-    groups = []
     for beta, gens in enumerate(generators):
-        n = universe.sizes[beta]
-        groups.append(_generate_group([g.point_perm for g in gens], n))
-    for tup in itertools.product(*groups):
-        perm = []
-        for pid in range(universe.n_points):
-            coords = universe.decode(pid)
-            image = tuple(tup[beta][c] for beta, c in enumerate(coords))
-            perm.append(universe.encode(image))
-        u = Automorphism(tuple(perm))
-        for m in candidate.masks:
-            img = u.apply_mask(m)
-            if img not in candidate:
-                return P4Violation(
-                    factor_perms=tup,
-                    witness=f"{universe.render_set(m)} maps to the non-closed "
-                            f"{universe.render_set(img)}")
+        for g in gens:
+            v = g.point_perm
+            u = Automorphism(tuple(universe.replace(pid, beta, v[universe.decode(pid)[beta]])
+                                   for pid in range(universe.n_points)))
+            for m in candidate.masks:
+                img = u.apply_mask(m)
+                if img not in candidate:
+                    return P4Violation(
+                        factor_perms=tuple(v if b == beta else tuple(range(size))
+                                           for b, size in enumerate(universe.sizes)),
+                        witness=f"{universe.render_set(m)} maps to the non-closed "
+                                f"{universe.render_set(img)}")
     return None
 
 
@@ -443,7 +422,7 @@ def decompose_coatom(candidate: ClosureSpace, universe: ProductUniverse, coatom:
     """
     if coatom not in candidate:
         raise ValueError("not an element of the candidate space")
-    if candidate.covers(coatom, candidate.full_mask) is not True:
+    if coatom not in candidate.coatoms():
         raise ValueError("not a coatom of the candidate space")
     k = len(universe.factors)
     if len(pinned) != k - 1:

@@ -47,7 +47,11 @@ class OrthoMap:
 
 @dataclass(frozen=True)
 class ExhaustionCertificate:
-    """Proof token that the orthocomplementation search tree was exhausted."""
+    """Proof token that the orthocomplementation search tree was exhausted.
+
+    ``branch_order`` lists the coatom candidates in the order the search
+    tried them at every atom, so the exhaustion can be replayed.
+    """
 
     nodes: int
     branch_order: tuple[int, ...]
@@ -212,8 +216,10 @@ def find_orthocomplementation(
     Branches on the coatom image of each atom in canonical atom order.
     In an atomistic lattice the atom images determine the whole map, so
     exhausting the assignments decides existence; the certificate
-    records the node count.  Candidates are pruned by p not in p',
-    injectivity, and the symmetry q <= p' iff p <= q'.
+    records the node count and the order the coatoms were tried in
+    (descending with ``reverse_branching``, else ascending).  Candidates
+    are pruned by p not in p', injectivity, and the symmetry
+    q <= p' iff p <= q'.
 
     Raises SearchBudgetExceeded past ``node_cap`` nodes.
     """
@@ -228,7 +234,6 @@ def find_orthocomplementation(
     chosen: list[int] = []
     used: set[int] = set()
     nodes = 0
-    order = tuple(range(n))
 
     def dfs(i: int) -> Optional[OrthoMap]:
         nonlocal nodes
@@ -260,7 +265,7 @@ def find_orthocomplementation(
     found = dfs(0)
     if found is not None:
         return found
-    return ExhaustionCertificate(nodes=nodes, branch_order=order)
+    return ExhaustionCertificate(nodes=nodes, branch_order=tuple(coatoms))
 
 
 def is_orthomodular(space: ClosureSpace, om: OrthoMap) -> Union[bool, OrthomodularityWitness]:

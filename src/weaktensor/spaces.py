@@ -193,22 +193,20 @@ class ClosureSpace:
         return [1 << i for i in range(self.n_points)]
 
     def coatoms(self) -> list[int]:
-        """Maximal proper elements, by maximality scan."""
+        """The elements the full set covers."""
         if self._coatoms is None:
             full = self.full_mask
-            proper = [m for m in self.masks if m != full]
-            out = []
-            for m in proper:
-                if not any(m != e and m & ~e == 0 for e in proper):
-                    out.append(m)
-            self._coatoms = tuple(out)
+            self._coatoms = tuple(m for m in self.masks[:-1] if self.covers(m, full) is True)
         return list(self._coatoms)
 
     def covers(self, a: int, b: int):
         """True iff ``b`` covers ``a``; a CoverWitness otherwise.
 
-        Requires a <= b.  The witness carries the least intermediate
-        element in mask order, or none when a == b.
+        Requires a <= b.  Every element strictly between a and b contains
+        a v q for some point q of b outside a, and a v q lies below it,
+        so b covers a iff a v q = b for every such q.  The witness carries
+        the least intermediate element in mask order, which is the least
+        of those joins short of b, or none when a == b.
         """
         self._require_element(a)
         self._require_element(b)
@@ -216,10 +214,17 @@ class ClosureSpace:
             raise ValueError("covers() requires the first element below the second")
         if a == b:
             return CoverWitness(lower=a, upper=b)
-        for c in self.masks:
-            if c != a and c != b and a & ~c == 0 and c & ~b == 0:
-                return CoverWitness(lower=a, upper=b, intermediate=c)
-        return True
+        # each join lies inside b, so it is below b in mask order unless it is b
+        least, rest = b, b & ~a
+        while rest:
+            low = rest & -rest
+            j = a | low
+            if j not in self._members:
+                j = self._close(j)
+            if j < least:
+                least = j
+            rest ^= low
+        return True if least == b else CoverWitness(lower=a, upper=b, intermediate=least)
 
     # -- duality ----------------------------------------------------------
 

@@ -53,9 +53,6 @@ class TargetError(ValueError):
 
 # -- target resolution --------------------------------------------------------
 
-_builtin_cache: dict[str, ClosureSpace] = {}
-
-
 def _split_args(body: str) -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in body:
@@ -75,16 +72,6 @@ def _split_args(body: str) -> list[str]:
 
 def resolve_target(text: str, base_dir: Path | None = None) -> ClosureSpace:
     text = text.strip()
-    is_file = text.endswith(".lat") or text.endswith(".prod")
-    if not is_file and text in _builtin_cache:
-        return _builtin_cache[text]
-    space = _resolve_uncached(text, base_dir)
-    if not is_file:
-        _builtin_cache[text] = space
-    return space
-
-
-def _resolve_uncached(text: str, base_dir: Path | None) -> ClosureSpace:
     if text == "two":
         return two_space()
     for prefix, builder in (("mo:", mo_space), ("powerset:", powerset_space),
@@ -417,10 +404,11 @@ def _coatom_crosses(spaces, args, rng):
     checked = 0
     for kind, space in _candidate_products(factors):
         universe = space.product
+        coatoms = space.coatoms()
         coatom_lists = [f.coatoms() for f in universe.factors]
         for combo in itertools.product(*coatom_lists):
             cross = universe.cylinder_mask(combo)
-            if cross not in space or space.covers(cross, space.full_mask) is not True:
+            if cross not in coatoms:
                 return "fail", f"{kind}: ({universe.render_set(cross)}) is not a coatom"
             for pid in range(universe.n_points):
                 if cross >> pid & 1:
@@ -438,7 +426,7 @@ def _coatom_decomposition(spaces, args, rng):
     total = 0
     for kind, space in _candidate_products(factors):
         universe = space.product
-        coatoms = [m for m in space.masks if space.covers(m, space.full_mask) is True]
+        coatoms = space.coatoms()
         k = len(universe.factors)
         for j in range(k):
             others = [b for b in range(k) if b != j]
@@ -610,6 +598,7 @@ def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
               base_dir: Path | None = None) -> Report:
     report = Report()
     rng = Random(seed)
+    built: dict[str, ClosureSpace] = {}  # each target text is built once per run
     for spec in suite.checks:
         start = time.perf_counter()
         name = spec.check
@@ -618,7 +607,10 @@ def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
         if handler is None:
             raise TargetError(f"unknown check id {name!r}")
         try:
-            targets = [resolve_target(t, base_dir) for t in spec.targets]
+            for t in spec.targets:
+                if t not in built:
+                    built[t] = resolve_target(t, base_dir)
+            targets = [built[t] for t in spec.targets]
         except TargetError:
             raise
         except (ValueError, OSError) as exc:

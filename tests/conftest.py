@@ -1,12 +1,14 @@
 import pytest
 
 from weaktensor import (
+    OrthoMap,
     box_product,
     find_orthocomplementation,
     fraser_product,
     mo_circle,
     mo_space,
     powerset_space,
+    validate_orthomap,
 )
 
 
@@ -58,7 +60,8 @@ def fraser44(mo4):
 @pytest.fixture(scope="session")
 def mo4_pairing(mo4):
     found = find_orthocomplementation(mo4)
-    assert not isinstance(found, type(None))
+    assert isinstance(found, OrthoMap)
+    assert validate_orthomap(mo4, found)
     return found
 
 

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: closures are
 recomputed by naive fixpoint scans, covers by scanning every subset of
 the universe, and product families by filtering all subsets against the
-defining conditions written out directly over decoded coordinates.
+defining conditions written out directly over decoded coordinates.  The
+family scans that the library's join-based ``covers`` and ``coatoms`` and
+its generator-only P4 check replaced are kept here as oracles.
 """
 
 from __future__ import annotations
@@ -169,3 +171,45 @@ def distinct_coordinate_sets(universe, size: int) -> set[int]:
                for beta in range(len(universe.sizes))):
             out.add(sum(1 << pid for pid in combo))
     return out
+
+
+def covers_by_family_scan(space, a: int, b: int):
+    """Whether ``b`` covers ``a`` (a <= b), by scanning the family for a
+    strict intermediate: True, or the least intermediate in mask order,
+    or None when a == b."""
+    if a == b:
+        return None
+    for c in space.masks:
+        if c != a and c != b and a & ~c == 0 and c & ~b == 0:
+            return c
+    return True
+
+
+def coatoms_by_maximality(space) -> list[int]:
+    """Proper elements below no other proper element, in mask order.
+
+    Scans by decreasing size: a proper element is maximal iff no maximal
+    element found so far contains it, since anything strictly above it
+    is larger and lies below some maximal element."""
+    maximal: list[int] = []
+    for m in sorted(space.masks[:-1], key=int.bit_count, reverse=True):
+        if not any(m & ~e == 0 for e in maximal):
+            maximal.append(m)
+    return sorted(maximal)
+
+
+def p4_by_all_tuples(candidate, universe, perm_lists):
+    """The first tuple over the given factor permutation lists whose
+    coordinate-wise lift maps some closed set outside the family, or
+    None when every tuple lifts."""
+    family = set(candidate.masks)
+    for tup in itertools.product(*perm_lists):
+        lifted = []
+        for pid in range(universe.n_points):
+            coords = decode(universe, pid)
+            lifted.append(sum(perm[c] * stride
+                              for perm, c, stride in zip(tup, coords, universe.strides)))
+        for m in family:
+            if sum(1 << lifted[pid] for pid in range(universe.n_points) if m >> pid & 1) not in family:
+                return tup
+    return None

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from weaktensor.cli import main
 from weaktensor.spaces import parse_lattice_text
@@ -130,6 +133,17 @@ def test_check_paper_core_reports_the_known_red_entries(capsys):
     assert any("families-strict-subset circle(mo:3,mo:3) fraser(mo:3,mo:3)" in l
                for l in lines)
     assert "mismatches=4" in out
+
+
+@pytest.mark.parametrize("suite, code, sha256", [
+    ("core-verified", 0, "cc7782eedbf1f36dbeb76dd3153d10c1b5de030adc3e5dbc5211fd723ddf85a4"),
+    ("paper-core", 1, "ce7a0e9fc5317a13f32f31b2cf045e21b3fbcffbafc04d069a66cc64caa0fa5a"),
+])
+def test_builtin_suite_reports_are_byte_identical(capsys, suite, code, sha256):
+    # the text report, verdicts and witnesses included, at the default seed
+    got, out, _ = run(capsys, "check", "--suite", suite)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_check_is_deterministic(capsys, tmp_path):

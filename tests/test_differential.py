@@ -5,6 +5,10 @@ factors within the universe caps, plus one three-factor box: box and
 circle families against the naive intersection closure of the cylinders
 (and of the xi triples), Fraser families against the subset scan of
 ``fraser_family_oracle`` up to 16 points and a line-by-line filter above.
+
+The join-based ``covers`` and ``coatoms`` are checked against the family
+scans they replaced, and P4 on generators against the loop over every
+tuple of the given factor automorphisms.
 """
 
 from __future__ import annotations
@@ -18,13 +22,27 @@ from hypothesis import strategies as st
 
 from helpers import (
     closure_in_family,
+    coatoms_by_maximality,
+    covers_by_family_scan,
     cylinder_oracle,
     decode,
     fraser_family_oracle,
     naive_intersection_closure,
+    p4_by_all_tuples,
 )
 
-from weaktensor import box_product, fraser_product, mo_circle, mo_space, powerset_space, two_space
+from weaktensor import (
+    ClosureSpace,
+    automorphisms,
+    box_product,
+    check_p4,
+    fraser_product,
+    mo_circle,
+    mo_space,
+    powerset_space,
+    two_space,
+)
+from weaktensor.spaces import CoverWitness
 from weaktensor.spaces import MAX_POINTS, SCAN_POINTS
 
 FACTORS = {
@@ -118,3 +136,72 @@ def test_closure_matches_family_closure(data):
     space = built(data.draw(st.sampled_from(CASES)))
     subset = data.draw(st.integers(min_value=0, max_value=space.full_mask))
     assert space.closure(subset) == closure_in_family(set(space.masks), space.full_mask, subset)
+
+
+def every_space():
+    return [(name, FACTORS[name]) for name in FACTORS] + [(case, built(case)) for case in CASES]
+
+
+def test_covers_matches_family_scan_on_every_comparable_pair():
+    checked = 0
+    for name, space in every_space():
+        if len(space) > 120:
+            continue
+        for b in space.masks:
+            for a in space.masks:
+                if a & ~b:
+                    continue
+                expected = covers_by_family_scan(space, a, b)
+                if expected is not True:
+                    expected = CoverWitness(lower=a, upper=b, intermediate=expected)
+                assert space.covers(a, b) == expected, (name, a, b)
+                checked += 1
+    assert checked > 20000
+
+
+def test_coatoms_match_maximality_scan_on_every_space():
+    for name, space in every_space():
+        assert space.coatoms() == coatoms_by_maximality(space), name
+
+
+def test_p4_matches_all_tuples_on_the_stock_products():
+    for case in ("box(mo:3,mo:3)", "fraser(mo:3,mo:3)", "circle(mo:3,mo:3)", "box(mo:2,mo:3)",
+                 "fraser(mo:3,powerset:2)", "box(mo:4,mo:4)"):
+        space = built(case)
+        perms = [automorphisms(f) for f in space.product.factors]
+        assert check_p4(space, space.product, perms) is None, case
+        assert p4_by_all_tuples(space, space.product,
+                                [[g.point_perm for g in group] for group in perms]) is None, case
+
+
+def _points(universe, *coords):
+    return sum(1 << universe.encode(c) for c in coords)
+
+
+@pytest.mark.parametrize("adjoined", [
+    [((0, 0), (1, 1), (2, 2))],                      # one diagonal
+    [((0, 0), (0, 1), (0, 2), (1, 0))],              # a line plus one point
+    [((0, 0), (0, 1))],                              # two points on one line
+    [((0, 0), (0, 1), (1, 0), (1, 1))],              # a 2x2 block
+    [((i, j), (i, k)) for i in range(3)              # every pair on a line: invariant
+     for j, k in itertools.combinations(range(3), 2)],
+    [tuple(zip(range(3), p)) for p in itertools.permutations(range(3))],  # every diagonal
+])
+def test_p4_matches_all_tuples_with_a_set_adjoined(adjoined):
+    box33 = built("box(mo:3,mo:3)")
+    universe = box33.product
+    candidate = ClosureSpace.from_closed_sets(
+        universe.points, box33.masks + tuple(_points(universe, *s) for s in adjoined),
+        product=universe)
+    assert not any(_points(universe, *s) in box33 for s in adjoined)
+    group = automorphisms(FACTORS["mo:3"])
+    # the whole group, and two transpositions that generate it
+    transpositions = [g for g in group if g.point_perm in ((1, 0, 2), (0, 2, 1))]
+    full = p4_by_all_tuples(candidate, universe, [[g.point_perm for g in group]] * 2)
+    for perms in ([group, group], [transpositions, transpositions]):
+        violation = check_p4(candidate, universe, perms)
+        assert (violation is None) == (full is None)
+        if violation is not None:
+            # the reported one-generator tuple fails the oracle on its own
+            assert p4_by_all_tuples(candidate, universe,
+                                    [[v] for v in violation.factor_perms]) is not None

@@ -389,6 +389,9 @@ def test_p4_fails_when_one_diagonal_is_adjoined(box33, mo3):
     assert check_p1_p2_p3(candidate, uni) is None
     violation = check_p4(candidate, uni, [automorphisms(mo3), automorphisms(mo3)])
     assert violation is not None
+    # one factor automorphism lifted alone, the identity on the other factor
+    assert [p == (0, 1, 2) for p in violation.factor_perms].count(False) == 1
+    assert "maps to the non-closed" in violation.witness
 
 
 # -- sharp map ------------------------------------------------------------------------------------

@@ -122,6 +122,15 @@ def test_search_decision_is_branching_order_independent(fraser33, box44):
         assert isinstance(forward, OrthoMap) == isinstance(backward, OrthoMap)
 
 
+def test_certificate_records_the_coatom_order_tried(box33):
+    forward = find_orthocomplementation(box33)
+    backward = find_orthocomplementation(box33, reverse_branching=True)
+    assert isinstance(forward, ExhaustionCertificate)
+    assert isinstance(backward, ExhaustionCertificate)
+    assert forward.branch_order == tuple(sorted(box33.coatoms()))
+    assert backward.branch_order == forward.branch_order[::-1]
+
+
 def test_found_maps_always_validate(box44):
     found = find_orthocomplementation(box44)
     assert isinstance(found, OrthoMap)

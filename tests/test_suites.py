@@ -1,0 +1,31 @@
+from weaktensor import suites
+from weaktensor.suites import CheckSpec, Suite, run_suite
+
+
+def test_each_target_text_is_built_once_per_run(monkeypatch):
+    built, seen = [], []
+
+    def counting_resolve(text, base_dir=None):
+        built.append(text)
+        return resolve(text, base_dir)
+
+    def record(spaces, args, rng):
+        seen.append(tuple(spaces))
+        return "pass", ""
+
+    resolve = suites.resolve_target
+    monkeypatch.setattr(suites, "resolve_target", counting_resolve)
+    monkeypatch.setitem(suites.CHECKS, "record", record)
+    suite = Suite(name="demo", checks=(
+        CheckSpec("record", ("mo:3",)),
+        CheckSpec("record", ("powerset:2", "mo:3")),
+        CheckSpec("record", ("mo:3", "mo:3")),
+    ))
+    run_suite(suite)
+    assert sorted(built) == ["mo:3", "powerset:2"]
+    mo3 = seen[0][0]
+    assert seen[1][1] is mo3 and seen[2] == (mo3, mo3)
+    # a second run builds its own targets
+    run_suite(suite)
+    assert sorted(built) == ["mo:3", "mo:3", "powerset:2", "powerset:2"]
+    assert seen[3][0] is not mo3
