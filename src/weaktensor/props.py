@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .spaces import SCAN_POINTS, ClosureSpace, CoverWitness
+# AUTOMORPHISM_POINT_CAP is re-exported: the cap lives with the search in spaces
+from .spaces import AUTOMORPHISM_POINT_CAP, SCAN_POINTS, ClosureSpace, CoverWitness
 
-AUTOMORPHISM_POINT_CAP = 12
 DEFAULT_NODE_CAP = 10_000_000
 
 
@@ -333,41 +333,14 @@ def contains_mo_n(space: ClosureSpace, n: int) -> Optional[tuple[int, ...]]:
 # -- automorphisms ------------------------------------------------------------
 
 def automorphisms(space: ClosureSpace) -> list[Automorphism]:
-    """All point permutations preserving the closed family, by brute force."""
-    if space.n_points > AUTOMORPHISM_POINT_CAP:
-        raise ValueError(f"automorphism scan capped at {AUTOMORPHISM_POINT_CAP} points")
-    if space._automorphisms is not None:
-        return list(space._automorphisms)
-    n = space.n_points
-    # Small and medium sets constrain permutations fastest.
-    probes = sorted((m for m in space.masks if 1 < m.bit_count() < n),
-                    key=lambda m: (m.bit_count(), m))
-    members = space._members
-    out = []
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for m in probes:
-            img = 0
-            mm = m
-            while mm:
-                low = mm & -mm
-                img |= 1 << perm[low.bit_length() - 1]
-                mm ^= low
-            if img not in members:
-                ok = False
-                break
-        if ok:
-            out.append(Automorphism(perm))
-    space._automorphisms = tuple(out)
-    return list(out)
+    """All point permutations preserving the closed family, in the order of
+    ``itertools.permutations``; see ``ClosureSpace.automorphism_perms``."""
+    return [Automorphism(perm) for perm in space.automorphism_perms()]
 
 
 def is_transitive(space: ClosureSpace) -> bool:
     """Whether the automorphism group acts transitively on the points."""
-    orbit = {0}
-    for u in automorphisms(space):
-        orbit.add(u.point_perm[0])
-    return len(orbit) == space.n_points
+    return len({perm[0] for perm in space.automorphism_perms()}) == space.n_points
 
 
 @dataclass(frozen=True)

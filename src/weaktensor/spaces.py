@@ -20,6 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_POINTS = 24
 # Operations that scan all subsets of the universe refuse beyond this.
 SCAN_POINTS = 20
+# Automorphism groups are listed element by element; this bounds their size.
+AUTOMORPHISM_POINT_CAP = 12
 
 _LETTERS = "abcdefghijklmnopqrstuvwx"
 
@@ -91,7 +93,7 @@ class ClosureSpace:
         self.product = product
         self._close = close
         self._coatoms: tuple[int, ...] | None = None
-        self._automorphisms = None  # filled lazily by props.automorphisms
+        self._automorphisms: tuple[tuple[int, ...], ...] | None = None
         return self
 
     # -- basic structure ------------------------------------------------
@@ -195,8 +197,11 @@ class ClosureSpace:
     def coatoms(self) -> list[int]:
         """The elements the full set covers."""
         if self._coatoms is None:
-            full = self.full_mask
-            self._coatoms = tuple(m for m in self.masks[:-1] if self.covers(m, full) is True)
+            full, n = self.full_mask, self.n_points
+            # the full set covers m iff m v q is the full set for every point q outside m
+            self._coatoms = tuple(
+                m for m in self.masks[:-1]
+                if all(self.closure(m | 1 << q) == full for q in range(n) if not m >> q & 1))
         return list(self._coatoms)
 
     def covers(self, a: int, b: int):
@@ -260,6 +265,73 @@ class ClosureSpace:
             if not dual_cov:
                 break
         return DualOrderReport(coatomistic, dual_cov, co_witness, dc_witness)
+
+    # -- automorphisms -----------------------------------------------------
+
+    def automorphism_perms(self) -> tuple[tuple[int, ...], ...]:
+        """Every point permutation that maps the closed family onto itself,
+        in the order of ``itertools.permutations``; computed once per space.
+
+        A depth-first search maps the points 0, 1, ... in turn, each to an
+        unused point of the same colour (the sizes of the closed sets
+        through a point, which no automorphism changes), tried in
+        increasing order.  A closed set is checked as soon as its highest
+        point is mapped: its image must be closed.  A set that is the
+        intersection of the larger closed sets with the same highest point
+        is not checked, as its image is the intersection of theirs, so a
+        branch still ends at the first depth where some closed set fails.
+        """
+        n = self.n_points
+        if n > AUTOMORPHISM_POINT_CAP:
+            raise ValueError(f"automorphism search capped at {AUTOMORPHISM_POINT_CAP} points")
+        if self._automorphisms is not None:
+            return self._automorphisms
+        members, full = self._members, self.full_mask
+        colour = [sorted(m.bit_count() for m in self.masks if m >> i & 1) for i in range(n)]
+        candidates = [[j for j in range(n) if colour[j] == colour[i]] for i in range(n)]
+        by_top: list[list[int]] = [[] for _ in range(n)]
+        for m in self.masks[1:]:
+            by_top[m.bit_length() - 1].append(m)
+        # checks[i]: the points of each set to check once point i is mapped;
+        # the empty set, the singletons and the full set always map to closed sets
+        checks: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        for i, same_top in enumerate(by_top):
+            for m in same_top:
+                if m.bit_count() < 2 or m == full:
+                    continue
+                above = full
+                for c in same_top:
+                    if c != m and c & m == m:
+                        above &= c
+                if above != m:
+                    checks[i].append(tuple(p for p in range(i + 1) if m >> p & 1))
+        perm, image_bit, found = [0] * n, [0] * n, []
+
+        def extend(i: int, used: int) -> None:
+            for j in candidates[i]:
+                bit = 1 << j
+                if used & bit:
+                    continue
+                image_bit[i] = bit
+                for points in checks[i]:
+                    image = 0
+                    for p in points:
+                        image |= image_bit[p]
+                    if image not in members:
+                        break
+                else:
+                    perm[i] = j
+                    if i + 1 < n:
+                        extend(i + 1, used | bit)
+                    else:
+                        found.append(tuple(perm))
+
+        extend(0, 0)
+        # extend refers to itself, a reference cycle that would keep the search
+        # state, found included, alive until the next full garbage collection
+        del extend
+        self._automorphisms = tuple(found)
+        return self._automorphisms
 
     # -- center -----------------------------------------------------------
 

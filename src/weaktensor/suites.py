@@ -657,6 +657,75 @@ def _c(check: str, targets: Sequence[str] = (), expect: str | None = "pass",
     return CheckSpec(check=check, targets=tuple(targets), args=args, expect=expect)
 
 
+_PAPER, _CORE, _BOTH = "paper-core", "core-verified", ("paper-core", "core-verified")
+
+
+def _builtin_checks() -> tuple[tuple[tuple[str, ...], CheckSpec], ...]:
+    """Every check of the two built-in suites once, in suite order, with
+    the names of the suites that run it."""
+    return (
+        # 1: a single-point companion factor changes nothing
+        (_BOTH, _c("degenerate-factor-iso", ["box(two,mo:3)", "mo:3"])),
+        (_BOTH, _c("degenerate-factor-iso", ["fraser(two,mo:3)", "mo:3"])),
+        # 2: one non-powerset factor collapses the product interval
+        (_BOTH, _c("single-nonboolean-equality", ["powerset:3", "mo:3"])),
+        # 3: two MO_3 factors separate box from Fraser
+        (_BOTH, _c("box-ne-fraser-diagonal", ["mo:3", "mo:3"])),
+        # 4: Fraser membership = beta-join fixpoint, exhaustively
+        (_BOTH, _c("fraser-fixpoint-membership", ["mo:3", "mo:3"])),
+        # 5: full crosses of factor coatoms are coatoms; saturated joins
+        (_BOTH, _c("coatom-crosses", ["mo:3", "mo:3"])),
+        # 6: covering and orthomodularity both break on box products
+        (_BOTH, _c("covering", ["box(mo:3,mo:3)"], expect="fail")),
+        (_BOTH, _c("sharp-orthomodular", ["box(mo:4,mo:4)"], expect="fail")),
+        (_BOTH, _c("sharp-valid", ["box(mo:4,mo:4)"])),
+        (_PAPER, _c("sharp-valid", ["box(mo:3,mo:3)"])),          # unattainable: stays red
+        # 7: the Fraser product of two MO_4 factors breaks covering
+        (_BOTH, _c("fraser-covering-break-trace", ["mo:4", "mo:4"])),
+        # 8: the circle product is the covering-property element
+        (_BOTH, _c("p123", ["circle(mo:3,mo:3)"])),
+        (_BOTH, _c("p4", ["circle(mo:3,mo:3)"])),
+        (_BOTH, _c("covering", ["circle(mo:3,mo:3)"])),
+        (_PAPER, _c("covering", ["box(mo:3,mo:3)"], expect="fail")),
+        (_PAPER, _c("covering", ["fraser(mo:3,mo:3)"], expect="fail")),  # unattainable: stays red
+        (_CORE, _c("covering", ["fraser(mo:4,mo:4)"], expect="fail")),
+        # 9: orthocomplementation existence separates box from the rest
+        (_PAPER, _c("orthocomplementation", ["box(mo:3,mo:3)"])),          # unattainable: stays red
+        (_CORE, _c("orthocomplementation", ["box(mo:4,mo:4)"])),
+        (_BOTH, _c("orthocomplementation", ["fraser(mo:3,mo:3)"], expect="none")),
+        (_BOTH, _c("orthocomplementation", ["circle(mo:3,mo:3)"], expect="none")),
+        # 10: the automorphism group factors through the factors
+        (_BOTH, _c("automorphism-count", ["box(mo:3,mo:3)"], count=72)),
+        (_BOTH, _c("factorization", ["box(mo:3,mo:3)"])),
+        # 11: the exact tensor-subspace suite at 2x2
+        (_BOTH, _c("hilbert-perp-involution", m=2, n=2, count=100)),
+        (_BOTH, _c("hilbert-point-biorthogonality", m=2, n=2, count=50)),
+        (_BOTH, _c("hilbert-antilinear-agreement", m=2, n=2, maps=5, pairs=100)),
+        (_BOTH, _c("hilbert-box-verdicts")),
+        (_BOTH, _c("hilbert-dual-covering-break", m=2, n=2)),
+        (_CORE, _c("hilbert-dual-covering-break", m=2, n=3)),
+        # 12: strictness of box < circle < fraser
+        (_BOTH, _c("families-strict-subset", ["box(mo:3,mo:3)", "circle(mo:3,mo:3)"])),
+        (_PAPER, _c("families-strict-subset", ["circle(mo:3,mo:3)", "fraser(mo:3,mo:3)"])),  # red
+        (_CORE, _c("families-strict-subset", ["box(mo:4,mo:4)", "circle(mo:4,mo:4)"])),
+        (_CORE, _c("families-strict-subset", ["circle(mo:4,mo:4)", "fraser(mo:4,mo:4)"])),
+        (_CORE, _c("families-equal", ["circle(mo:3,mo:3)", "fraser(mo:3,mo:3)"])),
+        # structure of the factors and of the box product
+        (_CORE, _c("contains-mo", ["box(mo:3,mo:3)"], n=3)),
+        (_CORE, _c("transitive", ["box(mo:3,mo:3)"])),
+        (_CORE, _c("coatomistic", ["box(mo:3,mo:3)"])),
+        (_CORE, _c("dual-covering", ["mo:3"])),
+        (_CORE, _c("weakly-connected", ["mo:3"])),
+        (_CORE, _c("weakly-connected", ["powerset:3"], expect="fail")),
+        (_CORE, _c("coatom-decomposition", ["mo:3", "mo:3"])),
+    )
+
+
+def _builtin_suite(name: str) -> Suite:
+    return Suite(name=name, checks=tuple(spec for suites, spec in _builtin_checks()
+                                         if name in suites))
+
+
 def paper_core_suite() -> Suite:
     """The acceptance checks, with the four original mo:3 expectations
     kept as the CLI's standing example of mismatches.
@@ -669,91 +738,13 @@ def paper_core_suite() -> Suite:
     over it).  The test suite checks the same criteria at mo:4, where
     they hold.
     """
-    return Suite(name="paper-core", checks=(
-        # 1: a single-point companion factor changes nothing
-        _c("degenerate-factor-iso", ["box(two,mo:3)", "mo:3"]),
-        _c("degenerate-factor-iso", ["fraser(two,mo:3)", "mo:3"]),
-        # 2: one non-powerset factor collapses the product interval
-        _c("single-nonboolean-equality", ["powerset:3", "mo:3"]),
-        # 3: two MO_3 factors separate box from Fraser
-        _c("box-ne-fraser-diagonal", ["mo:3", "mo:3"]),
-        # 4: Fraser membership = beta-join fixpoint, exhaustively
-        _c("fraser-fixpoint-membership", ["mo:3", "mo:3"]),
-        # 5: full crosses of factor coatoms are coatoms; saturated joins
-        _c("coatom-crosses", ["mo:3", "mo:3"]),
-        # 6: covering and orthomodularity both break on box products
-        _c("covering", ["box(mo:3,mo:3)"], expect="fail"),
-        _c("sharp-orthomodular", ["box(mo:4,mo:4)"], expect="fail"),
-        _c("sharp-valid", ["box(mo:4,mo:4)"]),
-        _c("sharp-valid", ["box(mo:3,mo:3)"]),          # unattainable: stays red
-        # 7: the Fraser product of two MO_4 factors breaks covering
-        _c("fraser-covering-break-trace", ["mo:4", "mo:4"]),
-        # 8: the circle product is the covering-property element
-        _c("p123", ["circle(mo:3,mo:3)"]),
-        _c("p4", ["circle(mo:3,mo:3)"]),
-        _c("covering", ["circle(mo:3,mo:3)"]),
-        _c("covering", ["box(mo:3,mo:3)"], expect="fail"),
-        _c("covering", ["fraser(mo:3,mo:3)"], expect="fail"),  # unattainable: stays red
-        # 9: orthocomplementation existence separates box from the rest
-        _c("orthocomplementation", ["box(mo:3,mo:3)"]),          # unattainable: stays red
-        _c("orthocomplementation", ["fraser(mo:3,mo:3)"], expect="none"),
-        _c("orthocomplementation", ["circle(mo:3,mo:3)"], expect="none"),
-        # 10: the automorphism group factors through the factors
-        _c("automorphism-count", ["box(mo:3,mo:3)"], count=72),
-        _c("factorization", ["box(mo:3,mo:3)"]),
-        # 11: the exact tensor-subspace suite at 2x2
-        _c("hilbert-perp-involution", m=2, n=2, count=100),
-        _c("hilbert-point-biorthogonality", m=2, n=2, count=50),
-        _c("hilbert-antilinear-agreement", m=2, n=2, maps=5, pairs=100),
-        _c("hilbert-box-verdicts"),
-        _c("hilbert-dual-covering-break", m=2, n=2),
-        # 12: strictness of box < circle < fraser
-        _c("families-strict-subset", ["box(mo:3,mo:3)", "circle(mo:3,mo:3)"]),
-        _c("families-strict-subset", ["circle(mo:3,mo:3)", "fraser(mo:3,mo:3)"]),  # red
-    ))
+    return _builtin_suite(_PAPER)
 
 
 def core_verified_suite() -> Suite:
     """The same ground covered at sizes where every expectation is a
     theorem instance; this suite runs fully green."""
-    return Suite(name="core-verified", checks=(
-        _c("degenerate-factor-iso", ["box(two,mo:3)", "mo:3"]),
-        _c("degenerate-factor-iso", ["fraser(two,mo:3)", "mo:3"]),
-        _c("single-nonboolean-equality", ["powerset:3", "mo:3"]),
-        _c("box-ne-fraser-diagonal", ["mo:3", "mo:3"]),
-        _c("fraser-fixpoint-membership", ["mo:3", "mo:3"]),
-        _c("coatom-crosses", ["mo:3", "mo:3"]),
-        _c("covering", ["box(mo:3,mo:3)"], expect="fail"),
-        _c("sharp-orthomodular", ["box(mo:4,mo:4)"], expect="fail"),
-        _c("sharp-valid", ["box(mo:4,mo:4)"]),
-        _c("fraser-covering-break-trace", ["mo:4", "mo:4"]),
-        _c("p123", ["circle(mo:3,mo:3)"]),
-        _c("p4", ["circle(mo:3,mo:3)"]),
-        _c("covering", ["circle(mo:3,mo:3)"]),
-        _c("covering", ["fraser(mo:4,mo:4)"], expect="fail"),
-        _c("orthocomplementation", ["box(mo:4,mo:4)"]),
-        _c("orthocomplementation", ["fraser(mo:3,mo:3)"], expect="none"),
-        _c("orthocomplementation", ["circle(mo:3,mo:3)"], expect="none"),
-        _c("automorphism-count", ["box(mo:3,mo:3)"], count=72),
-        _c("factorization", ["box(mo:3,mo:3)"]),
-        _c("hilbert-perp-involution", m=2, n=2, count=100),
-        _c("hilbert-point-biorthogonality", m=2, n=2, count=50),
-        _c("hilbert-antilinear-agreement", m=2, n=2, maps=5, pairs=100),
-        _c("hilbert-box-verdicts"),
-        _c("hilbert-dual-covering-break", m=2, n=2),
-        _c("hilbert-dual-covering-break", m=2, n=3),
-        _c("families-strict-subset", ["box(mo:3,mo:3)", "circle(mo:3,mo:3)"]),
-        _c("families-strict-subset", ["box(mo:4,mo:4)", "circle(mo:4,mo:4)"]),
-        _c("families-strict-subset", ["circle(mo:4,mo:4)", "fraser(mo:4,mo:4)"]),
-        _c("families-equal", ["circle(mo:3,mo:3)", "fraser(mo:3,mo:3)"]),
-        _c("contains-mo", ["box(mo:3,mo:3)"], n=3),
-        _c("transitive", ["box(mo:3,mo:3)"]),
-        _c("coatomistic", ["box(mo:3,mo:3)"]),
-        _c("dual-covering", ["mo:3"]),
-        _c("weakly-connected", ["mo:3"]),
-        _c("weakly-connected", ["powerset:3"], expect="fail"),
-        _c("coatom-decomposition", ["mo:3", "mo:3"]),
-    ))
+    return _builtin_suite(_CORE)
 
 
 BUILTIN_SUITES: dict[str, Callable[[], Suite]] = {

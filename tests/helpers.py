@@ -5,12 +5,16 @@ recomputed by naive fixpoint scans, covers by scanning every subset of
 the universe, and product families by filtering all subsets against the
 defining conditions written out directly over decoded coordinates.  The
 family scans that the library's join-based ``covers`` and ``coatoms`` and
-its generator-only P4 check replaced are kept here as oracles.
+its generator-only P4 check replaced are kept here as oracles, and so is
+the scan of all n! permutations that the automorphism search replaced.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
+import operator
 
 
 def naive_intersection_closure(n_points: int, masks) -> set[int]:
@@ -213,3 +217,27 @@ def p4_by_all_tuples(candidate, universe, perm_lists):
             if sum(1 << lifted[pid] for pid in range(universe.n_points) if m >> pid & 1) not in family:
                 return tup
     return None
+
+
+def automorphisms_by_scan(space) -> list[tuple[int, ...]]:
+    """Every point permutation that maps each closed set to a closed set,
+    in ``itertools.permutations`` order, by scanning all n! of them.
+
+    Each permutation is tested against the closed sets of 2 to n - 1
+    points and dropped at the first set whose image is not closed.  Sets
+    of the sizes at which the fewest subsets are closed go first, as they
+    reject the most.  Permutations are held as tuples of image bits, so
+    the image of a set is the sum of its points' entries, and the tests run
+    as a chain of lazy filters, one per set."""
+    n = space.n_points
+    members = set(space.masks)
+    closed_of_size = collections.Counter(m.bit_count() for m in members)
+    probes = sorted((m for m in space.masks if 1 < m.bit_count() < n),
+                    key=lambda m: (closed_of_size[m.bit_count()] / math.comb(n, m.bit_count()), m))
+    survivors = itertools.permutations([1 << i for i in range(n)])
+    for m in probes:
+        image_bits = operator.itemgetter(*(i for i in range(n) if m >> i & 1))
+        perms, probe = itertools.tee(survivors)
+        survivors = itertools.compress(
+            perms, map(members.__contains__, map(sum, map(image_bits, probe))))
+    return [tuple(bit.bit_length() - 1 for bit in perm) for perm in survivors]

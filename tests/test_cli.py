@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -11,6 +13,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture(scope="module")
+def builtin_reports():
+    """Exit code and report of one default-seed ``check`` run per built-in
+    suite, shared by the tests that read them."""
+    reports = {}
+    for suite in ("core-verified", "paper-core"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", "--suite", suite])
+        reports[suite] = code, out.getvalue()
+    return reports
 
 
 def test_build_mo3(capsys, tmp_path):
@@ -116,14 +131,14 @@ def test_join_input_errors(capsys, tmp_path):
     assert code == 2
 
 
-def test_check_core_verified_suite_passes(capsys):
-    code, out, _ = run(capsys, "check", "--suite", "core-verified")
+def test_check_core_verified_suite_passes(builtin_reports):
+    code, out = builtin_reports["core-verified"]
     assert code == 0
     assert "mismatches=0" in out
 
 
-def test_check_paper_core_reports_the_known_red_entries(capsys):
-    code, out, _ = run(capsys, "check", "--suite", "paper-core")
+def test_check_paper_core_reports_the_known_red_entries(builtin_reports):
+    code, out = builtin_reports["paper-core"]
     assert code == 1
     lines = [l for l in out.splitlines() if "[expected" in l]
     assert len(lines) == 4
@@ -139,9 +154,9 @@ def test_check_paper_core_reports_the_known_red_entries(capsys):
     ("core-verified", 0, "cc7782eedbf1f36dbeb76dd3153d10c1b5de030adc3e5dbc5211fd723ddf85a4"),
     ("paper-core", 1, "ce7a0e9fc5317a13f32f31b2cf045e21b3fbcffbafc04d069a66cc64caa0fa5a"),
 ])
-def test_builtin_suite_reports_are_byte_identical(capsys, suite, code, sha256):
+def test_builtin_suite_reports_are_byte_identical(builtin_reports, suite, code, sha256):
     # the text report, verdicts and witnesses included, at the default seed
-    got, out, _ = run(capsys, "check", "--suite", suite)
+    got, out = builtin_reports[suite]
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 

@@ -7,8 +7,9 @@ circle families against the naive intersection closure of the cylinders
 ``fraser_family_oracle`` up to 16 points and a line-by-line filter above.
 
 The join-based ``covers`` and ``coatoms`` are checked against the family
-scans they replaced, and P4 on generators against the loop over every
-tuple of the given factor automorphisms.
+scans they replaced, P4 on generators against the loop over every tuple
+of the given factor automorphisms, and the automorphism search against
+the scan of all n! point permutations.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    automorphisms_by_scan,
     closure_in_family,
     coatoms_by_maximality,
     covers_by_family_scan,
@@ -43,7 +45,7 @@ from weaktensor import (
     two_space,
 )
 from weaktensor.spaces import CoverWitness
-from weaktensor.spaces import MAX_POINTS, SCAN_POINTS
+from weaktensor.spaces import MAX_POINTS, SCAN_POINTS, default_labels
 
 FACTORS = {
     "two": two_space(),
@@ -205,3 +207,53 @@ def test_p4_matches_all_tuples_with_a_set_adjoined(adjoined):
             # the reported one-generator tuple fails the oracle on its own
             assert p4_by_all_tuples(candidate, universe,
                                     [[v] for v in violation.factor_perms]) is not None
+
+
+# box and Fraser of powerset:3 with itself are the whole powerset of 9
+# points: their group is every one of the 9! permutations, which takes
+# seconds to list on either side; powerset:8 stands in for them below
+WHOLE_POWERSET_9 = ("box(powerset:3,powerset:3)", "fraser(powerset:3,powerset:3)")
+
+
+def test_automorphisms_match_scan_up_to_nine_points():
+    compared = 0
+    for name, space in every_space():
+        if space.n_points > 9 or name in WHOLE_POWERSET_9:
+            continue
+        assert [u.point_perm for u in automorphisms(space)] == automorphisms_by_scan(space), name
+        compared += 1
+    assert compared == 77
+    assert all(len(built(case)) == 1 << 9 for case in WHOLE_POWERSET_9)
+
+
+small_families = st.integers(min_value=2, max_value=6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=2).map(
+        lambda points: sum(1 << p for p in points)), max_size=5)))
+
+
+@given(family=small_families)
+@example(family=(5, [0b10010, 0b11010, 0b10001, 0b11011, 0b10101]))
+@settings(max_examples=100, deadline=None)
+def test_automorphisms_match_scan_on_random_spaces(family):
+    # a few generators on a few points: mostly small, lopsided groups, where
+    # a closed set the search failed to check lets a wrong map through (the
+    # example is one that needs the checks made at the last point)
+    n, generators = family
+    space = ClosureSpace.from_closed_sets(default_labels(n), generators)
+    assert [u.point_perm for u in automorphisms(space)] == automorphisms_by_scan(space)
+
+
+def test_automorphisms_beyond_the_scan():
+    # the group is the 3! * 4! coordinatewise lifts of factor permutations
+    # (no automorphism swaps the factors, which differ in size)
+    for case in ("box(mo:3,mo:4)", "circle(mo:3,mo:4)", "fraser(mo:3,mo:4)"):
+        space = built(case)
+        universe = space.product
+        lifts = sorted(
+            tuple(sum(v[c] * stride for v, c, stride in zip(vs, decode(universe, pid), universe.strides))
+                  for pid in range(universe.n_points))
+            for vs in itertools.product(*(itertools.permutations(range(k)) for k in universe.sizes)))
+        assert [u.point_perm for u in automorphisms(space)] == lifts, case
+    assert ([u.point_perm for u in automorphisms(powerset_space(8))]
+            == list(itertools.permutations(range(8))))
