@@ -10,7 +10,7 @@ All arithmetic is exact over Q(i); there is no floating point anywhere.
 Subspaces are canonicalized by reduced row echelon form, so equality of
 subspaces is equality of basis tuples.  Atom sets are never enumerated:
 an element of the product is represented by its subspace, and point
-membership is a rank test.
+membership is a residual against the canonical basis.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -212,26 +213,14 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[GQ]], list[int]]:
     return m[:r], pivots
 
 
-def kernel(rows: Sequence[Vector], width: int) -> list[Vector]:
-    """Canonical basis of {x | rows . x = 0}."""
-    red, pivots = rref(rows)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * width
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    canon, _ = rref(basis)
-    return [tuple(row) for row in canon]
-
-
 # -- subspaces ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace in canonical (reduced echelon) basis form."""
+    """A linear subspace whose ``basis`` is its reduced row echelon form
+    with unit pivots, so equal subspaces have equal bases.  ``span`` (the
+    one reduction), ``zero`` and ``full`` are the constructors keeping it.
+    """
 
     ambient: int
     basis: Matrix
@@ -250,22 +239,38 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls.span(ambient, [basis_vector(ambient, k) for k in range(ambient)])
+        return cls(ambient, tuple(basis_vector(ambient, k) for k in range(ambient)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(next(c for c, a in enumerate(row) if a) for row in self.basis)
+
+    def residual(self, v: Vector) -> Vector:
+        """v less v[p] times the row of each pivot p; zero iff v lies in the subspace."""
+        res = list(v)
+        for p, row in zip(self.pivots, self.basis):
+            if f := res[p]:
+                res = [a - f * b for a, b in zip(res, row)]
+        return tuple(res)
+
     def contains(self, v: Vector) -> bool:
-        red, _ = rref(list(self.basis) + [v])
-        return len(red) == self.dim
+        return is_zero_vector(self.residual(v))
 
     def perp(self) -> "Subspace":
-        """Orthocomplement under the Hermitian inner product."""
-        if self.dim == 0:
-            return Subspace.full(self.ambient)
-        rows = [vconj(b) for b in self.basis]
-        return Subspace.span(self.ambient, kernel(rows, self.ambient))
+        """Orthocomplement under the Hermitian inner product; the conjugated
+        basis stays reduced, so free column f gives e_f - sum_p conj(row_p[f]) e_p."""
+        vectors = []
+        for f in range(self.ambient):
+            if f not in self.pivots:
+                v = list(basis_vector(self.ambient, f))
+                for p, row in zip(self.pivots, self.basis):
+                    v[p] = -row[f].conj()
+                vectors.append(tuple(v))
+        return Subspace.span(self.ambient, vectors)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
@@ -291,7 +296,8 @@ class ProductAtomPair:
 
 
 def sigma_membership(subspace: Subspace, pair: ProductAtomPair) -> bool:
-    """Whether the pair's product vector lies in the subspace (rank test)."""
+    """Whether the pair's product vector lies in the subspace (residual
+    against the canonical basis)."""
     return subspace.contains(pair.product_vector())
 
 
@@ -313,17 +319,10 @@ def slice_section(subspace: Subspace, p1: Vector, m: int, n: int) -> Subspace:
     """The factor-2 subspace {w | p1 (x) w lies in the given subspace}."""
     if len(p1) != m or is_zero_vector(p1):
         raise ValueError("need a nonzero factor-1 vector of the right dimension")
-    residual_rows = []
-    red, pivots = rref(subspace.basis)
-    for j in range(n):
-        v = list(tensor(p1, basis_vector(n, j)))
-        for r, p in enumerate(pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, red[r])]
-        residual_rows.append(tuple(v))
-    rows = [tuple(residual_rows[j][k] for j in range(n)) for k in range(m * n)]
-    return Subspace.span(n, kernel(rows, n))
+    # w is in the section iff sum_j w_j residual(p1 (x) e_j) = 0: the perp of the conjugate rows
+    residuals = [subspace.residual(tensor(p1, basis_vector(n, j))) for j in range(n)]
+    rows = [tuple(residuals[j][k].conj() for j in range(n)) for k in range(m * n)]
+    return Subspace.span(n, rows).perp()
 
 
 # -- antilinear maps and induced coatoms -------------------------------------
@@ -382,8 +381,8 @@ def coatom_from_antilinear(a_map: AntilinearMap
 
 def sharp_point(pair: ProductAtomPair, m: int, n: int) -> Subspace:
     """The cross subspace p1-perp (x) H2 + H1 (x) p2-perp."""
-    perp1 = kernel([vconj(pair.p1)], m)
-    perp2 = kernel([vconj(pair.p2)], n)
+    perp1 = Subspace.span(m, [pair.p1]).perp().basis
+    perp2 = Subspace.span(n, [pair.p2]).perp().basis
     vectors = [tensor(u, basis_vector(n, j)) for u in perp1 for j in range(n)]
     vectors += [tensor(basis_vector(m, i), w) for i in range(m) for w in perp2]
     return Subspace.span(m * n, vectors)

@@ -71,6 +71,13 @@ def _split_args(body: str) -> list[str]:
 
 
 def resolve_target(text: str, base_dir: Path | None = None) -> ClosureSpace:
+    return _resolve(text, base_dir, frozenset())
+
+
+def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path]) -> ClosureSpace:
+    """``resolve_target``, given the resolved paths of the ``.prod``
+    files whose factors are being resolved, so an include cycle is an
+    input error rather than a runaway recursion."""
     text = text.strip()
     if text == "two":
         return two_space()
@@ -85,7 +92,7 @@ def resolve_target(text: str, base_dir: Path | None = None) -> ClosureSpace:
     for kind in ("box", "fraser", "circle"):
         if text.startswith(kind + "(") and text.endswith(")"):
             inner = _split_args(text[len(kind) + 1:-1])
-            factors = [resolve_target(t, base_dir) for t in inner]
+            factors = [_resolve(t, base_dir, open_files) for t in inner]
             return build_product(kind, factors)
     if text.endswith(".lat"):
         path = (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text)
@@ -96,7 +103,7 @@ def resolve_target(text: str, base_dir: Path | None = None) -> ClosureSpace:
         path = (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text)
         if not path.exists():
             raise TargetError(f"no such product file: {path}")
-        kind, factors = parse_product_file(path)
+        kind, factors = _parse_product_file(path, open_files)
         return build_product(kind, factors)
     raise TargetError(f"unresolvable target {text!r}")
 
@@ -115,6 +122,15 @@ def build_product(kind: str, factors: Sequence[ClosureSpace]) -> ClosureSpace:
 
 def parse_product_file(path: Path) -> tuple[str, list[ClosureSpace]]:
     """Product description: a kind tag plus two or three factor files."""
+    return _parse_product_file(path, frozenset())
+
+
+def _parse_product_file(path: Path, open_files: frozenset[Path]
+                        ) -> tuple[str, list[ClosureSpace]]:
+    key = path.resolve()
+    if key in open_files:
+        raise TargetError(f"{path}: product file includes itself")
+    open_files |= {key}
     kind: str | None = None
     factors: list[ClosureSpace] = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -125,7 +141,7 @@ def parse_product_file(path: Path) -> tuple[str, list[ClosureSpace]]:
             kind = line[len("product:"):].strip()
         elif line.startswith("factor:"):
             ref = line[len("factor:"):].strip()
-            factors.append(resolve_target(ref, path.parent))
+            factors.append(_resolve(ref, path.parent, open_files))
         else:
             raise TargetError(f"{path}:{lineno}: unrecognized line {line!r}")
     if kind not in ("box", "fraser", "circle"):
@@ -632,21 +648,26 @@ def load_suite(path: Path) -> Suite:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise TargetError(f"{path}: bad JSON: {exc}") from None
-    if not isinstance(data, dict) or "checks" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("checks"), list):
         raise TargetError(f"{path}: a suite is an object with a 'checks' list")
     checks = []
     for i, entry in enumerate(data["checks"]):
-        if "check" not in entry:
-            raise TargetError(f"{path}: check #{i + 1} is missing its id")
+        where = f"{path}: check #{i + 1}"
+        if not isinstance(entry, dict):
+            raise TargetError(f"{where} is not an object")
+        if not isinstance(entry.get("check"), str):
+            raise TargetError(f"{where} needs a 'check' id string")
+        targets = entry.get("targets", [])
+        if not (isinstance(targets, list) and all(isinstance(t, str) for t in targets)):
+            raise TargetError(f"{where} has 'targets' that are not a list of strings")
+        args = entry.get("args", {})
+        if not isinstance(args, dict):
+            raise TargetError(f"{where} has 'args' that are not an object")
         expect = entry.get("expect")
         if expect is not None and expect not in ("pass", "fail", "none", "unknown"):
-            raise TargetError(f"{path}: check #{i + 1} has bad expectation {expect!r}")
-        checks.append(CheckSpec(
-            check=entry["check"],
-            targets=tuple(entry.get("targets", ())),
-            args=dict(entry.get("args", {})),
-            expect=expect,
-        ))
+            raise TargetError(f"{where} has bad expectation {expect!r}")
+        checks.append(CheckSpec(check=entry["check"], targets=tuple(targets),
+                                args=dict(args), expect=expect))
     return Suite(name=data.get("name", path.stem), checks=tuple(checks))
 
 

@@ -7,6 +7,9 @@ defining conditions written out directly over decoded coordinates.  The
 family scans that the library's join-based ``covers`` and ``coatoms`` and
 its generator-only P4 check replaced are kept here as oracles, and so is
 the scan of all n! permutations that the automorphism search replaced.
+So are the exact layer's operations that re-ran ``rref`` on bases that
+``Subspace`` already holds reduced: membership, kernel, perp and slice
+sections.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ import collections
 import itertools
 import math
 import operator
+
+from weaktensor.hilbert import (
+    ONE, ZERO, Subspace, basis_vector, is_zero_vector, rref, tensor, vconj,
+)
 
 
 def naive_intersection_closure(n_points: int, masks) -> set[int]:
@@ -241,3 +248,50 @@ def automorphisms_by_scan(space) -> list[tuple[int, ...]]:
         survivors = itertools.compress(
             perms, map(members.__contains__, map(sum, map(image_bits, probe))))
     return [tuple(bit.bit_length() - 1 for bit in perm) for perm in survivors]
+
+
+def contains_by_rref(subspace, v) -> bool:
+    """Membership as a rank test on the basis plus v."""
+    red, _ = rref(list(subspace.basis) + [v])
+    return len(red) == subspace.dim
+
+
+def kernel_by_rref(rows, width: int) -> list:
+    """Canonical basis of {x | rows . x = 0}."""
+    red, pivots = rref(rows)
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [ZERO] * width
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    canon, _ = rref(basis)
+    return [tuple(row) for row in canon]
+
+
+def perp_by_kernel(subspace):
+    """Orthocomplement as the kernel of the conjugated basis."""
+    ambient = subspace.ambient
+    if subspace.dim == 0:
+        return Subspace.span(ambient, [basis_vector(ambient, k) for k in range(ambient)])
+    rows = [vconj(b) for b in subspace.basis]
+    return Subspace.span(ambient, kernel_by_rref(rows, ambient))
+
+
+def slice_section_by_rref(subspace, p1, m: int, n: int):
+    """{w | p1 (x) w in the subspace}, reducing the basis again first."""
+    if len(p1) != m or is_zero_vector(p1):
+        raise ValueError("need a nonzero factor-1 vector of the right dimension")
+    residual_rows = []
+    red, pivots = rref(subspace.basis)
+    for j in range(n):
+        v = list(tensor(p1, basis_vector(n, j)))
+        for r, p in enumerate(pivots):
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, red[r])]
+        residual_rows.append(tuple(v))
+    rows = [tuple(residual_rows[j][k] for j in range(n)) for k in range(m * n)]
+    return Subspace.span(n, kernel_by_rref(rows, n))

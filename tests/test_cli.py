@@ -212,6 +212,36 @@ def test_check_input_errors(capsys, tmp_path):
         {"check": "covering", "targets": ["circle(powerset:2,mo:3)"]}]}))
     code, _, err = run(capsys, "check", "--suite", str(suite))
     assert code == 2 and "three atoms" in err
+    # malformed suite structure is named, never a traceback or the mismatch code
+    for data, says in (
+            ({"checks": 5}, "'checks' list"),
+            ({"checks": ["checking"]}, "check #1 is not an object"),
+            ({"checks": [{"check": "covering", "args": 5}]}, "check #1 has 'args'"),
+            ({"checks": [{"check": "covering", "targets": "mo:3"}]}, "check #1 has 'targets'")):
+        suite.write_text(json.dumps(data))
+        code, _, err = run(capsys, "check", "--suite", str(suite))
+        assert code == 2 and str(suite) in err and says in err
+
+
+@pytest.mark.parametrize("files", [
+    {"self.prod": "product: box\nfactor: self.prod\nfactor: mo:3\n"},
+    {"a.prod": "product: box\nfactor: b.prod\nfactor: mo:3\n",
+     "b.prod": "product: circle\nfactor: mo:3\nfactor: box(mo:3,a.prod)\n"},
+])
+def test_cyclic_product_files_are_input_errors(capsys, tmp_path, monkeypatch, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    first = next(iter(files))
+    monkeypatch.chdir(tmp_path)
+    # each command returns its input-error code instead of recursing
+    code, _, err = run(capsys, "build", "--product", "box", first, "mo:3")
+    assert code == 2 and "includes itself" in err
+    code, _, err = run(capsys, "join", first, "--tuples", "a,a")
+    assert code == 2 and "includes itself" in err
+    suite = tmp_path / "s.json"
+    suite.write_text(json.dumps({"checks": [{"check": "covering", "targets": [first]}]}))
+    code, _, err = run(capsys, "check", "--suite", str(suite))
+    assert code == 2 and "includes itself" in err
 
 
 def test_check_with_product_file_target(capsys, tmp_path):
@@ -238,8 +268,8 @@ def test_check_antilinear_matrix_literal(capsys, tmp_path):
 
 
 def test_check_seed_flag_changes_samples_not_verdicts(capsys):
-    # different seeds keep the report deterministic per seed
+    # the seed moves the sampled Hilbert checks, never a verdict or witness
     code1, out1, _ = run(capsys, "check", "--suite", "core-verified", "--seed", "1")
-    code2, out2, _ = run(capsys, "check", "--suite", "core-verified", "--seed", "1")
+    code2, out2, _ = run(capsys, "check", "--suite", "core-verified", "--seed", "2")
     assert code1 == code2 == 0
     assert out1 == out2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import contains_by_rref, kernel_by_rref, perp_by_kernel, slice_section_by_rref
 from weaktensor.hilbert import (
     AntilinearMap,
     BoxVerdict,
@@ -22,11 +23,11 @@ from weaktensor.hilbert import (
     gq_sqrt,
     inner,
     join_atoms,
-    kernel,
     normalize_vector,
     parse_gq_matrix,
     parse_gq_tokens,
     random_antilinear,
+    random_gq,
     random_pair,
     random_subspace,
     random_vector,
@@ -100,7 +101,7 @@ def test_rref_is_canonical_under_row_shuffles():
 
 def test_kernel_oracle():
     rows = [(gq(1), gq(0), gq(-1))]
-    k = kernel(rows, 3)
+    k = Subspace.span(3, [vconj(rows[0])]).perp().basis
     assert len(k) == 2
     for v in k:
         assert not sum((r * x for r, x in zip(rows[0], v)), ZERO)
@@ -221,6 +222,58 @@ def test_slice_section_recovers_the_second_factor():
         assert slice_section(v, p1, 2, 3) == w
         # the double perp of the slice stays inside it
         assert v.perp().perp() == v
+
+
+# -- canonical-basis reads against the rref oracles ------------------------------------------
+
+def _differential_subspaces(rng: Random, ambient: int, count: int) -> list[Subspace]:
+    """The zero and full subspaces plus spans of random rows, each row
+    list with a dependent row (a combination of two drawn rows) mixed in."""
+    out = [Subspace.zero(ambient), Subspace.full(ambient)]
+    for _ in range(count):
+        rows = [random_vector(rng, ambient) for _ in range(rng.randint(1, ambient))]
+        rows.append(vadd(vscale(random_gq(rng), rows[0]), vscale(random_gq(rng), rows[-1])))
+        rng.shuffle(rows)
+        out.append(Subspace.span(ambient, rows))
+    return out
+
+
+def test_full_is_the_span_of_the_unit_vectors():
+    for n in range(1, 10):
+        assert Subspace.full(n).basis == Subspace.span(n, [e(n, k) for k in range(n)]).basis
+
+
+def test_perp_and_membership_match_the_rref_oracles():
+    rng = Random(2011)
+    for ambient in range(1, 10):
+        for s in _differential_subspaces(rng, ambient, 6):
+            assert s.perp().basis == perp_by_kernel(s).basis
+            rows = [vconj(b) for b in s.basis] + [random_vector(rng, ambient)]
+            assert (Subspace.span(ambient, [vconj(r) for r in rows]).perp().basis
+                    == tuple(kernel_by_rref(rows, ambient)))
+            member = tuple(ZERO for _ in range(ambient))
+            for b in s.basis:
+                member = vadd(member, vscale(random_gq(rng), b))
+            for v in (member, random_vector(rng, ambient), e(ambient, ambient - 1)):
+                assert s.contains(v) == contains_by_rref(s, v)
+                assert s.contains(v) == (not any(s.residual(v)))
+            assert s.contains(member)
+
+
+def test_sharp_cross_factors_match_the_rref_kernel():
+    rng = Random(2012)
+    for m in (2, 3):
+        for _ in range(10):
+            p = random_vector(rng, m)
+            assert Subspace.span(m, [p]).perp().basis == tuple(kernel_by_rref([vconj(p)], m))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_slice_section_matches_the_rref_oracle(m, n):
+    rng = Random(100 * m + n)
+    for s in _differential_subspaces(rng, m * n, 12):
+        for p1 in (random_vector(rng, m), e(m, 0), e(m, m - 1)):
+            assert slice_section(s, p1, m, n).basis == slice_section_by_rref(s, p1, m, n).basis
 
 
 # -- antilinear maps --------------------------------------------------------------------------

@@ -29,3 +29,9 @@ def test_each_target_text_is_built_once_per_run(monkeypatch):
     run_suite(suite)
     assert sorted(built) == ["mo:3", "mo:3", "powerset:2", "powerset:2"]
     assert seen[3][0] is not mo3
+
+
+def test_a_product_file_included_twice_is_not_a_cycle(tmp_path):
+    (tmp_path / "leaf.prod").write_text("product: box\nfactor: mo:2\nfactor: mo:2\n")
+    (tmp_path / "pair.prod").write_text("product: box\nfactor: leaf.prod\nfactor: leaf.prod\n")
+    assert suites.resolve_target("pair.prod", tmp_path).n_points == 16
