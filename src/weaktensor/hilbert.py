@@ -7,6 +7,9 @@ procedure for box-product membership of a subspace, and the failure of
 the covering property in the order dual.
 
 All arithmetic is exact over Q(i); there is no floating point anywhere.
+A scalar ``GQ`` is the value (a + b*i) / d stored as three Python ints
+with d > 0 and gcd(a, b, d) = 1, so each operation costs a few integer
+products and at most one gcd, and equal values are equal triples.
 Subspaces are canonicalized by reduced row echelon form, so equality of
 subspaces is equality of basis tuples.  Atom sets are never enumerated:
 an element of the product is represented by its subspace, and point
@@ -17,67 +20,147 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from random import Random
 from typing import Callable, Optional, Sequence
 
 MAX_FACTOR_DIM = 3
 
 
-@dataclass(frozen=True)
 class GQ:
-    """A Gaussian rational a + bi with exact rational parts."""
+    """A Gaussian rational (a + b*i) / d held as three Python ints.
 
-    re: Fraction
-    im: Fraction
+    Invariant: d > 0 and gcd(a, b, d) = 1, so each value has exactly one
+    triple and equality is equality of triples.  Every operation works on
+    the ints and costs at most one gcd; ``re``, ``im`` and ``norm2()``
+    read the value back as ``Fraction``.  Instances are immutable.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: int | Fraction, im: int | Fraction):
+        re, im = Fraction(re), Fraction(im)
+        # both parts are in lowest terms, so no prime of the lcm divides
+        # both scaled numerators: the triple is reduced without a gcd
+        d = math.lcm(re.denominator, im.denominator)
+        _set_a(self, re.numerator * (d // re.denominator))
+        _set_b(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GQ is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GQ is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other: "GQ") -> "GQ":
-        return GQ(self.re + other.re, self.im + other.im)
+        a, b, d = other._a, other._b, other._d
+        if not (a or b):
+            return self
+        if d == self._d:
+            return _reduced(self._a + a, self._b + b, d)
+        return _reduced(self._a * d + a * self._d, self._b * d + b * self._d, self._d * d)
 
     def __sub__(self, other: "GQ") -> "GQ":
-        return GQ(self.re - other.re, self.im - other.im)
+        a, b, d = other._a, other._b, other._d
+        if not (a or b):
+            return self
+        if d == self._d:
+            return _reduced(self._a - a, self._b - b, d)
+        return _reduced(self._a * d - a * self._d, self._b * d - b * self._d, self._d * d)
 
     def __neg__(self) -> "GQ":
-        return GQ(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GQ") -> "GQ":
-        return GQ(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        if not (a1 or b1):
+            return self
+        if not (a2 or b2):
+            return other
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     def __truediv__(self, other: "GQ") -> "GQ":
-        n = other.norm2()
-        if n == 0:
+        a2, b2, d2 = other._a, other._b, other._d
+        n = a2 * a2 + b2 * b2
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GQ((self.re * other.re + self.im * other.im) / n,
-                  (self.im * other.re - self.re * other.im) / n)
+        a1, b1 = self._a, self._b
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
     def conj(self) -> "GQ":
-        return GQ(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GQ):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"GQ(re={self.re!r}, im={self.im!r})"
+
+    def __reduce__(self):
+        return GQ, (self.re, self.im)
 
     def render(self) -> str:
-        if not self.im:
+        if not self._b:
             return str(self.re)
         im = f"{self.im}i"
-        if not self.re:
+        if not self._a:
             return im
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return self.render()
 
 
+# The slot descriptors write past GQ's raising __setattr__; only the
+# constructors below use them.
+_set_a, _set_b, _set_d = GQ._a.__set__, GQ._b.__set__, GQ._d.__set__
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GQ:
+    """A GQ from a triple that already meets the invariant."""
+    z = _new(GQ)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GQ:
+    """(a + b*i) / d for d > 0, divided through by gcd(a, b, d)."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _triple(a, b, d)
+
+
 def gq(re: int | Fraction = 0, im: int | Fraction = 0) -> GQ:
-    return GQ(Fraction(re), Fraction(im))
+    return GQ(re, im)
 
 
 ZERO = gq(0)
@@ -219,11 +302,31 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[GQ]], list[int]]:
 class Subspace:
     """A linear subspace whose ``basis`` is its reduced row echelon form
     with unit pivots, so equal subspaces have equal bases.  ``span`` (the
-    one reduction), ``zero`` and ``full`` are the constructors keeping it.
+    one reduction), ``zero`` and ``full`` are the constructors keeping it;
+    a basis given directly is checked and refused with ``ValueError``
+    unless it is already in that form.
     """
 
     ambient: int
     basis: Matrix
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Check the invariant in one scan of the basis; no reduction."""
+        pivots: list[int] = []
+        for row in self.basis:
+            if len(row) != self.ambient:
+                raise ValueError("basis row length does not match the ambient dimension")
+            p = next((c for c, a in enumerate(row) if a), None)
+            if p is None or row[p] != ONE:
+                raise ValueError("every basis row must lead with a unit pivot")
+            if pivots and p <= pivots[-1]:
+                raise ValueError("basis pivots must strictly increase")
+            pivots.append(p)
+        for i, row in enumerate(self.basis):
+            if any(row[p] for j, p in enumerate(pivots) if j != i):
+                raise ValueError("a pivot column must be zero outside its own row")
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @classmethod
     def span(cls, ambient: int, vectors: Sequence[Vector]) -> "Subspace":
@@ -244,10 +347,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(c for c, a in enumerate(row) if a) for row in self.basis)
 
     def residual(self, v: Vector) -> Vector:
         """v less v[p] times the row of each pivot p; zero iff v lies in the subspace."""
@@ -650,8 +749,9 @@ def dual_covering_counterexample(m: int, n: int) -> DualCoveringReport:
 
 def random_gq(rng: Random, zero_ok: bool = True) -> GQ:
     while True:
-        z = GQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-               Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        p, q = rng.randint(-3, 3), rng.randint(1, 3)
+        r, s = rng.randint(-3, 3), rng.randint(1, 3)
+        z = _reduced(p * s, r * q, q * s)  # p/q + (r/s) i
         if zero_ok or z:
             return z
 

@@ -51,6 +51,31 @@ class TargetError(ValueError):
     pass
 
 
+# Cap on each sample count of the sampled hilbert checks (count, maps, pairs).
+MAX_SAMPLES = 200
+
+
+def _int_arg(args: dict, key: str, default: Optional[int] = None,
+             lo: Optional[int] = None, hi: Optional[int] = None) -> int:
+    """The integer argument ``key`` of a check; a missing required key, a
+    value that is not an integer or one outside [lo, hi] is a TargetError."""
+    value = args.get(key, default)
+    if value is None:
+        raise TargetError(f"argument {key!r} is required")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TargetError(f"argument {key!r} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+        raise TargetError(f"argument {key!r} must be {bounds}, got {value}")
+    return value
+
+
+def _factor_dims(args: dict, lo: int = 1) -> tuple[int, int]:
+    """The factor dimensions ``m`` and ``n`` (default 2) of a hilbert check."""
+    cap = hilbert.MAX_FACTOR_DIM
+    return _int_arg(args, "m", 2, lo, cap), _int_arg(args, "n", 2, lo, cap)
+
+
 # -- target resolution --------------------------------------------------------
 
 def _split_args(body: str) -> list[str]:
@@ -203,7 +228,7 @@ def _coatomistic(spaces, args, rng):
 @_check("orthocomplementation")
 def _orthocomplementation(spaces, args, rng):
     (s,) = spaces
-    cap = int(args.get("node_cap", props.DEFAULT_NODE_CAP))
+    cap = _int_arg(args, "node_cap", props.DEFAULT_NODE_CAP)
     res = props.find_orthocomplementation(s, node_cap=cap)
     if isinstance(res, props.OrthoMap):
         table = " ".join(f"{s.render_set(p)}->({s.render_set(c)})"
@@ -254,7 +279,7 @@ def _sharp_orthomodular(spaces, args, rng):
 @_check("contains-mo")
 def _contains_mo(spaces, args, rng):
     (s,) = spaces
-    n = int(args.get("n", 3))
+    n = _int_arg(args, "n", 3)
     res = props.contains_mo_n(s, n)
     if res is None:
         return "fail", f"no MO_{n} configuration"
@@ -271,7 +296,7 @@ def _transitive(spaces, args, rng):
 @_check("automorphism-count")
 def _automorphism_count(spaces, args, rng):
     (s,) = spaces
-    want = int(args["count"])
+    want = _int_arg(args, "count")
     got = len(props.automorphisms(s))
     return ("pass" if got == want else "fail"), f"count={got}"
 
@@ -516,8 +541,8 @@ def _render_pair(pair: hilbert.ProductAtomPair) -> str:
 
 @_check("hilbert-perp-involution")
 def _hilbert_perp_involution(spaces, args, rng):
-    m, n = int(args.get("m", 2)), int(args.get("n", 2))
-    count = int(args.get("count", 100))
+    m, n = _factor_dims(args)
+    count = _int_arg(args, "count", 100, 0, MAX_SAMPLES)
     ambient = m * n
     for _ in range(count):
         v = hilbert.random_subspace(rng, ambient)
@@ -529,8 +554,8 @@ def _hilbert_perp_involution(spaces, args, rng):
 
 @_check("hilbert-point-biorthogonality")
 def _hilbert_point_biorthogonality(spaces, args, rng):
-    m, n = int(args.get("m", 2)), int(args.get("n", 2))
-    count = int(args.get("count", 50))
+    m, n = _factor_dims(args)
+    count = _int_arg(args, "count", 50, 0, MAX_SAMPLES)
     for _ in range(count):
         pair = hilbert.random_pair(rng, m, n)
         if not hilbert.verify_point_biorthogonality(pair, m, n):
@@ -540,9 +565,9 @@ def _hilbert_point_biorthogonality(spaces, args, rng):
 
 @_check("hilbert-antilinear-agreement")
 def _hilbert_antilinear_agreement(spaces, args, rng):
-    m, n = int(args.get("m", 2)), int(args.get("n", 2))
-    n_maps = int(args.get("maps", 5))
-    n_pairs = int(args.get("pairs", 100))
+    m, n = _factor_dims(args)
+    n_maps = _int_arg(args, "maps", 5, 0, MAX_SAMPLES)
+    n_pairs = _int_arg(args, "pairs", 100, 0, MAX_SAMPLES)
     maps = []
     if "matrix" in args:
         maps.append(hilbert.AntilinearMap(hilbert.parse_gq_matrix(args["matrix"], n, m)))
@@ -579,7 +604,7 @@ def _hilbert_box_verdicts(spaces, args, rng):
 
 @_check("hilbert-dual-covering-break")
 def _hilbert_dual_covering_break(spaces, args, rng):
-    m, n = int(args.get("m", 2)), int(args.get("n", 2))
+    m, n = _factor_dims(args, lo=2)
     rep = hilbert.dual_covering_counterexample(m, n)
     bits = (f"disjoint={rep.disjoint_from_coatom} two-atom-closed={rep.two_atom_set_closed} "
             f"join-top={rep.join_with_coatom_is_top} strict-chain={rep.strict_chain}")
@@ -633,8 +658,8 @@ def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
             raise TargetError(f"cannot build target for {label!r}: {exc}") from None
         try:
             verdict, witness = handler(targets, spec.args, rng)
-        except TargetError:
-            raise
+        except TargetError as exc:
+            raise TargetError(f"{label}: {exc}") from None
         except Exception as exc:  # deterministic inputs: report, don't crash
             verdict, witness = "error", f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start

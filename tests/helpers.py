@@ -9,7 +9,9 @@ its generator-only P4 check replaced are kept here as oracles, and so is
 the scan of all n! permutations that the automorphism search replaced.
 So are the exact layer's operations that re-ran ``rref`` on bases that
 ``Subspace`` already holds reduced: membership, kernel, perp and slice
-sections.
+sections.  The Gaussian rational as a pair of ``Fraction`` parts, which
+the integer-triple ``GQ`` replaced, is kept with the row reduction and
+the seeded draws written over it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import collections
 import itertools
 import math
 import operator
+from dataclasses import dataclass
+from fractions import Fraction
 
 from weaktensor.hilbert import (
     ONE, ZERO, Subspace, basis_vector, is_zero_vector, rref, tensor, vconj,
@@ -295,3 +299,114 @@ def slice_section_by_rref(subspace, p1, m: int, n: int):
         residual_rows.append(tuple(v))
     rows = [tuple(residual_rows[j][k] for j in range(n)) for k in range(m * n)]
     return Subspace.span(n, kernel_by_rref(rows, n))
+
+
+@dataclass(frozen=True)
+class FractionGQ:
+    """A Gaussian rational a + bi with exact rational parts."""
+
+    re: Fraction
+    im: Fraction
+
+    def __add__(self, other: "FractionGQ") -> "FractionGQ":
+        return FractionGQ(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "FractionGQ") -> "FractionGQ":
+        return FractionGQ(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> "FractionGQ":
+        return FractionGQ(-self.re, -self.im)
+
+    def __mul__(self, other: "FractionGQ") -> "FractionGQ":
+        return FractionGQ(self.re * other.re - self.im * other.im,
+                          self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other: "FractionGQ") -> "FractionGQ":
+        n = other.norm2()
+        if n == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionGQ((self.re * other.re + self.im * other.im) / n,
+                          (self.im * other.re - self.re * other.im) / n)
+
+    def conj(self) -> "FractionGQ":
+        return FractionGQ(self.re, -self.im)
+
+    def norm2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def render(self) -> str:
+        if not self.im:
+            return str(self.re)
+        im = f"{self.im}i"
+        if not self.re:
+            return im
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+    def __str__(self) -> str:  # pragma: no cover - display helper
+        return self.render()
+
+
+FRACTION_ONE = FractionGQ(Fraction(1), Fraction(0))
+
+
+def as_fraction_gq(z) -> FractionGQ:
+    return FractionGQ(z.re, z.im)
+
+
+def fraction_rref(rows):
+    """``hilbert.rref`` over ``FractionGQ`` entries."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    cols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = FRACTION_ONE / m[r][c]
+        m[r] = [inv * a for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def fraction_random_gq(rng, zero_ok: bool = True) -> FractionGQ:
+    """``hilbert.random_gq`` drawing ``FractionGQ`` values."""
+    while True:
+        z = FractionGQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                       Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        if zero_ok or z:
+            return z
+
+
+def fraction_random_vector(rng, dim: int):
+    while True:
+        v = tuple(fraction_random_gq(rng) for _ in range(dim))
+        if any(v):
+            return v
+
+
+def fraction_random_pair(rng, m: int, n: int):
+    """The two scale-canonical vectors ``hilbert.random_pair`` draws."""
+    def normalize(x):
+        lead = next(a for a in x if a)
+        return tuple((FRACTION_ONE / lead) * a for a in x)
+
+    return normalize(fraction_random_vector(rng, m)), normalize(fraction_random_vector(rng, n))

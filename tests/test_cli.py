@@ -6,6 +6,8 @@ import json
 import pytest
 
 from weaktensor.cli import main
+from weaktensor.hilbert import MAX_FACTOR_DIM
+from weaktensor.suites import MAX_SAMPLES
 from weaktensor.spaces import parse_lattice_text
 
 
@@ -221,6 +223,19 @@ def test_check_input_errors(capsys, tmp_path):
         suite.write_text(json.dumps(data))
         code, _, err = run(capsys, "check", "--suite", str(suite))
         assert code == 2 and str(suite) in err and says in err
+    # a bad or over-cap integer argument is named with its check, not run
+    for check, args, key in (
+            ("hilbert-perp-involution", {"m": "x"}, "m"),
+            ("automorphism-count", {"count": 7.5}, "count"),
+            ("hilbert-perp-involution", {"m": 9, "n": 9, "count": 1}, "m"),
+            ("hilbert-point-biorthogonality", {"count": MAX_SAMPLES + 1}, "count"),
+            ("hilbert-antilinear-agreement", {"maps": 1, "pairs": MAX_SAMPLES + 1}, "pairs"),
+            ("hilbert-dual-covering-break", {"m": MAX_FACTOR_DIM + 1}, "m")):
+        targets = ["box(mo:3,mo:3)"] if check == "automorphism-count" else []
+        suite.write_text(json.dumps({"checks": [
+            {"check": check, "targets": targets, "args": args}]}))
+        code, out, err = run(capsys, "check", "--suite", str(suite))
+        assert code == 2 and out == "" and check in err and repr(key) in err
 
 
 @pytest.mark.parametrize("files", [

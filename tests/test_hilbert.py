@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import contains_by_rref, kernel_by_rref, perp_by_kernel, slice_section_by_rref
+from helpers import (
+    as_fraction_gq,
+    contains_by_rref,
+    fraction_random_gq,
+    fraction_random_pair,
+    fraction_random_vector,
+    fraction_rref,
+    kernel_by_rref,
+    perp_by_kernel,
+    slice_section_by_rref,
+)
 from weaktensor.hilbert import (
     AntilinearMap,
     BoxVerdict,
@@ -86,6 +96,111 @@ def test_render():
     assert gq(1).render() == "1"
     assert gq(0, 1).render() == "1i"
     assert gq(Fraction(3, 4), Fraction(-1, 2)).render() == "3/4-1/2i"
+
+
+# -- the integer-triple scalar against the Fraction-pair oracle --------------------
+
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+def _assert_scalar_ops_match(x, y):
+    """Every operation on two GQ values agrees with FractionGQ on the same values."""
+    fx, fy = as_fraction_gq(x), as_fraction_gq(y)
+    assert GQ(x.re, x.im) == x
+    assert x.render() == fx.render()
+    assert bool(x) == bool(fx)
+    assert x.norm2() == fx.norm2()
+    assert as_fraction_gq(x.conj()) == fx.conj()
+    assert as_fraction_gq(-x) == -fx
+    assert as_fraction_gq(x + y) == fx + fy
+    assert as_fraction_gq(x - y) == fx - fy
+    assert as_fraction_gq(x * y) == fx * fy
+    if y:
+        assert as_fraction_gq(x / y) == fx / fy
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert (x == y) == (fx == fy)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(small_fractions, small_fractions, small_fractions, small_fractions)
+@settings(max_examples=150)
+def test_gq_matches_the_fraction_pair_oracle(a, b, c, d):
+    x, y = GQ(a, b), GQ(c, d)
+    _assert_scalar_ops_match(x, y)
+    assert (x.re, x.im) == (a, b)
+    # the same value built another way is the same triple
+    assert GQ(a * 3 / 3, b) == x and hash(GQ(a * 3 / 3, b)) == hash(x)
+
+
+def test_gq_matches_the_fraction_pair_oracle_on_seeded_draws():
+    rng = Random(4511)
+    values = [random_gq(rng) for _ in range(60)] + [ZERO, ONE, I, -ONE]
+    for x in values:
+        for y in values:
+            _assert_scalar_ops_match(x, y)
+    # products and quotients leave the drawn range; keep them in play
+    for _ in range(200):
+        x, y = rng.choice(values), rng.choice(values)
+        z = x * y - (x / y if y else ONE)
+        _assert_scalar_ops_match(z, x)
+
+
+def test_gq_is_immutable():
+    z = gq(Fraction(1, 2), 3)
+    for name in ("re", "im", "_a", "_b", "_d"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(z, name)
+    assert z == gq(Fraction(1, 2), 3)
+    assert repr(z) == "GQ(re=Fraction(1, 2), im=Fraction(3, 1))"
+
+
+def _matrix_with_dependent_rows(rng, rows, cols):
+    """Random rows, about a third of them combinations of earlier ones."""
+    out = []
+    for _ in range(rows):
+        if out and rng.random() < 0.35:
+            row = tuple(ZERO for _ in range(cols))
+            for earlier in rng.sample(out, rng.randint(1, len(out))):
+                row = vadd(row, vscale(random_gq(rng), earlier))
+        else:
+            row = tuple(random_gq(rng) if rng.random() < 0.7 else ZERO for _ in range(cols))
+        out.append(row)
+    return out
+
+
+def test_rref_matches_the_fraction_pair_oracle():
+    rng = Random(4512)
+    dependent = 0
+    for rows in range(1, 10):
+        for cols in range(1, 10):
+            for _ in range(2):
+                mat = _matrix_with_dependent_rows(rng, rows, cols)
+                red, pivots = rref(mat)
+                want, want_pivots = fraction_rref([[as_fraction_gq(a) for a in r] for r in mat])
+                assert pivots == want_pivots
+                assert [[as_fraction_gq(a) for a in r] for r in red] == want
+                dependent += len(red) < min(rows, cols)
+    assert dependent > 20
+
+
+def test_seeded_draws_match_the_fraction_pair_oracle():
+    for seed in range(20):
+        new, old = Random(seed), Random(seed)
+        for zero_ok in (True, False):
+            for _ in range(10):
+                assert as_fraction_gq(random_gq(new, zero_ok)) == fraction_random_gq(old, zero_ok)
+        for dim in (1, 2, 3, 9):
+            assert tuple(map(as_fraction_gq, random_vector(new, dim))) == fraction_random_vector(old, dim)
+        for m, n in ((2, 2), (2, 3), (3, 3)):
+            pair = random_pair(new, m, n)
+            got = (tuple(map(as_fraction_gq, pair.p1)), tuple(map(as_fraction_gq, pair.p2)))
+            assert got == fraction_random_pair(old, m, n)
+        assert new.random() == old.random()
 
 
 # -- row reduction -----------------------------------------------------------------
@@ -236,6 +351,24 @@ def _differential_subspaces(rng: Random, ambient: int, count: int) -> list[Subsp
         rng.shuffle(rows)
         out.append(Subspace.span(ambient, rows))
     return out
+
+
+def test_subspace_refuses_a_basis_outside_reduced_echelon_form():
+    with pytest.raises(ValueError, match="unit pivot"):
+        Subspace(2, ((gq(2), gq(0)),))
+    with pytest.raises(ValueError, match="zero outside its own row"):
+        Subspace(2, ((ONE, ONE), (ZERO, ONE)))
+    with pytest.raises(ValueError, match="strictly increase"):
+        Subspace(2, ((ZERO, ONE), (ONE, ZERO)))
+    with pytest.raises(ValueError, match="unit pivot"):
+        Subspace(2, ((ZERO, ZERO),))
+    with pytest.raises(ValueError, match="row length"):
+        Subspace(3, ((ONE, ZERO),))
+    # the reduced basis of the same spaces is accepted and reads membership right
+    line = Subspace(2, ((ONE, ZERO),))
+    assert line == Subspace.span(2, [(gq(2), gq(0))])
+    assert line.contains((gq(1), gq(0)))
+    assert Subspace(2, ((ONE, ZERO), (ZERO, ONE))) == Subspace.full(2)
 
 
 def test_full_is_the_span_of_the_unit_vectors():

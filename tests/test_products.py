@@ -3,7 +3,9 @@ from random import Random
 
 import pytest
 
-from helpers import box_family_oracle, closure_in_family, fraser_family_oracle
+from helpers import (
+    box_family_oracle, closure_in_family, distinct_coordinate_sets, fraser_family_oracle,
+)
 
 from weaktensor import (
     ClosureSpace,
@@ -479,6 +481,23 @@ def test_circle_of_mo4_is_strictly_between(mo4):
     fraser = fraser_product([mo4, mo4])
     assert set(box.masks) < set(circle.masks) < set(fraser.masks)
     assert has_covering_property(circle) is True
+
+
+def test_mo4_squares_have_a_covering_member_besides_circle(box44, circle44):
+    """Box plus the 24 four-point sets with pairwise distinct coordinates
+    is a weak tensor product of two mo:4 factors with the covering
+    property, and it is not contained in the circle product."""
+    universe = box44.product
+    quadruples = distinct_coordinate_sets(universe, 4)
+    assert len(quadruples) == 24
+    family = set(box44.masks) | quadruples
+    assert len(family) == 138
+    member = ClosureSpace(box44.points, family, product=universe)
+    assert has_covering_property(member) is True
+    assert check_p1_p2_p3(member, universe) is None
+    assert check_p4(member, universe, [automorphisms(f) for f in universe.factors]) is None
+    assert len(member.coatoms()) == 40
+    assert not set(member.masks) <= set(circle44.masks)
 
 
 def test_circle_rejects_non_mo_factors(pow2, mo3):
