@@ -757,6 +757,9 @@ def random_gq(rng: Random, zero_ok: bool = True) -> GQ:
 
 
 def random_vector(rng: Random, dim: int) -> Vector:
+    """A nonzero vector of ``dim`` >= 1 random entries."""
+    if dim < 1:
+        raise ValueError(f"a nonzero vector needs dimension at least 1, got {dim}")
     while True:
         v = tuple(random_gq(rng) for _ in range(dim))
         if not is_zero_vector(v):

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 # AUTOMORPHISM_POINT_CAP is re-exported: the cap lives with the search in spaces
-from .spaces import AUTOMORPHISM_POINT_CAP, SCAN_POINTS, ClosureSpace, CoverWitness
+from .spaces import AUTOMORPHISM_POINT_CAP, ClosureSpace, CoverWitness, bits, image
 
 DEFAULT_NODE_CAP = 10_000_000
+# A candidate orthocomplementation is checked on every pair of elements, a cost the
+# node budget does not bound (4096 sets take about 2 s); the search refuses more.
+SEARCH_SET_CAP = 4096
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -80,13 +83,7 @@ class Automorphism:
         return self.point_perm[i]
 
     def apply_mask(self, mask: int) -> int:
-        out = 0
-        perm = self.point_perm
-        while mask:
-            low = mask & -mask
-            out |= 1 << perm[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return image(mask, [1 << j for j in self.point_perm])
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         # self after other
@@ -185,15 +182,9 @@ def _extend_atom_images(space: ClosureSpace, images_by_atom: Sequence[int]) -> O
     full = space.full_mask
     images: list[int] = []
     for m in space.masks:
-        if m == 0:
-            img = full
-        else:
-            img = full
-            mm = m
-            while mm:
-                low = mm & -mm
-                img &= images_by_atom[low.bit_length() - 1]
-                mm ^= low
+        img = full
+        for i in bits(m):
+            img &= images_by_atom[i]
         if img not in space:
             return None
         images.append(space.element_index(img))
@@ -221,11 +212,13 @@ def find_orthocomplementation(
     are pruned by p not in p', injectivity, and the symmetry
     q <= p' iff p <= q'.
 
-    Raises SearchBudgetExceeded past ``node_cap`` nodes.
+    Raises SearchBudgetExceeded past ``node_cap`` nodes, and ValueError on
+    a family of more than ``SEARCH_SET_CAP`` sets.  The search scans no
+    subsets of the universe, so the point count alone does not bound it.
     """
-    if space.n_points > SCAN_POINTS:
-        raise ValueError(f"universe of {space.n_points} points exceeds the search cap "
-                         f"of {SCAN_POINTS}")
+    if len(space) > SEARCH_SET_CAP:
+        raise ValueError(f"family of {len(space)} sets exceeds the search cap "
+                         f"of {SEARCH_SET_CAP}")
     n = space.n_points
     coatoms = sorted(space.coatoms())
     if reverse_branching:
@@ -371,9 +364,8 @@ def check_factorization(space: ClosureSpace, universe, auto: Automorphism
         consistent = True
         for i in range(k):
             v = [-1] * sizes[i]
-            for pid in range(universe.n_points):
-                t = universe.decode(pid)
-                img = universe.decode(auto.apply_point(pid))
+            for pid, t in enumerate(universe.coords):
+                img = universe.coords[auto.apply_point(pid)]
                 if v[t[i]] == -1:
                     v[t[i]] = img[f[i]]
                 elif v[t[i]] != img[f[i]]:
@@ -388,22 +380,9 @@ def check_factorization(space: ClosureSpace, universe, auto: Automorphism
         if not consistent:
             continue
         # Each v_i must carry the closed family of factor i onto factor f(i).
-        good = True
-        for i in range(k):
-            src, dst = factors[i], factors[f[i]]
-            mapped = set()
-            for m in src.masks:
-                img = 0
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    img |= 1 << isos[i][low.bit_length() - 1]
-                    mm ^= low
-                mapped.add(img)
-            if mapped != set(dst.masks):
-                good = False
-                break
-        if good:
+        tables = [[1 << j for j in v] for v in isos]
+        if all({image(m, tables[i]) for m in factors[i].masks} == set(factors[f[i]].masks)
+               for i in range(k)):
             return FactoredForm(factor_bijection=f, factor_isos=tuple(isos))
     return None
 
@@ -418,8 +397,7 @@ def validate_connected_covering(space: ClosureSpace, cov: ConnectedCovering) -> 
         union |= b
         if b.bit_count() < 2:
             return False
-        ids = [i for i in range(space.n_points) if b >> i & 1]
-        for p, q in itertools.combinations(ids, 2):
+        for p, q in itertools.combinations(bits(b), 2):
             j = space.closure((1 << p) | (1 << q))
             if (j & ~((1 << p) | (1 << q))) == 0:
                 return False
@@ -484,13 +462,9 @@ def _bron_kerbosch(r: int, p: int, x: int, adj: Sequence[int], out: list[int]) -
     if p == 0 and x == 0:
         out.append(r)
         return
-    pivot_pool = p | x
-    pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-    candidates = p & ~adj[pivot]
-    while candidates:
-        low = candidates & -candidates
-        v = low.bit_length() - 1
+    pivot = next(bits(p | x))
+    for v in bits(p & ~adj[pivot]):
+        low = 1 << v
         _bron_kerbosch(r | low, p & adj[v], x & adj[v], adj, out)
         p &= ~low
         x |= low
-        candidates ^= low

@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .products import ProductUniverse
 
 MAX_POINTS = 24
-# Operations that scan all subsets of the universe refuse beyond this.
+# The Fraser enumeration refuses product universes beyond this.
 SCAN_POINTS = 20
 # Automorphism groups are listed element by element; this bounds their size.
 AUTOMORPHISM_POINT_CAP = 12
@@ -134,7 +134,7 @@ class ClosureSpace:
         return m
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.points[i] for i in range(self.n_points) if mask >> i & 1)
+        return tuple(self.points[i] for i in bits(mask))
 
     def render_set(self, mask: int) -> str:
         """Canonical text of a point set: space-separated labels, '-' if empty."""
@@ -221,6 +221,7 @@ class ClosureSpace:
             return CoverWitness(lower=a, upper=b)
         # each join lies inside b, so it is below b in mask order unless it is b
         least, rest = b, b & ~a
+        # inline rather than bits(): a bits() loop made has_covering_property 24% slower
         while rest:
             low = rest & -rest
             j = a | low
@@ -304,7 +305,7 @@ class ClosureSpace:
                     if c != m and c & m == m:
                         above &= c
                 if above != m:
-                    checks[i].append(tuple(p for p in range(i + 1) if m >> p & 1))
+                    checks[i].append(tuple(bits(m)))
         perm, image_bit, found = [0] * n, [0] * n, []
 
         def extend(i: int, used: int) -> None:
@@ -375,10 +376,29 @@ class ClosureSpace:
             covered |= m
         if covered != self.full_mask:
             raise RuntimeError("central elements fail to cover the points")
-        return [tuple(i for i in range(self.n_points) if m >> i & 1) for m in comps]
+        return [tuple(bits(m)) for m in comps]
 
 
 # -- the closure core ------------------------------------------------------
+
+def bits(mask: int) -> Iterator[int]:
+    """The points of a mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def image(mask: int, table: Sequence[int]) -> int:
+    """The union of ``table[i]`` over the points i of a mask: the image of a
+    point set under a point map, given as one mask per point."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
 
 def _checked_points(points: Sequence[str]) -> tuple[str, ...]:
     points = tuple(points)
@@ -409,6 +429,7 @@ class _GeneratorClosure:
         self.everything = (1 << len(generators)) - 1
 
     def __call__(self, subset: int) -> int:
+        # inline rather than bits() or image(): this call is 55% of a build pass under cProfile
         picked, incidence, generators = self.everything, self.incidence, self.generators
         while subset:
             low = subset & -subset

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from . import hilbert, products, props
 from .reports import CheckRecord, Report
-from .spaces import ClosureSpace, mo_space, parse_lattice_text, powerset_space, two_space
+from .spaces import ClosureSpace, bits, mo_space, parse_lattice_text, powerset_space, two_space
 
 DEFAULT_SEED = 12345
 
@@ -451,9 +451,7 @@ def _coatom_crosses(spaces, args, rng):
             cross = universe.cylinder_mask(combo)
             if cross not in coatoms:
                 return "fail", f"{kind}: ({universe.render_set(cross)}) is not a coatom"
-            for pid in range(universe.n_points):
-                if cross >> pid & 1:
-                    continue
+            for pid in bits(universe.full_mask & ~cross):
                 if products.fraser_join(universe, cross | (1 << pid)) != universe.full_mask:
                     return "fail", (f"{kind}: adding {universe.points[pid]} to "
                                     f"({universe.render_set(cross)}) does not join to 1")
@@ -570,7 +568,13 @@ def _hilbert_antilinear_agreement(spaces, args, rng):
     n_pairs = _int_arg(args, "pairs", 100, 0, MAX_SAMPLES)
     maps = []
     if "matrix" in args:
-        maps.append(hilbert.AntilinearMap(hilbert.parse_gq_matrix(args["matrix"], n, m)))
+        text = args["matrix"]
+        if not isinstance(text, str):
+            raise TargetError(f"argument 'matrix' must be a string, got {text!r}")
+        try:
+            maps.append(hilbert.AntilinearMap(hilbert.parse_gq_matrix(text, n, m)))
+        except ValueError as exc:
+            raise TargetError(f"argument 'matrix': {exc}") from None
         n_maps -= 1
     maps.extend(hilbert.random_antilinear(rng, m, n) for _ in range(max(n_maps, 0)))
     for a_map in maps:

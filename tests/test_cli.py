@@ -230,7 +230,9 @@ def test_check_input_errors(capsys, tmp_path):
             ("hilbert-perp-involution", {"m": 9, "n": 9, "count": 1}, "m"),
             ("hilbert-point-biorthogonality", {"count": MAX_SAMPLES + 1}, "count"),
             ("hilbert-antilinear-agreement", {"maps": 1, "pairs": MAX_SAMPLES + 1}, "pairs"),
-            ("hilbert-dual-covering-break", {"m": MAX_FACTOR_DIM + 1}, "m")):
+            ("hilbert-dual-covering-break", {"m": MAX_FACTOR_DIM + 1}, "m"),
+            ("hilbert-antilinear-agreement", {"matrix": 5}, "matrix"),
+            ("hilbert-antilinear-agreement", {"matrix": "gr 1 0"}, "matrix")):
         targets = ["box(mo:3,mo:3)"] if check == "automorphism-count" else []
         suite.write_text(json.dumps({"checks": [
             {"check": check, "targets": targets, "args": args}]}))

@@ -44,6 +44,7 @@ from weaktensor import (
     powerset_space,
     two_space,
 )
+from weaktensor.products import ProductUniverse
 from weaktensor.spaces import CoverWitness
 from weaktensor.spaces import MAX_POINTS, SCAN_POINTS, default_labels
 
@@ -122,6 +123,24 @@ def oracle_family(case: str, universe) -> set[int]:
     if case.startswith("circle"):
         generators |= xi_triples(universe)
     return naive_intersection_closure(universe.n_points, generators)
+
+
+def test_coordinate_table_matches_mixed_radix_decode():
+    for case in CASES:
+        universe = ProductUniverse([FACTORS[f] for f in case[:-1].split("(")[1].split(",")])
+        n = universe.n_points
+        coords = tuple(decode(universe, pid) for pid in range(n))
+        assert universe.coords == coords, case
+        assert universe.points == tuple(
+            ",".join(f.points[q] for f, q in zip(universe.factors, c)) for c in coords)
+        for beta, size in enumerate(universe.sizes):
+            assert universe.coordinate_masks[beta] == tuple(
+                sum(1 << pid for pid in range(n) if coords[pid][beta] == q)
+                for q in range(size)), case
+            # one fiber per point with coordinate beta zero, listed by that coordinate
+            assert universe.fibers[beta] == tuple(
+                tuple(coords.index(c[:beta] + (q,) + c[beta + 1:]) for q in range(size))
+                for c in coords if c[beta] == 0), case
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -203,6 +203,18 @@ def test_seeded_draws_match_the_fraction_pair_oracle():
         assert new.random() == old.random()
 
 
+def test_samplers_refuse_a_dimension_below_one():
+    # the only vector of dimension 0 is zero, so redrawing until nonzero never ends
+    rng = Random(1)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            random_vector(rng, bad)
+        with pytest.raises(ValueError):
+            random_pair(rng, bad, 2)
+        with pytest.raises(ValueError):
+            random_pair(rng, 2, bad)
+
+
 # -- row reduction -----------------------------------------------------------------
 
 def test_rref_is_canonical_under_row_shuffles():

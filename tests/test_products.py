@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from helpers import (
-    box_family_oracle, closure_in_family, distinct_coordinate_sets, fraser_family_oracle,
+    box_family_oracle, closure_in_family, decode, distinct_coordinate_sets, fraser_family_oracle,
 )
 
 from weaktensor import (
@@ -406,6 +406,23 @@ def test_sharp_of_a_point_is_the_partner_cross(box44, mo4_pairing):
     assert image == uni.cylinder_mask((0b010, 0b001))
 
 
+def test_sharp_agrees_with_sharp_map_on_every_element(box44, mo4_pairing):
+    uni = box44.product
+    maps = [mo4_pairing, mo4_pairing]
+    product_map = sharp_map(box44, maps).product_map
+    partner = [mo4_pairing.image_mask(1 << q) for q in range(4)]
+    for m in box44.masks:
+        # the meet over the points of m of the points with a partner coordinate
+        want = box44.full_mask
+        for p in range(uni.n_points):
+            if m >> p & 1:
+                i, j = decode(uni, p)
+                want &= sum(1 << q for q in range(uni.n_points)
+                            if partner[i] >> decode(uni, q)[0] & 1
+                            or partner[j] >> decode(uni, q)[1] & 1)
+        assert sharp(uni, maps, box44, m) == product_map.image_mask(m) == want
+
+
 def test_sharp_endpoints(box44, mo4_pairing):
     uni = box44.product
     maps = [mo4_pairing, mo4_pairing]
@@ -598,6 +615,18 @@ def test_encode_decode_round_trip(box44):
         uni.encode_labels(["a"])
     with pytest.raises(ValueError):
         uni.encode_labels(["a", "zz"])
+
+
+def test_decode_and_replace_refuse_ids_outside_the_universe(mo3):
+    uni = ProductUniverse([mo3, mo3])
+    assert uni.decode(8) == (2, 2) and uni.replace(8, 0, 1) == 5
+    for bad in (-1, 9):
+        with pytest.raises(IndexError):
+            uni.decode(bad)
+        with pytest.raises(IndexError):
+            uni.replace(bad, 0, 1)
+    with pytest.raises(IndexError):
+        uni.replace(0, 0, 3)
 
 
 def test_three_factor_products(mo3):

@@ -6,6 +6,7 @@ from weaktensor import (
     SearchBudgetExceeded,
     UNKNOWN,
     automorphisms,
+    box_product,
     check_factorization,
     contains_mo_n,
     find_orthocomplementation,
@@ -13,6 +14,7 @@ from weaktensor import (
     is_orthomodular,
     is_transitive,
     is_weakly_connected,
+    mo_circle,
     mo_space,
     powerset_space,
     two_space,
@@ -145,6 +147,22 @@ def test_node_budget_is_enforced(fraser33):
 def test_search_cap_on_universe_size():
     with pytest.raises(ValueError):
         find_orthocomplementation(powerset_space(21))
+
+
+def test_search_runs_past_twenty_points():
+    # 24 points and 240 sets: the node budget, not the point count, bounds the search
+    box = box_product([mo_space(4), mo_space(6)])
+    found = find_orthocomplementation(box)
+    assert isinstance(found, OrthoMap)
+    assert validate_orthomap(box, found)
+    with pytest.raises(SearchBudgetExceeded):
+        find_orthocomplementation(mo_circle(mo_space(4), mo_space(6)), node_cap=1000)
+
+
+def test_search_cap_is_on_the_family_size():
+    # 13 points but 8192 sets, each candidate map would be checked on every pair
+    with pytest.raises(ValueError, match="8192 sets"):
+        find_orthocomplementation(powerset_space(13))
 
 
 # -- covering ----------------------------------------------------------------------

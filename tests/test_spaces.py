@@ -13,7 +13,7 @@ from weaktensor import (
     render_lattice_text,
     two_space,
 )
-from weaktensor.spaces import CoverWitness
+from weaktensor.spaces import CoverWitness, bits, image
 
 
 def space_pool():
@@ -315,3 +315,19 @@ def test_empty_set_renders_as_dash():
     mo3 = mo_space(3)
     assert mo3.render_set(0) == "-"
     assert "points: a b c\n-\n" in render_lattice_text(mo3)
+
+
+# -- bit-set vocabulary -------------------------------------------------------
+
+masks24 = st.integers(0, (1 << 24) - 1)
+
+
+@given(mask=masks24, table=st.lists(masks24, min_size=24, max_size=24))
+@settings(max_examples=200)
+def test_bits_and_image_match_the_naive_scan(mask, table):
+    points = [i for i in range(24) if mask >> i & 1]
+    assert list(bits(mask)) == points
+    union = 0
+    for i in points:
+        union |= table[i]
+    assert image(mask, table) == union
