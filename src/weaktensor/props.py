@@ -17,8 +17,9 @@ from typing import Optional, Sequence, Union
 from .spaces import AUTOMORPHISM_POINT_CAP, ClosureSpace, CoverWitness, bits, image
 
 DEFAULT_NODE_CAP = 10_000_000
-# A candidate orthocomplementation is checked on every pair of elements, a cost the
-# node budget does not bound (4096 sets take about 2 s); the search refuses more.
+# Each complete assignment is checked once per element (about 20 ms at 4096 sets,
+# on a 2-core host), and the node budget bounds how many are checked; the cap keeps
+# each check that small.
 SEARCH_SET_CAP = 4096
 
 
@@ -52,8 +53,11 @@ class OrthoMap:
 class ExhaustionCertificate:
     """Proof token that the orthocomplementation search tree was exhausted.
 
-    ``branch_order`` lists the coatom candidates in the order the search
-    tried them at every atom, so the exhaustion can be replayed.
+    ``nodes`` counts the candidates tried at every visited atom, rejected
+    ones included, read off candidate positions: a visited atom adds the
+    length of its candidate list.  ``branch_order`` lists the coatom
+    candidates in the order the search tried them at every atom, so the
+    exhaustion can be replayed.
     """
 
     nodes: int
@@ -177,7 +181,10 @@ def _extend_atom_images(space: ClosureSpace, images_by_atom: Sequence[int]) -> O
     """Extend an atom -> coatom assignment to all elements and validate.
 
     The image of a nonzero element is the meet of its atoms' images; the
-    image of 0 is 1.  Returns the map only if all laws hold.
+    image of 0 is 1.  Returns the map only if all laws hold.  A map built
+    this way reverses order (more atoms, a smaller meet), and an injective
+    map of the family into itself is a bijection, so only involution and
+    the complement law are left to check, each once per element.
     """
     full = space.full_mask
     images: list[int] = []
@@ -190,10 +197,11 @@ def _extend_atom_images(space: ClosureSpace, images_by_atom: Sequence[int]) -> O
         images.append(space.element_index(img))
     if len(set(images)) != len(images):
         return None
-    om = OrthoMap(space, tuple(images))
-    if orthomap_violation(space, om) is None:
-        return om
-    return None
+    masks = space.masks
+    for i, j in enumerate(images):
+        if images[j] != i or space.closure(masks[i] | masks[j]) != full:
+            return None
+    return OrthoMap(space, tuple(images))
 
 
 def find_orthocomplementation(
@@ -212,6 +220,12 @@ def find_orthocomplementation(
     are pruned by p not in p', injectivity, and the symmetry
     q <= p' iff p <= q'.
 
+    ``nodes`` counts the candidates tried at every visited atom, rejected
+    ones included.  The symmetry test fixes the points of p' below p, so
+    each atom's candidates are bucketed by those points and only the
+    bucket that passes is visited; the count is read off candidate
+    positions, a finished atom adding its whole candidate list.
+
     Raises SearchBudgetExceeded past ``node_cap`` nodes, and ValueError on
     a family of more than ``SEARCH_SET_CAP`` sets.  The search scans no
     subsets of the universe, so the point count alone does not bound it.
@@ -220,10 +234,20 @@ def find_orthocomplementation(
         raise ValueError(f"family of {len(space)} sets exceeds the search cap "
                          f"of {SEARCH_SET_CAP}")
     n = space.n_points
+    # a negative cap stops at the first node, as a cap of 0 does
+    cap = max(node_cap, 0)
     coatoms = sorted(space.coatoms())
     if reverse_branching:
         coatoms = coatoms[::-1]
     candidates = [[c for c in coatoms if not c >> i & 1] for i in range(n)]
+    # per atom i: points below i of a candidate -> its positions, in order
+    buckets: list[dict[int, list[int]]] = []
+    for i, level in enumerate(candidates):
+        low = (1 << i) - 1
+        table: dict[int, list[int]] = {}
+        for k, c in enumerate(level):
+            table.setdefault(c & low, []).append(k)
+        buckets.append(table)
     chosen: list[int] = []
     used: set[int] = set()
     nodes = 0
@@ -232,20 +256,19 @@ def find_orthocomplementation(
         nonlocal nodes
         if i == n:
             return _extend_atom_images(space, chosen)
-        for c in candidates[i]:
-            nodes += 1
-            if nodes > node_cap:
-                raise SearchBudgetExceeded(nodes)
+        level = candidates[i]
+        # q in p' iff p in q', for every previously assigned q
+        pattern = 0
+        for j in range(i):
+            pattern |= (chosen[j] >> i & 1) << j
+        base = nodes  # the count less this atom's positions: position k counts base + k + 1
+        for k in buckets[i].get(pattern, ()):
+            if base + k >= cap:
+                raise SearchBudgetExceeded(cap + 1)
+            c = level[k]
             if c in used:
                 continue
-            # q in p' iff p in q', for every previously assigned q
-            ok = True
-            for j in range(i):
-                if bool(c >> j & 1) != bool(chosen[j] >> i & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
+            nodes = base + k + 1
             chosen.append(c)
             used.add(c)
             found = dfs(i + 1)
@@ -253,9 +276,19 @@ def find_orthocomplementation(
                 return found
             used.discard(c)
             chosen.pop()
+            base = nodes - k - 1
+        nodes = base + len(level)
+        if nodes > cap:
+            raise SearchBudgetExceeded(cap + 1)
         return None
 
-    found = dfs(0)
+    try:
+        found = dfs(0)
+    finally:
+        # dfs refers to itself, a reference cycle that would keep the tables alive
+        # until the next full garbage collection, and a budget error's traceback
+        # holds the search frames for as long as the caller keeps the error
+        del dfs, candidates, buckets
     if found is not None:
         return found
     return ExhaustionCertificate(nodes=nodes, branch_order=tuple(coatoms))

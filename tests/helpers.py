@@ -6,7 +6,9 @@ the universe, and product families by filtering all subsets against the
 defining conditions written out directly over decoded coordinates.  The
 family scans that the library's join-based ``covers`` and ``coatoms`` and
 its generator-only P4 check replaced are kept here as oracles, and so is
-the scan of all n! permutations that the automorphism search replaced.
+the scan of all n! permutations that the automorphism search replaced,
+and the orthocomplementation search that tried every candidate coatom
+and checked each complete assignment on every pair of elements.
 So are the exact layer's operations that re-ran ``rref`` on bases that
 ``Subspace`` already holds reduced: membership, kernel, perp and slice
 sections.  The Gaussian rational as a pair of ``Fraction`` parts, which
@@ -22,10 +24,16 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Sequence, Union
 
 from weaktensor.hilbert import (
     ONE, ZERO, Subspace, basis_vector, is_zero_vector, rref, tensor, vconj,
 )
+from weaktensor.props import (
+    DEFAULT_NODE_CAP, SEARCH_SET_CAP, ExhaustionCertificate, OrthoMap, SearchBudgetExceeded,
+    orthomap_violation,
+)
+from weaktensor.spaces import ClosureSpace, bits
 
 
 def naive_intersection_closure(n_points: int, masks) -> set[int]:
@@ -252,6 +260,100 @@ def automorphisms_by_scan(space) -> list[tuple[int, ...]]:
         survivors = itertools.compress(
             perms, map(members.__contains__, map(sum, map(image_bits, probe))))
     return [tuple(bit.bit_length() - 1 for bit in perm) for perm in survivors]
+
+
+def extend_atom_images_by_violation(space: ClosureSpace, images_by_atom: Sequence[int]
+                                    ) -> Optional[OrthoMap]:
+    """Extend an atom -> coatom assignment to all elements and validate
+    with ``orthomap_violation``.
+
+    The image of a nonzero element is the meet of its atoms' images; the
+    image of 0 is 1.  Returns the map only if all laws hold.
+    """
+    full = space.full_mask
+    images: list[int] = []
+    for m in space.masks:
+        img = full
+        for i in bits(m):
+            img &= images_by_atom[i]
+        if img not in space:
+            return None
+        images.append(space.element_index(img))
+    if len(set(images)) != len(images):
+        return None
+    om = OrthoMap(space, tuple(images))
+    if orthomap_violation(space, om) is None:
+        return om
+    return None
+
+
+def find_orthocomplementation_by_scan(
+    space: ClosureSpace,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+    reverse_branching: bool = False,
+) -> Union[OrthoMap, ExhaustionCertificate]:
+    """The orthocomplementation search that tries every candidate coatom
+    in turn and runs the symmetry test on each, with the quadratic
+    ``orthomap_violation`` at every complete assignment.
+
+    Backtracking search for an orthocomplementation.
+
+    Branches on the coatom image of each atom in canonical atom order.
+    In an atomistic lattice the atom images determine the whole map, so
+    exhausting the assignments decides existence; the certificate
+    records the node count and the order the coatoms were tried in
+    (descending with ``reverse_branching``, else ascending).  Candidates
+    are pruned by p not in p', injectivity, and the symmetry
+    q <= p' iff p <= q'.
+
+    Raises SearchBudgetExceeded past ``node_cap`` nodes, and ValueError on
+    a family of more than ``SEARCH_SET_CAP`` sets.  The search scans no
+    subsets of the universe, so the point count alone does not bound it.
+    """
+    if len(space) > SEARCH_SET_CAP:
+        raise ValueError(f"family of {len(space)} sets exceeds the search cap "
+                         f"of {SEARCH_SET_CAP}")
+    n = space.n_points
+    coatoms = sorted(space.coatoms())
+    if reverse_branching:
+        coatoms = coatoms[::-1]
+    candidates = [[c for c in coatoms if not c >> i & 1] for i in range(n)]
+    chosen: list[int] = []
+    used: set[int] = set()
+    nodes = 0
+
+    def dfs(i: int) -> Optional[OrthoMap]:
+        nonlocal nodes
+        if i == n:
+            return extend_atom_images_by_violation(space, chosen)
+        for c in candidates[i]:
+            nodes += 1
+            if nodes > node_cap:
+                raise SearchBudgetExceeded(nodes)
+            if c in used:
+                continue
+            # q in p' iff p in q', for every previously assigned q
+            ok = True
+            for j in range(i):
+                if bool(c >> j & 1) != bool(chosen[j] >> i & 1):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            chosen.append(c)
+            used.add(c)
+            found = dfs(i + 1)
+            if found is not None:
+                return found
+            used.discard(c)
+            chosen.pop()
+        return None
+
+    found = dfs(0)
+    if found is not None:
+        return found
+    return ExhaustionCertificate(nodes=nodes, branch_order=tuple(coatoms))
 
 
 def contains_by_rref(subspace, v) -> bool:

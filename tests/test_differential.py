@@ -9,13 +9,18 @@ circle families against the naive intersection closure of the cylinders
 The join-based ``covers`` and ``coatoms`` are checked against the family
 scans they replaced, P4 on generators against the loop over every tuple
 of the given factor automorphisms, and the automorphism search against
-the scan of all n! point permutations.
+the scan of all n! point permutations.  The orthocomplementation search,
+which visits only the candidates that pass its symmetry test, is checked
+against the search that tried every candidate, and its leaf check against
+``orthomap_violation``.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +33,8 @@ from helpers import (
     covers_by_family_scan,
     cylinder_oracle,
     decode,
+    extend_atom_images_by_violation,
+    find_orthocomplementation_by_scan,
     fraser_family_oracle,
     naive_intersection_closure,
     p4_by_all_tuples,
@@ -45,8 +52,12 @@ from weaktensor import (
     two_space,
 )
 from weaktensor.products import ProductUniverse
+from weaktensor.props import (
+    OrthoMap, SearchBudgetExceeded, _extend_atom_images, find_orthocomplementation,
+    orthomap_violation,
+)
 from weaktensor.spaces import CoverWitness
-from weaktensor.spaces import MAX_POINTS, SCAN_POINTS, default_labels
+from weaktensor.spaces import MAX_POINTS, SCAN_POINTS, bits, default_labels
 
 FACTORS = {
     "two": two_space(),
@@ -276,3 +287,91 @@ def test_automorphisms_beyond_the_scan():
         assert [u.point_perm for u in automorphisms(space)] == lifts, case
     assert ([u.point_perm for u in automorphisms(powerset_space(8))]
             == list(itertools.permutations(range(8))))
+
+
+# -- orthocomplementation search against the search that tried every candidate --
+
+NODE_CAPS = (1, 3, 10, 44, 100, 296, 1000)
+# the old search takes about half a second per million nodes; spaces whose
+# search runs longer are compared at the caps above only
+ORACLE_NODES = 2_000_000
+
+
+def search_outcome(search, space, **kwargs):
+    try:
+        res = search(space, **kwargs)
+    except SearchBudgetExceeded as exc:
+        return ("budget", exc.nodes)
+    return (type(res).__name__, getattr(res, "images", None), getattr(res, "nodes", None),
+            getattr(res, "branch_order", None))
+
+
+@functools.cache
+def searchable_spaces():
+    """Each distinct family once (the search reads only the masks), without
+    the three-factor box, which the family cap refuses."""
+    seen = set()
+    out = []
+    for name, space in every_space():
+        key = (space.n_points, space.masks)
+        if name != "box(mo:2,mo:3,mo:4)" and key not in seen:
+            seen.add(key)
+            out.append((name, space))
+    return out
+
+
+def test_search_matches_oracle_at_every_cap():
+    for name, space in searchable_spaces():
+        for reverse in (False, True):
+            for cap in NODE_CAPS:
+                kwargs = {"node_cap": cap, "reverse_branching": reverse}
+                assert (search_outcome(find_orthocomplementation, space, **kwargs)
+                        == search_outcome(find_orthocomplementation_by_scan, space, **kwargs)), (
+                    name, reverse, cap)
+
+
+def test_search_matches_oracle_where_it_finishes():
+    compared = 0
+    for name, space in searchable_spaces():
+        for reverse in (False, True):
+            try:
+                find_orthocomplementation(space, node_cap=ORACLE_NODES, reverse_branching=reverse)
+            except SearchBudgetExceeded:
+                continue
+            assert (search_outcome(find_orthocomplementation, space, reverse_branching=reverse)
+                    == search_outcome(find_orthocomplementation_by_scan, space,
+                                      reverse_branching=reverse)), (name, reverse)
+            compared += 1
+    # 41 of the 53 families: 11 searches overrun the default budget, and
+    # fraser(mo:4,mo:4) exhausts after 5,005,638 nodes in either order
+    assert len(searchable_spaces()) == 53 and compared == 2 * 41
+
+
+@given(family=small_families, cap=st.sampled_from((-1, 0) + NODE_CAPS + (10_000_000,)),
+       reverse=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_search_matches_oracle_on_random_spaces(family, cap, reverse):
+    n, generators = family
+    space = ClosureSpace.from_closed_sets(default_labels(n), generators)
+    kwargs = {"node_cap": cap, "reverse_branching": reverse}
+    assert (search_outcome(find_orthocomplementation, space, **kwargs)
+            == search_outcome(find_orthocomplementation_by_scan, space, **kwargs))
+
+
+@pytest.mark.parametrize("name", ["mo:4", "powerset:3", "box(mo:2,mo:2)", "box(two,mo:4)"])
+def test_leaf_accepts_what_orthomap_violation_accepts(name):
+    space = FACTORS.get(name) or built(name)
+    laws = collections.Counter()
+    for assignment in itertools.product(space.coatoms(), repeat=space.n_points):
+        got = _extend_atom_images(space, assignment)
+        assert got == extend_atom_images_by_violation(space, assignment), (name, assignment)
+        # the law that rejects each injective map of meets
+        images = [space.element_index(functools.reduce(
+            operator.and_, (assignment[i] for i in bits(m)), space.full_mask)) for m in space.masks]
+        if len(set(images)) == len(images):
+            violation = orthomap_violation(space, OrthoMap(space, tuple(images)))
+            laws[violation.split()[0] if violation else "none"] += 1
+    # maps failing each law the leaf checks, and none failing order reversal,
+    # which a map of meets satisfies by construction
+    assert laws["involution"] and laws["complement"] and laws["none"], laws
+    assert set(laws) == {"involution", "complement", "none"}, laws

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from weaktensor import (
@@ -140,8 +143,45 @@ def test_found_maps_always_validate(box44):
 
 
 def test_node_budget_is_enforced(fraser33):
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded) as exc:
         find_orthocomplementation(fraser33, node_cap=3)
+    assert exc.value.nodes == 4
+
+
+def test_node_budget_boundary_is_exact(fraser33):
+    # the exhausting search tries exactly 296 candidates
+    found = find_orthocomplementation(fraser33, node_cap=296)
+    assert isinstance(found, ExhaustionCertificate)
+    assert found.nodes == 296
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        find_orthocomplementation(fraser33, node_cap=295)
+    assert exc.value.nodes == 296
+
+
+def test_search_leaves_no_reference_cycle(fraser33, circle44):
+    # a cycle through the recursive helper would hold the candidate tables
+    # until the next full garbage collection
+    find_orthocomplementation(fraser33)
+    gc.collect()
+    find_orthocomplementation(fraser33)
+    assert gc.collect() == 0
+    with pytest.raises(SearchBudgetExceeded):
+        find_orthocomplementation(circle44, node_cap=10)
+    assert gc.collect() == 0
+
+
+def test_budget_error_does_not_hold_the_search_tables(circle44):
+    # the error's traceback holds the search frames while a caller keeps it
+    circle44.coatoms()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded) as info:
+            find_orthocomplementation(circle44, node_cap=1000)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.nodes == 1001
+    assert held < peak / 2
 
 
 def test_search_cap_on_universe_size():
