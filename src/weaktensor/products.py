@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .props import Automorphism, OrthoMap, orthomap_violation
-from .spaces import MAX_POINTS, SCAN_POINTS, ClosureSpace, bits, image
+from .props import Automorphism, OrthoMap, _atom_meets, orthomap_violation
+from .spaces import MAX_POINTS, ClosureSpace, bits, image
+
+# The most regions fraser_product lays: 2**20 is powerset:4 x powerset:5, on 20 points.
+FRASER_REGION_CAP = 1 << 20
 
 
 class ProductUniverse:
@@ -53,7 +56,11 @@ class ProductUniverse:
         return (1 << self.n_points) - 1
 
     def encode(self, coords: Sequence[int]) -> int:
-        return sum(c * s for c, s in zip(coords, self.strides))
+        """The flat id of a coordinate tuple; a tuple of the wrong length raises
+        ValueError and a coordinate outside its factor IndexError."""
+        if len(coords) != len(self.sizes):
+            raise ValueError(f"expected {len(self.sizes)} coordinates, got {len(coords)}")
+        return sum(self.replace(0, beta, c) for beta, c in enumerate(coords))
 
     def decode(self, pid: int) -> tuple[int, ...]:
         """The coordinates of a flat id; an id outside the universe raises IndexError."""
@@ -64,13 +71,8 @@ class ProductUniverse:
     def encode_labels(self, labels: Sequence[str]) -> int:
         if len(labels) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates, got {len(labels)}")
-        coords = []
-        for f, lbl in zip(self.factors, labels):
-            try:
-                coords.append(f.points.index(lbl))
-            except ValueError:
-                raise ValueError(f"unknown point label {lbl!r}") from None
-        return self.encode(coords)
+        return self.encode([f.mask_of([lbl]).bit_length() - 1
+                            for f, lbl in zip(self.factors, labels)])
 
     def replace(self, pid: int, beta: int, q: int) -> int:
         """p[q, beta]: replace the beta-th coordinate of the point."""
@@ -211,15 +213,17 @@ def fraser_product(factors: Sequence[ClosureSpace]) -> ClosureSpace:
     """All regions with every section closed: the greatest weak tensor product.
 
     Lays every choice of closed sections along the cheapest axis and keeps
-    the regions that pass ``in_fraser``.  A factor on m points has at most
-    2**m closed sets, so an axis costs at most 2**n regions on n points.
+    the regions that pass ``in_fraser``.  That axis lays
+    |closed sets of its factor| ** |fibers| regions; ValueError is raised,
+    before any is laid, when that exceeds ``FRASER_REGION_CAP``.
     """
     universe = ProductUniverse(factors)
-    if universe.n_points > SCAN_POINTS:
-        raise ValueError(f"Fraser enumeration capped at {SCAN_POINTS} points")
+    counts = [len(f) ** len(fibers) for f, fibers in zip(universe.factors, universe.fibers)]
     # ties go to the later axis, which in_fraser checks after the earlier ones
-    axis = min(range(len(factors)),
-               key=lambda b: (len(universe.factors[b]) ** len(universe.fibers[b]), -b))
+    axis = min(range(len(factors)), key=lambda b: (counts[b], -b))
+    if counts[axis] > FRASER_REGION_CAP:
+        raise ValueError(f"Fraser enumeration of {counts[axis]} regions exceeds the cap "
+                         f"of {FRASER_REGION_CAP}")
     fibers = universe.fibers[axis]
     # the fibers are disjoint, so the union of the laid sections is their sum
     regions = (sum(fiber_region(sec, fiber) for sec, fiber in zip(choice, fibers))
@@ -353,21 +357,12 @@ def _sharp_points(universe: ProductUniverse, factor_maps: Sequence[OrthoMap]) ->
             for c in universe.coords]
 
 
-def _sharp_element(points: Sequence[int], full: int, element: int) -> int:
-    """The meet of the point images of an element; the empty meet is full."""
-    out = full
-    for pid in bits(element):
-        out &= points[pid]
-    return out
-
-
 def sharp(universe: ProductUniverse, factor_maps: Sequence[OrthoMap],
           box_space: ClosureSpace, element: int) -> int:
     """Image of a box-product element under the sharp map."""
-    points = _sharp_points(universe, factor_maps)
     if element not in box_space:
         raise ValueError("element is not in the box product")
-    return _sharp_element(points, box_space.full_mask, element)
+    return _atom_meets((element,), _sharp_points(universe, factor_maps), box_space.full_mask)[0]
 
 
 def sharp_map(box_space: ClosureSpace, factor_maps: Sequence[OrthoMap]) -> SharpMap:
@@ -375,8 +370,8 @@ def sharp_map(box_space: ClosureSpace, factor_maps: Sequence[OrthoMap]) -> Sharp
     if universe is None:
         raise ValueError("no product structure registered for this space")
     points = _sharp_points(universe, factor_maps)
-    images = tuple(box_space.element_index(_sharp_element(points, box_space.full_mask, m))
-                   for m in box_space.masks)
+    images = tuple(map(box_space.element_index,
+                       _atom_meets(box_space.masks, points, box_space.full_mask)))
     return SharpMap(factor_maps=tuple(factor_maps),
                     product_map=OrthoMap(box_space, images))
 

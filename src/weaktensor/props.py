@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 # AUTOMORPHISM_POINT_CAP is re-exported: the cap lives with the search in spaces
 from .spaces import AUTOMORPHISM_POINT_CAP, ClosureSpace, CoverWitness, bits, image
@@ -36,7 +36,9 @@ class OrthoMap:
     """An orthocomplementation given by element-index images.
 
     Laws (checked by :func:`validate_orthomap`): involution,
-    order-reversal, and a v a' = 1 for every element a.
+    order-reversal, and a v a' = 1 for every element a.  The atom images
+    determine the map: an involution reverses order iff each image is the
+    meet of the images of the element's atoms.
     """
 
     space: ClosureSpace
@@ -149,28 +151,48 @@ def has_covering_property(space: ClosureSpace) -> Union[bool, CoveringFailure]:
 
 # -- orthocomplementation ---------------------------------------------------
 
+def _atom_meets(masks: Iterable[int], atom_images: Sequence[int], full: int) -> list[int]:
+    """The meet of the point-indexed atom images below each mask; 0 gets ``full``."""
+    out = []
+    for m in masks:
+        img = full
+        for i in bits(m):
+            img &= atom_images[i]
+        out.append(img)
+    return out
+
+
+def _law_failures(space: ClosureSpace, images: Sequence[int]) -> Iterator[tuple[str, int]]:
+    """Each (law, element index) failure of an index map, lazily: every
+    involution failure first, then the complement-law ones."""
+    masks, full = space.masks, space.full_mask
+    yield from (("involution fails at", i) for i, j in enumerate(images) if images[j] != i)
+    yield from (("complement law fails at", i) for i, j in enumerate(images)
+                if space.closure(masks[i] | masks[j]) != full)
+
+
 def orthomap_violation(space: ClosureSpace, om: OrthoMap) -> Optional[str]:
-    """Name the first violated orthocomplementation law, if any."""
+    """Name the first violated orthocomplementation law, if any.
+
+    One pass per law, named in the order involution, order reversal,
+    complement.  An involution on valid indices is a bijection, so a range
+    test stands for that law; order reversal is tested as :class:`OrthoMap` describes.
+    """
     n = len(space.masks)
     if om.space is not space or len(om.images) != n:
         return "map does not index this space"
-    if sorted(om.images) != list(range(n)):
+    if not all(0 <= j < n for j in om.images):
         return "not a bijection on elements"
-    for i, j in enumerate(om.images):
-        if om.images[j] != i:
-            return f"involution fails at {space.render_set(space.masks[i])!r}"
     masks = space.masks
-    for i in range(n):
-        for j in range(n):
-            if masks[i] & ~masks[j] == 0:  # a <= b
-                if masks[om.images[j]] & ~masks[om.images[i]]:
-                    return ("order reversal fails on "
-                            f"{space.render_set(masks[i])!r} <= {space.render_set(masks[j])!r}")
-    full = space.full_mask
-    for i in range(n):
-        if space.closure(masks[i] | masks[om.images[i]]) != full:
-            return f"complement law fails at {space.render_set(masks[i])!r}"
-    return None
+    failure = next(_law_failures(space, om.images), None)
+    if failure is None or failure[0] != "involution fails at":
+        meets = _atom_meets(masks, [om.image_mask(p) for p in space.atoms()], space.full_mask)
+        i = next((i for i, j in enumerate(om.images) if masks[j] != meets[i]), None)
+        if i is not None:
+            failure = ("order reversal fails at", i)
+    if failure is None:
+        return None
+    return f"{failure[0]} {space.render_set(masks[failure[1]])!r}"
 
 
 def validate_orthomap(space: ClosureSpace, om: OrthoMap) -> bool:
@@ -180,27 +202,14 @@ def validate_orthomap(space: ClosureSpace, om: OrthoMap) -> bool:
 def _extend_atom_images(space: ClosureSpace, images_by_atom: Sequence[int]) -> Optional[OrthoMap]:
     """Extend an atom -> coatom assignment to all elements and validate.
 
-    The image of a nonzero element is the meet of its atoms' images; the
-    image of 0 is 1.  Returns the map only if all laws hold.  A map built
-    this way reverses order (more atoms, a smaller meet), and an injective
-    map of the family into itself is a bijection, so only involution and
-    the complement law are left to check, each once per element.
-    """
-    full = space.full_mask
-    images: list[int] = []
-    for m in space.masks:
-        img = full
-        for i in bits(m):
-            img &= images_by_atom[i]
-        if img not in space:
-            return None
-        images.append(space.element_index(img))
-    if len(set(images)) != len(images):
+    Each image is the meet of the element's atom images (0 goes to 1), a
+    closed set that shrinks as atoms are added, so the map reverses order
+    by construction and only :func:`_law_failures` is left to check; an
+    involution is a bijection."""
+    meets = _atom_meets(space.masks, images_by_atom, space.full_mask)
+    images = [space.element_index(m) for m in meets]
+    if any(_law_failures(space, images)):
         return None
-    masks = space.masks
-    for i, j in enumerate(images):
-        if images[j] != i or space.closure(masks[i] | masks[j]) != full:
-            return None
     return OrthoMap(space, tuple(images))
 
 

@@ -18,8 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .products import ProductUniverse
 
 MAX_POINTS = 24
-# The Fraser enumeration refuses product universes beyond this.
-SCAN_POINTS = 20
 # Automorphism groups are listed element by element; this bounds their size.
 AUTOMORPHISM_POINT_CAP = 12
 

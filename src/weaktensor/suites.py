@@ -228,7 +228,7 @@ def _coatomistic(spaces, args, rng):
 @_check("orthocomplementation")
 def _orthocomplementation(spaces, args, rng):
     (s,) = spaces
-    cap = _int_arg(args, "node_cap", props.DEFAULT_NODE_CAP)
+    cap = _int_arg(args, "node_cap", props.DEFAULT_NODE_CAP, 1)
     res = props.find_orthocomplementation(s, node_cap=cap)
     if isinstance(res, props.OrthoMap):
         table = " ".join(f"{s.render_set(p)}->({s.render_set(c)})"
@@ -237,26 +237,25 @@ def _orthocomplementation(spaces, args, rng):
     return "none", f"search exhausted after {res.nodes} nodes"
 
 
-def _factor_orthomaps(universe) -> tuple[list[props.OrthoMap], Optional[str]]:
+def _sharp_of(s: ClosureSpace) -> tuple[Optional[props.OrthoMap], Optional[str]]:
+    """The sharp map of the factor maps the search finds, or why one has none."""
     maps = []
-    for i, f in enumerate(universe.factors):
+    for i, f in enumerate(_universe_of(s).factors):
         found = props.find_orthocomplementation(f)
         if not isinstance(found, props.OrthoMap):
-            return [], (f"factor {i + 1} admits no orthocomplementation "
-                        f"(search exhausted after {found.nodes} nodes)")
+            return None, (f"factor {i + 1} admits no orthocomplementation "
+                          f"(search exhausted after {found.nodes} nodes)")
         maps.append(found)
-    return maps, None
+    return products.sharp_map(s, maps).product_map, None
 
 
 @_check("sharp-valid")
 def _sharp_valid(spaces, args, rng):
     (s,) = spaces
-    universe = _universe_of(s)
-    maps, why = _factor_orthomaps(universe)
+    om, why = _sharp_of(s)
     if why:
         return "none", why
-    sm = products.sharp_map(s, maps)
-    bad = props.orthomap_violation(s, sm.product_map)
+    bad = props.orthomap_violation(s, om)
     if bad is None:
         return "pass", "sharp map is a valid orthocomplementation"
     return "fail", bad
@@ -265,12 +264,10 @@ def _sharp_valid(spaces, args, rng):
 @_check("sharp-orthomodular")
 def _sharp_orthomodular(spaces, args, rng):
     (s,) = spaces
-    universe = _universe_of(s)
-    maps, why = _factor_orthomaps(universe)
+    om, why = _sharp_of(s)
     if why:
         return "none", why
-    sm = products.sharp_map(s, maps)
-    res = props.is_orthomodular(s, sm.product_map)
+    res = props.is_orthomodular(s, om)
     if res is True:
         return "pass", "orthomodular"
     return "fail", f"a=({s.render_set(res.a)}) b=({s.render_set(res.b)})"
@@ -279,7 +276,7 @@ def _sharp_orthomodular(spaces, args, rng):
 @_check("contains-mo")
 def _contains_mo(spaces, args, rng):
     (s,) = spaces
-    n = _int_arg(args, "n", 3)
+    n = _int_arg(args, "n", 3, 3)
     res = props.contains_mo_n(s, n)
     if res is None:
         return "fail", f"no MO_{n} configuration"

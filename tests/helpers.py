@@ -8,7 +8,8 @@ family scans that the library's join-based ``covers`` and ``coatoms`` and
 its generator-only P4 check replaced are kept here as oracles, and so is
 the scan of all n! permutations that the automorphism search replaced,
 and the orthocomplementation search that tried every candidate coatom
-and checked each complete assignment on every pair of elements.
+and checked each complete assignment on every pair of elements, with the
+validator that compared every pair for order reversal.
 So are the exact layer's operations that re-ran ``rref`` on bases that
 ``Subspace`` already holds reduced: membership, kernel, perp and slice
 sections.  The Gaussian rational as a pair of ``Fraction`` parts, which
@@ -31,7 +32,6 @@ from weaktensor.hilbert import (
 )
 from weaktensor.props import (
     DEFAULT_NODE_CAP, SEARCH_SET_CAP, ExhaustionCertificate, OrthoMap, SearchBudgetExceeded,
-    orthomap_violation,
 )
 from weaktensor.spaces import ClosureSpace, bits
 
@@ -262,10 +262,36 @@ def automorphisms_by_scan(space) -> list[tuple[int, ...]]:
     return [tuple(bit.bit_length() - 1 for bit in perm) for perm in survivors]
 
 
+def orthomap_violation_by_pairs(space: ClosureSpace, om: OrthoMap) -> Optional[str]:
+    """The validator that checked order reversal on every pair of elements.
+
+    Name the first violated orthocomplementation law, if any."""
+    n = len(space.masks)
+    if om.space is not space or len(om.images) != n:
+        return "map does not index this space"
+    if sorted(om.images) != list(range(n)):
+        return "not a bijection on elements"
+    for i, j in enumerate(om.images):
+        if om.images[j] != i:
+            return f"involution fails at {space.render_set(space.masks[i])!r}"
+    masks = space.masks
+    for i in range(n):
+        for j in range(n):
+            if masks[i] & ~masks[j] == 0:  # a <= b
+                if masks[om.images[j]] & ~masks[om.images[i]]:
+                    return ("order reversal fails on "
+                            f"{space.render_set(masks[i])!r} <= {space.render_set(masks[j])!r}")
+    full = space.full_mask
+    for i in range(n):
+        if space.closure(masks[i] | masks[om.images[i]]) != full:
+            return f"complement law fails at {space.render_set(masks[i])!r}"
+    return None
+
+
 def extend_atom_images_by_violation(space: ClosureSpace, images_by_atom: Sequence[int]
                                     ) -> Optional[OrthoMap]:
     """Extend an atom -> coatom assignment to all elements and validate
-    with ``orthomap_violation``.
+    with ``orthomap_violation_by_pairs``.
 
     The image of a nonzero element is the meet of its atoms' images; the
     image of 0 is 1.  Returns the map only if all laws hold.
@@ -282,7 +308,7 @@ def extend_atom_images_by_violation(space: ClosureSpace, images_by_atom: Sequenc
     if len(set(images)) != len(images):
         return None
     om = OrthoMap(space, tuple(images))
-    if orthomap_violation(space, om) is None:
+    if orthomap_violation_by_pairs(space, om) is None:
         return om
     return None
 
@@ -295,7 +321,7 @@ def find_orthocomplementation_by_scan(
 ) -> Union[OrthoMap, ExhaustionCertificate]:
     """The orthocomplementation search that tries every candidate coatom
     in turn and runs the symmetry test on each, with the quadratic
-    ``orthomap_violation`` at every complete assignment.
+    ``orthomap_violation_by_pairs`` at every complete assignment.
 
     Backtracking search for an orthocomplementation.
 

@@ -124,6 +124,9 @@ def test_join_input_errors(capsys, tmp_path):
                        "--tuples", "zz,a", "--method", "box")
     assert code == 2 and "zz" in err
     code, _, err = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
+                       "--tuples", "a,b,c", "--method", "box")
+    assert code == 2 and "bad tuple 'a,b,c': expected 2 coordinates, got 3" in err
+    code, _, err = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
                        "--tuples", "a,a", "--method", "beta-sequence")
     assert code == 2 and "--betas" in err
     code, _, err = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
@@ -232,8 +235,11 @@ def test_check_input_errors(capsys, tmp_path):
             ("hilbert-antilinear-agreement", {"maps": 1, "pairs": MAX_SAMPLES + 1}, "pairs"),
             ("hilbert-dual-covering-break", {"m": MAX_FACTOR_DIM + 1}, "m"),
             ("hilbert-antilinear-agreement", {"matrix": 5}, "matrix"),
-            ("hilbert-antilinear-agreement", {"matrix": "gr 1 0"}, "matrix")):
-        targets = ["box(mo:3,mo:3)"] if check == "automorphism-count" else []
+            ("hilbert-antilinear-agreement", {"matrix": "gr 1 0"}, "matrix"),
+            ("orthocomplementation", {"node_cap": 0}, "node_cap"),
+            ("orthocomplementation", {"node_cap": -5}, "node_cap"),
+            ("contains-mo", {"n": 2}, "n")):
+        targets = [] if check.startswith("hilbert-") else ["box(mo:3,mo:3)"]
         suite.write_text(json.dumps({"checks": [
             {"check": check, "targets": targets, "args": args}]}))
         code, out, err = run(capsys, "check", "--suite", str(suite))

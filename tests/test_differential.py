@@ -12,7 +12,10 @@ of the given factor automorphisms, and the automorphism search against
 the scan of all n! point permutations.  The orthocomplementation search,
 which visits only the candidates that pass its symmetry test, is checked
 against the search that tried every candidate, and its leaf check against
-``orthomap_violation``.
+the pair validator.  ``orthomap_violation``, which reads order reversal off
+the atom images once per element, is checked against the pair validator
+it replaced on every involution of every space of at most 8 elements, and
+on valid and broken maps of ``box(mo:4,mo:4)``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import collections
 import functools
 import itertools
 import operator
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +40,10 @@ from helpers import (
     extend_atom_images_by_violation,
     find_orthocomplementation_by_scan,
     fraser_family_oracle,
+    involutions,
     naive_intersection_closure,
+    orthocomplementations_oracle,
+    orthomap_violation_by_pairs,
     p4_by_all_tuples,
 )
 
@@ -51,13 +58,17 @@ from weaktensor import (
     powerset_space,
     two_space,
 )
-from weaktensor.products import ProductUniverse
+from weaktensor.products import ProductUniverse, sharp_map
 from weaktensor.props import (
     OrthoMap, SearchBudgetExceeded, _extend_atom_images, find_orthocomplementation,
     orthomap_violation,
 )
 from weaktensor.spaces import CoverWitness
-from weaktensor.spaces import MAX_POINTS, SCAN_POINTS, bits, default_labels
+from weaktensor.spaces import MAX_POINTS, bits, default_labels
+
+# the Fraser cases are the products of at most 20 points, the set the search
+# differential below pins its family count on
+FRASER_POINTS = 20
 
 FACTORS = {
     "two": two_space(),
@@ -72,7 +83,7 @@ def _cases() -> list[str]:
         n = FACTORS[a].n_points * FACTORS[b].n_points
         if n <= MAX_POINTS:
             cases.append(f"box({a},{b})")
-        if n <= SCAN_POINTS:
+        if n <= FRASER_POINTS:
             cases.append(f"fraser({a},{b})")
         mo_sizes = [int(f[3:]) for f in (a, b) if f.startswith("mo:")]
         if len(mo_sizes) == 2 and min(mo_sizes) >= 3 and n <= MAX_POINTS:
@@ -375,3 +386,65 @@ def test_leaf_accepts_what_orthomap_violation_accepts(name):
     # which a map of meets satisfies by construction
     assert laws["involution"] and laws["complement"] and laws["none"], laws
     assert set(laws) == {"involution", "complement", "none"}, laws
+
+
+# -- the per-element validator against the pair validator it replaced ---------
+
+def law(violation):
+    """The law a violation names, without the element it names."""
+    return None if violation is None else violation.split(" fails")[0]
+
+
+def spaces_up_to_eight_elements():
+    """Every closure space of at most 8 elements, each family once: on n
+    points the forced 0, 1 and singletons leave room for at most 6 - n
+    further sets, so each such family closes at most 6 - n of them."""
+    seen = set()
+    out = []
+    for n in range(1, 7):
+        extra = [m for m in range(1 << n) if 2 <= m.bit_count() < n]
+        for k in range(7 - n):
+            for generators in itertools.combinations(extra, k):
+                space = ClosureSpace.from_closed_sets(default_labels(n), generators)
+                if len(space) <= 8 and (n, space.masks) not in seen:
+                    seen.add((n, space.masks))
+                    out.append(space)
+    return out
+
+
+def test_validator_matches_pair_validator_on_every_involution_up_to_eight_elements():
+    spaces = [space for _, space in every_space() if len(space) <= 8]
+    spaces += spaces_up_to_eight_elements()
+    laws = collections.Counter()
+    for space in spaces:
+        for images in involutions(len(space)):
+            om = OrthoMap(space, images)
+            got = law(orthomap_violation(space, om))
+            assert got == law(orthomap_violation_by_pairs(space, om)), (space.masks, images)
+            laws[got] += 1
+    assert len(spaces) == 125 and sum(laws.values()) == 63_430, (len(spaces), laws)
+    assert set(laws) == {"order reversal", "complement law", None}, laws
+
+
+def test_validator_matches_pair_validator_on_box44_maps():
+    box44 = built("box(mo:4,mo:4)")
+    mo4 = FACTORS["mo:4"]
+    pairings = [OrthoMap(mo4, images) for images in orthocomplementations_oracle(mo4)]
+    assert len(pairings) == 3
+    maps = [find_orthocomplementation(box44).images]
+    maps += [sharp_map(box44, pair).product_map.images
+             for pair in itertools.product(pairings, repeat=2)]
+    rng = random.Random(10)
+    laws = collections.Counter()
+    for images in maps:
+        assert orthomap_violation(box44, OrthoMap(box44, images)) is None
+        assert orthomap_violation_by_pairs(box44, OrthoMap(box44, images)) is None
+        pairs = sorted({(min(i, j), max(i, j)) for i, j in enumerate(images)})
+        for (a, a2), (b, b2) in rng.sample(list(itertools.combinations(pairs, 2)), 12):
+            # two ways to swap the partners of two pairs, each still an involution
+            for swap in ({a: b2, b2: a, b: a2, a2: b}, {a: b, b: a, a2: b2, b2: a2}):
+                broken = OrthoMap(box44, tuple(swap.get(i, j) for i, j in enumerate(images)))
+                got = law(orthomap_violation(box44, broken))
+                assert got == law(orthomap_violation_by_pairs(box44, broken)), (images, swap)
+                laws[got] += 1
+    assert laws["order reversal"], laws

@@ -32,6 +32,7 @@ from weaktensor import (
     two_space,
     validate_orthomap,
 )
+from weaktensor import products
 from weaktensor.props import OrthoMap, automorphisms
 from weaktensor.products import CoatomNonConformance
 
@@ -147,9 +148,21 @@ def test_diagonal_is_fraser_closed(fraser33):
     assert in_fraser(uni, diag)
 
 
-def test_fraser_enumeration_cap():
-    with pytest.raises(ValueError):
-        fraser_product([mo_space(3), mo_space(7)])
+def test_fraser_enumeration_cap(monkeypatch):
+    # 16**6 = 64**4 = 2**24 regions on either axis: refused before any is laid
+    monkeypatch.setattr(products, "in_fraser", lambda *args: pytest.fail("enumerated"))
+    with pytest.raises(ValueError, match="16777216 regions exceeds the cap of 1048576"):
+        fraser_product([powerset_space(4), powerset_space(6)])
+
+
+def test_fraser_cap_admits_products_past_twenty_points():
+    # 8**4 = 4096 regions along the mo:6 axis, on 24 points
+    fraser = fraser_product([mo_space(4), mo_space(6)])
+    assert len(fraser) == 1080 and len(fraser.coatoms()) == 384
+    assert check_p1_p2_p3(fraser, fraser.product) is None
+    # 9**3 = 729 regions on 21 points, which the former 20-point guard refused
+    factors = [mo_space(3), mo_space(7)]
+    assert len(fraser_product(factors)) > len(box_product(factors))
 
 
 # -- beta joins -----------------------------------------------------------------------
@@ -611,9 +624,10 @@ def test_encode_decode_round_trip(box44):
     for pid_ in range(uni.n_points):
         assert uni.encode(uni.decode(pid_)) == pid_
     assert uni.encode_labels(["a", "b"]) == pid(uni, 0, 1)
-    with pytest.raises(ValueError):
-        uni.encode_labels(["a"])
-    with pytest.raises(ValueError):
+    for short_or_long in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            uni.encode_labels(short_or_long)
+    with pytest.raises(ValueError, match="unknown point label 'zz'"):
         uni.encode_labels(["a", "zz"])
 
 
@@ -627,6 +641,17 @@ def test_decode_and_replace_refuse_ids_outside_the_universe(mo3):
             uni.replace(bad, 0, 1)
     with pytest.raises(IndexError):
         uni.replace(0, 0, 3)
+
+
+def test_encode_refuses_coordinates_outside_the_universe(mo3):
+    uni = ProductUniverse([mo3, mo3])
+    assert uni.encode((2, 2)) == 8
+    for bad in ((0, 3), (3, 0), (-1, 0)):
+        with pytest.raises(IndexError):
+            uni.encode(bad)
+    for bad in ((1,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            uni.encode(bad)
 
 
 def test_three_factor_products(mo3):

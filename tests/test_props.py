@@ -60,9 +60,15 @@ def test_violations_are_named():
     p2 = powerset_space(2)
     n = len(p2.masks)
     identity = OrthoMap(p2, tuple(range(n)))
-    assert "order reversal" in orthomap_violation(p2, identity)
+    # 0 must go to the empty meet, the full set
+    assert orthomap_violation(p2, identity) == "order reversal fails at '-'"
     bad_len = OrthoMap(p2, tuple(range(n - 1)))
     assert orthomap_violation(p2, bad_len) is not None
+    for bad in (-1, n):
+        out_of_range = OrthoMap(p2, (bad,) + tuple(range(1, n)))
+        assert orthomap_violation(p2, out_of_range) == "not a bijection on elements"
+    # on valid indices a map that is not injective fails the involution law
+    assert orthomap_violation(p2, OrthoMap(p2, (0,) * n)) == "involution fails at 'a'"
     # swapping only 0 <-> 1 fixes the atoms: involutive, order-reversing,
     # but an atom no longer joins with its image to the top
     swap_tops = list(range(n))
@@ -185,8 +191,9 @@ def test_budget_error_does_not_hold_the_search_tables(circle44):
 
 
 def test_search_cap_on_universe_size():
-    with pytest.raises(ValueError):
-        find_orthocomplementation(powerset_space(21))
+    # 24 points, the largest universe allowed, carry 4761 sets here
+    with pytest.raises(ValueError, match="4761 sets"):
+        find_orthocomplementation(box_product([mo_space(2), mo_space(3), mo_space(4)]))
 
 
 def test_search_runs_past_twenty_points():
@@ -200,7 +207,7 @@ def test_search_runs_past_twenty_points():
 
 
 def test_search_cap_is_on_the_family_size():
-    # 13 points but 8192 sets, each candidate map would be checked on every pair
+    # 13 points but 8192 sets: the family size, not the point count, is capped
     with pytest.raises(ValueError, match="8192 sets"):
         find_orthocomplementation(powerset_space(13))
 
