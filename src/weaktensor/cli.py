@@ -13,8 +13,8 @@ from pathlib import Path
 from . import products
 from .spaces import ClosureSpace, LatticeFormatError, mo_space, parse_lattice_text, \
     powerset_space, render_lattice_text
-from .suites import DEFAULT_SEED, TargetError, build_product, get_suite, \
-    parse_product_file, resolve_target, run_suite
+from .suites import DEFAULT_SEED, TargetError, build_product, check_product_shape, \
+    get_suite, parse_product_file, resolve_target, run_suite
 
 
 class InputError(Exception):
@@ -48,13 +48,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     elif args.lattice:
         space = _load_lattice(args.lattice)
     else:
-        kind = args.product[0]
-        if kind not in ("box", "fraser", "circle"):
-            raise InputError(f"unknown product kind {kind!r}")
-        files = args.product[1:]
-        if not 2 <= len(files) <= 3:
-            raise InputError("--product takes a kind and two or three factor files")
-        factors = [_resolve_cli_target(f) for f in files]
+        kind, factors = _product_arg(args.product)
         try:
             space = build_product(kind, factors)
         except (ValueError, AssertionError) as exc:
@@ -63,9 +57,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_cli_target(text: str) -> ClosureSpace:
+def _product_arg(argv: list[str]) -> tuple[str, list[ClosureSpace]]:
+    """The kind and the resolved factors of ``--product KIND A B [C]``; the
+    shape is checked before any factor is read."""
+    kind, refs = argv[0], argv[1:]
     try:
-        return resolve_target(text, Path.cwd())
+        check_product_shape(kind, len(refs))
+        return kind, [resolve_target(ref, Path.cwd()) for ref in refs]
     except (TargetError, LatticeFormatError, ValueError) as exc:
         raise InputError(str(exc)) from None
 
@@ -107,12 +105,11 @@ def cmd_join(args: argparse.Namespace) -> int:
         if not path.exists():
             raise InputError(f"no such file: {path}")
         try:
-            kind, factors = parse_product_file(path)
+            _, factors = parse_product_file(path)
         except TargetError as exc:
             raise InputError(str(exc)) from None
     else:
-        kind = args.product[0]
-        factors = [_resolve_cli_target(f) for f in args.product[1:]]
+        _, factors = _product_arg(args.product)
     try:
         universe = products.ProductUniverse(factors)
     except ValueError as exc:

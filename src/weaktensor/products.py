@@ -360,6 +360,8 @@ def _sharp_points(universe: ProductUniverse, factor_maps: Sequence[OrthoMap]) ->
 def sharp(universe: ProductUniverse, factor_maps: Sequence[OrthoMap],
           box_space: ClosureSpace, element: int) -> int:
     """Image of a box-product element under the sharp map."""
+    if universe is not box_space.product:
+        raise ValueError("universe is not the box product's universe")
     if element not in box_space:
         raise ValueError("element is not in the box product")
     return _atom_meets((element,), _sharp_points(universe, factor_maps), box_space.full_mask)[0]

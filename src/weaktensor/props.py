@@ -13,8 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-# AUTOMORPHISM_POINT_CAP is re-exported: the cap lives with the search in spaces
-from .spaces import AUTOMORPHISM_POINT_CAP, ClosureSpace, CoverWitness, bits, image
+from .spaces import ClosureSpace, CoverWitness, bits, image
 
 DEFAULT_NODE_CAP = 10_000_000
 # Each complete assignment is checked once per element (about 20 ms at 4096 sets,
@@ -175,13 +174,14 @@ def orthomap_violation(space: ClosureSpace, om: OrthoMap) -> Optional[str]:
     """Name the first violated orthocomplementation law, if any.
 
     One pass per law, named in the order involution, order reversal,
-    complement.  An involution on valid indices is a bijection, so a range
-    test stands for that law; order reversal is tested as :class:`OrthoMap` describes.
+    complement.  An involution on valid indices is a bijection, so a test
+    that each image is an int in range stands for that law; order reversal
+    is tested as :class:`OrthoMap` describes.
     """
     n = len(space.masks)
     if om.space is not space or len(om.images) != n:
         return "map does not index this space"
-    if not all(0 <= j < n for j in om.images):
+    if not all(isinstance(j, int) and 0 <= j < n for j in om.images):
         return "not a bijection on elements"
     masks = space.masks
     failure = next(_law_failures(space, om.images), None)

@@ -515,15 +515,10 @@ def parse_lattice_text(text: str) -> ClosureSpace:
         if points is None:
             if not line.startswith("points:"):
                 raise LatticeFormatError("expected a 'points:' header", lineno)
-            labels = line[len("points:"):].split()
-            if not labels:
-                raise LatticeFormatError("empty point list", lineno)
-            if len(labels) != len(set(labels)):
-                raise LatticeFormatError("duplicate point label", lineno)
-            if len(labels) > MAX_POINTS:
-                raise LatticeFormatError(
-                    f"{len(labels)} points exceed the cap of {MAX_POINTS}", lineno)
-            points = tuple(labels)
+            try:
+                points = _checked_points(line[len("points:"):].split())
+            except ValueError as exc:
+                raise LatticeFormatError(str(exc), lineno) from None
             index = {lbl: i for i, lbl in enumerate(points)}
             continue
         if line == "-":

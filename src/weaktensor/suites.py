@@ -18,6 +18,7 @@ Suites themselves are JSON files: {"name": ..., "checks": [{"check":
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import time
@@ -114,11 +115,11 @@ def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path]) -> C
             except ValueError:
                 raise TargetError(f"bad size in target {text!r}") from None
             return builder(n)
-    for kind in ("box", "fraser", "circle"):
-        if text.startswith(kind + "(") and text.endswith(")"):
-            inner = _split_args(text[len(kind) + 1:-1])
-            factors = [_resolve(t, base_dir, open_files) for t in inner]
-            return build_product(kind, factors)
+    kind, paren, body = text.partition("(")
+    if paren and text.endswith(")"):
+        refs = _split_args(body[:-1])
+        check_product_shape(kind, len(refs))
+        return build_product(kind, [_resolve(ref, base_dir, open_files) for ref in refs])
     if text.endswith(".lat"):
         path = (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text)
         if not path.exists():
@@ -128,25 +129,40 @@ def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path]) -> C
         path = (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text)
         if not path.exists():
             raise TargetError(f"no such product file: {path}")
-        kind, factors = _parse_product_file(path, open_files)
-        return build_product(kind, factors)
+        return build_product(*_parse_product_file(path, open_files))
     raise TargetError(f"unresolvable target {text!r}")
 
 
+_BUILDERS: dict[str, Callable[[Sequence[ClosureSpace]], ClosureSpace]] = {
+    "box": products.box_product, "fraser": products.fraser_product,
+    "circle": lambda factors: products.mo_circle(*factors)}
+# How many factors a box or Fraser product takes; a circle takes two.
+_FACTOR_COUNTS = range(2, 4)
+
+
+def _check_count(what: str, counts: range, got: int, noun: str) -> None:
+    """A TargetError such as "covering takes 1 target, got 2" unless ``got`` is in ``counts``."""
+    if got not in counts:
+        lo, hi = counts[0], counts[-1]
+        raise TargetError(f"{what} takes {lo if lo == hi else f'{lo} to {hi}'} "
+                          f"{noun}{'' if hi == 1 else 's'}, got {got}")
+
+
+def check_product_shape(kind: str, n_factors: int) -> None:
+    """The shape rule of the target grammar, ``.prod`` files and the CLI's
+    ``--product``, checked before any factor is resolved."""
+    if kind not in _BUILDERS:
+        raise TargetError(f"unknown product kind {kind!r}")
+    _check_count(kind, range(2, 3) if kind == "circle" else _FACTOR_COUNTS, n_factors, "factor")
+
+
 def build_product(kind: str, factors: Sequence[ClosureSpace]) -> ClosureSpace:
-    if kind == "box":
-        return products.box_product(factors)
-    if kind == "fraser":
-        return products.fraser_product(factors)
-    if kind == "circle":
-        if len(factors) != 2:
-            raise TargetError("circle takes exactly two factors")
-        return products.mo_circle(factors[0], factors[1])
-    raise TargetError(f"unknown product kind {kind!r}")
+    """The ``kind`` product of ``factors``, a shape ``check_product_shape`` passed."""
+    return _BUILDERS[kind](factors)
 
 
 def parse_product_file(path: Path) -> tuple[str, list[ClosureSpace]]:
-    """Product description: a kind tag plus two or three factor files."""
+    """Product description: a kind tag plus the factor targets, one per line."""
     return _parse_product_file(path, frozenset())
 
 
@@ -155,9 +171,8 @@ def _parse_product_file(path: Path, open_files: frozenset[Path]
     key = path.resolve()
     if key in open_files:
         raise TargetError(f"{path}: product file includes itself")
-    open_files |= {key}
     kind: str | None = None
-    factors: list[ClosureSpace] = []
+    refs: list[str] = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -165,15 +180,16 @@ def _parse_product_file(path: Path, open_files: frozenset[Path]
         if line.startswith("product:"):
             kind = line[len("product:"):].strip()
         elif line.startswith("factor:"):
-            ref = line[len("factor:"):].strip()
-            factors.append(_resolve(ref, path.parent, open_files))
+            refs.append(line[len("factor:"):].strip())
         else:
             raise TargetError(f"{path}:{lineno}: unrecognized line {line!r}")
-    if kind not in ("box", "fraser", "circle"):
-        raise TargetError(f"{path}: missing or bad 'product:' tag")
-    if not 2 <= len(factors) <= 3:
-        raise TargetError(f"{path}: need two or three factors")
-    return kind, factors
+    if kind is None:
+        raise TargetError(f"{path}: missing 'product:' tag")
+    try:
+        check_product_shape(kind, len(refs))
+    except TargetError as exc:
+        raise TargetError(f"{path}: {exc}") from None
+    return kind, [_resolve(ref, path.parent, open_files | {key}) for ref in refs]
 
 
 def _universe_of(space: ClosureSpace) -> products.ProductUniverse:
@@ -184,7 +200,9 @@ def _universe_of(space: ClosureSpace) -> products.ProductUniverse:
 
 # -- check handlers -----------------------------------------------------------
 
-Handler = Callable[[list[ClosureSpace], dict, Random], tuple[str, str]]
+# A handler takes its targets as parameters, then ``args`` and ``rng``; a
+# ``*factors`` list takes as many targets as a product has factors.
+Handler = Callable[..., tuple[str, str]]
 CHECKS: dict[str, Handler] = {}
 
 
@@ -196,8 +214,7 @@ def _check(name: str):
 
 
 @_check("covering")
-def _covering(spaces, args, rng):
-    (s,) = spaces
+def _covering(s, args, rng):
     res = props.has_covering_property(s)
     if res is True:
         return "pass", "covering holds"
@@ -207,8 +224,7 @@ def _covering(spaces, args, rng):
 
 
 @_check("dual-covering")
-def _dual_covering(spaces, args, rng):
-    (s,) = spaces
+def _dual_covering(s, args, rng):
     rep = s.dual_order_check()
     if rep.dual_covering:
         return "pass", "dual covering holds"
@@ -217,8 +233,7 @@ def _dual_covering(spaces, args, rng):
 
 
 @_check("coatomistic")
-def _coatomistic(spaces, args, rng):
-    (s,) = spaces
+def _coatomistic(s, args, rng):
     rep = s.dual_order_check()
     if rep.coatomistic:
         return "pass", "every element is an intersection of coatoms"
@@ -226,8 +241,7 @@ def _coatomistic(spaces, args, rng):
 
 
 @_check("orthocomplementation")
-def _orthocomplementation(spaces, args, rng):
-    (s,) = spaces
+def _orthocomplementation(s, args, rng):
     cap = _int_arg(args, "node_cap", props.DEFAULT_NODE_CAP, 1)
     res = props.find_orthocomplementation(s, node_cap=cap)
     if isinstance(res, props.OrthoMap):
@@ -250,8 +264,7 @@ def _sharp_of(s: ClosureSpace) -> tuple[Optional[props.OrthoMap], Optional[str]]
 
 
 @_check("sharp-valid")
-def _sharp_valid(spaces, args, rng):
-    (s,) = spaces
+def _sharp_valid(s, args, rng):
     om, why = _sharp_of(s)
     if why:
         return "none", why
@@ -262,8 +275,7 @@ def _sharp_valid(spaces, args, rng):
 
 
 @_check("sharp-orthomodular")
-def _sharp_orthomodular(spaces, args, rng):
-    (s,) = spaces
+def _sharp_orthomodular(s, args, rng):
     om, why = _sharp_of(s)
     if why:
         return "none", why
@@ -274,8 +286,7 @@ def _sharp_orthomodular(spaces, args, rng):
 
 
 @_check("contains-mo")
-def _contains_mo(spaces, args, rng):
-    (s,) = spaces
+def _contains_mo(s, args, rng):
     n = _int_arg(args, "n", 3, 3)
     res = props.contains_mo_n(s, n)
     if res is None:
@@ -284,23 +295,20 @@ def _contains_mo(spaces, args, rng):
 
 
 @_check("transitive")
-def _transitive(spaces, args, rng):
-    (s,) = spaces
+def _transitive(s, args, rng):
     return ("pass", "point action transitive") if props.is_transitive(s) \
         else ("fail", "multiple point orbits")
 
 
 @_check("automorphism-count")
-def _automorphism_count(spaces, args, rng):
-    (s,) = spaces
+def _automorphism_count(s, args, rng):
     want = _int_arg(args, "count")
-    got = len(props.automorphisms(s))
+    got = len(s.automorphism_perms())
     return ("pass" if got == want else "fail"), f"count={got}"
 
 
 @_check("factorization")
-def _factorization(spaces, args, rng):
-    (s,) = spaces
+def _factorization(s, args, rng):
     universe = _universe_of(s)
     autos = props.automorphisms(s)
     for u in autos:
@@ -310,8 +318,7 @@ def _factorization(spaces, args, rng):
 
 
 @_check("weakly-connected")
-def _weakly_connected(spaces, args, rng):
-    (s,) = spaces
+def _weakly_connected(s, args, rng):
     res = props.is_weakly_connected(s)
     if isinstance(res, props.ConnectedCovering):
         return "pass", " ".join(f"({s.render_set(b)})" for b in res.blocks)
@@ -322,8 +329,7 @@ def _weakly_connected(spaces, args, rng):
 
 
 @_check("families-equal")
-def _families_equal(spaces, args, rng):
-    a, b = spaces
+def _families_equal(a, b, args, rng):
     if a.n_points != b.n_points:
         return "fail", "point counts differ"
     if set(a.masks) == set(b.masks):
@@ -339,8 +345,7 @@ def _families_equal(spaces, args, rng):
 
 
 @_check("families-strict-subset")
-def _families_strict_subset(spaces, args, rng):
-    a, b = spaces
+def _families_strict_subset(a, b, args, rng):
     if a.n_points != b.n_points:
         return "fail", "point counts differ"
     sa, sb = set(a.masks), set(b.masks)
@@ -354,8 +359,7 @@ def _families_strict_subset(spaces, args, rng):
 
 
 @_check("degenerate-factor-iso")
-def _degenerate_factor_iso(spaces, args, rng):
-    prod, factor = spaces
+def _degenerate_factor_iso(prod, factor, args, rng):
     universe = _universe_of(prod)
     sizes = universe.sizes
     if sorted(sizes, reverse=True)[1:] != [1] * (len(sizes) - 1):
@@ -369,8 +373,7 @@ def _degenerate_factor_iso(spaces, args, rng):
 
 
 @_check("single-nonboolean-equality")
-def _single_nonboolean_equality(spaces, args, rng):
-    factors = spaces
+def _single_nonboolean_equality(*factors, args, rng):
     box = products.box_product(factors)
     fraser = products.fraser_product(factors)
     universe = box.product
@@ -390,13 +393,12 @@ def _single_nonboolean_equality(spaces, args, rng):
 
 
 @_check("box-ne-fraser-diagonal")
-def _box_ne_fraser_diagonal(spaces, args, rng):
-    factors = spaces
-    if len(factors) != 2 or factors[0].n_points != factors[1].n_points:
+def _box_ne_fraser_diagonal(f, g, args, rng):
+    if f.n_points != g.n_points:
         return "error", "needs two equal-size factors"
-    box = products.box_product(factors)
+    box = products.box_product([f, g])
     universe = box.product
-    k = min(3, factors[0].n_points)
+    k = min(3, f.n_points)
     diagonal = 0
     for i in range(k):
         diagonal |= 1 << universe.encode((i, i))
@@ -411,8 +413,7 @@ def _box_ne_fraser_diagonal(spaces, args, rng):
 
 
 @_check("fraser-fixpoint-membership")
-def _fraser_fixpoint_membership(spaces, args, rng):
-    factors = spaces
+def _fraser_fixpoint_membership(*factors, args, rng):
     fraser = products.fraser_product(factors)
     universe = fraser.product
     if universe.n_points > 16:
@@ -437,8 +438,7 @@ def _candidate_products(factors) -> list[tuple[str, ClosureSpace]]:
 
 
 @_check("coatom-crosses")
-def _coatom_crosses(spaces, args, rng):
-    factors = spaces
+def _coatom_crosses(*factors, args, rng):
     checked = 0
     for kind, space in _candidate_products(factors):
         universe = space.product
@@ -457,8 +457,7 @@ def _coatom_crosses(spaces, args, rng):
 
 
 @_check("coatom-decomposition")
-def _coatom_decomposition(spaces, args, rng):
-    factors = spaces
+def _coatom_decomposition(*factors, args, rng):
     total = 0
     for kind, space in _candidate_products(factors):
         universe = space.product
@@ -483,19 +482,16 @@ def _coatom_decomposition(spaces, args, rng):
 
 
 @_check("fraser-covering-break-trace")
-def _fraser_covering_break_trace(spaces, args, rng):
-    factors = spaces
-    if len(factors) != 2:
-        return "error", "needs two factors"
-    if any(f.n_points < 4 for f in factors):
+def _fraser_covering_break_trace(f, g, args, rng):
+    if f.n_points < 4 or g.n_points < 4:
         return "error", "each factor needs at least four atoms"
-    universe = products.ProductUniverse(factors)
+    universe = products.ProductUniverse([f, g])
     # four distinct atoms per factor with the join of the first two
     # covering all four
-    for f in factors:
-        j = f.closure((1 << 0) | (1 << 1))
+    for h in (f, g):
+        j = h.closure((1 << 0) | (1 << 1))
         for r in range(4):
-            if not j >> r & 1 or f.covers(1 << r, j) is not True:
+            if not j >> r & 1 or h.covers(1 << r, j) is not True:
                 return "error", "factor join of the first two atoms must cover four atoms"
     p = universe.encode((0, 0))
     q = universe.encode((1, 1))
@@ -506,8 +502,8 @@ def _fraser_covering_break_trace(spaces, args, rng):
     b = a | (1 << s)
     r0 = a | (1 << t)
     seq = products.beta_join_sequence(universe, r0, [1, 0, 1])
-    join2 = factors[1].closure(0b11)
-    join1 = factors[0].closure(0b11)
+    join2 = g.closure(0b11)
+    join1 = f.closure(0b11)
     row_p = universe.preimage_mask(0, 1 << 0) & universe.preimage_mask(1, join2)
     col_q = universe.preimage_mask(1, 1 << 1) & universe.preimage_mask(0, join1)
     col_r = universe.preimage_mask(1, 1 << 2) & universe.preimage_mask(0, join1)
@@ -535,7 +531,7 @@ def _render_pair(pair: hilbert.ProductAtomPair) -> str:
 
 
 @_check("hilbert-perp-involution")
-def _hilbert_perp_involution(spaces, args, rng):
+def _hilbert_perp_involution(args, rng):
     m, n = _factor_dims(args)
     count = _int_arg(args, "count", 100, 0, MAX_SAMPLES)
     ambient = m * n
@@ -548,7 +544,7 @@ def _hilbert_perp_involution(spaces, args, rng):
 
 
 @_check("hilbert-point-biorthogonality")
-def _hilbert_point_biorthogonality(spaces, args, rng):
+def _hilbert_point_biorthogonality(args, rng):
     m, n = _factor_dims(args)
     count = _int_arg(args, "count", 50, 0, MAX_SAMPLES)
     for _ in range(count):
@@ -559,7 +555,7 @@ def _hilbert_point_biorthogonality(spaces, args, rng):
 
 
 @_check("hilbert-antilinear-agreement")
-def _hilbert_antilinear_agreement(spaces, args, rng):
+def _hilbert_antilinear_agreement(args, rng):
     m, n = _factor_dims(args)
     n_maps = _int_arg(args, "maps", 5, 0, MAX_SAMPLES)
     n_pairs = _int_arg(args, "pairs", 100, 0, MAX_SAMPLES)
@@ -585,7 +581,7 @@ def _hilbert_antilinear_agreement(spaces, args, rng):
 
 
 @_check("hilbert-box-verdicts")
-def _hilbert_box_verdicts(spaces, args, rng):
+def _hilbert_box_verdicts(args, rng):
     e = hilbert.basis_vector
     t = hilbert.tensor
     cases = [
@@ -604,7 +600,7 @@ def _hilbert_box_verdicts(spaces, args, rng):
 
 
 @_check("hilbert-dual-covering-break")
-def _hilbert_dual_covering_break(spaces, args, rng):
+def _hilbert_dual_covering_break(args, rng):
     m, n = _factor_dims(args, lo=2)
     rep = hilbert.dual_covering_counterexample(m, n)
     bits = (f"disjoint={rep.disjoint_from_coatom} two-atom-closed={rep.two_atom_set_closed} "
@@ -613,8 +609,7 @@ def _hilbert_dual_covering_break(spaces, args, rng):
 
 
 @_check("p123")
-def _p123(spaces, args, rng):
-    (s,) = spaces
+def _p123(s, args, rng):
     universe = _universe_of(s)
     res = products.check_p1_p2_p3(s, universe)
     if res is None:
@@ -623,8 +618,7 @@ def _p123(spaces, args, rng):
 
 
 @_check("p4")
-def _p4(spaces, args, rng):
-    (s,) = spaces
+def _p4(s, args, rng):
     universe = _universe_of(s)
     gens = [props.automorphisms(f) for f in universe.factors]
     res = products.check_p4(s, universe, gens)
@@ -635,6 +629,15 @@ def _p4(spaces, args, rng):
 
 
 # -- suite running --------------------------------------------------------------
+
+def _target_counts(handler: Handler) -> range:
+    """How many targets a check takes: its parameters before ``args`` and ``rng``,
+    less those with defaults, or as many as a product's factors for ``*factors``."""
+    *params, _, _ = inspect.signature(handler).parameters.values()
+    if any(p.kind is p.VAR_POSITIONAL for p in params):
+        return _FACTOR_COUNTS
+    return range(sum(p.default is p.empty for p in params), len(params) + 1)
+
 
 def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
               base_dir: Path | None = None) -> Report:
@@ -648,6 +651,7 @@ def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
         handler = CHECKS.get(name)
         if handler is None:
             raise TargetError(f"unknown check id {name!r}")
+        _check_count(name, _target_counts(handler), len(spec.targets), "target")
         try:
             for t in spec.targets:
                 if t not in built:
@@ -658,7 +662,7 @@ def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
         except (ValueError, OSError) as exc:
             raise TargetError(f"cannot build target for {label!r}: {exc}") from None
         try:
-            verdict, witness = handler(targets, spec.args, rng)
+            verdict, witness = handler(*targets, args=spec.args, rng=rng)
         except TargetError as exc:
             raise TargetError(f"{label}: {exc}") from None
         except Exception as exc:  # deterministic inputs: report, don't crash

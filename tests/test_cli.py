@@ -65,6 +65,8 @@ def test_build_circle_and_powerset(capsys, tmp_path):
 def test_build_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "build", "--product", "spiral", "x.lat", "y.lat")
     assert code == 2 and "spiral" in err
+    code, _, err = run(capsys, "build", "--product", "box", *["mo:2"] * 4)
+    assert code == 2 and "box takes 2 to 3 factors, got 4" in err
     code, _, err = run(capsys, "build", "--lattice", str(tmp_path / "missing.lat"))
     assert code == 2
     bad = tmp_path / "bad.lat"
@@ -134,6 +136,13 @@ def test_join_input_errors(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "join", "--tuples", "a,a", "--method", "box")
     assert code == 2
+    # the product's shape is checked as in every other front door
+    for argv, says in (
+            (["spiral", "mo:3", "mo:3"], "unknown product kind 'spiral'"),
+            (["box"] + ["mo:2"] * 4, "box takes 2 to 3 factors, got 4"),
+            (["circle", "mo:3", "mo:3", "mo:3"], "circle takes 2 factors, got 3")):
+        code, out, err = run(capsys, "join", "--product", *argv, "--tuples", "a,a")
+        assert code == 2 and out == "" and says in err
 
 
 def test_check_core_verified_suite_passes(builtin_reports):
@@ -244,6 +253,18 @@ def test_check_input_errors(capsys, tmp_path):
             {"check": check, "targets": targets, "args": args}]}))
         code, out, err = run(capsys, "check", "--suite", str(suite))
         assert code == 2 and out == "" and check in err and repr(key) in err
+    # a wrong number of targets or factors is named before any target is built
+    for check, targets, says in (
+            ("covering", ["mo:3", "nope.lat"], "covering takes 1 target, got 2"),
+            ("covering", [], "covering takes 1 target, got 0"),
+            ("families-equal", ["mo:3"], "families-equal takes 2 targets, got 1"),
+            ("hilbert-box-verdicts", ["mo:3"], "hilbert-box-verdicts takes 0 targets, got 1"),
+            ("coatom-crosses", ["mo:3"], "coatom-crosses takes 2 to 3 targets, got 1"),
+            ("coatom-crosses", ["mo:2"] * 4, "coatom-crosses takes 2 to 3 targets, got 4"),
+            ("covering", ["box(mo:2,mo:2,mo:2,nope.lat)"], "box takes 2 to 3 factors, got 4")):
+        suite.write_text(json.dumps({"checks": [{"check": check, "targets": targets}]}))
+        code, out, err = run(capsys, "check", "--suite", str(suite))
+        assert code == 2 and out == "" and says in err
 
 
 @pytest.mark.parametrize("files", [

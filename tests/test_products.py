@@ -471,11 +471,14 @@ def test_sharp_map_validates_across_factor_pairs(pow2, mo4, mo4_pairing):
         assert validate_orthomap(box, sm.product_map)
 
 
-def test_sharp_rejects_invalid_factor_map(box44):
+def test_sharp_rejects_invalid_factor_map(box44, box33, mo4_pairing):
     mo4 = box44.product.factors[0]
     identity = OrthoMap(mo4, tuple(range(len(mo4.masks))))
     with pytest.raises(ValueError, match="factor 1"):
         sharp(box44.product, [identity, identity], box44, 0)
+    # valid maps over one universe, a box space over another
+    with pytest.raises(ValueError, match="universe"):
+        sharp(box44.product, [mo4_pairing, mo4_pairing], box33, 1)
 
 
 # -- circle product ---------------------------------------------------------------------------------

@@ -67,6 +67,8 @@ def test_violations_are_named():
     for bad in (-1, n):
         out_of_range = OrthoMap(p2, (bad,) + tuple(range(1, n)))
         assert orthomap_violation(p2, out_of_range) == "not a bijection on elements"
+    # an image that is not an int is named, not an indexing TypeError
+    assert orthomap_violation(p2, OrthoMap(p2, (3.0, 2, 1, 0))) == "not a bijection on elements"
     # on valid indices a map that is not injective fails the involution law
     assert orthomap_violation(p2, OrthoMap(p2, (0,) * n)) == "involution fails at 'a'"
     # swapping only 0 <-> 1 fixes the atoms: involutive, order-reversing,

@@ -309,6 +309,13 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(LatticeFormatError) as exc:
         parse_lattice_text("a b\n")
     assert exc.value.line == 1
+    # the header's labels follow the constructor's rules, named with the line
+    labels25 = " ".join(f"p{i}" for i in range(25))
+    for header, says in (("points:", "at least one point"),
+                         ("points: a a", "unique"),
+                         (f"points: {labels25}", "25 points exceeds the cap")):
+        with pytest.raises(LatticeFormatError, match=f"line 1: .*{says}"):
+            parse_lattice_text(header + "\n-\n")
 
 
 def test_empty_set_renders_as_dash():

@@ -1,3 +1,5 @@
+import pytest
+
 from weaktensor import suites
 from weaktensor.suites import CheckSpec, Suite, run_suite
 
@@ -9,8 +11,8 @@ def test_each_target_text_is_built_once_per_run(monkeypatch):
         built.append(text)
         return resolve(text, base_dir)
 
-    def record(spaces, args, rng):
-        seen.append(tuple(spaces))
+    def record(first, second=None, *, args, rng):
+        seen.append((first,) if second is None else (first, second))
         return "pass", ""
 
     resolve = suites.resolve_target
@@ -35,3 +37,18 @@ def test_a_product_file_included_twice_is_not_a_cycle(tmp_path):
     (tmp_path / "leaf.prod").write_text("product: box\nfactor: mo:2\nfactor: mo:2\n")
     (tmp_path / "pair.prod").write_text("product: box\nfactor: leaf.prod\nfactor: leaf.prod\n")
     assert suites.resolve_target("pair.prod", tmp_path).n_points == 16
+
+
+def test_product_files_follow_the_shape_rule(tmp_path):
+    # the kind and factor count are checked, with the file named, before
+    # any factor line is resolved
+    for text, says in (
+            ("product: spiral\nfactor: mo:2\nfactor: mo:2\n", "unknown product kind 'spiral'"),
+            ("product: box\n" + "factor: mo:2\n" * 3 + "factor: nope.lat\n",
+             "box takes 2 to 3 factors, got 4"),
+            ("product: circle\nfactor: mo:3\nfactor: mo:3\nfactor: mo:3\n",
+             "circle takes 2 factors, got 3"),
+            ("factor: mo:2\nfactor: mo:2\n", "missing 'product:' tag")):
+        (tmp_path / "p.prod").write_text(text)
+        with pytest.raises(suites.TargetError, match=f"p.prod: {says}"):
+            suites.resolve_target("p.prod", tmp_path)
