@@ -11,24 +11,13 @@ import sys
 from pathlib import Path
 
 from . import products
-from .spaces import ClosureSpace, LatticeFormatError, mo_space, parse_lattice_text, \
-    powerset_space, render_lattice_text
+from .spaces import ClosureSpace, mo_space, powerset_space, render_lattice_text
 from .suites import DEFAULT_SEED, TargetError, build_product, check_product_shape, \
-    get_suite, parse_product_file, resolve_target, run_suite
+    get_suite, load_lattice_file, parse_product_file, resolve_target, run_suite
 
 
 class InputError(Exception):
     pass
-
-
-def _load_lattice(path_text: str) -> ClosureSpace:
-    path = Path(path_text)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    try:
-        return parse_lattice_text(path.read_text())
-    except LatticeFormatError as exc:
-        raise InputError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -46,7 +35,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     elif args.powerset:
         space = powerset_space(args.powerset)
     elif args.lattice:
-        space = _load_lattice(args.lattice)
+        space = load_lattice_file(Path.cwd() / args.lattice)
     else:
         kind, factors = _product_arg(args.product)
         try:
@@ -64,7 +53,7 @@ def _product_arg(argv: list[str]) -> tuple[str, list[ClosureSpace]]:
     try:
         check_product_shape(kind, len(refs))
         return kind, [resolve_target(ref, Path.cwd()) for ref in refs]
-    except (TargetError, LatticeFormatError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from None
 
 
@@ -72,7 +61,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         suite = get_suite(args.suite, Path.cwd())
         report = run_suite(suite, seed=args.seed, base_dir=Path.cwd())
-    except (TargetError, LatticeFormatError) as exc:
+    except TargetError as exc:
         raise InputError(str(exc)) from None
     _emit(report.render(), args.out)
     if args.timings:
@@ -105,12 +94,14 @@ def cmd_join(args: argparse.Namespace) -> int:
         if not path.exists():
             raise InputError(f"no such file: {path}")
         try:
-            _, factors = parse_product_file(path)
+            kind, factors = parse_product_file(path)
         except TargetError as exc:
             raise InputError(str(exc)) from None
     else:
-        _, factors = _product_arg(args.product)
+        kind, factors = _product_arg(args.product)
     try:
+        if kind == "circle":
+            products.check_circle_factors(factors)
         universe = products.ProductUniverse(factors)
     except ValueError as exc:
         raise InputError(str(exc)) from None

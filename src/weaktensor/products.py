@@ -232,6 +232,17 @@ def fraser_product(factors: Sequence[ClosureSpace]) -> ClosureSpace:
     return ClosureSpace.from_closed_sets(universe.points, family, product=universe)
 
 
+def check_circle_factors(factors: Sequence[ClosureSpace]) -> None:
+    """The circle product's factor rule, a ValueError unless every factor is
+    an MO lattice with at least three atoms."""
+    for s in factors:
+        expected = {0, s.full_mask} | {1 << i for i in range(s.n_points)}
+        if set(s.masks) != expected:
+            raise ValueError("circle product factors must be MO lattices")
+        if s.n_points < 3:
+            raise ValueError("circle product factors need at least three atoms")
+
+
 def mo_circle(first: ClosureSpace, second: ClosureSpace) -> ClosureSpace:
     """The circle product of two MO lattices: the box product plus all
     3-element sets with pairwise distinct coordinates.
@@ -241,12 +252,7 @@ def mo_circle(first: ClosureSpace, second: ClosureSpace) -> ClosureSpace:
     covering/uniqueness statements target sizes 3 or >= 5; the
     construction itself only needs >= 3 atoms per factor.
     """
-    for s in (first, second):
-        expected = {0, s.full_mask} | {1 << i for i in range(s.n_points)}
-        if set(s.masks) != expected:
-            raise ValueError("circle product factors must be MO lattices")
-        if s.n_points < 3:
-            raise ValueError("circle product factors need at least three atoms")
+    check_circle_factors((first, second))
     universe = ProductUniverse([first, second])
     triples = ((1 << a) | (1 << b) | (1 << c)
                for a, b, c in itertools.combinations(range(universe.n_points), 3))

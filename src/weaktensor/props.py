@@ -136,15 +136,40 @@ def has_covering_property(space: ClosureSpace) -> Union[bool, CoveringFailure]:
     """Check p ^ a = 0 implies p v a covers a, over all (atom, element).
 
     Returns True, or the first failure in (atom id, element mask) order.
+    The rule is the one ``ClosureSpace.covers`` applies: j = a v p covers a
+    iff a v q = j for every point q of j outside a, and the witness is the
+    least of those joins short of j.  The joins come from a table with one
+    row per element a and one entry per point q, filled on first use, so
+    each join a v q is computed at most once per call.
     """
-    for p in space.atoms():
-        for a in space.masks:
-            if p & a:
+    n, close = space.n_points, space.closure
+    # rows[k][q] is masks[k] v q, or 0 until first computed (a join is never empty)
+    rows: list[Optional[list[int]]] = [None] * len(space)
+    for i in range(n):
+        for k, a in enumerate(space.masks):
+            if a >> i & 1:
                 continue
-            j = space.closure(p | a)
-            c = space.covers(a, j)
-            if c is not True:
-                return CoveringFailure(atom=p, element=a, witness=c)
+            row = rows[k]
+            if row is None:
+                row = rows[k] = [0] * n
+            elif row[i]:
+                # filled by an earlier check of a, which passed with upper row[i]:
+                # this atom's check is that one again
+                continue
+            j = row[i] = close(a | 1 << i)
+            # inline rather than bits(), as in ClosureSpace.covers
+            least, rest = j, j & ~a
+            while rest:
+                low = rest & -rest
+                q = low.bit_length() - 1
+                jq = row[q] or close(a | low)
+                row[q] = jq
+                if jq < least:
+                    least = jq
+                rest ^= low
+            if least != j:
+                return CoveringFailure(atom=1 << i, element=a,
+                                       witness=CoverWitness(lower=a, upper=j, intermediate=least))
     return True
 
 

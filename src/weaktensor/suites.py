@@ -29,7 +29,8 @@ from typing import Callable, Optional, Sequence
 
 from . import hilbert, products, props
 from .reports import CheckRecord, Report
-from .spaces import ClosureSpace, bits, mo_space, parse_lattice_text, powerset_space, two_space
+from .spaces import ClosureSpace, LatticeFormatError, bits, mo_space, parse_lattice_text, \
+    powerset_space, two_space
 
 DEFAULT_SEED = 12345
 
@@ -121,16 +122,25 @@ def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path]) -> C
         check_product_shape(kind, len(refs))
         return build_product(kind, [_resolve(ref, base_dir, open_files) for ref in refs])
     if text.endswith(".lat"):
-        path = (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text)
-        if not path.exists():
-            raise TargetError(f"no such lattice file: {path}")
-        return parse_lattice_text(path.read_text())
+        return load_lattice_file(
+            (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text))
     if text.endswith(".prod"):
         path = (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text)
         if not path.exists():
             raise TargetError(f"no such product file: {path}")
         return build_product(*_parse_product_file(path, open_files))
     raise TargetError(f"unresolvable target {text!r}")
+
+
+def load_lattice_file(path: Path) -> ClosureSpace:
+    """The space of a lattice text file, whatever its name; a parse error
+    names the file."""
+    if not path.exists():
+        raise TargetError(f"no such lattice file: {path}")
+    try:
+        return parse_lattice_text(path.read_text())
+    except LatticeFormatError as exc:
+        raise TargetError(f"{path}: {exc}") from None
 
 
 _BUILDERS: dict[str, Callable[[Sequence[ClosureSpace]], ClosureSpace]] = {

@@ -9,7 +9,9 @@ its generator-only P4 check replaced are kept here as oracles, and so is
 the scan of all n! permutations that the automorphism search replaced,
 and the orthocomplementation search that tried every candidate coatom
 and checked each complete assignment on every pair of elements, with the
-validator that compared every pair for order reversal.
+validator that compared every pair for order reversal, and the covering
+check that asked ``covers`` once per (atom, element) pair, which the
+per-call join table replaced.
 So are the exact layer's operations that re-ran ``rref`` on bases that
 ``Subspace`` already holds reduced: membership, kernel, perp and slice
 sections.  The Gaussian rational as a pair of ``Fraction`` parts, which
@@ -31,7 +33,8 @@ from weaktensor.hilbert import (
     ONE, ZERO, Subspace, basis_vector, is_zero_vector, rref, tensor, vconj,
 )
 from weaktensor.props import (
-    DEFAULT_NODE_CAP, SEARCH_SET_CAP, ExhaustionCertificate, OrthoMap, SearchBudgetExceeded,
+    DEFAULT_NODE_CAP, SEARCH_SET_CAP, CoveringFailure, ExhaustionCertificate, OrthoMap,
+    SearchBudgetExceeded,
 )
 from weaktensor.spaces import ClosureSpace, bits
 
@@ -205,6 +208,22 @@ def covers_by_family_scan(space, a: int, b: int):
     for c in space.masks:
         if c != a and c != b and a & ~c == 0 and c & ~b == 0:
             return c
+    return True
+
+
+def covering_by_pairwise_covers(space):
+    """The covering check that ``has_covering_property`` replaced: for each
+    atom p and each element a outside it, in that order, close p | a and
+    ask ``covers`` whether the join covers a, so every join a v q is
+    rebuilt once per atom.  True, or the first ``CoveringFailure``."""
+    for p in space.atoms():
+        for a in space.masks:
+            if p & a:
+                continue
+            j = space.closure(p | a)
+            c = space.covers(a, j)
+            if c is not True:
+                return CoveringFailure(atom=p, element=a, witness=c)
     return True
 
 

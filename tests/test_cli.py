@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -62,17 +63,20 @@ def test_build_circle_and_powerset(capsys, tmp_path):
     assert code == 0 and len(out.splitlines()) == 51
 
 
-def test_build_input_errors(capsys, tmp_path):
+def test_build_input_errors(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "build", "--product", "spiral", "x.lat", "y.lat")
     assert code == 2 and "spiral" in err
     code, _, err = run(capsys, "build", "--product", "box", *["mo:2"] * 4)
     assert code == 2 and "box takes 2 to 3 factors, got 4" in err
-    code, _, err = run(capsys, "build", "--lattice", str(tmp_path / "missing.lat"))
-    assert code == 2
+    # one lattice-file loader: a lone file and a product factor read alike
+    monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.lat"
     bad.write_text("points: a b\na z\n")
-    code, _, err = run(capsys, "build", "--lattice", str(bad))
-    assert code == 2 and "line 2" in err
+    for name, says in (("missing.lat", "no such lattice file: {}"),
+                       ("bad.lat", "{}: line 2: unknown point label 'z'")):
+        lone = run(capsys, "build", "--lattice", name)
+        assert lone == (2, "", f"error: {says.format(Path.cwd() / name)}\n")
+        assert run(capsys, "build", "--product", "box", name, "mo:3") == lone
     code, _, err = run(capsys, "build")
     assert code == 2
     code, _, err = run(capsys, "build", "--mo", "3", "--powerset", "2")
@@ -140,7 +144,9 @@ def test_join_input_errors(capsys, tmp_path):
     for argv, says in (
             (["spiral", "mo:3", "mo:3"], "unknown product kind 'spiral'"),
             (["box"] + ["mo:2"] * 4, "box takes 2 to 3 factors, got 4"),
-            (["circle", "mo:3", "mo:3", "mo:3"], "circle takes 2 factors, got 3")):
+            (["circle", "mo:3", "mo:3", "mo:3"], "circle takes 2 factors, got 3"),
+            # and a circle's factors as ``build`` checks them
+            (["circle", "powerset:2", "mo:3"], "circle product factors need at least three atoms")):
         code, out, err = run(capsys, "join", "--product", *argv, "--tuples", "a,a")
         assert code == 2 and out == "" and says in err
 

@@ -32,8 +32,10 @@ from hypothesis import strategies as st
 
 from helpers import (
     automorphisms_by_scan,
+    brute_cover_check,
     closure_in_family,
     coatoms_by_maximality,
+    covering_by_pairwise_covers,
     covers_by_family_scan,
     cylinder_oracle,
     decode,
@@ -53,6 +55,7 @@ from weaktensor import (
     box_product,
     check_p4,
     fraser_product,
+    has_covering_property,
     mo_circle,
     mo_space,
     powerset_space,
@@ -205,6 +208,47 @@ def test_covers_matches_family_scan_on_every_comparable_pair():
 def test_coatoms_match_maximality_scan_on_every_space():
     for name, space in every_space():
         assert space.coatoms() == coatoms_by_maximality(space), name
+
+
+def _covering_cases() -> list[str]:
+    """The stock factors, box and Fraser products of every ordered pair of
+    them within the point cap, circle products of every ordered pair of
+    mo:3 to mo:6 within it, and four three-factor products."""
+    cases = list(FACTORS)
+    for a, b in itertools.product(FACTORS, repeat=2):
+        if FACTORS[a].n_points * FACTORS[b].n_points <= MAX_POINTS:
+            cases += [f"box({a},{b})", f"fraser({a},{b})"]
+    cases += [f"circle(mo:{m},mo:{n})" for m, n in itertools.product(range(3, 7), repeat=2)
+              if m * n <= MAX_POINTS]
+    return cases + ["box(mo:2,mo:3,mo:4)", "box(mo:2,mo:2,mo:6)", "fraser(mo:2,mo:2,mo:4)",
+                    "fraser(two,mo:4,mo:4)"]
+
+
+COVERING_CASES = _covering_cases()
+
+
+def test_covering_cases_are_the_pinned_set():
+    assert len(COVERING_CASES) == len(set(COVERING_CASES)) == 144
+
+
+@pytest.mark.parametrize("case", COVERING_CASES)
+def test_covering_matches_pairwise_covers(case):
+    space = FACTORS[case] if case in FACTORS else built(case)
+    got = has_covering_property(space)
+    assert got == covering_by_pairwise_covers(space)
+    if len(space) > 50:
+        return
+    if got is True:
+        # every join of an atom outside an element covers it, by the subset scan
+        assert all(brute_cover_check(space, a, space.closure(p | a))
+                   for p in space.atoms() for a in space.masks if not p & a)
+        return
+    w = got.witness
+    assert not got.atom & got.element
+    assert (w.lower, w.upper) == (got.element, space.closure(got.atom | got.element))
+    assert space.is_closed(w.intermediate) and w.intermediate not in (w.lower, w.upper)
+    assert w.lower & ~w.intermediate == 0 and w.intermediate & ~w.upper == 0
+    assert not brute_cover_check(space, w.lower, w.upper)
 
 
 def test_p4_matches_all_tuples_on_the_stock_products():

@@ -236,6 +236,23 @@ def test_fraser_of_mo4_fails_covering(fraser44):
     assert res.element.bit_count() == 3
 
 
+def test_covering_computes_each_join_at_most_once():
+    s = mo_circle(mo_space(4), mo_space(6))
+    calls = 0
+    closure = s.closure
+
+    def counted(subset):
+        nonlocal calls
+        calls += 1
+        return closure(subset)
+
+    s.closure = counted
+    assert has_covering_property(s) is True
+    # one join per (element, point) pair; asking covers() once per (atom, element)
+    # pair took 249,696 closures here
+    assert 0 < calls <= len(s) * s.n_points == 17_280
+
+
 # -- MO_n containment -----------------------------------------------------------------
 
 def test_contains_mo_examples(mo3, box33):
