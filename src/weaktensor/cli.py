@@ -90,11 +90,8 @@ def cmd_join(args: argparse.Namespace) -> int:
     if bool(args.product_file) == bool(args.product):
         raise InputError("give either a product file or --product KIND A B [C]")
     if args.product_file:
-        path = Path(args.product_file)
-        if not path.exists():
-            raise InputError(f"no such file: {path}")
         try:
-            kind, factors = parse_product_file(path)
+            kind, factors = parse_product_file(Path.cwd() / args.product_file)
         except TargetError as exc:
             raise InputError(str(exc)) from None
     else:

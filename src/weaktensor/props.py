@@ -78,7 +78,7 @@ class OrthomodularityWitness:
     b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Automorphism:
     """A point permutation whose induced set map preserves the family."""
 
@@ -394,13 +394,17 @@ def contains_mo_n(space: ClosureSpace, n: int) -> Optional[tuple[int, ...]]:
 
 def automorphisms(space: ClosureSpace) -> list[Automorphism]:
     """All point permutations preserving the closed family, in the order of
-    ``itertools.permutations``; see ``ClosureSpace.automorphism_perms``."""
+    ``itertools.permutations``: the whole group, listed from the space's
+    stabilizer chain by ``ClosureSpace.automorphism_perms``.  Its order and
+    orbits are read off the chain without listing, by
+    ``ClosureSpace.automorphism_order`` and ``automorphism_orbit``."""
     return [Automorphism(perm) for perm in space.automorphism_perms()]
 
 
 def is_transitive(space: ClosureSpace) -> bool:
-    """Whether the automorphism group acts transitively on the points."""
-    return len({perm[0] for perm in space.automorphism_perms()}) == space.n_points
+    """Whether the automorphism group acts transitively on the points: the
+    orbit of point 0, read off the stabilizer chain without listing the group."""
+    return len(space.automorphism_orbit(0)) == space.n_points
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,15 @@ of the bitwise OR.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .products import ProductUniverse
 
 MAX_POINTS = 24
-# Automorphism groups are listed element by element; this bounds their size.
+# Bounds the automorphism search, and with it the groups listed element by element.
 AUTOMORPHISM_POINT_CAP = 12
 
 _LETTERS = "abcdefghijklmnopqrstuvwx"
@@ -54,12 +56,21 @@ class DualOrderReport(NamedTuple):
     dual_covering_witness: Optional[tuple[int, int]] = None
 
 
+class _StabilizerChain(NamedTuple):
+    """An automorphism group on the base 0, 1, ..., n-1: ``generators``
+    generate it, and ``transversals[i]`` maps each point j of the orbit of i
+    under the automorphisms fixing 0..i-1 to one of them that sends i to j."""
+
+    generators: tuple[tuple[int, ...], ...]
+    transversals: tuple[dict[int, tuple[int, ...]], ...]
+
+
 class ClosureSpace:
     """A finite simple closure space.
 
     Instances are immutable after construction and all operations are
     pure, so sharing across threads or workers is safe.  Internal
-    memoization (coatoms, automorphisms) only caches pure results.
+    memoization (coatoms, the automorphism chain) only caches pure results.
     """
 
     def __init__(self, points: Sequence[str], masks: Iterable[int],
@@ -91,7 +102,7 @@ class ClosureSpace:
         self.product = product
         self._close = close
         self._coatoms: tuple[int, ...] | None = None
-        self._automorphisms: tuple[tuple[int, ...], ...] | None = None
+        self._chain: _StabilizerChain | None = None
         return self
 
     # -- basic structure ------------------------------------------------
@@ -269,9 +280,52 @@ class ClosureSpace:
 
     def automorphism_perms(self) -> tuple[tuple[int, ...], ...]:
         """Every point permutation that maps the closed family onto itself,
-        in the order of ``itertools.permutations``; computed once per space.
+        in the order of ``itertools.permutations``, listed from the
+        stabilizer chain (see ``_automorphism_chain``): each automorphism
+        is one product t_0 t_1 ... t_(n-1) of an element of each level's
+        transversal.  The products are formed level by level, skipping the
+        levels whose transversal is the identity alone, and sorted once.
+        """
+        listing = [tuple(range(self.n_points))]
+        for reps in self._automorphism_chain().transversals:
+            if len(reps) > 1:
+                # itemgetter(*t) maps a permutation g to g after t
+                afters = [itemgetter(*t) for t in reps.values()]
+                listing = [after(g) for g in listing for after in afters]
+        # one sort of the whole list is faster here than ordering each node's children
+        listing.sort()
+        return tuple(listing)
 
-        A depth-first search maps the points 0, 1, ... in turn, each to an
+    def automorphism_order(self) -> int:
+        """The order of the automorphism group: the product of the
+        transversal sizes of its stabilizer chain, without listing it."""
+        return prod(len(reps) for reps in self._automorphism_chain().transversals)
+
+    def automorphism_orbit(self, point: int) -> tuple[int, ...]:
+        """The points that some automorphism maps ``point`` to, ascending,
+        read off the stabilizer chain's generators without listing the group."""
+        if not 0 <= point < self.n_points:
+            raise ValueError(f"point {point} is not in this space")
+        generators = self._automorphism_chain().generators
+        return tuple(sorted(_orbit_reps(point, generators, self.n_points)))
+
+    def _automorphism_chain(self) -> _StabilizerChain:
+        """The automorphism group as a stabilizer chain on the base
+        0, 1, ..., n-1; computed once per space.
+
+        Level i holds a transversal of the automorphisms fixing 0..i-1:
+        for each point j of the orbit of i under them, one such
+        automorphism mapping i to j.  The levels are built from n-1 down
+        to 0.  At level i the orbit of i grows under the generators found
+        so far; for each point j > i of the colour of i outside it, a
+        depth-first search looks for one automorphism that is the
+        identity on 0..i-1 and maps i to j, and the first one it finds
+        becomes a generator.  A search that finds none proves j is outside
+        the orbit.  So every automorphism g fixing 0..i-1 is a transversal
+        element (mapping i to g(i)) times an automorphism fixing 0..i, and
+        the group's order is the product of the transversal sizes.
+
+        The search maps the points i+1, i+2, ... in turn, each to an
         unused point of the same colour (the sizes of the closed sets
         through a point, which no automorphism changes), tried in
         increasing order.  A closed set is checked as soon as its highest
@@ -283,8 +337,8 @@ class ClosureSpace:
         n = self.n_points
         if n > AUTOMORPHISM_POINT_CAP:
             raise ValueError(f"automorphism search capped at {AUTOMORPHISM_POINT_CAP} points")
-        if self._automorphisms is not None:
-            return self._automorphisms
+        if self._chain is not None:
+            return self._chain
         members, full = self._members, self.full_mask
         colour = [sorted(m.bit_count() for m in self.masks if m >> i & 1) for i in range(n)]
         candidates = [[j for j in range(n) if colour[j] == colour[i]] for i in range(n)]
@@ -304,10 +358,12 @@ class ClosureSpace:
                         above &= c
                 if above != m:
                     checks[i].append(tuple(bits(m)))
-        perm, image_bit, found = [0] * n, [0] * n, []
+        # the identity on the points not yet searched: a level's searches
+        # write only the entries from that level up
+        perm, image_bit = list(range(n)), [1 << k for k in range(n)]
 
-        def extend(i: int, used: int) -> None:
-            for j in candidates[i]:
+        def first_leaf(i: int, used: int, options: Sequence[int]) -> tuple[int, ...] | None:
+            for j in options:
                 bit = 1 << j
                 if used & bit:
                     continue
@@ -320,17 +376,29 @@ class ClosureSpace:
                         break
                 else:
                     perm[i] = j
-                    if i + 1 < n:
-                        extend(i + 1, used | bit)
-                    else:
-                        found.append(tuple(perm))
+                    if i + 1 == n:
+                        return tuple(perm)
+                    leaf = first_leaf(i + 1, used | bit, candidates[i + 1])
+                    if leaf is not None:
+                        return leaf
+            return None
 
-        extend(0, 0)
-        # extend refers to itself, a reference cycle that would keep the search
-        # state, found included, alive until the next full garbage collection
-        del extend
-        self._automorphisms = tuple(found)
-        return self._automorphisms
+        generators: list[tuple[int, ...]] = []
+        transversals: list[dict[int, tuple[int, ...]]] = []  # from level n-1 down
+        for i in reversed(range(n)):
+            reps = _orbit_reps(i, generators, n)
+            for j in candidates[i]:
+                if j > i and j not in reps:
+                    leaf = first_leaf(i, (1 << i) - 1, (j,))
+                    if leaf is not None:
+                        generators.append(leaf)
+                        reps = _orbit_reps(i, generators, n)
+            transversals.append(reps)
+        # first_leaf refers to itself, a reference cycle that would keep the
+        # search state alive until the next full garbage collection
+        del first_leaf
+        self._chain = _StabilizerChain(tuple(generators), tuple(reversed(transversals)))
+        return self._chain
 
     # -- center -----------------------------------------------------------
 
@@ -375,6 +443,23 @@ class ClosureSpace:
         if covered != self.full_mask:
             raise RuntimeError("central elements fail to cover the points")
         return [tuple(bits(m)) for m in comps]
+
+
+def _orbit_reps(point: int, generators: Sequence[tuple[int, ...]], n: int
+                ) -> dict[int, tuple[int, ...]]:
+    """Each point of the orbit of ``point`` under ``generators``, permutations
+    of ``n`` points, with a product of generators that maps ``point`` there,
+    found breadth first."""
+    reps = {point: tuple(range(n))}
+    queue = [point]
+    for k in queue:
+        t = reps[k]
+        for g in generators:
+            j = g[k]
+            if j not in reps:
+                reps[j] = tuple(g[x] for x in t)  # g after t
+                queue.append(j)
+    return reps
 
 
 # -- the closure core ------------------------------------------------------

@@ -121,13 +121,10 @@ def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path]) -> C
         refs = _split_args(body[:-1])
         check_product_shape(kind, len(refs))
         return build_product(kind, [_resolve(ref, base_dir, open_files) for ref in refs])
+    path = (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text)
     if text.endswith(".lat"):
-        return load_lattice_file(
-            (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text))
+        return load_lattice_file(path)
     if text.endswith(".prod"):
-        path = (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text)
-        if not path.exists():
-            raise TargetError(f"no such product file: {path}")
         return build_product(*_parse_product_file(path, open_files))
     raise TargetError(f"unresolvable target {text!r}")
 
@@ -172,12 +169,15 @@ def build_product(kind: str, factors: Sequence[ClosureSpace]) -> ClosureSpace:
 
 
 def parse_product_file(path: Path) -> tuple[str, list[ClosureSpace]]:
-    """Product description: a kind tag plus the factor targets, one per line."""
+    """Product description: a kind tag plus the factor targets, one per line;
+    a missing file or a parse error names the file."""
     return _parse_product_file(path, frozenset())
 
 
 def _parse_product_file(path: Path, open_files: frozenset[Path]
                         ) -> tuple[str, list[ClosureSpace]]:
+    if not path.exists():
+        raise TargetError(f"no such product file: {path}")
     key = path.resolve()
     if key in open_files:
         raise TargetError(f"{path}: product file includes itself")
@@ -313,7 +313,7 @@ def _transitive(s, args, rng):
 @_check("automorphism-count")
 def _automorphism_count(s, args, rng):
     want = _int_arg(args, "count")
-    got = len(s.automorphism_perms())
+    got = s.automorphism_order()
     return ("pass" if got == want else "fail"), f"count={got}"
 
 

@@ -5,9 +5,10 @@ recomputed by naive fixpoint scans, covers by scanning every subset of
 the universe, and product families by filtering all subsets against the
 defining conditions written out directly over decoded coordinates.  The
 family scans that the library's join-based ``covers`` and ``coatoms`` and
-its generator-only P4 check replaced are kept here as oracles, and so is
+its generator-only P4 check replaced are kept here as oracles, and so are
 the scan of all n! permutations that the automorphism search replaced,
-and the orthocomplementation search that tried every candidate coatom
+the depth-first search over the whole group that the stabilizer chain
+replaced, and the orthocomplementation search that tried every candidate coatom
 and checked each complete assignment on every pair of elements, with the
 validator that compared every pair for order reversal, and the covering
 check that asked ``covers`` once per (atom, element) pair, which the
@@ -279,6 +280,53 @@ def automorphisms_by_scan(space) -> list[tuple[int, ...]]:
         survivors = itertools.compress(
             perms, map(members.__contains__, map(sum, map(image_bits, probe))))
     return [tuple(bit.bit_length() - 1 for bit in perm) for perm in survivors]
+
+
+def automorphisms_by_search(space) -> list[tuple[int, ...]]:
+    """Every automorphism found by one depth-first search over the whole
+    group, in ``itertools.permutations`` order: the search the stabilizer
+    chain replaced.
+
+    The points 0, 1, ... are mapped in turn, each to an unused point of
+    the same colour (the sizes of the closed sets through a point), tried
+    in increasing order.  A closed set is checked as soon as its highest
+    point is mapped, unless it is the intersection of the larger closed
+    sets with the same highest point."""
+    n = space.n_points
+    members, full = set(space.masks), space.full_mask
+    colour = [sorted(m.bit_count() for m in space.masks if m >> i & 1) for i in range(n)]
+    candidates = [[j for j in range(n) if colour[j] == colour[i]] for i in range(n)]
+    by_top: list[list[int]] = [[] for _ in range(n)]
+    for m in space.masks[1:]:
+        by_top[m.bit_length() - 1].append(m)
+    checks: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for i, same_top in enumerate(by_top):
+        for m in same_top:
+            if m.bit_count() < 2 or m == full:
+                continue
+            above = full
+            for c in same_top:
+                if c != m and c & m == m:
+                    above &= c
+            if above != m:
+                checks[i].append(tuple(bits(m)))
+    perm, image_bit, found = [0] * n, [0] * n, []
+
+    def extend(i: int, used: int) -> None:
+        for j in candidates[i]:
+            bit = 1 << j
+            if used & bit:
+                continue
+            image_bit[i] = bit
+            if all(sum(image_bit[p] for p in points) in members for points in checks[i]):
+                perm[i] = j
+                if i + 1 < n:
+                    extend(i + 1, used | bit)
+                else:
+                    found.append(tuple(perm))
+
+    extend(0, 0)
+    return found
 
 
 def orthomap_violation_by_pairs(space: ClosureSpace, om: OrthoMap) -> Optional[str]:

@@ -123,6 +123,14 @@ def test_join_via_product_file(capsys, tmp_path):
     assert out.endswith("RESULT: a,a a,b a,c\n")
 
 
+def test_missing_product_file_reads_alike(capsys, tmp_path, monkeypatch):
+    # one product-file loader: join's file and a build factor say the same
+    monkeypatch.chdir(tmp_path)
+    says = f"error: no such product file: {Path.cwd() / 'missing.prod'}\n"
+    assert run(capsys, "join", "missing.prod", "--tuples", "a,a") == (2, "", says)
+    assert run(capsys, "build", "--product", "box", "missing.prod", "mo:3") == (2, "", says)
+
+
 def test_join_input_errors(capsys, tmp_path):
     mo3 = tmp_path / "mo3.lat"
     run(capsys, "build", "--mo", "3", "--out", str(mo3))

@@ -8,9 +8,11 @@ circle families against the naive intersection closure of the cylinders
 
 The join-based ``covers`` and ``coatoms`` are checked against the family
 scans they replaced, P4 on generators against the loop over every tuple
-of the given factor automorphisms, and the automorphism search against
-the scan of all n! point permutations.  The orthocomplementation search,
-which visits only the candidates that pass its symmetry test, is checked
+of the given factor automorphisms, and the automorphisms listed from the
+stabilizer chain against the scan of all n! point permutations and the
+depth-first search over the whole group that the chain replaced.  The
+orthocomplementation search, which visits only the candidates that pass
+its symmetry test, is checked
 against the search that tried every candidate, and its leaf check against
 the pair validator.  ``orthomap_violation``, which reads order reversal off
 the atom images once per element, is checked against the pair validator
@@ -32,6 +34,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     automorphisms_by_scan,
+    automorphisms_by_search,
     brute_cover_check,
     closure_in_family,
     coatoms_by_maximality,
@@ -342,6 +345,42 @@ def test_automorphisms_beyond_the_scan():
         assert [u.point_perm for u in automorphisms(space)] == lifts, case
     assert ([u.point_perm for u in automorphisms(powerset_space(8))]
             == list(itertools.permutations(range(8))))
+
+
+# -- the stabilizer chain against the whole-group search it replaced --------------------
+
+def assert_chain_matches_search(space, label=None):
+    """The listing from the chain is the old search's, order included, and
+    the chain's order and orbits agree with it."""
+    listing = list(space.automorphism_perms())
+    assert listing == automorphisms_by_search(space), label
+    assert space.automorphism_order() == len(listing), label
+    for point in range(space.n_points):
+        assert set(space.automorphism_orbit(point)) == {p[point] for p in listing}, label
+
+
+def test_chain_matches_search_up_to_nine_points():
+    compared = 0
+    for name, space in every_space():
+        if space.n_points > 9 or name in WHOLE_POWERSET_9:
+            continue
+        assert_chain_matches_search(space, name)
+        compared += 1
+    assert compared == 77
+
+
+@given(family=small_families)
+@example(family=(5, [0b10010, 0b11010, 0b10001, 0b11011, 0b10101]))
+@settings(max_examples=100, deadline=None)
+def test_chain_matches_search_on_random_spaces(family):
+    n, generators = family
+    assert_chain_matches_search(ClosureSpace.from_closed_sets(default_labels(n), generators))
+
+
+@pytest.mark.parametrize("case", ["box(mo:2,mo:4)", "box(mo:2,mo:5)", "box(mo:3,mo:4)",
+                                  "circle(mo:3,mo:4)", "fraser(mo:3,mo:4)"])
+def test_chain_matches_search_on_large_groups(case):
+    assert_chain_matches_search(built(case), case)
 
 
 # -- orthocomplementation search against the search that tried every candidate --

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from weaktensor import (
+    ClosureSpace,
     ExhaustionCertificate,
     OrthoMap,
     SearchBudgetExceeded,
@@ -307,6 +308,27 @@ def test_transitive_spaces_have_matching_upper_intervals(box33):
 def test_automorphism_cap():
     with pytest.raises(ValueError):
         automorphisms(powerset_space(13))
+
+
+def test_order_and_orbits_of_a_lopsided_group():
+    # two points of the closed set {a, b} swap; c is fixed
+    space = ClosureSpace.from_closed_sets("abc", [0b011])
+    assert space.automorphism_order() == 2
+    assert [space.automorphism_orbit(p) for p in range(3)] == [(0, 1), (0, 1), (2,)]
+    assert not is_transitive(space)
+    with pytest.raises(ValueError, match="point 3"):
+        space.automorphism_orbit(3)
+    with pytest.raises(ValueError, match="capped"):
+        powerset_space(13).automorphism_order()
+
+
+def test_chain_leaves_no_reference_cycle():
+    # a cycle through the recursive search would hold its tables until the
+    # next full garbage collection
+    space = box_product([mo_space(3), mo_space(3)])
+    gc.collect()
+    assert space.automorphism_order() == 72
+    assert gc.collect() == 0
 
 
 def test_factorization_identity_and_swap(box33):

@@ -1,6 +1,6 @@
 import pytest
 
-from weaktensor import suites
+from weaktensor import ClosureSpace, suites
 from weaktensor.suites import CheckSpec, Suite, run_suite
 
 
@@ -52,3 +52,20 @@ def test_product_files_follow_the_shape_rule(tmp_path):
         (tmp_path / "p.prod").write_text(text)
         with pytest.raises(suites.TargetError, match=f"p.prod: {says}"):
             suites.resolve_target("p.prod", tmp_path)
+
+
+def test_order_and_transitivity_are_decided_without_listing(monkeypatch):
+    # powerset:12 has 12! automorphisms; the chain gives the order and the
+    # orbit of point 0 without listing any of them
+    def no_listing(space):
+        raise AssertionError("the automorphism group was listed")
+
+    monkeypatch.setattr(ClosureSpace, "automorphism_perms", no_listing)
+    suite = Suite(name="demo", checks=tuple(
+        spec for target, order in (("powerset:9", 362_880), ("powerset:12", 479_001_600))
+        for spec in (CheckSpec("automorphism-count", (target,), {"count": order}),
+                     CheckSpec("transitive", (target,)))))
+    report = run_suite(suite)
+    assert [(r.verdict, r.witness) for r in report.records] == [
+        ("pass", "count=362880"), ("pass", "point action transitive"),
+        ("pass", "count=479001600"), ("pass", "point action transitive")]
