@@ -238,6 +238,36 @@ def _extend_atom_images(space: ClosureSpace, images_by_atom: Sequence[int]) -> O
     return OrthoMap(space, tuple(images))
 
 
+def _symmetry_buckets(coatoms: Sequence[int], n: int
+                      ) -> tuple[list[dict[int, list[tuple[int, int, int]]]], list[int]]:
+    """The search tables: per atom i, its candidates (the coatoms without i,
+    in order) bucketed by their points below i, and the candidate counts.
+
+    The symmetry patterns of all atoms are packed in one int, atom t's in
+    bits t*n .. t*n+n-1, where bit t*n+j says that atom j's image holds t.
+    A bucket entry is (position, coatom, spread), the spread being the bits
+    that choosing the coatom for atom i adds to the packed patterns.  The
+    tables end with one entry for the complete assignments, whose pattern
+    is always 0.
+    """
+    spread = {c: sum(1 << t * n for t in bits(c)) for c in coatoms}
+    buckets: list[dict[int, list[tuple[int, int, int]]]] = []
+    sizes = []
+    for i in range(n):
+        low = (1 << i) - 1
+        table: dict[int, list[tuple[int, int, int]]] = {}
+        k = 0  # the candidate's position
+        for c in coatoms:
+            if not c >> i & 1:
+                table.setdefault(c & low, []).append((k, c, spread[c] << i))
+                k += 1
+        buckets.append(table)
+        sizes.append(k)
+    buckets.append({0: []})
+    sizes.append(0)
+    return buckets, sizes
+
+
 def find_orthocomplementation(
     space: ClosureSpace,
     *,
@@ -258,7 +288,11 @@ def find_orthocomplementation(
     ones included.  The symmetry test fixes the points of p' below p, so
     each atom's candidates are bucketed by those points and only the
     bucket that passes is visited; the count is read off candidate
-    positions, a finished atom adding its whole candidate list.
+    positions, a finished atom adding its whole candidate list.  The
+    patterns that select the buckets are packed in one int, which each
+    choice extends by a precomputed spread and passes down, so nothing is
+    undone on the way back.  An atom whose bucket is empty is counted
+    (its whole list, with the same budget test) without being visited.
 
     Raises SearchBudgetExceeded past ``node_cap`` nodes, and ValueError on
     a family of more than ``SEARCH_SET_CAP`` sets.  The search scans no
@@ -273,56 +307,56 @@ def find_orthocomplementation(
     coatoms = sorted(space.coatoms())
     if reverse_branching:
         coatoms = coatoms[::-1]
-    candidates = [[c for c in coatoms if not c >> i & 1] for i in range(n)]
-    # per atom i: points below i of a candidate -> its positions, in order
-    buckets: list[dict[int, list[int]]] = []
-    for i, level in enumerate(candidates):
-        low = (1 << i) - 1
-        table: dict[int, list[int]] = {}
-        for k, c in enumerate(level):
-            table.setdefault(c & low, []).append(k)
-        buckets.append(table)
+    buckets, sizes = _symmetry_buckets(coatoms, n)
+    field = (1 << n) - 1
     chosen: list[int] = []
     used: set[int] = set()
     nodes = 0
 
-    def dfs(i: int) -> Optional[OrthoMap]:
+    def dfs(i: int, entries: list[tuple[int, int, int]], packed: int) -> Optional[OrthoMap]:
+        # entries: the bucket of atom i that passes the symmetry test against the
+        # atoms assigned so far, whose patterns packed holds
         nonlocal nodes
         if i == n:
             return _extend_atom_images(space, chosen)
-        level = candidates[i]
-        # q in p' iff p in q', for every previously assigned q
-        pattern = 0
-        for j in range(i):
-            pattern |= (chosen[j] >> i & 1) << j
+        j = i + 1
+        shift, size = j * n, sizes[j]
         base = nodes  # the count less this atom's positions: position k counts base + k + 1
-        for k in buckets[i].get(pattern, ()):
+        for k, c, moved in entries:
             if base + k >= cap:
                 raise SearchBudgetExceeded(cap + 1)
-            c = level[k]
             if c in used:
+                continue
+            child = packed | moved
+            below = buckets[j].get(child >> shift & field)
+            if below is None:
+                # no candidate of atom j passes the symmetry test: count its whole
+                # list, with the budget test its visit would make
+                base += size
+                if base + k >= cap:
+                    raise SearchBudgetExceeded(cap + 1)
                 continue
             nodes = base + k + 1
             chosen.append(c)
             used.add(c)
-            found = dfs(i + 1)
+            found = dfs(j, below, child)
             if found is not None:
                 return found
             used.discard(c)
             chosen.pop()
             base = nodes - k - 1
-        nodes = base + len(level)
+        nodes = base + sizes[i]
         if nodes > cap:
             raise SearchBudgetExceeded(cap + 1)
         return None
 
     try:
-        found = dfs(0)
+        found = dfs(0, buckets[0].get(0, []), 0)
     finally:
         # dfs refers to itself, a reference cycle that would keep the tables alive
         # until the next full garbage collection, and a budget error's traceback
         # holds the search frames for as long as the caller keeps the error
-        del dfs, candidates, buckets
+        del dfs, buckets, sizes
     if found is not None:
         return found
     return ExhaustionCertificate(nodes=nodes, branch_order=tuple(coatoms))
@@ -487,13 +521,9 @@ def validate_connected_covering(space: ClosureSpace, cov: ConnectedCovering) -> 
     for a, b in itertools.combinations(range(k), 2):
         if (blocks[a] & blocks[b]).bit_count() >= 2:
             parent[find(a)] = find(b)
-    for p in range(space.n_points):
-        for q in range(space.n_points):
-            comps_p = {find(i) for i in range(k) if blocks[i] >> p & 1}
-            comps_q = {find(i) for i in range(k) if blocks[i] >> q & 1}
-            if not comps_p & comps_q:
-                return False
-    return True
+    # the components holding each point, which the union test says is in some block
+    comps = [{find(i) for i in range(k) if blocks[i] >> p & 1} for p in range(space.n_points)]
+    return all(cp & cq for cp, cq in itertools.combinations(comps, 2))
 
 
 def is_weakly_connected(space: ClosureSpace
@@ -508,13 +538,12 @@ def is_weakly_connected(space: ClosureSpace
     if n == 1:
         return NotWeaklyConnected(reason="the two-element lattice")
     adj = [0] * n
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            j = space.closure((1 << p) | (1 << q))
-            if j & ~((1 << p) | (1 << q)):
-                adj[p] |= 1 << q
+    # the relation is symmetric: one closure per unordered pair
+    for p, q in itertools.combinations(range(n), 2):
+        pair = (1 << p) | (1 << q)
+        if space.closure(pair) & ~pair:
+            adj[p] |= 1 << q
+            adj[q] |= 1 << p
     for p in range(n):
         if adj[p] == 0:
             return NotWeaklyConnected(

@@ -301,6 +301,12 @@ class ClosureSpace:
         transversal sizes of its stabilizer chain, without listing it."""
         return prod(len(reps) for reps in self._automorphism_chain().transversals)
 
+    def automorphism_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Point permutations that generate the automorphism group: those of
+        the stabilizer chain, without listing the group (none for the
+        identity group)."""
+        return self._automorphism_chain().generators
+
     def automorphism_orbit(self, point: int) -> tuple[int, ...]:
         """The points that some automorphism maps ``point`` to, ascending,
         read off the stabilizer chain's generators without listing the group."""

@@ -319,12 +319,12 @@ def _automorphism_count(s, args, rng):
 
 @_check("factorization")
 def _factorization(s, args, rng):
+    # factored maps are closed under composition: the group factors iff its generators do
     universe = _universe_of(s)
-    autos = props.automorphisms(s)
-    for u in autos:
-        if props.check_factorization(s, universe, u) is None:
-            return "fail", f"perm={u.point_perm} does not factor"
-    return "pass", f"all {len(autos)} automorphisms factor"
+    for perm in s.automorphism_generators():
+        if props.check_factorization(s, universe, props.Automorphism(perm)) is None:
+            return "fail", f"perm={perm} does not factor"
+    return "pass", f"all {s.automorphism_order()} automorphisms factor"
 
 
 @_check("weakly-connected")
@@ -630,10 +630,11 @@ def _p123(s, args, rng):
 @_check("p4")
 def _p4(s, args, rng):
     universe = _universe_of(s)
-    gens = [props.automorphisms(f) for f in universe.factors]
+    gens = [[props.Automorphism(perm) for perm in f.automorphism_generators()]
+            for f in universe.factors]
     res = products.check_p4(s, universe, gens)
     if res is None:
-        sizes = "x".join(str(len(g)) for g in gens)
+        sizes = "x".join(str(f.automorphism_order()) for f in universe.factors)
         return "pass", f"all {sizes} factor automorphism tuples lift"
     return "fail", res.witness
 

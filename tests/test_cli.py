@@ -2,10 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import weaktensor
 from weaktensor.cli import main
 from weaktensor.hilbert import MAX_FACTOR_DIM
 from weaktensor.suites import MAX_SAMPLES
@@ -331,3 +335,13 @@ def test_check_seed_flag_changes_samples_not_verdicts(capsys):
     code2, out2, _ = run(capsys, "check", "--suite", "core-verified", "--seed", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_module_runs_as_the_command():
+    src = str(Path(weaktensor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "weaktensor", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout

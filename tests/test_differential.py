@@ -10,14 +10,17 @@ The join-based ``covers`` and ``coatoms`` are checked against the family
 scans they replaced, P4 on generators against the loop over every tuple
 of the given factor automorphisms, and the automorphisms listed from the
 stabilizer chain against the scan of all n! point permutations and the
-depth-first search over the whole group that the chain replaced.  The
-orthocomplementation search, which visits only the candidates that pass
-its symmetry test, is checked
-against the search that tried every candidate, and its leaf check against
-the pair validator.  ``orthomap_violation``, which reads order reversal off
-the atom images once per element, is checked against the pair validator
-it replaced on every involution of every space of at most 8 elements, and
-on valid and broken maps of ``box(mo:4,mo:4)``.
+depth-first search over the whole group that the chain replaced; the
+``factorization`` and ``p4`` suite checks, which run on the chain's
+generators, against every listed automorphism and every tuple of them.
+The orthocomplementation search, which visits only the candidates that
+pass its symmetry test, is checked against the search that tried every
+candidate, at fixed caps and one node either side of each finished
+search's count, and its leaf check against the pair validator.
+``orthomap_violation``, which reads order reversal off the atom images
+once per element, is checked against the pair validator it replaced on
+every involution of every space of at most 8 elements, and on valid and
+broken maps of ``box(mo:4,mo:4)``.
 """
 
 from __future__ import annotations
@@ -64,10 +67,11 @@ from weaktensor import (
     powerset_space,
     two_space,
 )
+from weaktensor import suites
 from weaktensor.products import ProductUniverse, sharp_map
 from weaktensor.props import (
-    OrthoMap, SearchBudgetExceeded, _extend_atom_images, find_orthocomplementation,
-    orthomap_violation,
+    Automorphism, OrthoMap, SearchBudgetExceeded, _extend_atom_images, check_factorization,
+    find_orthocomplementation, orthomap_violation,
 )
 from weaktensor.spaces import CoverWitness
 from weaktensor.spaces import MAX_POINTS, bits, default_labels
@@ -377,10 +381,67 @@ def test_chain_matches_search_on_random_spaces(family):
     assert_chain_matches_search(ClosureSpace.from_closed_sets(default_labels(n), generators))
 
 
-@pytest.mark.parametrize("case", ["box(mo:2,mo:4)", "box(mo:2,mo:5)", "box(mo:3,mo:4)",
-                                  "circle(mo:3,mo:4)", "fraser(mo:3,mo:4)"])
+LARGE_GROUPS = ("box(mo:2,mo:4)", "box(mo:2,mo:5)", "box(mo:3,mo:4)", "circle(mo:3,mo:4)",
+                "fraser(mo:3,mo:4)")
+
+
+@pytest.mark.parametrize("case", LARGE_GROUPS)
 def test_chain_matches_search_on_large_groups(case):
     assert_chain_matches_search(built(case), case)
+
+
+# -- factorization and P4 on the chain's generators against the whole listing --------
+
+def chain_products():
+    """The product spaces of the chain tests above, and box(mo:3,mo:3) with
+    one diagonal adjoined, which fails P4."""
+    box33 = built("box(mo:3,mo:3)")
+    universe = box33.product
+    diagonal = ClosureSpace.from_closed_sets(
+        universe.points, box33.masks + (_points(universe, (0, 0), (1, 1), (2, 2)),),
+        product=universe)
+    return ([(name, space) for name, space in every_space()
+             if space.product is not None and space.n_points <= 9
+             and name not in WHOLE_POWERSET_9]
+            + [(case, built(case)) for case in LARGE_GROUPS] + [("box33+diagonal", diagonal)])
+
+
+def run_check(name, space):
+    return suites.CHECKS[name](space, args={}, rng=None)
+
+
+def test_factorization_on_generators_matches_the_whole_listing():
+    verdicts = collections.Counter()
+    for name, space in chain_products():
+        listing = space.automorphism_perms()
+        unfactored = [perm for perm in listing if check_factorization(
+            space, space.product, Automorphism(perm)) is None]
+        verdict, witness = run_check("factorization", space)
+        verdicts[verdict] += 1
+        if not unfactored:
+            assert (verdict, witness) == ("pass", f"all {len(listing)} automorphisms factor"), name
+        else:
+            # the failing line names a generator, one of the maps that do not factor
+            assert verdict == "fail", name
+            perm = next(g for g in space.automorphism_generators()
+                        if witness == f"perm={g} does not factor")
+            assert perm in unfactored, name
+    assert verdicts["pass"] and verdicts["fail"]
+
+
+def test_p4_on_generators_matches_the_whole_listing():
+    verdicts = collections.Counter()
+    for name, space in chain_products():
+        universe = space.product
+        groups = [f.automorphism_perms() for f in universe.factors]
+        failing = p4_by_all_tuples(space, universe, groups)
+        verdict, witness = run_check("p4", space)
+        verdicts[verdict] += 1
+        assert (verdict == "pass") == (failing is None), name
+        if failing is None:
+            sizes = "x".join(str(len(g)) for g in groups)
+            assert witness == f"all {sizes} factor automorphism tuples lift", name
+    assert verdicts["pass"] and verdicts["fail"]
 
 
 # -- orthocomplementation search against the search that tried every candidate --
@@ -439,6 +500,53 @@ def test_search_matches_oracle_where_it_finishes():
     # 41 of the 53 families: 11 searches overrun the default budget, and
     # fraser(mo:4,mo:4) exhausts after 5,005,638 nodes in either order
     assert len(searchable_spaces()) == 53 and compared == 2 * 41
+
+
+# the capped searches of the benchmark's decide workload stop here
+DECIDE_NODE_CAP = 200_000
+
+
+def finished_count(space, reverse):
+    """The node count at which the search finishes: the certificate's, or
+    for a map the least cap under which it is found; None past
+    ``ORACLE_NODES``."""
+    def outcome(cap):
+        return search_outcome(find_orthocomplementation, space, node_cap=cap,
+                              reverse_branching=reverse)
+
+    first = outcome(ORACLE_NODES)
+    if first[0] == "budget":
+        return None
+    if first[0] == "ExhaustionCertificate":
+        return first[2]
+    low, high = 0, ORACLE_NODES
+    while low < high:
+        mid = (low + high) // 2
+        if outcome(mid)[0] == "budget":
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+def test_search_matches_oracle_at_the_budget_edges():
+    # a cap one short of the count fires on the last node counted, in 9 of
+    # these 82 searches an atom without candidates, which is counted without
+    # a visit; so do 21 of the 28 budget errors at the decide cap
+    finished = 0
+    for name, space in searchable_spaces():
+        for reverse in (False, True):
+            count = finished_count(space, reverse)
+            edges = () if count is None else (count - 1, count, count + 1)
+            for cap in edges + (DECIDE_NODE_CAP,):
+                kwargs = {"node_cap": cap, "reverse_branching": reverse}
+                got = search_outcome(find_orthocomplementation, space, **kwargs)
+                assert got == search_outcome(find_orthocomplementation_by_scan, space, **kwargs), (
+                    name, reverse, cap)
+                if cap in edges:
+                    assert (got[0] == "budget") == (cap < count), (name, reverse, cap)
+            finished += count is not None
+    assert finished == 2 * 41
 
 
 @given(family=small_families, cap=st.sampled_from((-1, 0) + NODE_CAPS + (10_000_000,)),

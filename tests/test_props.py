@@ -376,3 +376,20 @@ def test_box_product_connectivity_stays_sound(box33):
     # overlap in at most one point, so no connected covering exists; the
     # incomplete checker must not fabricate one, nor certify the failure
     assert is_weakly_connected(box33) is UNKNOWN
+
+
+def test_weak_connectivity_takes_one_closure_per_unordered_pair():
+    s = mo_circle(mo_space(4), mo_space(4))
+    calls = 0
+    closure = s.closure
+
+    def counted(subset):
+        nonlocal calls
+        calls += 1
+        return closure(subset)
+
+    s.closure = counted
+    assert is_weakly_connected(s) is UNKNOWN
+    # 16 * 15 / 2 = 120 for the third-atom graph, and 8 * 6 = 48 to validate
+    # its maximal cliques, the 8 four-point fibers; ordered pairs took 288
+    assert calls == 120 + 48
