@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .props import Automorphism, OrthoMap, _atom_meets, orthomap_violation
-from .spaces import MAX_POINTS, ClosureSpace, bits, image
+from .spaces import MAX_POINTS, ClosureSpace, bits, image, unchecked_space
 
 # The most regions fraser_product lays: 2**20 is powerset:4 x powerset:5, on 20 points.
 FRASER_REGION_CAP = 1 << 20
@@ -142,11 +142,21 @@ def section(universe: ProductUniverse, region: int, beta: int, pid: int) -> int:
                                   for q in range(universe.sizes[beta])])
 
 
+def _check_region(universe: ProductUniverse, region: int) -> None:
+    if region & ~universe.full_mask:
+        raise ValueError("region uses points outside the universe")
+
+
 def beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
     """Close every beta-fiber of the region in its factor.
 
     Extensive, monotone and idempotent in the region argument.
     """
+    _check_region(universe, region)
+    return _beta_join(universe, region, beta)
+
+
+def _beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
     factor = universe.factors[beta]
     out = 0
     for fiber in universe.fibers[beta]:
@@ -159,19 +169,21 @@ def beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
 def beta_join_sequence(universe: ProductUniverse, region: int,
                        betas: Sequence[int]) -> list[int]:
     """The iterates R^0, R^1, ... under the given beta-join order."""
+    _check_region(universe, region)
     out = [region]
     for b in betas:
-        out.append(beta_join(universe, out[-1], b))
+        out.append(_beta_join(universe, out[-1], b))
     return out
 
 
 def fraser_join(universe: ProductUniverse, region: int) -> int:
     """Round-robin beta-join fixpoint; equals the Fraser-product join."""
+    _check_region(universe, region)
     cur = region
     while True:
         nxt = cur
         for beta in range(len(universe.factors)):
-            nxt = beta_join(universe, nxt, beta)
+            nxt = _beta_join(universe, nxt, beta)
         if nxt == cur:
             return cur
         cur = nxt
@@ -179,6 +191,7 @@ def fraser_join(universe: ProductUniverse, region: int) -> int:
 
 def in_fraser(universe: ProductUniverse, region: int) -> bool:
     """Membership in the Fraser product: every section closed in its factor."""
+    _check_region(universe, region)
     for factor, fibers in zip(universe.factors, universe.fibers):
         for fiber in fibers:
             if not factor.is_closed(fiber_section(region, fiber)):
@@ -188,6 +201,7 @@ def in_fraser(universe: ProductUniverse, region: int) -> bool:
 
 def box_join(universe: ProductUniverse, region: int) -> int:
     """Intersection of all cylinders containing the region."""
+    _check_region(universe, region)
     out = universe.full_mask
     for cyl in universe.cylinders:
         if region & ~cyl == 0:
@@ -197,6 +211,7 @@ def box_join(universe: ProductUniverse, region: int) -> int:
 
 def in_xi(universe: ProductUniverse, region: int) -> bool:
     """Whether all coordinates are pairwise distinct across the region."""
+    _check_region(universe, region)
     columns = zip(*(universe.coords[pid] for pid in bits(region)))
     return all(len(set(column)) == len(column) for column in columns)
 
@@ -212,24 +227,76 @@ def box_product(factors: Sequence[ClosureSpace]) -> ClosureSpace:
 def fraser_product(factors: Sequence[ClosureSpace]) -> ClosureSpace:
     """All regions with every section closed: the greatest weak tensor product.
 
-    Lays every choice of closed sections along the cheapest axis and keeps
-    the regions that pass ``in_fraser``.  That axis lays
-    |closed sets of its factor| ** |fibers| regions; ValueError is raised,
-    before any is laid, when that exceeds ``FRASER_REGION_CAP``.
+    Lays closed sections along the cheapest axis, one fiber at a time (see
+    ``_fraser_regions``), and builds the space straight from the sorted
+    family, which is intersection-closed by construction, with the
+    generators ``from_closed_sets`` would keep.  That axis has
+    |closed sets of its factor| ** |fibers| choices; ValueError is raised,
+    before any region is laid, when that exceeds ``FRASER_REGION_CAP``.
     """
     universe = ProductUniverse(factors)
     counts = [len(f) ** len(fibers) for f, fibers in zip(universe.factors, universe.fibers)]
-    # ties go to the later axis, which in_fraser checks after the earlier ones
+    # ties go to the later axis; the family is sorted, so the axis does not change it
     axis = min(range(len(factors)), key=lambda b: (counts[b], -b))
     if counts[axis] > FRASER_REGION_CAP:
         raise ValueError(f"Fraser enumeration of {counts[axis]} regions exceeds the cap "
                          f"of {FRASER_REGION_CAP}")
+    family = sorted(_fraser_regions(universe, axis))
+    return unchecked_space(universe.points, family, product=universe)
+
+
+def _fraser_regions(universe: ProductUniverse, axis: int) -> list[int]:
+    """Every region whose sections are all closed, laid depth first along
+    ``axis``.
+
+    Fiber k of the axis gets each closed set of its factor in turn, so the
+    axis sections are closed by construction and never checked.  A fiber
+    of another axis is checked as soon as the last axis fiber it meets is
+    laid, when its section is final, and a failing check drops every
+    region below that choice.  The search is one level deep per fiber,
+    at most 20 under ``FRASER_REGION_CAP``, as every factor has at least
+    two closed sets.
+    """
     fibers = universe.fibers[axis]
-    # the fibers are disjoint, so the union of the laid sections is their sum
-    regions = (sum(fiber_region(sec, fiber) for sec, fiber in zip(choice, fibers))
-               for choice in itertools.product(universe.factors[axis].masks, repeat=len(fibers)))
-    family = [region for region in regions if in_fraser(universe, region)]
-    return ClosureSpace.from_closed_sets(universe.points, family, product=universe)
+    laid_with = {pid: k for k, fiber in enumerate(fibers) for pid in fiber}
+    # closing[k]: the fibers of the other axes whose section is final once
+    # fiber k is laid, each as its factor's is_closed, its flat mask and the
+    # table that maps its points to their positions
+    closing: list[list[tuple]] = [[] for _ in fibers]
+    for beta, (factor, cross) in enumerate(zip(universe.factors, universe.fibers)):
+        if beta != axis:
+            for fiber in cross:
+                positions = [0] * universe.n_points
+                for q, pid in enumerate(fiber):
+                    positions[pid] = 1 << q
+                closing[max(laid_with[pid] for pid in fiber)].append(
+                    (factor.is_closed, fiber_region(factor.full_mask, fiber), positions))
+    # the fibers are disjoint, so a region is the sum of its laid sections
+    laid = [[fiber_region(sec, fiber) for sec in universe.factors[axis].masks]
+            for fiber in fibers]
+    last = len(fibers) - 1
+    regions: list[int] = []
+
+    def lay(k: int, below: int) -> None:
+        checks = closing[k]
+        for part in laid[k]:
+            region = below + part
+            # image() of the points on a fiber is its section, and measured
+            # faster than fiber_section, which visits every position
+            for is_closed, mask, positions in checks:
+                if not is_closed(image(region & mask, positions)):
+                    break
+            else:
+                if k == last:
+                    regions.append(region)
+                else:
+                    lay(k + 1, region)
+
+    lay(0, 0)
+    # lay refers to itself, a reference cycle that would keep the laid
+    # sections alive until the next full garbage collection
+    del lay
+    return regions
 
 
 def check_circle_factors(factors: Sequence[ClosureSpace]) -> None:

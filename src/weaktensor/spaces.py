@@ -93,8 +93,8 @@ class ClosureSpace:
 
     def _setup(self, points: tuple[str, ...], masks: tuple[int, ...], close: Callable[[int], int],
                product: "ProductUniverse | None" = None) -> "ClosureSpace":
-        """Fill a bare instance from a sorted family and its closure operator, unchecked:
-        the one way past the public checks, for families closed by construction."""
+        """Fill a bare instance from a sorted family and its closure operator,
+        unchecked: the common tail of every constructor."""
         self.points = points
         self.masks = masks
         self._members = frozenset(masks)
@@ -554,6 +554,27 @@ def next_closure(n: int, close: Callable[[int], int]) -> Iterator[int]:
         yield current
 
 
+def unchecked_space(points: Sequence[str], family: Sequence[int],
+                    generators: Sequence[int] | None = None,
+                    product: "ProductUniverse | None" = None) -> ClosureSpace:
+    """A space on a family that is closed by construction, taken as given.
+
+    ``family`` must be sorted ascending, hold the empty set, the full set
+    and every singleton, and be intersection-closed; nothing of that is
+    checked, so a builder that lays its family correctly skips the
+    constructor's validation and NextClosure.  ``generators`` are members
+    whose intersections are the family; by default every member but the
+    full set, the generators ``from_closed_sets`` keeps for a family that
+    is already closed.  For the package's builders, not exported.
+    """
+    points = _checked_points(points)
+    family = tuple(family)
+    if generators is None:
+        generators = family[:-1]
+    return ClosureSpace.__new__(ClosureSpace)._setup(
+        points, family, _GeneratorClosure(len(points), generators), product)
+
+
 # -- stock builders -------------------------------------------------------
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -576,8 +597,7 @@ def powerset_space(n: int, labels: Sequence[str] | None = None) -> ClosureSpace:
         raise ValueError("label count does not match n")
     # a subset is the intersection of the coatoms that contain it
     coatoms = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
-    return ClosureSpace.__new__(ClosureSpace)._setup(points, tuple(range(1 << n)),
-                                                     _GeneratorClosure(n, coatoms))
+    return unchecked_space(points, range(1 << n), coatoms)
 
 
 def two_space() -> ClosureSpace:

@@ -12,7 +12,9 @@ replaced, and the orthocomplementation search that tried every candidate coatom
 and checked each complete assignment on every pair of elements, with the
 validator that compared every pair for order reversal, and the covering
 check that asked ``covers`` once per (atom, element) pair, which the
-per-call join table replaced.
+per-call join table replaced.  So is the Fraser builder that laid every
+choice of closed sections, filtered the regions by ``in_fraser`` and let
+``from_closed_sets`` find the family again, which the pruned lay replaced.
 So are the exact layer's operations that re-ran ``rref`` on bases that
 ``Subspace`` already holds reduced: membership, kernel, perp and slice
 sections.  The Gaussian rational as a pair of ``Fraction`` parts, which
@@ -37,6 +39,7 @@ from weaktensor.props import (
     DEFAULT_NODE_CAP, SEARCH_SET_CAP, CoveringFailure, ExhaustionCertificate, OrthoMap,
     SearchBudgetExceeded,
 )
+from weaktensor.products import ProductUniverse, fiber_region, in_fraser
 from weaktensor.spaces import ClosureSpace, bits
 
 
@@ -138,6 +141,21 @@ def fraser_family_oracle(universe) -> set[int]:
         else:
             out.add(region)
     return out
+
+
+def fraser_by_laying(factors) -> ClosureSpace:
+    """The Fraser product as ``fraser_product`` built it before the pruned
+    lay: every choice of closed sections along the cheapest axis (ties to
+    the later one) is laid, the regions that pass ``in_fraser`` are kept,
+    and ``from_closed_sets`` finds the family again by NextClosure."""
+    universe = ProductUniverse(factors)
+    counts = [len(f) ** len(fibers) for f, fibers in zip(universe.factors, universe.fibers)]
+    axis = min(range(len(factors)), key=lambda b: (counts[b], -b))
+    fibers = universe.fibers[axis]
+    regions = (sum(fiber_region(sec, fiber) for sec, fiber in zip(choice, fibers))
+               for choice in itertools.product(universe.factors[axis].masks, repeat=len(fibers)))
+    family = [region for region in regions if in_fraser(universe, region)]
+    return ClosureSpace.from_closed_sets(universe.points, family, product=universe)
 
 
 def involutions(n: int) -> list[tuple[int, ...]]:

@@ -5,6 +5,9 @@ factors within the universe caps, plus one three-factor box: box and
 circle families against the naive intersection closure of the cylinders
 (and of the xi triples), Fraser families against the subset scan of
 ``fraser_family_oracle`` up to 16 points and a line-by-line filter above.
+The pruned Fraser lay is checked, family and closure, against the builder
+that laid every region and found the family again by NextClosure, on
+those products and on the three-factor Fraser products of the benchmark.
 
 The join-based ``covers`` and ``coatoms`` are checked against the family
 scans they replaced, P4 on generators against the loop over every tuple
@@ -47,6 +50,7 @@ from helpers import (
     decode,
     extend_atom_images_by_violation,
     find_orthocomplementation_by_scan,
+    fraser_by_laying,
     fraser_family_oracle,
     involutions,
     naive_intersection_closure,
@@ -181,6 +185,29 @@ def test_family_matches_oracle(case):
     universe = space.product
     assert universe.cylinders and set(universe.cylinders) == cylinder_oracle(universe)
     assert space.masks == tuple(sorted(oracle_family(case, universe)))
+
+
+# the three-factor Fraser targets of the benchmark's build catalogue
+FRASER_TRIPLES = (
+    "fraser(mo:2,mo:2,powerset:3)", "fraser(mo:2,mo:3,mo:3)", "fraser(mo:2,mo:2,mo:4)",
+    "fraser(two,mo:4,mo:4)", "fraser(mo:2,mo:2,mo:2)", "fraser(mo:2,mo:2,mo:3)",
+    "fraser(mo:5,powerset:2,powerset:2)",
+)
+CLOSURE_SAMPLES = 2000
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.startswith("fraser")] + list(FRASER_TRIPLES))
+def test_fraser_product_matches_laying_every_region(case):
+    space = built(case)
+    oracle = fraser_by_laying([FACTORS[f] for f in case[:-1].split("(")[1].split(",")])
+    assert space.masks == oracle.masks
+    n = space.n_points
+    if n <= 12:
+        subsets = range(1 << n)
+    else:
+        rng = random.Random(case)
+        subsets = [rng.randrange(1 << n) for _ in range(CLOSURE_SAMPLES)]
+    assert all(space.closure(s) == oracle.closure(s) for s in subsets)
 
 
 @given(data=st.data())

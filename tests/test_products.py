@@ -1,3 +1,4 @@
+import collections
 import itertools
 from random import Random
 
@@ -32,7 +33,7 @@ from weaktensor import (
     two_space,
     validate_orthomap,
 )
-from weaktensor import products
+from weaktensor import products, spaces
 from weaktensor.props import OrthoMap, automorphisms
 from weaktensor.products import CoatomNonConformance
 
@@ -150,9 +151,29 @@ def test_diagonal_is_fraser_closed(fraser33):
 
 def test_fraser_enumeration_cap(monkeypatch):
     # 16**6 = 64**4 = 2**24 regions on either axis: refused before any is laid
-    monkeypatch.setattr(products, "in_fraser", lambda *args: pytest.fail("enumerated"))
+    monkeypatch.setattr(products, "_fraser_regions", lambda *args: pytest.fail("enumerated"))
     with pytest.raises(ValueError, match="16777216 regions exceeds the cap of 1048576"):
         fraser_product([powerset_space(4), powerset_space(6)])
+
+
+def test_fraser_product_does_not_find_its_family_again(monkeypatch):
+    factors = [mo_space(2), mo_space(3), mo_space(3)]
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(spaces, "next_closure", counted("next_closure", spaces.next_closure))
+    monkeypatch.setattr(ClosureSpace, "from_closed_sets",
+                        classmethod(counted("from_closed_sets", ClosureSpace.from_closed_sets.__func__)))
+    fraser = fraser_product(factors)
+    assert len(fraser) == 2500 and not calls
+    # the counters are live: the box product still closes its cylinders
+    box_product(factors)
+    assert calls == {"next_closure": 1, "from_closed_sets": 1}
 
 
 def test_fraser_cap_admits_products_past_twenty_points():
@@ -655,6 +676,26 @@ def test_encode_refuses_coordinates_outside_the_universe(mo3):
     for bad in ((1,), (0, 0, 0)):
         with pytest.raises(ValueError, match="expected 2 coordinates"):
             uni.encode(bad)
+
+
+REGION_CALLS = {
+    "in_fraser": in_fraser,
+    "beta_join": lambda uni, r: beta_join(uni, r, 0),
+    "beta_join_sequence": lambda uni, r: beta_join_sequence(uni, r, [0, 1]),
+    "fraser_join": fraser_join,
+    "box_join": box_join,
+    "in_xi": in_xi,
+}
+
+
+@pytest.mark.parametrize("name", REGION_CALLS)
+def test_region_functions_refuse_points_outside_the_universe(mo3, name):
+    uni = ProductUniverse([mo3, mo3])
+    call = REGION_CALLS[name]
+    call(uni, 1 | 1 << 8)
+    for bad in (1 << 9 | 1, -1):
+        with pytest.raises(ValueError, match="region uses points outside the universe"):
+            call(uni, bad)
 
 
 def test_three_factor_products(mo3):

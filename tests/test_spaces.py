@@ -13,7 +13,7 @@ from weaktensor import (
     render_lattice_text,
     two_space,
 )
-from weaktensor.spaces import CoverWitness, bits, image
+from weaktensor.spaces import CoverWitness, bits, image, unchecked_space
 
 
 def space_pool():
@@ -26,6 +26,13 @@ POOL = space_pool()
 
 
 # -- construction -----------------------------------------------------------
+
+def test_unchecked_space_matches_the_closed_family():
+    for space in POOL + [ClosureSpace.from_closed_sets("abcde", [0b00111, 0b01100, 0b11010])]:
+        taken = unchecked_space(space.points, space.masks)
+        assert taken.masks == space.masks and taken.product is None
+        assert all(taken.closure(m) == space.closure(m) for m in range(1 << space.n_points))
+
 
 def test_two_point_empty_generators_is_powerset():
     s = ClosureSpace.from_closed_sets("ab", [])
