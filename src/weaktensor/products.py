@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .props import Automorphism, OrthoMap, _atom_meets, orthomap_violation
-from .spaces import MAX_POINTS, ClosureSpace, bits, image, unchecked_space
+from .spaces import MAX_POINTS, ClosureSpace, bits, image, intersection_closure, unchecked_space
 
 # The most regions fraser_product lays: 2**20 is powerset:4 x powerset:5, on 20 points.
 FRASER_REGION_CAP = 1 << 20
@@ -315,21 +315,46 @@ def mo_circle(first: ClosureSpace, second: ClosureSpace) -> ClosureSpace:
     3-element sets with pairwise distinct coordinates.
 
     That the intersection-closure of the cylinders and triples adds no
-    other set is verified at build time instead of trusted.  The
-    covering/uniqueness statements target sizes 3 or >= 5; the
-    construction itself only needs >= 3 atoms per factor.
+    other set is verified at build time instead of trusted (see
+    ``_check_circle_pairs``).  The covering/uniqueness statements target
+    sizes 3 or >= 5; the construction itself only needs >= 3 atoms per
+    factor.
     """
     check_circle_factors((first, second))
     universe = ProductUniverse([first, second])
-    triples = ((1 << a) | (1 << b) | (1 << c)
-               for a, b, c in itertools.combinations(range(universe.n_points), 3))
-    xi = {m for m in triples if in_xi(universe, m)}
-    space = ClosureSpace.from_closed_sets(universe.points, universe.cylinders + tuple(xi),
-                                          product=universe)
-    # box and xi lie in the closure, so it is their union iff the rest is box-closed
-    if any(m not in xi and box_join(universe, m) != m for m in space.masks):
+    full = universe.full_mask
+    box = intersection_closure(full, universe.cylinders)
+    xi = _xi_triples(universe)
+    _check_circle_pairs(box, xi)
+    # the generators from_closed_sets keeps for the cylinders and triples, so
+    # closure costs what it did: with the full set last among them, every
+    # closure call would carry a bit that long through its picking loop
+    generators = sorted({0, *(1 << i for i in range(universe.n_points)),
+                         *universe.cylinders, *xi} - {full})
+    return unchecked_space(universe.points, sorted(box.union(xi)), generators, product=universe)
+
+
+def _xi_triples(universe: ProductUniverse) -> list[int]:
+    """The 3-element regions of a two-factor universe with pairwise distinct
+    coordinates: three first coordinates, ascending, each paired with its
+    own second coordinate."""
+    stride = universe.strides[0]
+    return [1 << a * stride + x | 1 << b * stride + y | 1 << c * stride + z
+            for a, b, c in itertools.combinations(range(universe.sizes[0]), 3)
+            for x, y, z in itertools.permutations(range(universe.sizes[1]), 3)]
+
+
+def _check_circle_pairs(box: set[int], xi: Sequence[int]) -> None:
+    """Raise AssertionError unless the box family plus the triples is
+    intersection-closed.
+
+    A triple meets a box member or another triple in a part of itself,
+    and the box family holds the empty set and the singletons, so the
+    union is closed iff every 2-element part of every triple is a box
+    member.
+    """
+    if any(t ^ 1 << p not in box for t in xi for p in bits(t)):
         raise AssertionError("circle product family is not the box product plus the xi triples")
-    return space
 
 
 # -- product axioms -----------------------------------------------------------

@@ -84,12 +84,15 @@ class ClosureSpace:
         for i in range(len(self.points)):
             if (1 << i) not in self._members:
                 raise ValueError(f"closed family must contain the singleton {self.points[i]!r}")
-        # the family is intersection-closed iff its own closure closes nothing else
-        for closed in next_closure(self.n_points, self.closure):
-            if closed not in self._members:
-                raise ValueError(
-                    f"family is not intersection-closed: {self.render_set(closed)!r} "
-                    "is an intersection of members but not a member")
+        # the family is intersection-closed iff its closure is no larger; the
+        # sweep stops at the first step past it, at most twice its size, and
+        # NextClosure names the least closed non-member
+        members = self._members
+        if any(len(closed) > len(members) for closed in _closure_sweep(self.full_mask, family)):
+            least = next(m for m in next_closure(self.n_points, self.closure) if m not in members)
+            raise ValueError(
+                f"family is not intersection-closed: {self.render_set(least)!r} "
+                "is an intersection of members but not a member")
 
     def _setup(self, points: tuple[str, ...], masks: tuple[int, ...], close: Callable[[int], int],
                product: "ProductUniverse | None" = None) -> "ClosureSpace":
@@ -157,9 +160,9 @@ class ClosureSpace:
         """Intersection-closure of ``subsets`` plus the forced members.
 
         The forced members are the empty set, the full set and all
-        singletons.  NextClosure enumerates the intersections of these
-        generators, and the space keeps their generator closure; a family
-        that is already closed comes back unchanged.
+        singletons.  ``intersection_closure`` sweeps the intersections of
+        these generators, and the space keeps their generator closure; a
+        family that is already closed comes back unchanged.
         """
         points = _checked_points(points)
         full = (1 << len(points)) - 1
@@ -170,9 +173,9 @@ class ClosureSpace:
             generators.add(m)
         # the full set is the empty intersection, so it need not be listed
         generators = tuple(sorted(generators - {full}))
-        close = _GeneratorClosure(len(points), generators)
-        family = tuple(next_closure(len(points), close))
-        return cls.__new__(cls)._setup(points, family, close, product)
+        family = tuple(sorted(intersection_closure(full, generators)))
+        return cls.__new__(cls)._setup(points, family, _GeneratorClosure(len(points), generators),
+                                       product)
 
     # -- lattice operations ----------------------------------------------
 
@@ -513,8 +516,11 @@ class _GeneratorClosure:
     def __init__(self, n: int, generators: Sequence[int]):
         self.full = (1 << n) - 1
         self.generators = tuple(generators)
-        self.incidence = [sum(1 << j for j, g in enumerate(generators) if g >> i & 1)
-                          for i in range(n)]
+        # incidence[i] has bit j iff generator j holds point i: one n-digit
+        # binary string per generator, the last generator's first, so the
+        # digits of point i, every n-th from n-1-i, read as that numeral
+        rows = "".join(format(g, f"0{n}b") for g in reversed(self.generators))
+        self.incidence = [int(rows[n - 1 - i::n] or "0", 2) for i in range(n)]
         self.everything = (1 << len(generators)) - 1
 
     def __call__(self, subset: int) -> int:
@@ -530,6 +536,33 @@ class _GeneratorClosure:
             out &= generators[low.bit_length() - 1]
             picked ^= low
         return out
+
+
+def intersection_closure(full: int, generators: Iterable[int]) -> set[int]:
+    """Every intersection of ``generators`` with ``full``, the empty
+    intersection: the family of the last step of ``_closure_sweep``."""
+    for family in _closure_sweep(full, generators):
+        pass
+    return family
+
+
+def _closure_sweep(full: int, generators: Iterable[int]) -> Iterator[set[int]]:
+    """The growing intersection closure of ``generators`` and ``full``, one
+    set object yielded at the start and again after each step that grows it.
+
+    The sweep starts from {full} and takes the generators in descending
+    mask order: one already in the family is skipped, any other adds its
+    meet with every member.  The family is intersection-closed after each
+    step, so a skipped generator adds nothing.  Every strict superset of
+    a generator has a larger mask and comes first, so on a closed family
+    only the meet-irreducible members cost a step.
+    """
+    family = {full}
+    yield family
+    for g in sorted(set(generators), reverse=True):
+        if g not in family:
+            family |= {f & g for f in family}
+            yield family
 
 
 def next_closure(n: int, close: Callable[[int], int]) -> Iterator[int]:
@@ -562,10 +595,11 @@ def unchecked_space(points: Sequence[str], family: Sequence[int],
     ``family`` must be sorted ascending, hold the empty set, the full set
     and every singleton, and be intersection-closed; nothing of that is
     checked, so a builder that lays its family correctly skips the
-    constructor's validation and NextClosure.  ``generators`` are members
-    whose intersections are the family; by default every member but the
-    full set, the generators ``from_closed_sets`` keeps for a family that
-    is already closed.  For the package's builders, not exported.
+    constructor's validation and the intersection sweep.  ``generators``
+    are members whose intersections are the family; by default every
+    member but the full set, the generators ``from_closed_sets`` keeps for
+    a family that is already closed.  For the package's builders, not
+    exported.
     """
     points = _checked_points(points)
     family = tuple(family)

@@ -12,7 +12,8 @@ replaced, and the orthocomplementation search that tried every candidate coatom
 and checked each complete assignment on every pair of elements, with the
 validator that compared every pair for order reversal, and the covering
 check that asked ``covers`` once per (atom, element) pair, which the
-per-call join table replaced.  So is the Fraser builder that laid every
+per-call join table replaced, and the incidence table of the generator
+closure built one bit test at a time.  So is the Fraser builder that laid every
 choice of closed sections, filtered the regions by ``in_fraser`` and let
 ``from_closed_sets`` find the family again, which the pruned lay replaced.
 So are the exact layer's operations that re-ran ``rref`` on bases that
@@ -52,6 +53,13 @@ def naive_intersection_closure(n_points: int, masks) -> set[int]:
         if not extra:
             return family
         family |= extra
+
+
+def incidence_by_comprehension(n: int, generators) -> list[int]:
+    """Per-point incidence bitsets over the generator indices, one bit test
+    per point and generator, as ``_GeneratorClosure`` built them before the
+    transpose."""
+    return [sum(1 << j for j, g in enumerate(generators) if g >> i & 1) for i in range(n)]
 
 
 def brute_cover_check(space, a: int, b: int) -> bool:
@@ -147,7 +155,7 @@ def fraser_by_laying(factors) -> ClosureSpace:
     """The Fraser product as ``fraser_product`` built it before the pruned
     lay: every choice of closed sections along the cheapest axis (ties to
     the later one) is laid, the regions that pass ``in_fraser`` are kept,
-    and ``from_closed_sets`` finds the family again by NextClosure."""
+    and ``from_closed_sets`` finds the family again."""
     universe = ProductUniverse(factors)
     counts = [len(f) ** len(fibers) for f, fibers in zip(universe.factors, universe.fibers)]
     axis = min(range(len(factors)), key=lambda b: (counts[b], -b))

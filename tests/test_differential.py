@@ -6,8 +6,17 @@ circle families against the naive intersection closure of the cylinders
 (and of the xi triples), Fraser families against the subset scan of
 ``fraser_family_oracle`` up to 16 points and a line-by-line filter above.
 The pruned Fraser lay is checked, family and closure, against the builder
-that laid every region and found the family again by NextClosure, on
-those products and on the three-factor Fraser products of the benchmark.
+that laid every region and found the family again, on those products and
+on the three-factor Fraser products of the benchmark.
+
+The descending intersection sweep of ``intersection_closure`` is checked
+against NextClosure over the generator closure on every generator set
+over at most 3 points, on seeded sets over 4 to 12 points and on every
+box and circle family of the benchmark's build catalogue; the circle
+builder, which lists its triples from coordinates and takes box plus
+triples as given, against the intersection closure of the cylinders and
+the ``in_xi`` triples; and the transposed incidence table of the
+generator closure against the comprehension it replaced.
 
 The join-based ``covers`` and ``coatoms`` are checked against the family
 scans they replaced, P4 on generators against the loop over every tuple
@@ -52,6 +61,7 @@ from helpers import (
     find_orthocomplementation_by_scan,
     fraser_by_laying,
     fraser_family_oracle,
+    incidence_by_comprehension,
     involutions,
     naive_intersection_closure,
     orthocomplementations_oracle,
@@ -72,13 +82,15 @@ from weaktensor import (
     two_space,
 )
 from weaktensor import suites
-from weaktensor.products import ProductUniverse, sharp_map
+from weaktensor.products import ProductUniverse, _xi_triples, in_xi, sharp_map
 from weaktensor.props import (
     Automorphism, OrthoMap, SearchBudgetExceeded, _extend_atom_images, check_factorization,
     find_orthocomplementation, orthomap_violation,
 )
 from weaktensor.spaces import CoverWitness
-from weaktensor.spaces import MAX_POINTS, bits, default_labels
+from weaktensor.spaces import (
+    MAX_POINTS, _GeneratorClosure, bits, default_labels, intersection_closure, next_closure,
+)
 
 # the Fraser cases are the products of at most 20 points, the set the search
 # differential below pins its family count on
@@ -208,6 +220,105 @@ def test_fraser_product_matches_laying_every_region(case):
         rng = random.Random(case)
         subsets = [rng.randrange(1 << n) for _ in range(CLOSURE_SAMPLES)]
     assert all(space.closure(s) == oracle.closure(s) for s in subsets)
+
+
+def sweep_matches_next_closure(n: int, generators) -> list[int]:
+    full = (1 << n) - 1
+    family = sorted(intersection_closure(full, generators))
+    assert family == list(next_closure(n, _GeneratorClosure(n, generators))), (n, generators)
+    return family
+
+
+def test_sweep_matches_next_closure_on_every_generator_set_up_to_three_points():
+    compared = 0
+    for n in (1, 2, 3):
+        for size in range(1 << n + 1):
+            for generators in itertools.combinations(range(1 << n), size):
+                sweep_matches_next_closure(n, generators)
+                compared += 1
+    assert compared == 4 + 16 + 256
+
+
+def test_sweep_matches_next_closure_on_seeded_generator_sets():
+    rng = random.Random("intersection sweep")
+    for n in range(4, 13):
+        full = (1 << n) - 1
+        for _ in range(30):
+            generators = [rng.randrange(full + 1) for _ in range(rng.randrange(2 * n))]
+            if rng.random() < 0.5:
+                # the forced members of a space, as from_closed_sets adds them
+                generators += [0] + [1 << i for i in range(n)]
+            sweep_matches_next_closure(n, generators)
+
+
+# the box and circle targets of the benchmark's build catalogue
+BUILD_CLOSED = (
+    "box(mo:2,mo:3,mo:4)", "box(mo:2,mo:2,mo:6)", "box(mo:2,mo:2,mo:5)",
+    "box(mo:3,mo:3,powerset:2)", "box(mo:4,powerset:2,powerset:2)", "circle(mo:4,mo:6)",
+    "circle(mo:4,mo:5)", "box(mo:2,mo:2,mo:3)", "box(powerset:3,powerset:3)",
+    "box(mo:5,powerset:3)", "circle(mo:4,mo:4)", "circle(mo:3,mo:6)", "box(mo:4,mo:6)",
+    "box(mo:4,mo:5)", "box(mo:4,mo:4)", "circle(mo:3,mo:4)", "box(mo:3,powerset:3)",
+    "box(mo:3,mo:3)", "circle(mo:3,mo:3)", "box(two,mo:3)", "box(two,mo:2,mo:6)",
+    "box(mo:2,mo:5)", "box(mo:2,powerset:3)", "box(mo:2,mo:5,powerset:2)",
+    "box(mo:6,powerset:2)", "box(mo:2,mo:3,mo:3)", "circle(mo:3,mo:5)", "box(two,mo:4,mo:5)",
+)
+
+
+def xi_by_filter(universe) -> list[int]:
+    """The xi triples as the circle builder found them before listing them
+    from coordinates: every 3-point set that passes ``in_xi``."""
+    triples = (1 << a | 1 << b | 1 << c
+               for a, b, c in itertools.combinations(range(universe.n_points), 3))
+    return [m for m in triples if in_xi(universe, m)]
+
+
+@pytest.mark.parametrize("case", BUILD_CLOSED)
+def test_sweep_matches_next_closure_on_the_build_catalogue(case):
+    space = built(case)
+    universe, n = space.product, space.n_points
+    generators = {0, *(1 << i for i in range(n)), *universe.cylinders}
+    if case.startswith("circle"):
+        generators.update(xi_by_filter(universe))
+    assert sweep_matches_next_closure(n, sorted(generators)) == list(space.masks)
+
+
+# every circle product mo:m x mo:n within the point cap
+CIRCLE_SIZES = [(m, n) for m in range(3, 9) for n in range(3, 9) if m * n <= MAX_POINTS]
+
+
+@pytest.mark.parametrize("m,n", CIRCLE_SIZES)
+def test_circle_matches_closing_cylinders_and_filtered_triples(m, n):
+    circle = mo_circle(mo_space(m), mo_space(n))
+    universe = circle.product
+    closed = ClosureSpace.from_closed_sets(
+        universe.points, universe.cylinders + tuple(xi_by_filter(universe)), product=universe)
+    assert circle.masks == closed.masks
+    rng = random.Random(f"circle {m} {n}")
+    subsets = [rng.randrange(circle.full_mask + 1) for _ in range(CLOSURE_SAMPLES)]
+    assert all(circle.closure(s) == closed.closure(s) for s in subsets)
+
+
+def test_xi_triples_match_the_in_xi_filter():
+    sizes = {f.n_points for f in FACTORS.values()} | {7, 8}
+    compared = 0
+    for m, n in itertools.product(sorted(sizes), repeat=2):
+        if 1 < m * n <= MAX_POINTS:
+            universe = ProductUniverse([mo_space(m), mo_space(n)])
+            assert sorted(_xi_triples(universe)) == sorted(xi_by_filter(universe)), (m, n)
+            compared += 1
+    assert compared == 43
+    assert len(_xi_triples(ProductUniverse([mo_space(4), mo_space(6)]))) == 480
+
+
+def test_incidence_matches_the_comprehension_on_seeded_generators():
+    rng = random.Random("incidence")
+    for n in range(1, MAX_POINTS + 1):
+        full = (1 << n) - 1
+        assert _GeneratorClosure(n, []).incidence == [0] * n
+        for count in (1, 2, rng.randrange(3, 40), rng.randrange(40, 600)):
+            generators = [rng.randrange(full + 1) for _ in range(count)]
+            assert (_GeneratorClosure(n, generators).incidence
+                    == incidence_by_comprehension(n, generators)), (n, generators)
 
 
 @given(data=st.data())

@@ -166,14 +166,15 @@ def test_fraser_product_does_not_find_its_family_again(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(spaces, "next_closure", counted("next_closure", spaces.next_closure))
+    monkeypatch.setattr(spaces, "intersection_closure",
+                        counted("intersection_closure", spaces.intersection_closure))
     monkeypatch.setattr(ClosureSpace, "from_closed_sets",
                         classmethod(counted("from_closed_sets", ClosureSpace.from_closed_sets.__func__)))
     fraser = fraser_product(factors)
     assert len(fraser) == 2500 and not calls
     # the counters are live: the box product still closes its cylinders
     box_product(factors)
-    assert calls == {"next_closure": 1, "from_closed_sets": 1}
+    assert calls == {"intersection_closure": 1, "from_closed_sets": 1}
 
 
 def test_fraser_cap_admits_products_past_twenty_points():
@@ -552,6 +553,16 @@ def test_mo4_squares_have_a_covering_member_besides_circle(box44, circle44):
     assert check_p4(member, universe, [automorphisms(f) for f in universe.factors]) is None
     assert len(member.coatoms()) == 40
     assert not set(member.masks) <= set(circle44.masks)
+
+
+def test_circle_pair_check_rejects_a_box_family_short_of_a_pair(box33):
+    universe = box33.product
+    box, xi = set(box33.masks), products._xi_triples(universe)
+    products._check_circle_pairs(box, xi)
+    pair = mask_of(universe, (0, 0), (1, 1))
+    assert pair in box and any(t & pair == pair for t in xi)
+    with pytest.raises(AssertionError, match="not the box product plus the xi triples"):
+        products._check_circle_pairs(box - {pair}, xi)
 
 
 def test_circle_rejects_non_mo_factors(pow2, mo3):

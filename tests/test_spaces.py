@@ -13,7 +13,7 @@ from weaktensor import (
     render_lattice_text,
     two_space,
 )
-from weaktensor.spaces import CoverWitness, bits, image, unchecked_space
+from weaktensor.spaces import CoverWitness, bits, default_labels, image, unchecked_space
 
 
 def space_pool():
@@ -78,6 +78,31 @@ def test_generated_families_match_naive_closure(data):
     else:
         with pytest.raises(ValueError, match="not intersection-closed"):
             ClosureSpace("abcdef"[:n], listed)
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_constructor_names_the_least_closed_non_member(data):
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    full = (1 << n) - 1
+    listed = {0, full} | {1 << i for i in range(n)} | set(
+        data.draw(st.lists(st.integers(min_value=0, max_value=full), min_size=2, max_size=8)))
+    missing = naive_intersection_closure(n, listed) - listed
+    if not missing:
+        assert ClosureSpace("abcdef"[:n], listed).masks == tuple(sorted(listed))
+        return
+    least = " ".join("abcdef"[i] for i in bits(min(missing)))
+    with pytest.raises(ValueError, match=f"'{least}' is an intersection of members"):
+        ClosureSpace("abcdef"[:n], listed)
+
+
+def test_constructor_stops_on_a_family_with_a_huge_closure():
+    # the 24 coatoms close to all 2**24 subsets; the check stops at twice the family
+    n = 24
+    full = (1 << n) - 1
+    family = [0, full] + [1 << i for i in range(n)] + [full ^ 1 << i for i in range(n)]
+    with pytest.raises(ValueError, match="'a b' is an intersection of members"):
+        ClosureSpace(default_labels(n), family)
 
 
 def test_family_outside_the_universe_rejected():
