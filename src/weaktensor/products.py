@@ -229,8 +229,7 @@ def fraser_product(factors: Sequence[ClosureSpace]) -> ClosureSpace:
 
     Lays closed sections along the cheapest axis, one fiber at a time (see
     ``_fraser_regions``), and builds the space straight from the sorted
-    family, which is intersection-closed by construction, with the
-    generators ``from_closed_sets`` would keep.  That axis has
+    family, which is intersection-closed by construction.  That axis has
     |closed sets of its factor| ** |fibers| choices; ValueError is raised,
     before any region is laid, when that exceeds ``FRASER_REGION_CAP``.
     """
@@ -322,16 +321,10 @@ def mo_circle(first: ClosureSpace, second: ClosureSpace) -> ClosureSpace:
     """
     check_circle_factors((first, second))
     universe = ProductUniverse([first, second])
-    full = universe.full_mask
-    box = intersection_closure(full, universe.cylinders)
+    box = intersection_closure(universe.full_mask, universe.cylinders)
     xi = _xi_triples(universe)
     _check_circle_pairs(box, xi)
-    # the generators from_closed_sets keeps for the cylinders and triples, so
-    # closure costs what it did: with the full set last among them, every
-    # closure call would carry a bit that long through its picking loop
-    generators = sorted({0, *(1 << i for i in range(universe.n_points)),
-                         *universe.cylinders, *xi} - {full})
-    return unchecked_space(universe.points, sorted(box.union(xi)), generators, product=universe)
+    return unchecked_space(universe.points, sorted(box.union(xi)), product=universe)
 
 
 def _xi_triples(universe: ProductUniverse) -> list[int]:

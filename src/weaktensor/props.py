@@ -87,19 +87,6 @@ class Automorphism:
     def apply_point(self, i: int) -> int:
         return self.point_perm[i]
 
-    def apply_mask(self, mask: int) -> int:
-        return image(mask, [1 << j for j in self.point_perm])
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        # self after other
-        return Automorphism(tuple(self.point_perm[j] for j in other.point_perm))
-
-    def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.point_perm)
-        for i, j in enumerate(self.point_perm):
-            inv[j] = i
-        return Automorphism(tuple(inv))
-
 
 @dataclass(frozen=True)
 class ConnectedCovering:
@@ -379,23 +366,6 @@ def is_orthomodular(space: ClosureSpace, om: OrthoMap) -> Union[bool, Orthomodul
             if space.closure(a | (b & ia)) != b:
                 return OrthomodularityWitness(a=a, b=b)
     return True
-
-
-def center_via_orthocomplementation(space: ClosureSpace, om: OrthoMap) -> list[int]:
-    """Central elements read off an orthocomplementation: a' = a-complement.
-
-    Agrees with the order-theoretic center whenever the map is valid;
-    the agreement is asserted so a disagreement cannot pass silently.
-    """
-    violation = orthomap_violation(space, om)
-    if violation is not None:
-        raise ValueError(f"invalid orthocomplementation: {violation}")
-    full = space.full_mask
-    out = [m for m in space.masks if om.image_mask(m) == full & ~m]
-    if out != space.center():
-        raise RuntimeError("orthocomplementation center disagrees with the "
-                           "order-theoretic center")
-    return out
 
 
 # -- MO_n containment --------------------------------------------------------

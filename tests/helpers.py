@@ -15,7 +15,9 @@ check that asked ``covers`` once per (atom, element) pair, which the
 per-call join table replaced, and the incidence table of the generator
 closure built one bit test at a time.  So is the Fraser builder that laid every
 choice of closed sections, filtered the regions by ``in_fraser`` and let
-``from_closed_sets`` find the family again, which the pruned lay replaced.
+``from_closed_sets`` find the family again, which the pruned lay replaced,
+and the closure over every member but the full set, which each space held
+before it kept only its meet-irreducible members.
 So are the exact layer's operations that re-ran ``rref`` on bases that
 ``Subspace`` already holds reduced: membership, kernel, perp and slice
 sections.  The Gaussian rational as a pair of ``Fraction`` parts, which
@@ -41,7 +43,7 @@ from weaktensor.props import (
     SearchBudgetExceeded,
 )
 from weaktensor.products import ProductUniverse, fiber_region, in_fraser
-from weaktensor.spaces import ClosureSpace, bits
+from weaktensor.spaces import ClosureSpace, _GeneratorClosure, bits
 
 
 def naive_intersection_closure(n_points: int, masks) -> set[int]:
@@ -60,6 +62,29 @@ def incidence_by_comprehension(n: int, generators) -> list[int]:
     per point and generator, as ``_GeneratorClosure`` built them before the
     transpose."""
     return [sum(1 << j for j, g in enumerate(generators) if g >> i & 1) for i in range(n)]
+
+
+def closure_over_every_member(space) -> _GeneratorClosure:
+    """The closure operator a space held before the meet-irreducible
+    members replaced its generators: the meet of every member but the
+    full set that contains the subset."""
+    return _GeneratorClosure(space.n_points, space.masks[:-1])
+
+
+def meet_irreducibles_by_definition(masks) -> list[int]:
+    """The members of an ascending family that are not the meet of their
+    strict supersets in it, the full set being the empty meet.  A strict
+    superset has a larger mask, so only the members after m are scanned."""
+    full = masks[-1]
+    out = []
+    for i, m in enumerate(masks):
+        meet = full
+        for c in masks[i + 1:]:
+            if c & m == m:
+                meet &= c
+        if meet != m:
+            out.append(m)
+    return out
 
 
 def brute_cover_check(space, a: int, b: int) -> bool:

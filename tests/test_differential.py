@@ -15,8 +15,12 @@ over at most 3 points, on seeded sets over 4 to 12 points and on every
 box and circle family of the benchmark's build catalogue; the circle
 builder, which lists its triples from coordinates and takes box plus
 triples as given, against the intersection closure of the cylinders and
-the ``in_xi`` triples; and the transposed incidence table of the
-generator closure against the comprehension it replaced.
+the ``in_xi`` triples; and the incidence table of the generator closure
+against the comprehension it replaced.  The closure over the
+meet-irreducible members, found on a space's first closure of a
+non-member, is checked against the closure over every member on every
+subset up to 12 points and on seeded subsets above, and the members it
+keeps against the definition of meet-irreducibility.
 
 The join-based ``covers`` and ``coatoms`` are checked against the family
 scans they replaced, P4 on generators against the loop over every tuple
@@ -52,6 +56,7 @@ from helpers import (
     automorphisms_by_search,
     brute_cover_check,
     closure_in_family,
+    closure_over_every_member,
     coatoms_by_maximality,
     covering_by_pairwise_covers,
     covers_by_family_scan,
@@ -63,6 +68,7 @@ from helpers import (
     fraser_family_oracle,
     incidence_by_comprehension,
     involutions,
+    meet_irreducibles_by_definition,
     naive_intersection_closure,
     orthocomplementations_oracle,
     orthomap_violation_by_pairs,
@@ -280,6 +286,35 @@ def test_sweep_matches_next_closure_on_the_build_catalogue(case):
     if case.startswith("circle"):
         generators.update(xi_by_filter(universe))
     assert sweep_matches_next_closure(n, sorted(generators)) == list(space.masks)
+
+
+def sample_subsets(case: str, n: int):
+    """Every subset up to 12 points, else ``CLOSURE_SAMPLES`` seeded ones."""
+    if n <= 12:
+        return range(1 << n)
+    rng = random.Random(case)
+    return [rng.randrange(1 << n) for _ in range(CLOSURE_SAMPLES)]
+
+
+@pytest.mark.parametrize("case", CASES + list(FRASER_TRIPLES))
+def test_closure_over_irreducibles_matches_every_member(case):
+    space = built(case)
+    oracle = closure_over_every_member(space)
+    assert all(space.closure(s) == oracle(s) for s in sample_subsets(case, space.n_points))
+
+
+@pytest.mark.parametrize("case", sorted({*CASES, *BUILD_CLOSED, *FRASER_TRIPLES}))
+def test_irreducibles_match_the_definition(case):
+    space = built(case)
+    assert sorted(space._close.generators) == meet_irreducibles_by_definition(space.masks)
+
+
+@pytest.mark.parametrize("case,count", [
+    # the Fraser product's operator held all 4095 members but the full set
+    ("fraser(mo:2,mo:2,powerset:3)", 12), ("circle(mo:4,mo:6)", 504), ("box(mo:2,mo:3,mo:4)", 24),
+])
+def test_a_space_closes_by_its_irreducibles_alone(case, count):
+    assert len(built(case)._close.generators) == count
 
 
 # every circle product mo:m x mo:n within the point cap

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import pickle
 from random import Random
 
 import pytest
@@ -185,6 +186,56 @@ def test_fraser_cap_admits_products_past_twenty_points():
     # 9**3 = 729 regions on 21 points, which the former 20-point guard refused
     factors = [mo_space(3), mo_space(7)]
     assert len(fraser_product(factors)) > len(box_product(factors))
+
+
+# -- the closure operator of a built space ----------------------------------------------
+
+BUILDS = {
+    "box(mo:3,mo:3)": lambda: box_product([mo_space(3), mo_space(3)]),
+    "box(mo:2,mo:3,mo:4)": lambda: box_product([mo_space(2), mo_space(3), mo_space(4)]),
+    "circle(mo:3,mo:4)": lambda: mo_circle(mo_space(3), mo_space(4)),
+    "fraser(mo:3,mo:3)": lambda: fraser_product([mo_space(3), mo_space(3)]),
+    "fraser(mo:2,mo:3,mo:3)": lambda: fraser_product([mo_space(2), mo_space(3), mo_space(3)]),
+}
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_builds_leave_the_closure_operator_to_the_first_closure(monkeypatch, name):
+    made = []
+
+    class Counted(spaces._GeneratorClosure):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(spaces, "_GeneratorClosure", Counted)
+    space = BUILDS[name]()
+    assert not made and "_close" not in vars(space)
+    assert [space.closure(m) for m in space.masks] == list(space.masks)
+    assert not made
+    rng = Random(name)
+    subsets = [rng.randrange(space.full_mask + 1) for _ in range(50)]
+    assert any(s not in space for s in subsets)
+    for s in subsets:
+        space.closure(s)
+    space.coatoms()
+    assert len(made) == 1 and isinstance(vars(space)["_close"], Counted)
+
+
+@pytest.mark.parametrize("name", ["circle(mo:3,mo:4)", "fraser(mo:2,mo:3,mo:3)"])
+def test_a_built_space_pickles_before_and_after_its_first_closure(name):
+    space = BUILDS[name]()
+    rng = Random(name)
+    subsets = [rng.randrange(space.full_mask + 1) for _ in range(200)]
+    cold = pickle.loads(pickle.dumps(space))
+    assert "_close" not in vars(cold)
+    assert (cold.points, cold.masks) == (space.points, space.masks)
+    assert cold.product.points == space.product.points
+    closures = [space.closure(s) for s in subsets]
+    assert [cold.closure(s) for s in subsets] == closures
+    warm = pickle.loads(pickle.dumps(space))
+    assert warm._close.generators == space._close.generators
+    assert [warm.closure(s) for s in subsets] == closures
 
 
 # -- beta joins -----------------------------------------------------------------------
