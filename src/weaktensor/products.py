@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .props import Automorphism, OrthoMap, _atom_meets, orthomap_violation
+from .props import Automorphism, OrthoMap, atom_meets, orthomap_violation
 from .spaces import MAX_POINTS, ClosureSpace, bits, image, intersection_closure, unchecked_space
 
 # The most regions fraser_product lays: 2**20 is powerset:4 x powerset:5, on 20 points.
@@ -455,7 +455,7 @@ def sharp(universe: ProductUniverse, factor_maps: Sequence[OrthoMap],
         raise ValueError("universe is not the box product's universe")
     if element not in box_space:
         raise ValueError("element is not in the box product")
-    return _atom_meets((element,), _sharp_points(universe, factor_maps), box_space.full_mask)[0]
+    return atom_meets((element,), _sharp_points(universe, factor_maps), box_space.full_mask)[0]
 
 
 def sharp_map(box_space: ClosureSpace, factor_maps: Sequence[OrthoMap]) -> SharpMap:
@@ -464,7 +464,7 @@ def sharp_map(box_space: ClosureSpace, factor_maps: Sequence[OrthoMap]) -> Sharp
         raise ValueError("no product structure registered for this space")
     points = _sharp_points(universe, factor_maps)
     images = tuple(map(box_space.element_index,
-                       _atom_meets(box_space.masks, points, box_space.full_mask)))
+                       atom_meets(box_space.masks, points, box_space.full_mask)))
     return SharpMap(factor_maps=tuple(factor_maps),
                     product_map=OrthoMap(box_space, images))
 

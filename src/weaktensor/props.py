@@ -162,7 +162,7 @@ def has_covering_property(space: ClosureSpace) -> Union[bool, CoveringFailure]:
 
 # -- orthocomplementation ---------------------------------------------------
 
-def _atom_meets(masks: Iterable[int], atom_images: Sequence[int], full: int) -> list[int]:
+def atom_meets(masks: Iterable[int], atom_images: Sequence[int], full: int) -> list[int]:
     """The meet of the point-indexed atom images below each mask; 0 gets ``full``."""
     out = []
     for m in masks:
@@ -198,7 +198,7 @@ def orthomap_violation(space: ClosureSpace, om: OrthoMap) -> Optional[str]:
     masks = space.masks
     failure = next(_law_failures(space, om.images), None)
     if failure is None or failure[0] != "involution fails at":
-        meets = _atom_meets(masks, [om.image_mask(p) for p in space.atoms()], space.full_mask)
+        meets = atom_meets(masks, [om.image_mask(p) for p in space.atoms()], space.full_mask)
         i = next((i for i, j in enumerate(om.images) if masks[j] != meets[i]), None)
         if i is not None:
             failure = ("order reversal fails at", i)
@@ -218,7 +218,7 @@ def _extend_atom_images(space: ClosureSpace, images_by_atom: Sequence[int]) -> O
     closed set that shrinks as atoms are added, so the map reverses order
     by construction and only :func:`_law_failures` is left to check; an
     involution is a bijection."""
-    meets = _atom_meets(space.masks, images_by_atom, space.full_mask)
+    meets = atom_meets(space.masks, images_by_atom, space.full_mask)
     images = [space.element_index(m) for m in meets]
     if any(_law_failures(space, images)):
         return None
@@ -291,9 +291,9 @@ def find_orthocomplementation(
     n = space.n_points
     # a negative cap stops at the first node, as a cap of 0 does
     cap = max(node_cap, 0)
-    coatoms = sorted(space.coatoms())
+    coatoms = space.coatoms()
     if reverse_branching:
-        coatoms = coatoms[::-1]
+        coatoms.reverse()
     buckets, sizes = _symmetry_buckets(coatoms, n)
     field = (1 << n) - 1
     chosen: list[int] = []

@@ -71,9 +71,9 @@ class ClosureSpace:
 
     Instances are immutable after construction and all operations are
     pure, so sharing across threads or workers is safe.  Internal memos
-    (the element index, the closure operator, the coatoms and the
-    automorphism chain) are cached properties, each computed on first use
-    from the family alone.
+    (the element index, the closure operator with the coatoms its scan
+    finds, and the automorphism chain) are cached properties, each
+    computed on first use from the family alone.
     """
 
     def __init__(self, points: Sequence[str], masks: Iterable[int],
@@ -115,17 +115,21 @@ class ClosureSpace:
     def _close(self) -> "_GeneratorClosure":
         """The closure operator over the meet-irreducible members, the
         attributes of the reduced formal context (Ganter and Wille, 1999),
-        built on the first closure of a non-member.
+        built on the first closure of a non-member or call of ``coatoms``.
 
         One descending scan of the family: every strict superset of a
         member has a larger mask and comes first, and the operator over
         the members kept so far maps a member to the meet of its strict
         supersets, so a member is kept iff that meet is not itself.  Every
         member is then a meet of kept ones, so the operator closes exactly
-        as the whole family would.  The full set is the empty meet.
+        as the whole family would.  The full set is the empty meet.  A
+        proper member that no kept member contains is a coatom, as any
+        other lies below a coatom, which is kept and comes first; the
+        operator holds them ascending as its ``coatoms``.
         """
         close = _GeneratorClosure(self.n_points)
         incidence, generators, full = close.incidence, close.generators, close.full
+        coatoms = []
         # close(m) != m inlined, stopping once no generator is left or the
         # meet is down to m: 30-50% faster than calling it, on the 100- to
         # 720-set targets the deciders meet (2-core Xeon, Python 3.11)
@@ -135,6 +139,8 @@ class ClosureSpace:
                 low = rest & -rest
                 picked &= incidence[low.bit_length() - 1]
                 rest ^= low
+            if not picked:
+                coatoms.append(m)
             meet = full
             while picked and meet != m:
                 low = picked & -picked
@@ -142,6 +148,7 @@ class ClosureSpace:
                 picked ^= low
             if meet != m:
                 close.add(m)
+        close.coatoms = tuple(reversed(coatoms))
         return close
 
     # -- basic structure ------------------------------------------------
@@ -240,15 +247,8 @@ class ClosureSpace:
         return [1 << i for i in range(self.n_points)]
 
     def coatoms(self) -> list[int]:
-        """The elements the full set covers."""
-        return list(self._coatoms)
-
-    @cached_property
-    def _coatoms(self) -> tuple[int, ...]:
-        full, n = self.full_mask, self.n_points
-        # the full set covers m iff m v q is the full set for every point q outside m
-        return tuple(m for m in self.masks[:-1]
-                     if all(self.closure(m | 1 << q) == full for q in range(n) if not m >> q & 1))
+        """The elements the full set covers, in ascending mask order."""
+        return list(self._close.coatoms)
 
     def covers(self, a: int, b: int):
         """True iff ``b`` covers ``a``; a CoverWitness otherwise.
@@ -309,13 +309,13 @@ class ClosureSpace:
     def automorphism_perms(self) -> tuple[tuple[int, ...], ...]:
         """Every point permutation that maps the closed family onto itself,
         in the order of ``itertools.permutations``, listed from the
-        stabilizer chain (see ``_automorphism_chain``): each automorphism
-        is one product t_0 t_1 ... t_(n-1) of an element of each level's
+        stabilizer chain (see ``_chain``): each automorphism is one
+        product t_0 t_1 ... t_(n-1) of an element of each level's
         transversal.  The products are formed level by level, skipping the
         levels whose transversal is the identity alone, and sorted once.
         """
         listing = [tuple(range(self.n_points))]
-        for reps in self._automorphism_chain().transversals:
+        for reps in self._chain.transversals:
             if len(reps) > 1:
                 # itemgetter(*t) maps a permutation g to g after t
                 afters = [itemgetter(*t) for t in reps.values()]
@@ -327,32 +327,25 @@ class ClosureSpace:
     def automorphism_order(self) -> int:
         """The order of the automorphism group: the product of the
         transversal sizes of its stabilizer chain, without listing it."""
-        return prod(len(reps) for reps in self._automorphism_chain().transversals)
+        return prod(len(reps) for reps in self._chain.transversals)
 
     def automorphism_generators(self) -> tuple[tuple[int, ...], ...]:
         """Point permutations that generate the automorphism group: those of
         the stabilizer chain, without listing the group (none for the
         identity group)."""
-        return self._automorphism_chain().generators
+        return self._chain.generators
 
     def automorphism_orbit(self, point: int) -> tuple[int, ...]:
         """The points that some automorphism maps ``point`` to, ascending,
         read off the stabilizer chain's generators without listing the group."""
         if not 0 <= point < self.n_points:
             raise ValueError(f"point {point} is not in this space")
-        generators = self._automorphism_chain().generators
-        return tuple(sorted(_orbit_reps(point, generators, self.n_points)))
-
-    def _automorphism_chain(self) -> _StabilizerChain:
-        """The automorphism group as a stabilizer chain, under the point cap."""
-        if self.n_points > AUTOMORPHISM_POINT_CAP:
-            raise ValueError(f"automorphism search capped at {AUTOMORPHISM_POINT_CAP} points")
-        return self._chain
+        return tuple(sorted(_orbit_reps(point, self._chain.generators, self.n_points)))
 
     @cached_property
     def _chain(self) -> _StabilizerChain:
         """The automorphism group as a stabilizer chain on the base
-        0, 1, ..., n-1.
+        0, 1, ..., n-1, raising past the point cap (a raise stores nothing).
 
         Level i holds a transversal of the automorphisms fixing 0..i-1:
         for each point j of the orbit of i under them, one such
@@ -376,6 +369,8 @@ class ClosureSpace:
         branch still ends at the first depth where some closed set fails.
         """
         n = self.n_points
+        if n > AUTOMORPHISM_POINT_CAP:
+            raise ValueError(f"automorphism search capped at {AUTOMORPHISM_POINT_CAP} points")
         members, full = self._members, self.full_mask
         colour = [sorted(m.bit_count() for m in self.masks if m >> i & 1) for i in range(n)]
         candidates = [[j for j in range(n) if colour[j] == colour[i]] for i in range(n)]
@@ -519,7 +514,11 @@ class _GeneratorClosure:
     intersections of ``generators``: a subset maps to the AND of the
     generators containing it, which are picked by intersecting per-point
     incidence bitsets over the generator indices.  A class rather than a
-    nested function, so that spaces holding one stay picklable."""
+    nested function, so that spaces holding one stay picklable.  The scan
+    of ``ClosureSpace._close`` sets ``coatoms``, the members no generator
+    contains."""
+
+    coatoms: tuple[int, ...] = ()
 
     def __init__(self, n: int, generators: Iterable[int] = ()):
         self.full = (1 << n) - 1

@@ -6,6 +6,7 @@ the universe, and product families by filtering all subsets against the
 defining conditions written out directly over decoded coordinates.  The
 family scans that the library's join-based ``covers`` and ``coatoms`` and
 its generator-only P4 check replaced are kept here as oracles, and so are
+the join rule for coatoms that the closure operator's scan replaced,
 the scan of all n! permutations that the automorphism search replaced,
 the depth-first search over the whole group that the stabilizer chain
 replaced, and the orthocomplementation search that tried every candidate coatom
@@ -290,6 +291,15 @@ def coatoms_by_maximality(space) -> list[int]:
         if not any(m & ~e == 0 for e in maximal):
             maximal.append(m)
     return sorted(maximal)
+
+
+def coatoms_by_joins(space) -> list[int]:
+    """Proper elements whose join with every point outside them is the full
+    set, in mask order: the full set covers m iff every such join is it."""
+    full = space.full_mask
+    return [m for m in space.masks[:-1]
+            if all(space.closure(m | 1 << q) == full
+                   for q in range(space.n_points) if not m >> q & 1)]
 
 
 def p4_by_all_tuples(candidate, universe, perm_lists):

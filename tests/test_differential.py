@@ -5,9 +5,10 @@ factors within the universe caps, plus one three-factor box: box and
 circle families against the naive intersection closure of the cylinders
 (and of the xi triples), Fraser families against the subset scan of
 ``fraser_family_oracle`` up to 16 points and a line-by-line filter above.
-The pruned Fraser lay is checked, family and closure, against the builder
-that laid every region and found the family again, on those products and
-on the three-factor Fraser products of the benchmark.
+The pruned Fraser lay is checked against the builder that laid every
+region and found the family again, on those products and on the
+three-factor Fraser products of the benchmark, the closure against the
+closure over every member of the laid family.
 
 The descending intersection sweep of ``intersection_closure`` is checked
 against NextClosure over the generator closure on every generator set
@@ -15,15 +16,19 @@ over at most 3 points, on seeded sets over 4 to 12 points and on every
 box and circle family of the benchmark's build catalogue; the circle
 builder, which lists its triples from coordinates and takes box plus
 triples as given, against the intersection closure of the cylinders and
-the ``in_xi`` triples; and the incidence table of the generator closure
-against the comprehension it replaced.  The closure over the
-meet-irreducible members, found on a space's first closure of a
-non-member, is checked against the closure over every member on every
-subset up to 12 points and on seeded subsets above, and the members it
-keeps against the definition of meet-irreducibility.
+the ``in_xi`` triples, closure again over every member; and the
+incidence table of the generator closure against the comprehension it
+replaced.  The closure over the meet-irreducible members, found on a
+space's first closure of a non-member, is checked against the closure
+over every member on every subset up to 12 points and on seeded subsets
+above, and the members it keeps against the definition of
+meet-irreducibility.
 
-The join-based ``covers`` and ``coatoms`` are checked against the family
-scans they replaced, P4 on generators against the loop over every tuple
+The join-based ``covers`` is checked against the family scan it
+replaced, the coatoms the closure operator's scan records against the
+maximality scan and the join rule they replaced, on every space above
+and on the build catalogue's box, circle and three-factor Fraser
+families, P4 on generators against the loop over every tuple
 of the given factor automorphisms, and the automorphisms listed from the
 stabilizer chain against the scan of all n! point permutations and the
 depth-first search over the whole group that the chain replaced; the
@@ -57,6 +62,7 @@ from helpers import (
     brute_cover_check,
     closure_in_family,
     closure_over_every_member,
+    coatoms_by_joins,
     coatoms_by_maximality,
     covering_by_pairwise_covers,
     covers_by_family_scan,
@@ -214,18 +220,21 @@ FRASER_TRIPLES = (
 CLOSURE_SAMPLES = 2000
 
 
+def sample_subsets(case: str, n: int):
+    """Every subset up to 12 points, else ``CLOSURE_SAMPLES`` seeded ones."""
+    if n <= 12:
+        return range(1 << n)
+    rng = random.Random(case)
+    return [rng.randrange(1 << n) for _ in range(CLOSURE_SAMPLES)]
+
+
 @pytest.mark.parametrize("case", [c for c in CASES if c.startswith("fraser")] + list(FRASER_TRIPLES))
 def test_fraser_product_matches_laying_every_region(case):
     space = built(case)
     oracle = fraser_by_laying([FACTORS[f] for f in case[:-1].split("(")[1].split(",")])
     assert space.masks == oracle.masks
-    n = space.n_points
-    if n <= 12:
-        subsets = range(1 << n)
-    else:
-        rng = random.Random(case)
-        subsets = [rng.randrange(1 << n) for _ in range(CLOSURE_SAMPLES)]
-    assert all(space.closure(s) == oracle.closure(s) for s in subsets)
+    close = closure_over_every_member(oracle)
+    assert all(space.closure(s) == close(s) for s in sample_subsets(case, space.n_points))
 
 
 def sweep_matches_next_closure(n: int, generators) -> list[int]:
@@ -288,14 +297,6 @@ def test_sweep_matches_next_closure_on_the_build_catalogue(case):
     assert sweep_matches_next_closure(n, sorted(generators)) == list(space.masks)
 
 
-def sample_subsets(case: str, n: int):
-    """Every subset up to 12 points, else ``CLOSURE_SAMPLES`` seeded ones."""
-    if n <= 12:
-        return range(1 << n)
-    rng = random.Random(case)
-    return [rng.randrange(1 << n) for _ in range(CLOSURE_SAMPLES)]
-
-
 @pytest.mark.parametrize("case", CASES + list(FRASER_TRIPLES))
 def test_closure_over_irreducibles_matches_every_member(case):
     space = built(case)
@@ -330,7 +331,8 @@ def test_circle_matches_closing_cylinders_and_filtered_triples(m, n):
     assert circle.masks == closed.masks
     rng = random.Random(f"circle {m} {n}")
     subsets = [rng.randrange(circle.full_mask + 1) for _ in range(CLOSURE_SAMPLES)]
-    assert all(circle.closure(s) == closed.closure(s) for s in subsets)
+    close = closure_over_every_member(closed)
+    assert all(circle.closure(s) == close(s) for s in subsets)
 
 
 def test_xi_triples_match_the_in_xi_filter():
@@ -386,8 +388,12 @@ def test_covers_matches_family_scan_on_every_comparable_pair():
 
 
 def test_coatoms_match_maximality_scan_on_every_space():
-    for name, space in every_space():
-        assert space.coatoms() == coatoms_by_maximality(space), name
+    checked = dict(every_space())
+    checked.update((case, built(case)) for case in (*FRASER_TRIPLES, *BUILD_CLOSED))
+    # the one-point and two-point factors, and the 4096-set family with 12 irreducibles
+    assert {"two", "mo:2", "fraser(mo:2,mo:2,powerset:3)"} <= checked.keys()
+    for name, space in checked.items():
+        assert space.coatoms() == coatoms_by_maximality(space) == coatoms_by_joins(space), name
 
 
 def _covering_cases() -> list[str]:

@@ -222,6 +222,35 @@ def test_builds_leave_the_closure_operator_to_the_first_closure(monkeypatch, nam
     assert len(made) == 1 and isinstance(vars(space)["_close"], Counted)
 
 
+@pytest.mark.parametrize("name", BUILDS)
+def test_coatoms_first_run_the_scan_once_and_close_nothing(monkeypatch, name):
+    made, calls = [], 0
+
+    class Counted(spaces._GeneratorClosure):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+        def __call__(self, subset):
+            nonlocal calls
+            calls += 1
+            return super().__call__(subset)
+
+    monkeypatch.setattr(spaces, "_GeneratorClosure", Counted)
+    space = BUILDS[name]()
+    closure = space.closure
+
+    def counted(subset):
+        nonlocal calls
+        calls += 1
+        return closure(subset)
+
+    space.closure = counted
+    coatoms = space.coatoms()
+    assert coatoms and len(made) == 1 and calls == 0
+    assert space.coatoms() == coatoms and len(made) == 1 and calls == 0
+
+
 @pytest.mark.parametrize("name", ["circle(mo:3,mo:4)", "fraser(mo:2,mo:3,mo:3)"])
 def test_a_built_space_pickles_before_and_after_its_first_closure(name):
     space = BUILDS[name]()

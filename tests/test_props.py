@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 
 import pytest
@@ -31,6 +32,7 @@ from weaktensor.props import (
     orthomap_violation,
     validate_connected_covering,
 )
+from weaktensor.spaces import AUTOMORPHISM_POINT_CAP
 
 
 def complement_map(space):
@@ -313,6 +315,21 @@ def test_transitive_spaces_have_matching_upper_intervals(box33):
 def test_automorphism_cap():
     with pytest.raises(ValueError):
         automorphisms(powerset_space(13))
+    # the cap itself is searched
+    cap = AUTOMORPHISM_POINT_CAP
+    assert mo_space(cap).automorphism_order() == math.factorial(cap)
+
+
+@pytest.mark.parametrize("method,args", [
+    ("automorphism_order", ()), ("automorphism_generators", ()), ("automorphism_orbit", (0,)),
+    ("automorphism_perms", ()),
+])
+def test_automorphism_cap_raises_on_every_call(method, args):
+    space = mo_space(AUTOMORPHISM_POINT_CAP + 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"automorphism search capped at "
+                                             f"{AUTOMORPHISM_POINT_CAP} points"):
+            getattr(space, method)(*args)
 
 
 def test_order_and_orbits_of_a_lopsided_group():
