@@ -46,10 +46,7 @@ from .products import (
     fraser_join,
     fraser_product,
     in_fraser,
-    in_xi,
     mo_circle,
-    section,
-    sharp,
     sharp_map,
 )
 

@@ -1,6 +1,7 @@
 """Batch front door: build lattice families, run check suites, compute joins.
 
-Exit codes: 0 all expected verdicts met, 1 verdict mismatch, 2 input error.
+Exit codes: 0 all expected verdicts met, 1 verdict mismatch, 2 input error
+(a bad argument, a malformed file or a path that cannot be read).
 Reports are deterministic: identical inputs give byte-identical output.
 """
 
@@ -12,8 +13,8 @@ from pathlib import Path
 
 from . import products
 from .spaces import ClosureSpace, mo_space, powerset_space, render_lattice_text
-from .suites import DEFAULT_SEED, TargetError, build_product, check_product_shape, \
-    get_suite, load_lattice_file, parse_product_file, resolve_target, run_suite
+from .suites import DEFAULT_SEED, build_product, check_product_shape, get_suite, \
+    load_lattice_file, parse_product_file, resolve_target, run_suite
 
 
 class InputError(Exception):
@@ -40,7 +41,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         kind, factors = _product_arg(args.product)
         try:
             space = build_product(kind, factors)
-        except (ValueError, AssertionError) as exc:
+        except AssertionError as exc:
             raise InputError(str(exc)) from None
     _emit(render_lattice_text(space), args.out)
     return 0
@@ -50,19 +51,13 @@ def _product_arg(argv: list[str]) -> tuple[str, list[ClosureSpace]]:
     """The kind and the resolved factors of ``--product KIND A B [C]``; the
     shape is checked before any factor is read."""
     kind, refs = argv[0], argv[1:]
-    try:
-        check_product_shape(kind, len(refs))
-        return kind, [resolve_target(ref, Path.cwd()) for ref in refs]
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    check_product_shape(kind, len(refs))
+    return kind, [resolve_target(ref, Path.cwd()) for ref in refs]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        suite = get_suite(args.suite, Path.cwd())
-        report = run_suite(suite, seed=args.seed, base_dir=Path.cwd())
-    except TargetError as exc:
-        raise InputError(str(exc)) from None
+    suite = get_suite(args.suite, Path.cwd())
+    report = run_suite(suite, seed=args.seed, base_dir=Path.cwd())
     _emit(report.render(), args.out)
     if args.timings:
         for rec in report.records:
@@ -90,18 +85,12 @@ def cmd_join(args: argparse.Namespace) -> int:
     if bool(args.product_file) == bool(args.product):
         raise InputError("give either a product file or --product KIND A B [C]")
     if args.product_file:
-        try:
-            kind, factors = parse_product_file(Path.cwd() / args.product_file)
-        except TargetError as exc:
-            raise InputError(str(exc)) from None
+        kind, factors = parse_product_file(Path.cwd() / args.product_file)
     else:
         kind, factors = _product_arg(args.product)
-    try:
-        if kind == "circle":
-            products.check_circle_factors(factors)
-        universe = products.ProductUniverse(factors)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if kind == "circle":
+        products.check_circle_factors(factors)
+    universe = products.ProductUniverse(factors)
     region = _parse_tuples(universe, args.tuples)
     lines = [f"R0: {universe.render_set(region)}"]
     if args.method == "box":
@@ -169,10 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,12 +44,16 @@ class ProductUniverse:
             tuple(sum(1 << pid for pid, c in enumerate(self.coords) if c[beta] == q)
                   for q in range(size))
             for beta, size in enumerate(self.sizes))
-        # beta-fibers: the flat ids that agree off the beta-th coordinate,
-        # listed by that coordinate, one fiber per point with it zero
+        # beta-fibers: the masks of the flat ids that agree off the beta-th
+        # coordinate, one fiber per point with that coordinate zero
         self.fibers = tuple(
-            tuple(tuple(pid + q * self.strides[beta] for q in range(size))
+            tuple(sum(1 << pid + q * self.strides[beta] for q in range(size))
                   for pid, c in enumerate(self.coords) if c[beta] == 0)
             for beta, size in enumerate(self.sizes))
+        # coordinate_bits[beta][pid]: the beta-th coordinate of a flat id as a
+        # factor bit, the point map that reads a section off a fiber
+        self.coordinate_bits = tuple(tuple(1 << c[beta] for c in self.coords)
+                                     for beta in range(len(self.sizes)))
 
     @property
     def full_mask(self) -> int:
@@ -111,36 +115,9 @@ class ProductUniverse:
 
 # -- sections and the beta-join calculus -------------------------------------
 #
-# Position q of a beta-fiber is the flat id with beta-th coordinate q.
-
-def fiber_section(region: int, fiber: Sequence[int]) -> int:
-    """The section of a region on one fiber, as a factor mask."""
-    out = 0
-    for q, pid in enumerate(fiber):
-        if region >> pid & 1:
-            out |= 1 << q
-    return out
-
-
-def fiber_region(sec: int, fiber: Sequence[int]) -> int:
-    """The flat mask of a factor mask laid along one fiber."""
-    # inline rather than bits(): a bits() loop made fraser_join 22% slower
-    out = 0
-    while sec:
-        low = sec & -sec
-        out |= 1 << fiber[low.bit_length() - 1]
-        sec ^= low
-    return out
-
-
-def section(universe: ProductUniverse, region: int, beta: int, pid: int) -> int:
-    """The beta-section of a region through a point, as a factor mask.
-
-    This is {q in the beta-th factor | p[q, beta] in region}.
-    """
-    return fiber_section(region, [universe.replace(pid, beta, q)
-                                  for q in range(universe.sizes[beta])])
-
+# The section of a region on a beta-fiber is the factor mask
+# image(region & fiber, coordinate_bits[beta]), and a factor mask sec is
+# laid back on the fiber as fiber & preimage_mask(beta, sec).
 
 def _check_region(universe: ProductUniverse, region: int) -> None:
     if region & ~universe.full_mask:
@@ -157,12 +134,12 @@ def beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
 
 
 def _beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
-    factor = universe.factors[beta]
+    close, coordinate_bits = universe.factors[beta].closure, universe.coordinate_bits[beta]
     out = 0
     for fiber in universe.fibers[beta]:
-        sec = fiber_section(region, fiber)
-        if sec:
-            out |= fiber_region(factor.closure(sec), fiber)
+        if region & fiber:
+            sec = close(image(region & fiber, coordinate_bits))
+            out |= fiber & universe.preimage_mask(beta, sec)
     return out
 
 
@@ -192,11 +169,10 @@ def fraser_join(universe: ProductUniverse, region: int) -> int:
 def in_fraser(universe: ProductUniverse, region: int) -> bool:
     """Membership in the Fraser product: every section closed in its factor."""
     _check_region(universe, region)
-    for factor, fibers in zip(universe.factors, universe.fibers):
-        for fiber in fibers:
-            if not factor.is_closed(fiber_section(region, fiber)):
-                return False
-    return True
+    return all(factor.is_closed(image(region & fiber, coordinate_bits))
+               for factor, fibers, coordinate_bits
+               in zip(universe.factors, universe.fibers, universe.coordinate_bits)
+               for fiber in fibers)
 
 
 def box_join(universe: ProductUniverse, region: int) -> int:
@@ -207,13 +183,6 @@ def box_join(universe: ProductUniverse, region: int) -> int:
         if region & ~cyl == 0:
             out &= cyl
     return out
-
-
-def in_xi(universe: ProductUniverse, region: int) -> bool:
-    """Whether all coordinates are pairwise distinct across the region."""
-    _check_region(universe, region)
-    columns = zip(*(universe.coords[pid] for pid in bits(region)))
-    return all(len(set(column)) == len(column) for column in columns)
 
 
 # -- product constructions ----------------------------------------------------
@@ -257,21 +226,16 @@ def _fraser_regions(universe: ProductUniverse, axis: int) -> list[int]:
     two closed sets.
     """
     fibers = universe.fibers[axis]
-    laid_with = {pid: k for k, fiber in enumerate(fibers) for pid in fiber}
     # closing[k]: the fibers of the other axes whose section is final once
-    # fiber k is laid, each as its factor's is_closed, its flat mask and the
-    # table that maps its points to their positions
+    # fiber k is laid, each with its factor's is_closed and coordinate bits
     closing: list[list[tuple]] = [[] for _ in fibers]
     for beta, (factor, cross) in enumerate(zip(universe.factors, universe.fibers)):
         if beta != axis:
             for fiber in cross:
-                positions = [0] * universe.n_points
-                for q, pid in enumerate(fiber):
-                    positions[pid] = 1 << q
-                closing[max(laid_with[pid] for pid in fiber)].append(
-                    (factor.is_closed, fiber_region(factor.full_mask, fiber), positions))
+                at = max(k for k, laid_fiber in enumerate(fibers) if laid_fiber & fiber)
+                closing[at].append((factor.is_closed, fiber, universe.coordinate_bits[beta]))
     # the fibers are disjoint, so a region is the sum of its laid sections
-    laid = [[fiber_region(sec, fiber) for sec in universe.factors[axis].masks]
+    laid = [[fiber & universe.preimage_mask(axis, sec) for sec in universe.factors[axis].masks]
             for fiber in fibers]
     last = len(fibers) - 1
     regions: list[int] = []
@@ -280,10 +244,8 @@ def _fraser_regions(universe: ProductUniverse, axis: int) -> list[int]:
         checks = closing[k]
         for part in laid[k]:
             region = below + part
-            # image() of the points on a fiber is its section, and measured
-            # faster than fiber_section, which visits every position
-            for is_closed, mask, positions in checks:
-                if not is_closed(image(region & mask, positions)):
+            for is_closed, fiber, coordinate_bits in checks:
+                if not is_closed(image(region & fiber, coordinate_bits)):
                     break
             else:
                 if k == last:
@@ -372,21 +334,18 @@ def check_p1_p2_p3(candidate: ClosureSpace, universe: ProductUniverse
         if cyl not in candidate:
             return AxiomViolation(
                 "P2", "missing cylinder " + universe.render_set(cyl))
-    for beta in range(len(universe.factors)):
-        factor = universe.factors[beta]
-        fiber_masks = [(fiber_region(factor.full_mask, fiber), fiber)
-                       for fiber in universe.fibers[beta]]
+    for beta, (factor, fibers) in enumerate(zip(universe.factors, universe.fibers)):
+        coordinate_bits = universe.coordinate_bits[beta]
         for region in candidate.masks:
-            if region == 0:
-                continue
-            for fm, fiber in fiber_masks:
-                if region & ~fm == 0:
-                    sec = fiber_section(region, fiber)
+            for fiber in fibers:
+                # a nonempty region lies in at most one fiber; the empty
+                # region lies in the first, where its empty section is closed
+                if region & ~fiber == 0:
+                    sec = image(region & fiber, coordinate_bits)
                     if not factor.is_closed(sec):
                         return AxiomViolation(
-                            "P3",
-                            f"{universe.render_set(region)} projects to the non-closed "
-                            f"{factor.render_set(sec)} in factor {beta + 1}")
+                            "P3", f"{universe.render_set(region)} projects to the non-closed "
+                                  f"{factor.render_set(sec)} in factor {beta + 1}")
                     break
     return None
 
@@ -438,31 +397,16 @@ class SharpMap:
     product_map: OrthoMap
 
 
-def _sharp_points(universe: ProductUniverse, factor_maps: Sequence[OrthoMap]) -> list[int]:
-    """The sharp image of each point, after checking the factor maps once."""
-    for beta, om in enumerate(factor_maps):
-        bad = orthomap_violation(universe.factors[beta], om)
-        if bad is not None:
-            raise ValueError(f"factor {beta + 1} orthocomplementation invalid: {bad}")
-    return [universe.cylinder_mask([om.image_mask(1 << q) for om, q in zip(factor_maps, c)])
-            for c in universe.coords]
-
-
-def sharp(universe: ProductUniverse, factor_maps: Sequence[OrthoMap],
-          box_space: ClosureSpace, element: int) -> int:
-    """Image of a box-product element under the sharp map."""
-    if universe is not box_space.product:
-        raise ValueError("universe is not the box product's universe")
-    if element not in box_space:
-        raise ValueError("element is not in the box product")
-    return atom_meets((element,), _sharp_points(universe, factor_maps), box_space.full_mask)[0]
-
-
 def sharp_map(box_space: ClosureSpace, factor_maps: Sequence[OrthoMap]) -> SharpMap:
     universe = box_space.product
     if universe is None:
         raise ValueError("no product structure registered for this space")
-    points = _sharp_points(universe, factor_maps)
+    for beta, om in enumerate(factor_maps):
+        bad = orthomap_violation(universe.factors[beta], om)
+        if bad is not None:
+            raise ValueError(f"factor {beta + 1} orthocomplementation invalid: {bad}")
+    points = [universe.cylinder_mask([om.image_mask(1 << q) for om, q in zip(factor_maps, c)])
+              for c in universe.coords]
     images = tuple(map(box_space.element_index,
                        atom_meets(box_space.masks, points, box_space.full_mask)))
     return SharpMap(factor_maps=tuple(factor_maps),
@@ -502,7 +446,7 @@ def decompose_coatom(candidate: ClosureSpace, universe: ProductUniverse, coatom:
         base |= universe.preimage_mask(beta, x)
     if base & ~coatom:
         return CoatomNonConformance("coatom does not lie above the pinned half-cross")
-    z = image(coatom & ~base, [1 << c[free_factor] for c in universe.coords])
+    z = image(coatom & ~base, universe.coordinate_bits[free_factor])
     rebuilt = base | universe.preimage_mask(free_factor, z)
     if rebuilt != coatom:
         return CoatomNonConformance(

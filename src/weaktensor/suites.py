@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence
 
 from . import hilbert, products, props
 from .reports import CheckRecord, Report
-from .spaces import ClosureSpace, LatticeFormatError, bits, mo_space, parse_lattice_text, \
-    powerset_space, two_space
+from .spaces import ClosureSpace, LatticeFormatError, bits, image, mo_space, \
+    parse_lattice_text, powerset_space, two_space
 
 DEFAULT_SEED = 12345
 
@@ -393,9 +393,9 @@ def _single_nonboolean_equality(*factors, args, rng):
     if len(nonbool) > 1:
         return "error", "at most one factor may be a non-powerset"
     beta = nonbool[0] if nonbool else 0
-    factor = universe.factors[beta]
+    factor, coordinate_bits = universe.factors[beta], universe.coordinate_bits[beta]
     explicit = {region for region in range(1 << universe.n_points)
-                if all(factor.is_closed(products.fiber_section(region, fiber))
+                if all(factor.is_closed(image(region & fiber, coordinate_bits))
                        for fiber in universe.fibers[beta])}
     if set(box.masks) == set(fraser.masks) == explicit:
         return "pass", f"three-way equality, {len(explicit)} closed sets"

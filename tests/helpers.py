@@ -15,10 +15,14 @@ validator that compared every pair for order reversal, and the covering
 check that asked ``covers`` once per (atom, element) pair, which the
 per-call join table replaced, and the incidence table of the generator
 closure built one bit test at a time.  So is the Fraser builder that laid every
-choice of closed sections, filtered the regions by ``in_fraser`` and let
-``from_closed_sets`` find the family again, which the pruned lay replaced,
-and the closure over every member but the full set, which each space held
-before it kept only its meet-irreducible members.
+choice of closed sections, kept the regions whose every section is
+closed and let ``from_closed_sets`` find the family again, which the
+pruned lay replaced; it reads each section by coordinate replacement
+through ``section``, not through the library's fiber masks.  So are the
+``in_xi`` filter, which the circle builder's triples listed from
+coordinates replaced, and the closure over every member but the full
+set, which each space held before it kept only its meet-irreducible
+members.
 So are the exact layer's operations that re-ran ``rref`` on bases that
 ``Subspace`` already holds reduced: membership, kernel, perp and slice
 sections.  The Gaussian rational as a pair of ``Fraction`` parts, which
@@ -43,7 +47,7 @@ from weaktensor.props import (
     DEFAULT_NODE_CAP, SEARCH_SET_CAP, CoveringFailure, ExhaustionCertificate, OrthoMap,
     SearchBudgetExceeded,
 )
-from weaktensor.products import ProductUniverse, fiber_region, in_fraser
+from weaktensor.products import ProductUniverse
 from weaktensor.spaces import ClosureSpace, _GeneratorClosure, bits
 
 
@@ -118,6 +122,19 @@ def decode(universe, pid: int):
     return tuple(reversed(out))
 
 
+def section(universe, region: int, beta: int, pid: int) -> int:
+    """The beta-section of a region through a point, as a factor mask:
+    {q in the beta-th factor | p[q, beta] in region}."""
+    return sum(1 << q for q in range(universe.sizes[beta])
+               if region >> universe.replace(pid, beta, q) & 1)
+
+
+def in_xi(universe, region: int) -> bool:
+    """Whether all coordinates are pairwise distinct across the region."""
+    columns = zip(*(decode(universe, pid) for pid in bits(region)))
+    return all(len(set(column)) == len(column) for column in columns)
+
+
 def cylinder_oracle(universe) -> set[int]:
     """Points with some coordinate in its factor's component, per tuple
     of factor elements."""
@@ -180,15 +197,21 @@ def fraser_family_oracle(universe) -> set[int]:
 def fraser_by_laying(factors) -> ClosureSpace:
     """The Fraser product as ``fraser_product`` built it before the pruned
     lay: every choice of closed sections along the cheapest axis (ties to
-    the later one) is laid, the regions that pass ``in_fraser`` are kept,
-    and ``from_closed_sets`` finds the family again."""
+    the later one) is laid, the regions whose every section is closed are
+    kept, and ``from_closed_sets`` finds the family again."""
     universe = ProductUniverse(factors)
-    counts = [len(f) ** len(fibers) for f, fibers in zip(universe.factors, universe.fibers)]
+    # starts[beta]: one point per beta-fiber, the one with beta-th coordinate zero
+    starts = [[pid for pid in range(universe.n_points) if decode(universe, pid)[beta] == 0]
+              for beta in range(len(factors))]
+    counts = [len(f) ** len(s) for f, s in zip(universe.factors, starts)]
     axis = min(range(len(factors)), key=lambda b: (counts[b], -b))
-    fibers = universe.fibers[axis]
-    regions = (sum(fiber_region(sec, fiber) for sec, fiber in zip(choice, fibers))
-               for choice in itertools.product(universe.factors[axis].masks, repeat=len(fibers)))
-    family = [region for region in regions if in_fraser(universe, region)]
+    regions = (sum(1 << universe.replace(pid, axis, q) for sec, pid in zip(choice, starts[axis])
+                   for q in bits(sec))
+               for choice in itertools.product(universe.factors[axis].masks,
+                                               repeat=len(starts[axis])))
+    family = [region for region in regions
+              if all(f.is_closed(section(universe, region, beta, pid))
+                     for beta, f in enumerate(universe.factors) for pid in starts[beta])]
     return ClosureSpace.from_closed_sets(universe.points, family, product=universe)
 
 

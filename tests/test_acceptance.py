@@ -71,6 +71,7 @@ from helpers import (
     involutions,
     is_orthocomplementation,
     orthocomplementations_oracle,
+    section,
 )
 
 NODE_BUDGET = 10_000_000
@@ -92,19 +93,10 @@ def test_a02_one_nontrivial_factor_collapses_the_interval(pow3, mo3):
     box = box_product([pow3, mo3])
     fraser = fraser_product([pow3, mo3])
     uni = box.product
-    explicit = set()
-    for region in range(1 << 9):
-        ok = True
-        for fiber in uni.fibers[1]:
-            sec = 0
-            for q, pid in enumerate(fiber):
-                if region >> pid & 1:
-                    sec |= 1 << q
-            if not mo3.is_closed(sec):
-                ok = False
-                break
-        if ok:
-            explicit.add(region)
+    # the section through the first point of each line along the mo3 factor
+    explicit = {region for region in range(1 << 9)
+                if all(mo3.is_closed(section(uni, region, 1, uni.encode((i, 0))))
+                       for i in range(3))}
     assert set(box.masks) == set(fraser.masks) == explicit
     assert len(explicit) == 125
 

@@ -135,6 +135,23 @@ def test_missing_product_file_reads_alike(capsys, tmp_path, monkeypatch):
     assert run(capsys, "build", "--product", "box", "missing.prod", "mo:3") == (2, "", says)
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "DIR"],
+    ["build", "--lattice", "DIR"],
+    ["build", "--product", "box", "DIR.lat", "mo:3"],
+    ["join", "DIR.prod", "--tuples", "a,a"],
+])
+def test_an_unreadable_path_is_an_input_error(capsys, tmp_path, monkeypatch, argv):
+    # a directory where a file is read: one error line and exit 2, not the mismatch code
+    monkeypatch.chdir(tmp_path)
+    for name in ("DIR", "DIR.lat", "DIR.prod"):
+        (tmp_path / name).mkdir()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "DIR" in err
+    assert "Traceback" not in err
+
+
 def test_join_input_errors(capsys, tmp_path):
     mo3 = tmp_path / "mo3.lat"
     run(capsys, "build", "--mo", "3", "--out", str(mo3))

@@ -8,7 +8,9 @@ circle families against the naive intersection closure of the cylinders
 The pruned Fraser lay is checked against the builder that laid every
 region and found the family again, on those products and on the
 three-factor Fraser products of the benchmark, the closure against the
-closure over every member of the laid family.
+closure over every member of the laid family.  On the same products,
+``fraser_join``, ``in_fraser`` and the beta-joins, which read sections
+off fiber masks, are checked against the family's closure and membership.
 
 The descending intersection sweep of ``intersection_closure`` is checked
 against NextClosure over the generator closure on every generator set
@@ -72,6 +74,7 @@ from helpers import (
     find_orthocomplementation_by_scan,
     fraser_by_laying,
     fraser_family_oracle,
+    in_xi,
     incidence_by_comprehension,
     involutions,
     meet_irreducibles_by_definition,
@@ -84,17 +87,20 @@ from helpers import (
 from weaktensor import (
     ClosureSpace,
     automorphisms,
+    beta_join,
     box_product,
     check_p4,
+    fraser_join,
     fraser_product,
     has_covering_property,
+    in_fraser,
     mo_circle,
     mo_space,
     powerset_space,
     two_space,
 )
 from weaktensor import suites
-from weaktensor.products import ProductUniverse, _xi_triples, in_xi, sharp_map
+from weaktensor.products import ProductUniverse, _xi_triples, sharp_map
 from weaktensor.props import (
     Automorphism, OrthoMap, SearchBudgetExceeded, _extend_atom_images, check_factorization,
     find_orthocomplementation, orthomap_violation,
@@ -197,10 +203,12 @@ def test_coordinate_table_matches_mixed_radix_decode():
             assert universe.coordinate_masks[beta] == tuple(
                 sum(1 << pid for pid in range(n) if coords[pid][beta] == q)
                 for q in range(size)), case
-            # one fiber per point with coordinate beta zero, listed by that coordinate
+            # one fiber per point with coordinate beta zero, as the mask of
+            # the points that agree with it off coordinate beta
             assert universe.fibers[beta] == tuple(
-                tuple(coords.index(c[:beta] + (q,) + c[beta + 1:]) for q in range(size))
+                sum(1 << coords.index(c[:beta] + (q,) + c[beta + 1:]) for q in range(size))
                 for c in coords if c[beta] == 0), case
+            assert universe.coordinate_bits[beta] == tuple(1 << c[beta] for c in coords), case
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -217,6 +225,8 @@ FRASER_TRIPLES = (
     "fraser(two,mo:4,mo:4)", "fraser(mo:2,mo:2,mo:2)", "fraser(mo:2,mo:2,mo:3)",
     "fraser(mo:5,powerset:2,powerset:2)",
 )
+# every two-factor Fraser case and the three-factor ones
+FRASER_BUILDS = [c for c in CASES if c.startswith("fraser")] + list(FRASER_TRIPLES)
 CLOSURE_SAMPLES = 2000
 
 
@@ -228,13 +238,27 @@ def sample_subsets(case: str, n: int):
     return [rng.randrange(1 << n) for _ in range(CLOSURE_SAMPLES)]
 
 
-@pytest.mark.parametrize("case", [c for c in CASES if c.startswith("fraser")] + list(FRASER_TRIPLES))
+@pytest.mark.parametrize("case", FRASER_BUILDS)
 def test_fraser_product_matches_laying_every_region(case):
     space = built(case)
     oracle = fraser_by_laying([FACTORS[f] for f in case[:-1].split("(")[1].split(",")])
     assert space.masks == oracle.masks
     close = closure_over_every_member(oracle)
     assert all(space.closure(s) == close(s) for s in sample_subsets(case, space.n_points))
+
+
+@pytest.mark.parametrize("case", FRASER_BUILDS)
+def test_region_functions_match_the_fraser_family(case):
+    """``fraser_join`` is the Fraser closure, ``in_fraser`` its membership,
+    and a region is a member iff every beta-join fixes it."""
+    space = built(case)
+    universe = space.product
+    for s in sample_subsets(case, space.n_points):
+        member = s in space
+        assert fraser_join(universe, s) == space.closure(s), (case, s)
+        assert in_fraser(universe, s) == member, (case, s)
+        assert all(beta_join(universe, s, b) == s
+                   for b in range(len(universe.factors))) == member, (case, s)
 
 
 def sweep_matches_next_closure(n: int, generators) -> list[int]:

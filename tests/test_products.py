@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     box_family_oracle, closure_in_family, decode, distinct_coordinate_sets, fraser_family_oracle,
+    in_xi, section,
 )
 
 from weaktensor import (
@@ -24,12 +25,9 @@ from weaktensor import (
     fraser_product,
     has_covering_property,
     in_fraser,
-    in_xi,
     mo_circle,
     mo_space,
     powerset_space,
-    section,
-    sharp,
     sharp_map,
     two_space,
     validate_orthomap,
@@ -492,6 +490,18 @@ def test_full_powerset_on_product_violates_p3(mo3):
     assert violation.axiom == "P3"
 
 
+@pytest.mark.parametrize("pair,witness", [
+    (((0, 0), (0, 1)), "a,a a,b projects to the non-closed a b in factor 2"),
+    (((1, 2), (2, 2)), "b,c c,c projects to the non-closed b c in factor 1"),
+])
+def test_p3_witness_names_the_planted_section(box33, pair, witness):
+    # a two-point set on one fiber: its section is a non-closed pair of mo3
+    uni = box33.product
+    candidate = ClosureSpace.from_closed_sets(
+        uni.points, set(box33.masks) | {mask_of(uni, *pair)}, product=uni)
+    assert check_p1_p2_p3(candidate, uni) == products.AxiomViolation("P3", witness)
+
+
 def test_p4_holds_for_the_stock_products(box33, fraser33, circle33, mo3):
     gens = [automorphisms(mo3), automorphisms(mo3)]
     for space in (box33, fraser33, circle33):
@@ -517,7 +527,7 @@ def test_sharp_of_a_point_is_the_partner_cross(box44, mo4_pairing):
     uni = box44.product
     maps = [mo4_pairing, mo4_pairing]
     point = 1 << pid(uni, 0, 1)  # (a, b); partners are b and a
-    image = sharp(uni, maps, box44, point)
+    image = sharp_map(box44, maps).product_map.image_mask(point)
     assert image == uni.cylinder_mask((0b010, 0b001))
 
 
@@ -535,23 +545,21 @@ def test_sharp_agrees_with_sharp_map_on_every_element(box44, mo4_pairing):
                 want &= sum(1 << q for q in range(uni.n_points)
                             if partner[i] >> decode(uni, q)[0] & 1
                             or partner[j] >> decode(uni, q)[1] & 1)
-        assert sharp(uni, maps, box44, m) == product_map.image_mask(m) == want
+        assert product_map.image_mask(m) == want
 
 
 def test_sharp_endpoints(box44, mo4_pairing):
-    uni = box44.product
-    maps = [mo4_pairing, mo4_pairing]
-    assert sharp(uni, maps, box44, box44.full_mask) == 0
-    assert sharp(uni, maps, box44, 0) == box44.full_mask
+    product_map = sharp_map(box44, [mo4_pairing, mo4_pairing]).product_map
+    assert product_map.image_mask(box44.full_mask) == 0
+    assert product_map.image_mask(0) == box44.full_mask
 
 
 def test_sharp_is_involutive_on_random_elements(box44, mo4_pairing):
-    uni = box44.product
-    maps = [mo4_pairing, mo4_pairing]
+    product_map = sharp_map(box44, [mo4_pairing, mo4_pairing]).product_map
     rng = Random(17)
     for _ in range(50):
         a = rng.choice(box44.masks)
-        assert sharp(uni, maps, box44, sharp(uni, maps, box44, a)) == a
+        assert product_map.image_mask(product_map.image_mask(a)) == a
 
 
 def test_sharp_map_validates_across_factor_pairs(pow2, mo4, mo4_pairing):
@@ -573,14 +581,11 @@ def test_sharp_map_validates_across_factor_pairs(pow2, mo4, mo4_pairing):
         assert validate_orthomap(box, sm.product_map)
 
 
-def test_sharp_rejects_invalid_factor_map(box44, box33, mo4_pairing):
+def test_sharp_rejects_invalid_factor_map(box44):
     mo4 = box44.product.factors[0]
     identity = OrthoMap(mo4, tuple(range(len(mo4.masks))))
     with pytest.raises(ValueError, match="factor 1"):
-        sharp(box44.product, [identity, identity], box44, 0)
-    # valid maps over one universe, a box space over another
-    with pytest.raises(ValueError, match="universe"):
-        sharp(box44.product, [mo4_pairing, mo4_pairing], box33, 1)
+        sharp_map(box44, [identity, identity])
 
 
 # -- circle product ---------------------------------------------------------------------------------
@@ -775,7 +780,6 @@ REGION_CALLS = {
     "beta_join_sequence": lambda uni, r: beta_join_sequence(uni, r, [0, 1]),
     "fraser_join": fraser_join,
     "box_join": box_join,
-    "in_xi": in_xi,
 }
 
 
