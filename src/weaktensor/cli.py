@@ -22,9 +22,10 @@ class InputError(Exception):
 
 
 def _emit(text: str, out: str | None) -> None:
-    sys.stdout.write(text)
+    """Write ``--out FILE`` first, so a failed write prints nothing."""
     if out:
         Path(out).write_text(text)
+    sys.stdout.write(text)
 
 
 def cmd_build(args: argparse.Namespace) -> int:

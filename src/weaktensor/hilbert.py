@@ -3,8 +3,8 @@
 Realizes the product of two projective lattices of column spaces at
 small dimension: membership of product atoms in a subspace, joins via
 double orthocomplement, coatoms induced by antilinear maps, a decision
-procedure for box-product membership of a subspace, and the failure of
-the covering property in the order dual.
+procedure for box-product membership of a subspace of C^2 (x) C^2, and
+the failure of the covering property in the order dual.
 
 All arithmetic is exact over Q(i); there is no floating point anywhere.
 A scalar ``GQ`` is the value (a + b*i) / d stored as three Python ints
@@ -213,10 +213,6 @@ def gq_sqrt(z: GQ) -> Optional[GQ]:
 
 # -- vectors ------------------------------------------------------------------
 
-def vzero(n: int) -> Vector:
-    return tuple(ZERO for _ in range(n))
-
-
 def basis_vector(n: int, k: int) -> Vector:
     return tuple(ONE if j == k else ZERO for j in range(n))
 
@@ -414,16 +410,6 @@ def join_atoms(pairs: Sequence[ProductAtomPair], m: int, n: int) -> Subspace:
     return span
 
 
-def slice_section(subspace: Subspace, p1: Vector, m: int, n: int) -> Subspace:
-    """The factor-2 subspace {w | p1 (x) w lies in the given subspace}."""
-    if len(p1) != m or is_zero_vector(p1):
-        raise ValueError("need a nonzero factor-1 vector of the right dimension")
-    # w is in the section iff sum_j w_j residual(p1 (x) e_j) = 0: the perp of the conjugate rows
-    residuals = [subspace.residual(tensor(p1, basis_vector(n, j))) for j in range(n)]
-    rows = [tuple(residuals[j][k].conj() for j in range(n)) for k in range(m * n)]
-    return Subspace.span(n, rows).perp()
-
-
 # -- antilinear maps and induced coatoms -------------------------------------
 
 @dataclass(frozen=True)
@@ -550,110 +536,44 @@ def _pencil_rank1_status(b0: Vector, b1: Vector) -> tuple[str, list[Vector]]:
     return "roots", vectors
 
 
-_ROT = ((ZERO, -ONE), (ONE, ZERO))
-
-
-def _product_spanned_2x2(subspace: Subspace) -> str:
-    """'yes' / 'no' / 'unknown': is a subspace of the 2x2 tensor square
-    spanned by its product vectors?  Complete except for the Q(i)
-    field-of-definition gap in the two-dimensional case."""
-    d = subspace.dim
-    if d == 0 or d == 4:
+def _plane_spanned(plane: Subspace) -> str:
+    """'yes' / 'no' / 'unknown': is a plane of the 2x2 tensor square spanned
+    by its product vectors?  It is iff its pencil has only rank-one members
+    or two rank-one lines; 'unknown' when those lines leave Q(i)."""
+    status, vectors = _pencil_rank1_status(*plane.basis)
+    if status == "all":
         return "yes"
-    if d == 1:
-        return "yes" if not _det2(_as_matrix(subspace.basis[0], 2, 2)) else "no"
-    if d == 2:
-        status, vectors = _pencil_rank1_status(subspace.basis[0], subspace.basis[1])
-        if status == "all":
-            return "yes"
-        if status == "unknown":
-            return "unknown"
-        return "yes" if len(vectors) == 2 else "no"
-    # d == 3: the product vectors are the curve t -> t (x) Bt for
-    # B = rot . conj(A), A read off the perp generator.  When B is
-    # invertible the polarization triple spans the subspace; when B has
-    # rank one its exact kernel contributes a full slice.
-    w = subspace.perp().basis[0]
-    s = _as_matrix(w, 2, 2)
-    a_mat = [[s[i][j] for i in range(2)] for j in range(2)]  # transpose
-    bmat = [[sum((_ROT[r][k] * a_mat[k][c].conj() for k in range(2)), ZERO)
-             for c in range(2)] for r in range(2)]
-
-    def apply_b(lam: Vector) -> Vector:
-        return tuple(sum((bmat[r][k] * lam[k] for k in range(2)), ZERO) for r in range(2))
-
-    collected: list[Vector] = []
-    if not _det2(bmat):
-        if bmat[0][0] or bmat[0][1]:
-            ker = (bmat[0][1], -bmat[0][0])
-        else:
-            ker = (bmat[1][1], -bmat[1][0])
-        if not is_zero_vector(ker):
-            collected.extend(tensor(ker, basis_vector(2, j)) for j in range(2))
-    for lam in (basis_vector(2, 0), basis_vector(2, 1), (ONE, ONE)):
-        blam = apply_b(lam)
-        if not is_zero_vector(blam):
-            collected.append(tensor(lam, blam))
-    span = Subspace.span(4, collected)
-    if span == subspace:
-        return "yes"
-    return "unknown"
-
-
-_SAMPLE_COEFFS = (ONE, -ONE, I, gq(2))
-
-
-def _sample_directions(dim: int) -> list[Vector]:
-    out = [basis_vector(dim, k) for k in range(dim)]
-    for i, j in itertools.combinations(range(dim), 2):
-        for c in _SAMPLE_COEFFS:
-            v = list(vzero(dim))
-            v[i] = ONE
-            v[j] = c
-            out.append(tuple(v))
-    out.append(tuple(ONE for _ in range(dim)))
-    return out
-
-
-def _product_spanned_sampled(subspace: Subspace, m: int, n: int) -> str:
-    """Sound one-sided test by sampling slice sections on both factors."""
-    d = subspace.dim
-    if d == 0 or d == m * n:
-        return "yes"
-    collected: list[Vector] = []
-    for p1 in _sample_directions(m):
-        sec = slice_section(subspace, p1, m, n)
-        collected.extend(tensor(p1, w) for w in sec.basis)
-    flip = Subspace.span(m * n, [_transpose_vec(b, m, n) for b in subspace.basis])
-    for p2 in _sample_directions(n):
-        sec = slice_section(flip, p2, n, m)
-        collected.extend(tensor(u, p2) for u in sec.basis)
-    if collected and Subspace.span(m * n, collected) == subspace:
-        return "yes"
-    return "unknown"
-
-
-def _transpose_vec(v: Vector, m: int, n: int) -> Vector:
-    return tuple(v[i * n + j] for j in range(n) for i in range(m))
+    if status == "unknown":
+        return "unknown"
+    return "yes" if len(vectors) == 2 else "no"
 
 
 def box_membership_test(subspace: Subspace, m: int, n: int) -> BoxVerdict:
-    """Decide whether a subspace and its perp are both product-spanned.
+    """Decide whether a subspace of C^2 (x) C^2 and its perp are both
+    spanned by product vectors, by the dimension d of the subspace.
 
-    Complete at m = n = 2 up to the honest UNKNOWN when the rank-one
-    condition only has roots outside Q(i); sampled for larger factors,
-    where a NOT verdict is never issued without a complete search.
+    d = 0 or 4: in the box.  d = 1 or 3: a hyperplane w-perp always is spanned,
+    as it holds t (x) Bt for every t with B built from w, and those span it,
+    so the verdict is whether the line's 2x2 matrix has rank one.  d = 2:
+    each plane by its pencil, with the honest UNKNOWN when the rank-one
+    lines have roots outside Q(i).  Other factor dimensions are refused.
     """
-    if m > MAX_FACTOR_DIM or n > MAX_FACTOR_DIM:
-        raise ValueError(f"factor dimensions capped at {MAX_FACTOR_DIM}")
-    if subspace.ambient != m * n:
+    if (m, n) != (2, 2):
+        raise ValueError(f"box membership is decided for 2 x 2 factors only, got {m} x {n}")
+    if subspace.ambient != 4:
         raise ValueError("ambient dimension does not match the factors")
-    side = _product_spanned_2x2 if (m, n) == (2, 2) else (
-        lambda s: _product_spanned_sampled(s, m, n))
-    first = side(subspace)
+    d = subspace.dim
+    if d == 0 or d == 4:
+        return BoxVerdict.IN_BOX
+    if d != 2:
+        line = subspace if d == 1 else subspace.perp()
+        if _det2(_as_matrix(line.basis[0], 2, 2)):
+            return BoxVerdict.NOT_IN_BOX
+        return BoxVerdict.IN_BOX
+    first = _plane_spanned(subspace)
     if first == "no":
         return BoxVerdict.NOT_IN_BOX
-    second = side(subspace.perp())
+    second = _plane_spanned(subspace.perp())
     if second == "no":
         return BoxVerdict.NOT_IN_BOX
     if first == "yes" and second == "yes":

@@ -21,6 +21,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,6 +56,10 @@ class TargetError(ValueError):
 
 # Cap on each sample count of the sampled hilbert checks (count, maps, pairs).
 MAX_SAMPLES = 200
+
+# Cap on the product's points for the checks that scan every subset of them,
+# tested on the factors' point counts before any product is built.
+SUBSET_SCAN_CAP = 16
 
 
 def _int_arg(args: dict, key: str, default: Optional[int] = None,
@@ -384,11 +389,11 @@ def _degenerate_factor_iso(prod, factor, args, rng):
 
 @_check("single-nonboolean-equality")
 def _single_nonboolean_equality(*factors, args, rng):
+    if math.prod(f.n_points for f in factors) > SUBSET_SCAN_CAP:
+        return "error", f"exhaustive subset scan capped at {SUBSET_SCAN_CAP} points"
     box = products.box_product(factors)
     fraser = products.fraser_product(factors)
     universe = box.product
-    if universe.n_points > 16:
-        return "error", "exhaustive subset scan capped at 16 points"
     nonbool = [i for i, f in enumerate(factors) if len(f) != 1 << f.n_points]
     if len(nonbool) > 1:
         return "error", "at most one factor may be a non-powerset"
@@ -424,10 +429,10 @@ def _box_ne_fraser_diagonal(f, g, args, rng):
 
 @_check("fraser-fixpoint-membership")
 def _fraser_fixpoint_membership(*factors, args, rng):
+    if math.prod(f.n_points for f in factors) > SUBSET_SCAN_CAP:
+        return "error", f"exhaustive subset scan capped at {SUBSET_SCAN_CAP} points"
     fraser = products.fraser_product(factors)
     universe = fraser.product
-    if universe.n_points > 16:
-        return "error", "exhaustive subset scan capped at 16 points"
     members = set(fraser.masks)
     k = len(universe.factors)
     for region in range(1 << universe.n_points):
@@ -438,12 +443,14 @@ def _fraser_fixpoint_membership(*factors, args, rng):
 
 
 def _candidate_products(factors) -> list[tuple[str, ClosureSpace]]:
+    """Box, circle and Fraser products; circle only for two MO factors."""
     out = [("box", products.box_product(factors)),
            ("fraser", products.fraser_product(factors))]
-    try:
-        out.insert(1, ("circle", products.mo_circle(*factors)))
-    except (ValueError, TypeError):
-        pass
+    if len(factors) == 2:
+        try:
+            out.insert(1, ("circle", products.mo_circle(*factors)))
+        except ValueError:
+            pass
     return out
 
 

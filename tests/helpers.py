@@ -24,10 +24,12 @@ coordinates replaced, and the closure over every member but the full
 set, which each space held before it kept only its meet-irreducible
 members.
 So are the exact layer's operations that re-ran ``rref`` on bases that
-``Subspace`` already holds reduced: membership, kernel, perp and slice
-sections.  The Gaussian rational as a pair of ``Fraction`` parts, which
-the integer-triple ``GQ`` replaced, is kept with the row reduction and
-the seeded draws written over it.
+``Subspace`` already holds reduced: membership, kernel and perp, and the
+construction that spanned a hyperplane of the 2x2 tensor square by its
+product vectors, which the rank rule on its perp line replaced.  The
+Gaussian rational as a pair of ``Fraction`` parts, which the
+integer-triple ``GQ`` replaced, is kept with the row reduction and the
+seeded draws written over it.
 """
 
 from __future__ import annotations
@@ -563,21 +565,38 @@ def perp_by_kernel(subspace):
     return Subspace.span(ambient, kernel_by_rref(rows, ambient))
 
 
-def slice_section_by_rref(subspace, p1, m: int, n: int):
-    """{w | p1 (x) w in the subspace}, reducing the basis again first."""
-    if len(p1) != m or is_zero_vector(p1):
-        raise ValueError("need a nonzero factor-1 vector of the right dimension")
-    residual_rows = []
-    red, pivots = rref(subspace.basis)
-    for j in range(n):
-        v = list(tensor(p1, basis_vector(n, j)))
-        for r, p in enumerate(pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, red[r])]
-        residual_rows.append(tuple(v))
-    rows = [tuple(residual_rows[j][k] for j in range(n)) for k in range(m * n)]
-    return Subspace.span(n, kernel_by_rref(rows, n))
+_ROT = ((ZERO, -ONE), (ONE, ZERO))
+
+
+def hyperplane_spanned_by_products(subspace) -> bool:
+    """Whether a hyperplane of C^2 (x) C^2 is the span of product vectors
+    it contains, by construction.  Its product vectors are the curve
+    t -> t (x) Bt for B = rot . conj(A), A the transposed 2x2 matrix of the
+    perp generator: the polarization triple t = e0, e1, e0 + e1, plus the
+    slice ker(B) (x) C^2 when B has rank one."""
+    if subspace.ambient != 4 or subspace.dim != 3:
+        raise ValueError("need a hyperplane of the 2x2 tensor square")
+    w = subspace.perp().basis[0]
+    a_mat = [[w[i * 2 + j] for i in range(2)] for j in range(2)]
+    bmat = [[sum((_ROT[r][k] * a_mat[k][c].conj() for k in range(2)), ZERO)
+             for c in range(2)] for r in range(2)]
+
+    def apply_b(lam):
+        return tuple(sum((bmat[r][k] * lam[k] for k in range(2)), ZERO) for r in range(2))
+
+    collected = []
+    if not bmat[0][0] * bmat[1][1] - bmat[0][1] * bmat[1][0]:
+        if bmat[0][0] or bmat[0][1]:
+            ker = (bmat[0][1], -bmat[0][0])
+        else:
+            ker = (bmat[1][1], -bmat[1][0])
+        if not is_zero_vector(ker):
+            collected.extend(tensor(ker, basis_vector(2, j)) for j in range(2))
+    for lam in (basis_vector(2, 0), basis_vector(2, 1), (ONE, ONE)):
+        blam = apply_b(lam)
+        if not is_zero_vector(blam):
+            collected.append(tensor(lam, blam))
+    return Subspace.span(4, collected) == subspace
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
-"""The public API: every name that ``weaktensor/__init__.py`` exports.
+"""The public API: every name that ``weaktensor/__init__.py`` exports, and
+every public name that ``weaktensor/hilbert.py`` defines.
 
-An export added, removed or renamed fails here until this list is
-updated, and CHANGES.md names the change.
+A name added, removed or renamed fails here until its list is updated,
+and CHANGES.md names the change.
 """
 
+import ast
+import inspect
 import types
 
 import weaktensor
+from weaktensor import hilbert
 
 EXPORTS = [
     "Automorphism", "ClosureSpace", "ConnectedCovering", "CoverWitness",
@@ -25,3 +29,25 @@ def test_the_exports_are_the_pinned_list():
     exported = [name for name, obj in vars(weaktensor).items()
                 if not name.startswith("_") and not isinstance(obj, types.ModuleType)]
     assert sorted(exported) == EXPORTS
+
+
+HILBERT_NAMES = [
+    "AntilinearMap", "BoxVerdict", "DualCoveringReport", "GQ", "I", "MAX_FACTOR_DIM", "Matrix",
+    "ONE", "ProductAtomPair", "Subspace", "Vector", "ZERO", "basis_vector", "box_membership_test",
+    "coatom_from_antilinear", "dual_covering_counterexample", "gq", "gq_sqrt", "inner",
+    "is_zero_vector", "join_atoms", "normalize_vector", "parse_gq_matrix", "parse_gq_tokens",
+    "random_antilinear", "random_gq", "random_pair", "random_subspace", "random_vector", "rref",
+    "sharp_point", "sigma_membership", "sqrt_fraction", "tensor", "vadd", "vconj",
+    "verify_point_biorthogonality", "vscale",
+]
+
+
+def test_the_hilbert_names_are_the_pinned_list():
+    # the names the module binds at top level, not the ones it imports
+    defined = []
+    for node in ast.parse(inspect.getsource(hilbert)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    assert sorted(name for name in defined if not name.startswith("_")) == HILBERT_NAMES

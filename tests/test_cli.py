@@ -152,6 +152,22 @@ def test_an_unreadable_path_is_an_input_error(capsys, tmp_path, monkeypatch, arg
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--mo", "3"],
+    ["check", "--suite", "s.json"],
+    ["join", "--product", "box", "mo:3", "mo:3", "--tuples", "a,a"],
+])
+def test_an_unwritable_out_prints_nothing(capsys, tmp_path, monkeypatch, argv):
+    # --out names a directory: the write fails before any output is printed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "s.json").write_text(json.dumps({"checks": [
+        {"check": "covering", "targets": ["mo:3"], "expect": "pass"}]}))
+    code, out, err = run(capsys, *argv, "--out", "DIR")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "DIR" in err
+
+
 def test_join_input_errors(capsys, tmp_path):
     mo3 = tmp_path / "mo3.lat"
     run(capsys, "build", "--mo", "3", "--out", str(mo3))

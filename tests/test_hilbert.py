@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -12,9 +13,9 @@ from helpers import (
     fraction_random_pair,
     fraction_random_vector,
     fraction_rref,
+    hyperplane_spanned_by_products,
     kernel_by_rref,
     perp_by_kernel,
-    slice_section_by_rref,
 )
 from weaktensor.hilbert import (
     AntilinearMap,
@@ -44,7 +45,6 @@ from weaktensor.hilbert import (
     rref,
     sharp_point,
     sigma_membership,
-    slice_section,
     sqrt_fraction,
     tensor,
     vadd,
@@ -334,21 +334,10 @@ def test_join_of_row_pairs_is_a_slice_with_full_section():
     b = ProductAtomPair.of(e(2, 0), e(2, 1))
     v = join_atoms([a, b], 2, 2)
     assert v == Subspace.span(4, [tensor(e(2, 0), e(2, 0)), tensor(e(2, 0), e(2, 1))])
-    assert slice_section(v, e(2, 0), 2, 2) == Subspace.full(2)
-
-
-def test_slice_section_recovers_the_second_factor():
-    rng = Random(31)
-    for _ in range(20):
-        w = random_subspace(rng, 3)
-        p1 = random_vector(rng, 2)
-        vectors = [tensor(p1, b) for b in w.basis]
-        if not vectors:
-            continue
-        v = Subspace.span(6, vectors)
-        assert slice_section(v, p1, 2, 3) == w
-        # the double perp of the slice stays inside it
-        assert v.perp().perp() == v
+    # the section at e0 is all of C^2, the one at e1 is zero
+    for w in (e(2, 0), e(2, 1), (ONE, I), (gq(2), -ONE)):
+        assert v.contains(tensor(e(2, 0), w))
+        assert not v.contains(tensor(e(2, 1), w))
 
 
 # -- canonical-basis reads against the rref oracles ------------------------------------------
@@ -411,14 +400,6 @@ def test_sharp_cross_factors_match_the_rref_kernel():
         for _ in range(10):
             p = random_vector(rng, m)
             assert Subspace.span(m, [p]).perp().basis == tuple(kernel_by_rref([vconj(p)], m))
-
-
-@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_slice_section_matches_the_rref_oracle(m, n):
-    rng = Random(100 * m + n)
-    for s in _differential_subspaces(rng, m * n, 12):
-        for p1 in (random_vector(rng, m), e(m, 0), e(m, m - 1)):
-            assert slice_section(s, p1, m, n).basis == slice_section_by_rref(s, p1, m, n).basis
 
 
 # -- antilinear maps --------------------------------------------------------------------------
@@ -520,16 +501,34 @@ def test_box_membership_unknown_on_irrational_roots():
     assert box_membership_test(u, 2, 2) is BoxVerdict.UNKNOWN
 
 
-def test_box_membership_sampled_dimensions():
-    slice6 = Subspace.span(6, [tensor(e(2, 0), e(3, j)) for j in range(3)])
-    assert box_membership_test(slice6, 2, 3) is BoxVerdict.IN_BOX
-    diag6 = Subspace.span(6, [vadd(tensor(e(2, 0), e(3, 0)), tensor(e(2, 1), e(3, 1)))])
-    assert box_membership_test(diag6, 2, 3) is BoxVerdict.UNKNOWN
+def test_box_membership_matches_the_hyperplane_construction():
+    # every hyperplane w-perp and line w with w in {0, +-1, +-i}^4 minus 0:
+    # the construction spans the hyperplane, and the verdict is the one its
+    # side and the rank rule on the line give together
+    for w in itertools.product((ZERO, ONE, -ONE, I, -I), repeat=4):
+        if not any(w):
+            continue
+        line = Subspace.span(4, [w])
+        hyperplane = line.perp()
+        spanned = hyperplane_spanned_by_products(hyperplane)
+        assert spanned
+        if w[0] * w[3] - w[1] * w[2]:
+            want = BoxVerdict.NOT_IN_BOX
+        else:
+            want = BoxVerdict.IN_BOX if spanned else BoxVerdict.UNKNOWN
+        assert box_membership_test(hyperplane, 2, 2) is want
+        assert box_membership_test(line, 2, 2) is want
 
 
 def test_box_membership_caps():
     with pytest.raises(ValueError):
         box_membership_test(Subspace.zero(16), 4, 4)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (3, 3)])
+def test_box_membership_refuses_factors_other_than_2x2(m, n):
+    with pytest.raises(ValueError, match="2 x 2 factors only"):
+        box_membership_test(Subspace.zero(m * n), m, n)
 
 
 # -- dual covering failure --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from weaktensor import ClosureSpace, suites
+from weaktensor import ClosureSpace, products, suites
 from weaktensor.suites import CheckSpec, Suite, run_suite
 
 
@@ -69,3 +69,30 @@ def test_order_and_transitivity_are_decided_without_listing(monkeypatch):
     assert [(r.verdict, r.witness) for r in report.records] == [
         ("pass", "count=362880"), ("pass", "point action transitive"),
         ("pass", "count=479001600"), ("pass", "point action transitive")]
+
+
+def test_subset_scan_checks_refuse_before_building(monkeypatch):
+    # powerset:4 x mo:5 has 20 points: the cap is read off the factors
+    def no_build(factors):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(products, "box_product", no_build)
+    monkeypatch.setattr(products, "fraser_product", no_build)
+    suite = Suite(name="demo", checks=tuple(
+        CheckSpec(check, ("powerset:4", "mo:5"))
+        for check in ("single-nonboolean-equality", "fraser-fixpoint-membership")))
+    report = run_suite(suite)
+    assert [(r.verdict, r.witness) for r in report.records] == [
+        ("error", f"exhaustive subset scan capped at {suites.SUBSET_SCAN_CAP} points")] * 2
+    assert suites.SUBSET_SCAN_CAP == 16
+
+
+@pytest.mark.parametrize("check", ["coatom-crosses", "coatom-decomposition"])
+def test_a_circle_builder_fault_is_an_error_not_a_skip(monkeypatch, check):
+    def broken(first, second):
+        raise TypeError("broken circle builder")
+
+    monkeypatch.setattr(products, "mo_circle", broken)
+    report = run_suite(Suite(name="demo", checks=(CheckSpec(check, ("mo:3", "mo:3")),)))
+    assert [(r.verdict, r.witness) for r in report.records] == [
+        ("error", "TypeError: broken circle builder")]
