@@ -363,15 +363,16 @@ def check_p4(candidate: ClosureSpace, universe: ProductUniverse,
     Each given factor automorphism v is lifted alone, with the identity
     on the other factors: p -> p[v(p_beta), beta].  Lifting is a
     homomorphism and maps that preserve the family compose, so every
-    tuple in the groups generated per factor lifts iff these do.
-    Returns the first failing one-generator tuple with a witness set.
+    tuple in the groups generated per factor lifts iff these do; a lift, a
+    bijection, keeps the family iff it keeps each meet-irreducible member.
+    Returns the first failing one-generator tuple and least such member.
     """
     for beta, gens in enumerate(generators):
         for g in gens:
             v = g.point_perm
             lift = [1 << universe.replace(pid, beta, v[c[beta]])
                     for pid, c in enumerate(universe.coords)]
-            for m in candidate.masks:
+            for m in candidate.meet_irreducibles():
                 img = image(m, lift)
                 if img not in candidate:
                     return P4Violation(

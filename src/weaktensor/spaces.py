@@ -115,7 +115,7 @@ class ClosureSpace:
     def _close(self) -> "_GeneratorClosure":
         """The closure operator over the meet-irreducible members, the
         attributes of the reduced formal context (Ganter and Wille, 1999),
-        built on the first closure of a non-member or call of ``coatoms``.
+        built on first use: a closure of a non-member, ``coatoms`` or ``meet_irreducibles``.
 
         One descending scan of the family: every strict superset of a
         member has a larger mask and comes first, and the operator over
@@ -250,6 +250,11 @@ class ClosureSpace:
         """The elements the full set covers, in ascending mask order."""
         return list(self._close.coatoms)
 
+    def meet_irreducibles(self) -> tuple[int, ...]:
+        """The members that are not the meet of their strict supersets, in
+        ascending mask order: the generators that every member is a meet of."""
+        return tuple(reversed(self._close.generators))
+
     def covers(self, a: int, b: int):
         """True iff ``b`` covers ``a``; a CoverWitness otherwise.
 
@@ -284,13 +289,15 @@ class ClosureSpace:
         """Atomisticity and covering of the order dual.
 
         The dual is coatomistic-side checked directly on this family:
-        every element must be an intersection of coatoms, and for every
-        coatom x and element a with x v a = 1, a must cover x ^ a.
+        every element must be an intersection of coatoms, which holds iff
+        every meet-irreducible member is a coatom (the witness is the
+        least one that is not), and for every coatom x and element a with
+        x v a = 1, a must cover x ^ a.
         """
         coatoms = self.coatoms()
         full = self.full_mask
-        meet_of_coatoms = _GeneratorClosure(self.n_points, coatoms)
-        co_witness = next((m for m in self.masks if meet_of_coatoms(m) != m), None)
+        is_coatom = set(coatoms)
+        co_witness = next((m for m in self.meet_irreducibles() if m not in is_coatom), None)
         coatomistic = co_witness is None
         dual_cov, dc_witness = True, None
         for x in coatoms:
@@ -434,24 +441,14 @@ class ClosureSpace:
     # -- center -----------------------------------------------------------
 
     def is_central(self, a: int) -> bool:
-        """Order-theoretic centrality.
-
-        ``a`` is central iff its set-complement is closed and the space
-        splits as the direct product of the intervals below the two,
-        i.e. every union of an element under ``a`` with an element under
-        the complement is closed.
-        """
+        """Order-theoretic centrality: ``a`` is central iff its complement c is
+        closed and every union y | z of elements under ``a`` and c is closed, iff
+        every meet-irreducible member holds ``a`` or c: y | z = (y | c) & (a | z),
+        and the irreducibles through y that miss some of ``a`` all hold c | y."""
         self._require_element(a)
         ac = self.full_mask & ~a
-        if ac not in self._members:
-            return False
-        below_a = [m for m in self.masks if m & ~a == 0]
-        below_c = [m for m in self.masks if m & ~ac == 0]
-        for y in below_a:
-            for z in below_c:
-                if (y | z) not in self._members:
-                    return False
-        return True
+        return ac in self._members and all(
+            m & a == a or m & ac == ac for m in self.meet_irreducibles())
 
     def center(self) -> list[int]:
         return [m for m in self.masks if self.is_central(m)]
@@ -503,8 +500,9 @@ def _checked_points(points: Sequence[str]) -> tuple[str, ...]:
         raise ValueError(f"universe of {len(points)} points exceeds the cap of {MAX_POINTS}")
     if len(set(points)) != len(points):
         raise ValueError("point labels must be unique")
+    # '-' is the empty set's text and '#' starts a comment line in a .lat file
     for lbl in points:
-        if not lbl or any(ch.isspace() for ch in lbl):
+        if not lbl or lbl == "-" or lbl[0] == "#" or any(ch.isspace() for ch in lbl):
             raise ValueError(f"bad point label {lbl!r}")
     return points
 

@@ -30,6 +30,10 @@ product vectors, which the rank rule on its perp line replaced.  The
 Gaussian rational as a pair of ``Fraction`` parts, which the
 integer-triple ``GQ`` replaced, is kept with the row reduction and the
 seeded draws written over it.
+So are the checks that the meet-irreducible members replaced: P4 on
+every member's lifted image, coatomisticity by a closure over the
+coatoms scanning every member, centrality by the product split of every
+pair of members, and the complement law by closing each a | a'.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from weaktensor.props import (
     DEFAULT_NODE_CAP, SEARCH_SET_CAP, CoveringFailure, ExhaustionCertificate, OrthoMap,
     SearchBudgetExceeded,
 )
-from weaktensor.products import ProductUniverse
-from weaktensor.spaces import ClosureSpace, _GeneratorClosure, bits
+from weaktensor.products import P4Violation, ProductUniverse
+from weaktensor.spaces import ClosureSpace, _GeneratorClosure, bits, image
 
 
 def naive_intersection_closure(n_points: int, masks) -> set[int]:
@@ -342,6 +346,52 @@ def p4_by_all_tuples(candidate, universe, perm_lists):
             if sum(1 << lifted[pid] for pid in range(universe.n_points) if m >> pid & 1) not in family:
                 return tup
     return None
+
+
+def p4_over_every_member(candidate, universe, generators) -> Optional[P4Violation]:
+    """``check_p4`` as it tested every member's image under each lifted
+    one-generator tuple, the witness being the least failing member."""
+    for beta, gens in enumerate(generators):
+        for g in gens:
+            v = g.point_perm
+            lift = [1 << universe.replace(pid, beta, v[c[beta]])
+                    for pid, c in enumerate(universe.coords)]
+            for m in candidate.masks:
+                img = image(m, lift)
+                if img not in candidate:
+                    return P4Violation(
+                        factor_perms=tuple(v if b == beta else tuple(range(size))
+                                           for b, size in enumerate(universe.sizes)),
+                        witness=f"{universe.render_set(m)} maps to the non-closed "
+                                f"{universe.render_set(img)}")
+    return None
+
+
+def coatomistic_witness_by_coatom_closure(space) -> Optional[int]:
+    """The least member that is not a meet of coatoms, by a closure over the
+    coatoms run on every member, or None when the space is coatomistic."""
+    meet_of_coatoms = _GeneratorClosure(space.n_points, space.coatoms())
+    return next((m for m in space.masks if meet_of_coatoms(m) != m), None)
+
+
+def is_central_by_product_split(space, a: int) -> bool:
+    """Whether the complement c of ``a`` is closed and every union of a
+    member under ``a`` with a member under c is closed."""
+    ac = space.full_mask & ~a
+    if ac not in space:
+        return False
+    below_a = [m for m in space.masks if m & ~a == 0]
+    below_c = [m for m in space.masks if m & ~ac == 0]
+    return all((y | z) in space for y in below_a for z in below_c)
+
+
+def law_failures_by_closure(space, images):
+    """Each (law, element index) failure of an index map, lazily, the
+    complement law tested as the closure of a | a' being the full set."""
+    masks, full = space.masks, space.full_mask
+    yield from (("involution fails at", i) for i, j in enumerate(images) if images[j] != i)
+    yield from (("complement law fails at", i) for i, j in enumerate(images)
+                if space.closure(masks[i] | masks[j]) != full)
 
 
 def automorphisms_by_scan(space) -> list[tuple[int, ...]]:

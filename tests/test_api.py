@@ -1,5 +1,6 @@
-"""The public API: every name that ``weaktensor/__init__.py`` exports, and
-every public name that ``weaktensor/hilbert.py`` defines.
+"""The public API: every name that ``weaktensor/__init__.py`` exports,
+every public name that ``weaktensor/hilbert.py`` defines, and every public
+method, property and attribute of a ``ClosureSpace``.
 
 A name added, removed or renamed fails here until its list is updated,
 and CHANGES.md names the change.
@@ -51,3 +52,18 @@ def test_the_hilbert_names_are_the_pinned_list():
         elif isinstance(node, ast.Assign):
             defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
     assert sorted(name for name in defined if not name.startswith("_")) == HILBERT_NAMES
+
+
+CLOSURE_SPACE_NAMES = [
+    "atoms", "automorphism_generators", "automorphism_orbit", "automorphism_order",
+    "automorphism_perms", "center", "closure", "coatoms", "covers", "dual_order_check",
+    "element_index", "from_closed_sets", "full_mask", "is_central", "is_closed", "join",
+    "labels_of", "mask_of", "masks", "meet", "meet_irreducibles", "n_points", "points",
+    "product", "render_set",
+]
+
+
+def test_the_closure_space_names_are_the_pinned_list():
+    # an instance, so that the attributes the constructors set count too
+    space = weaktensor.two_space()
+    assert sorted(name for name in dir(space) if not name.startswith("_")) == CLOSURE_SPACE_NAMES

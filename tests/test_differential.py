@@ -43,7 +43,12 @@ search's count, and its leaf check against the pair validator.
 ``orthomap_violation``, which reads order reversal off the atom images
 once per element, is checked against the pair validator it replaced on
 every involution of every space of at most 8 elements, and on valid and
-broken maps of ``box(mo:4,mo:4)``.
+broken maps of ``box(mo:4,mo:4)``; its complement law, read as
+disjointness, against the closure of a | a' on every index map of the
+stock factors of at most 6 elements.  Coatomisticity and centrality, read off
+the meet-irreducible members, are checked against the closure over the
+coatoms and the product split on every space above, and P4 on the
+irreducibles against P4 on every member.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from helpers import (
     brute_cover_check,
     closure_in_family,
     closure_over_every_member,
+    coatomistic_witness_by_coatom_closure,
     coatoms_by_joins,
     coatoms_by_maximality,
     covering_by_pairwise_covers,
@@ -77,11 +83,14 @@ from helpers import (
     in_xi,
     incidence_by_comprehension,
     involutions,
+    is_central_by_product_split,
+    law_failures_by_closure,
     meet_irreducibles_by_definition,
     naive_intersection_closure,
     orthocomplementations_oracle,
     orthomap_violation_by_pairs,
     p4_by_all_tuples,
+    p4_over_every_member,
 )
 
 from weaktensor import (
@@ -99,7 +108,7 @@ from weaktensor import (
     powerset_space,
     two_space,
 )
-from weaktensor import suites
+from weaktensor import props, suites
 from weaktensor.products import ProductUniverse, _xi_triples, sharp_map
 from weaktensor.props import (
     Automorphism, OrthoMap, SearchBudgetExceeded, _extend_atom_images, check_factorization,
@@ -331,7 +340,7 @@ def test_closure_over_irreducibles_matches_every_member(case):
 @pytest.mark.parametrize("case", sorted({*CASES, *BUILD_CLOSED, *FRASER_TRIPLES}))
 def test_irreducibles_match_the_definition(case):
     space = built(case)
-    assert sorted(space._close.generators) == meet_irreducibles_by_definition(space.masks)
+    assert list(space.meet_irreducibles()) == meet_irreducibles_by_definition(space.masks)
 
 
 @pytest.mark.parametrize("case,count", [
@@ -339,7 +348,7 @@ def test_irreducibles_match_the_definition(case):
     ("fraser(mo:2,mo:2,powerset:3)", 12), ("circle(mo:4,mo:6)", 504), ("box(mo:2,mo:3,mo:4)", 24),
 ])
 def test_a_space_closes_by_its_irreducibles_alone(case, count):
-    assert len(built(case)._close.generators) == count
+    assert len(built(case).meet_irreducibles()) == count
 
 
 # every circle product mo:m x mo:n within the point cap
@@ -420,6 +429,33 @@ def test_coatoms_match_maximality_scan_on_every_space():
         assert space.coatoms() == coatoms_by_maximality(space) == coatoms_by_joins(space), name
 
 
+def test_coatomistic_matches_the_coatom_closure_on_every_space():
+    verdicts = collections.Counter()
+    for name, space in every_space():
+        witness = space.dual_order_check().coatomistic_witness
+        old = coatomistic_witness_by_coatom_closure(space)
+        assert (witness is None) == (old is None), name
+        verdicts[witness is None] += 1
+        if witness is not None:
+            # the least irreducible that is not a coatom, and no meet of coatoms
+            coatoms = space.coatoms()
+            assert witness == next(m for m in meet_irreducibles_by_definition(space.masks)
+                                   if m not in coatoms), name
+            above = [c for c in coatoms if c & witness == witness]
+            assert functools.reduce(operator.and_, above, space.full_mask) != witness, name
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_centrality_matches_the_product_split_on_every_element():
+    central = checked = 0
+    for name, space in every_space():
+        center = space.center()
+        assert center == [m for m in space.masks if is_central_by_product_split(space, m)], name
+        central += len(center)
+        checked += len(space)
+    assert (checked, central) == (20_317, 2_118)
+
+
 def _covering_cases() -> list[str]:
     """The stock factors, box and Fraser products of every ordered pair of
     them within the point cap, circle products of every ordered pair of
@@ -469,6 +505,7 @@ def test_p4_matches_all_tuples_on_the_stock_products():
         assert check_p4(space, space.product, perms) is None, case
         assert p4_by_all_tuples(space, space.product,
                                 [[g.point_perm for g in group] for group in perms]) is None, case
+        assert p4_over_every_member(space, space.product, perms) is None, case
 
 
 def _points(universe, *coords):
@@ -497,11 +534,28 @@ def test_p4_matches_all_tuples_with_a_set_adjoined(adjoined):
     full = p4_by_all_tuples(candidate, universe, [[g.point_perm for g in group]] * 2)
     for perms in ([group, group], [transpositions, transpositions]):
         violation = check_p4(candidate, universe, perms)
-        assert (violation is None) == (full is None)
+        old = p4_over_every_member(candidate, universe, perms)
+        assert (violation is None) == (full is None) == (old is None)
         if violation is not None:
             # the reported one-generator tuple fails the oracle on its own
             assert p4_by_all_tuples(candidate, universe,
                                     [[v] for v in violation.factor_perms]) is not None
+            assert violation.factor_perms == old.factor_perms
+            assert violation.witness == least_failing_irreducible(candidate, universe,
+                                                                  violation.factor_perms)
+
+
+def least_failing_irreducible(candidate, universe, tup):
+    """The witness line for the least meet-irreducible member, by definition,
+    whose image under the coordinate-wise lift of ``tup`` is not a member."""
+    lifted = [sum(perm[c] * stride for perm, c, stride
+                  in zip(tup, decode(universe, pid), universe.strides))
+              for pid in range(universe.n_points)]
+    for m in meet_irreducibles_by_definition(candidate.masks):
+        img = sum(1 << lifted[pid] for pid in bits(m))
+        if img not in candidate:
+            return f"{universe.render_set(m)} maps to the non-closed {universe.render_set(img)}"
+    return None
 
 
 # box and Fraser of powerset:3 with itself are the whole powerset of 9
@@ -842,3 +896,14 @@ def test_validator_matches_pair_validator_on_box44_maps():
                 assert got == law(orthomap_violation_by_pairs(box44, broken)), (images, swap)
                 laws[got] += 1
     assert laws["order reversal"], laws
+
+
+def test_disjoint_complement_law_matches_the_closure_on_every_index_map(monkeypatch):
+    spaces = [FACTORS[name] for name in ("two", "mo:2", "mo:3", "mo:4", "powerset:2")]
+    maps = [OrthoMap(space, images) for space in spaces + [powerset_space(1)]
+            for images in itertools.product(range(len(space)), repeat=len(space))]
+    messages = [orthomap_violation(om.space, om) for om in maps]
+    monkeypatch.setattr(props, "_law_failures", law_failures_by_closure)
+    assert [orthomap_violation(om.space, om) for om in maps] == messages
+    laws = collections.Counter(map(law, messages))
+    assert len(maps) == 50_301 and (laws[None], laws["complement law"]) == (7, 13), laws

@@ -217,6 +217,7 @@ def test_builds_leave_the_closure_operator_to_the_first_closure(monkeypatch, nam
     for s in subsets:
         space.closure(s)
     space.coatoms()
+    space.meet_irreducibles()
     assert len(made) == 1 and isinstance(vars(space)["_close"], Counted)
 
 
@@ -261,7 +262,8 @@ def test_a_built_space_pickles_before_and_after_its_first_closure(name):
     closures = [space.closure(s) for s in subsets]
     assert [cold.closure(s) for s in subsets] == closures
     warm = pickle.loads(pickle.dumps(space))
-    assert warm._close.generators == space._close.generators
+    assert "_close" in vars(warm)
+    assert warm.meet_irreducibles() == space.meet_irreducibles()
     assert [warm.closure(s) for s in subsets] == closures
 
 
@@ -519,6 +521,18 @@ def test_p4_fails_when_one_diagonal_is_adjoined(box33, mo3):
     # one factor automorphism lifted alone, the identity on the other factor
     assert [p == (0, 1, 2) for p in violation.factor_perms].count(False) == 1
     assert "maps to the non-closed" in violation.witness
+
+
+def test_p4_witness_is_the_least_failing_irreducible(box33, mo3):
+    # a line plus one point; its pair a,a b,a also fails, but it is the
+    # meet of the adjoined set with a fiber, so not irreducible
+    uni = box33.product
+    planted = mask_of(uni, (0, 0), (0, 1), (0, 2), (1, 0))
+    candidate = ClosureSpace.from_closed_sets(
+        uni.points, set(box33.masks) | {planted}, product=uni)
+    violation = check_p4(candidate, uni, [automorphisms(mo3), automorphisms(mo3)])
+    assert violation == products.P4Violation(
+        ((0, 2, 1), (0, 1, 2)), "a,a a,b a,c b,a maps to the non-closed a,a a,b a,c c,a")
 
 
 # -- sharp map ------------------------------------------------------------------------------------

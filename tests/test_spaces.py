@@ -272,6 +272,13 @@ def test_double_dual_has_same_cover_relation():
                       if a != b and a & ~b == 0 and s.covers(a, b) is True) == direct
 
 
+def test_coatomistic_witness_is_the_least_irreducible_that_is_not_a_coatom():
+    # 0, a, b, c, a b, a c and the full set: the coatoms a b and a c meet in
+    # a, so 0, b and c are no meets of coatoms; b and c are irreducible
+    rep = ClosureSpace.from_closed_sets("abc", [0b011, 0b101]).dual_order_check()
+    assert (rep.coatomistic, rep.coatomistic_witness) == (False, 0b010)
+
+
 # -- center ------------------------------------------------------------------------
 
 def test_center_of_mo3_is_trivial():
@@ -340,6 +347,23 @@ def test_parse_errors_carry_line_numbers():
                          (f"points: {labels25}", "25 points exceeds the cap")):
         with pytest.raises(LatticeFormatError, match=f"line 1: .*{says}"):
             parse_lattice_text(header + "\n-\n")
+
+
+@pytest.mark.parametrize("label", ["#x", "#", "-"])
+def test_comment_and_empty_set_labels_are_rejected(label):
+    # a line of a .lat file that starts with '#' is a comment, and '-' is the empty set
+    with pytest.raises(ValueError, match="bad point label"):
+        ClosureSpace.from_closed_sets([label, "a", "b"], [0b011])
+    with pytest.raises(ValueError, match="bad point label"):
+        ClosureSpace([label, "a"], [0, 1, 2, 3])
+    with pytest.raises(LatticeFormatError, match="line 1: bad point label"):
+        parse_lattice_text(f"points: {label} a b\n-\n")
+
+
+def test_round_trip_keeps_labels_with_inner_hash_and_dash():
+    s = ClosureSpace.from_closed_sets(["x#", "a-b", "--"], [0b011, 0b110])
+    again = parse_lattice_text(render_lattice_text(s))
+    assert (again.points, again.masks) == (s.points, s.masks) and len(s) == 7
 
 
 def test_empty_set_renders_as_dash():
