@@ -3,8 +3,9 @@
 Realizes the product of two projective lattices of column spaces at
 small dimension: membership of product atoms in a subspace, joins via
 double orthocomplement, coatoms induced by antilinear maps, a decision
-procedure for box-product membership of a subspace of C^2 (x) C^2, and
-the failure of the covering property in the order dual.
+procedure for box-product membership of a subspace of C^2 (x) C^2 that
+reads each plane's rank-one members off a discriminant, with no square
+root taken, and the failure of the covering property in the order dual.
 
 All arithmetic is exact over Q(i); there is no floating point anywhere.
 A scalar ``GQ`` is the value (a + b*i) / d stored as three Python ints
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 MAX_FACTOR_DIM = 3
 
@@ -169,46 +170,6 @@ I = gq(0, 1)
 
 Vector = tuple[GQ, ...]
 Matrix = tuple[Vector, ...]
-
-
-def sqrt_fraction(x: Fraction) -> Optional[Fraction]:
-    """Exact nonnegative square root in Q, or None."""
-    if x < 0:
-        return None
-    if x == 0:
-        return Fraction(0)
-    ns = math.isqrt(x.numerator)
-    ds = math.isqrt(x.denominator)
-    if ns * ns == x.numerator and ds * ds == x.denominator:
-        return Fraction(ns, ds)
-    return None
-
-
-def gq_sqrt(z: GQ) -> Optional[GQ]:
-    """Exact square root in Q(i), or None when z is not a square there."""
-    if not z:
-        return ZERO
-    if not z.im:
-        r = sqrt_fraction(z.re)
-        if r is not None:
-            return GQ(r, Fraction(0))
-        r = sqrt_fraction(-z.re)
-        if r is not None:
-            return GQ(Fraction(0), r)
-        return None
-    n = sqrt_fraction(z.norm2())
-    if n is None:
-        return None
-    half = Fraction(1, 2)
-    u2 = (z.re + n) * half
-    u = sqrt_fraction(u2)
-    if u is None or u == 0:
-        return None
-    w = z.im / (2 * u)
-    cand = GQ(u, w)
-    if cand * cand == z:
-        return cand
-    return None
 
 
 # -- vectors ------------------------------------------------------------------
@@ -485,7 +446,6 @@ def verify_point_biorthogonality(pair: ProductAtomPair, m: int, n: int) -> bool:
 class BoxVerdict(Enum):
     IN_BOX = "in-box"
     NOT_IN_BOX = "not-in-box"
-    UNKNOWN = "unknown"
 
 
 def _as_matrix(v: Vector, m: int, n: int) -> list[list[GQ]]:
@@ -496,89 +456,47 @@ def _det2(a: Sequence[Sequence[GQ]]) -> GQ:
     return a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
 
-def _pencil_rank1_status(b0: Vector, b1: Vector) -> tuple[str, list[Vector]]:
-    """Rank-one vectors in a 2-dim pencil of 2x2 matrices.
+def _pencil_form(m0: Sequence[Sequence[GQ]], m1: Sequence[Sequence[GQ]]
+                 ) -> tuple[GQ, GQ, GQ]:
+    """The coefficients (a, b, c) of det(t0*m0 + t1*m1) = a t0^2 + b t0 t1 + c t1^2
+    for 2x2 matrices: a = det m0, c = det m1 and b = det(m0 + m1) - a - c."""
+    a, c = _det2(m0), _det2(m1)
+    both = [[x + y for x, y in zip(r0, r1)] for r0, r1 in zip(m0, m1)]
+    return a, _det2(both) - a - c, c
 
-    Returns ('all', []) when every pencil vector has rank <= 1,
-    ('roots', vectors) with the exact rank-one lines otherwise, or
-    ('unknown', []) when the root field leaves Q(i).
+
+def _product_spanned(v: Subspace) -> bool:
+    """Whether a subspace of C^2 (x) C^2 is spanned by the product vectors
+    it holds, the rank-one 2x2 matrices, decided by its dimension d.
+
+    d = 0: trivially.  d = 3: always, as a hyperplane w-perp holds t (x) Bt
+    for every t with B built from w, and those span it.  d = 4: it holds
+    e_i (x) e_j.  d = 1: iff the line's matrix has determinant 0.  d = 2:
+    the rank-one members are the roots of the binary form det(t0 B0 + t1 B1)
+    over the basis; the plane is spanned iff the form is zero (every member
+    has rank one) or has two distinct roots over C, i.e. b^2 - 4ac != 0.
     """
-    m0, m1 = _as_matrix(b0, 2, 2), _as_matrix(b1, 2, 2)
-    a = _det2(m0)
-    c = _det2(m1)
-    both = [[m0[i][j] + m1[i][j] for j in range(2)] for i in range(2)]
-    b = _det2(both) - a - c
-    if not a and not b and not c:
-        return "all", []
-    roots: list[tuple[GQ, GQ]] = []
-    if not a:
-        roots.append((ONE, ZERO))
-        if b:
-            roots.append((-c / b, ONE))
-    else:
-        disc = b * b - gq(4) * a * c
-        s = gq_sqrt(disc)
-        if s is None:
-            return "unknown", []
-        two_a = gq(2) * a
-        roots.append(((-b + s) / two_a, ONE))
-        if s:
-            roots.append(((-b - s) / two_a, ONE))
-    vectors = []
-    seen = set()
-    for t0, t1 in roots:
-        v = vadd(vscale(t0, b0), vscale(t1, b1))
-        if not is_zero_vector(v):
-            v = normalize_vector(v)
-            if v not in seen:
-                seen.add(v)
-                vectors.append(v)
-    return "roots", vectors
-
-
-def _plane_spanned(plane: Subspace) -> str:
-    """'yes' / 'no' / 'unknown': is a plane of the 2x2 tensor square spanned
-    by its product vectors?  It is iff its pencil has only rank-one members
-    or two rank-one lines; 'unknown' when those lines leave Q(i)."""
-    status, vectors = _pencil_rank1_status(*plane.basis)
-    if status == "all":
-        return "yes"
-    if status == "unknown":
-        return "unknown"
-    return "yes" if len(vectors) == 2 else "no"
+    if v.dim == 1:
+        return not _det2(_as_matrix(v.basis[0], 2, 2))
+    if v.dim != 2:
+        return True
+    a, b, c = _pencil_form(*(_as_matrix(row, 2, 2) for row in v.basis))
+    return not (a or b or c) or bool(b * b - gq(4) * a * c)
 
 
 def box_membership_test(subspace: Subspace, m: int, n: int) -> BoxVerdict:
     """Decide whether a subspace of C^2 (x) C^2 and its perp are both
-    spanned by product vectors, by the dimension d of the subspace.
-
-    d = 0 or 4: in the box.  d = 1 or 3: a hyperplane w-perp always is spanned,
-    as it holds t (x) Bt for every t with B built from w, and those span it,
-    so the verdict is whether the line's 2x2 matrix has rank one.  d = 2:
-    each plane by its pencil, with the honest UNKNOWN when the rank-one
-    lines have roots outside Q(i).  Other factor dimensions are refused.
+    spanned by product vectors (see ``_product_spanned``): ``IN_BOX`` iff
+    both are, ``NOT_IN_BOX`` otherwise.  No root is taken, so every
+    subspace is decided.  Other factor dimensions are refused.
     """
     if (m, n) != (2, 2):
         raise ValueError(f"box membership is decided for 2 x 2 factors only, got {m} x {n}")
     if subspace.ambient != 4:
         raise ValueError("ambient dimension does not match the factors")
-    d = subspace.dim
-    if d == 0 or d == 4:
+    if _product_spanned(subspace) and _product_spanned(subspace.perp()):
         return BoxVerdict.IN_BOX
-    if d != 2:
-        line = subspace if d == 1 else subspace.perp()
-        if _det2(_as_matrix(line.basis[0], 2, 2)):
-            return BoxVerdict.NOT_IN_BOX
-        return BoxVerdict.IN_BOX
-    first = _plane_spanned(subspace)
-    if first == "no":
-        return BoxVerdict.NOT_IN_BOX
-    second = _plane_spanned(subspace.perp())
-    if second == "no":
-        return BoxVerdict.NOT_IN_BOX
-    if first == "yes" and second == "yes":
-        return BoxVerdict.IN_BOX
-    return BoxVerdict.UNKNOWN
+    return BoxVerdict.NOT_IN_BOX
 
 
 # -- dual covering failure ----------------------------------------------------
@@ -613,23 +531,17 @@ def _pencil_members_exactly_two(a: ProductAtomPair, b: ProductAtomPair,
                                 m: int, n: int) -> bool:
     """Exactly two product lines in the span of two product vectors.
 
-    For independent coordinates every 2x2 minor of the pencil is a
-    constant times t0*t1, so the members are exactly the generators as
-    soon as one mixed minor is nonzero.
+    Each 2x2 minor of the pencil is a binary form (a, b, c) (see
+    ``_pencil_form``).  Both generators are product vectors iff every a and
+    c is zero; then every minor is b*t0*t1, and the members are exactly the
+    generators as soon as one b is nonzero.
     """
     ma = _as_matrix(a.product_vector(), m, n)
     mb = _as_matrix(b.product_vector(), m, n)
-    mixed_nonzero = False
-    for r0, r1 in itertools.combinations(range(m), 2):
-        for c0, c1 in itertools.combinations(range(n), 2):
-            suba = [[ma[r0][c0], ma[r0][c1]], [ma[r1][c0], ma[r1][c1]]]
-            subb = [[mb[r0][c0], mb[r0][c1]], [mb[r1][c0], mb[r1][c1]]]
-            if _det2(suba) or _det2(subb):
-                return False  # a generator is not a product vector
-            both = [[suba[i][j] + subb[i][j] for j in range(2)] for i in range(2)]
-            if _det2(both):
-                mixed_nonzero = True
-    return mixed_nonzero
+    forms = [_pencil_form(*([[x[r][c] for c in cols] for r in rows] for x in (ma, mb)))
+             for rows in itertools.combinations(range(m), 2)
+             for cols in itertools.combinations(range(n), 2)]
+    return not any(fa or fc for fa, _, fc in forms) and any(fb for _, fb, _ in forms)
 
 
 def dual_covering_counterexample(m: int, n: int) -> DualCoveringReport:

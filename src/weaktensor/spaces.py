@@ -292,17 +292,17 @@ class ClosureSpace:
         every element must be an intersection of coatoms, which holds iff
         every meet-irreducible member is a coatom (the witness is the
         least one that is not), and for every coatom x and element a with
-        x v a = 1, a must cover x ^ a.
+        x v a = 1, a must cover x ^ a.  For a coatom x, x v a is x when
+        a is inside x and the full set otherwise.
         """
         coatoms = self.coatoms()
-        full = self.full_mask
         is_coatom = set(coatoms)
         co_witness = next((m for m in self.meet_irreducibles() if m not in is_coatom), None)
         coatomistic = co_witness is None
         dual_cov, dc_witness = True, None
         for x in coatoms:
             for a in self.masks:
-                if self.closure(x | a) != full:
+                if not a & ~x:
                     continue
                 if self.covers(x & a, a) is not True:
                     dual_cov, dc_witness = False, (x, a)

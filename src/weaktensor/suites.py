@@ -219,11 +219,14 @@ def _universe_of(space: ClosureSpace) -> products.ProductUniverse:
 # ``*factors`` list takes as many targets as a product has factors.
 Handler = Callable[..., tuple[str, str]]
 CHECKS: dict[str, Handler] = {}
+# The ``args`` keys each check reads; any other key is an input error.
+_ARG_NAMES: dict[str, frozenset[str]] = {}
 
 
-def _check(name: str):
+def _check(name: str, *arg_names: str):
     def deco(fn: Handler) -> Handler:
         CHECKS[name] = fn
+        _ARG_NAMES[name] = frozenset(arg_names)
         return fn
     return deco
 
@@ -255,7 +258,7 @@ def _coatomistic(s, args, rng):
     return "fail", f"element=({s.render_set(rep.coatomistic_witness)})"
 
 
-@_check("orthocomplementation")
+@_check("orthocomplementation", "node_cap")
 def _orthocomplementation(s, args, rng):
     cap = _int_arg(args, "node_cap", props.DEFAULT_NODE_CAP, 1)
     res = props.find_orthocomplementation(s, node_cap=cap)
@@ -300,7 +303,7 @@ def _sharp_orthomodular(s, args, rng):
     return "fail", f"a=({s.render_set(res.a)}) b=({s.render_set(res.b)})"
 
 
-@_check("contains-mo")
+@_check("contains-mo", "n")
 def _contains_mo(s, args, rng):
     n = _int_arg(args, "n", 3, 3)
     res = props.contains_mo_n(s, n)
@@ -315,7 +318,7 @@ def _transitive(s, args, rng):
         else ("fail", "multiple point orbits")
 
 
-@_check("automorphism-count")
+@_check("automorphism-count", "count")
 def _automorphism_count(s, args, rng):
     want = _int_arg(args, "count")
     got = s.automorphism_order()
@@ -547,7 +550,7 @@ def _render_pair(pair: hilbert.ProductAtomPair) -> str:
     return f"[{left}]x[{right}]"
 
 
-@_check("hilbert-perp-involution")
+@_check("hilbert-perp-involution", "m", "n", "count")
 def _hilbert_perp_involution(args, rng):
     m, n = _factor_dims(args)
     count = _int_arg(args, "count", 100, 0, MAX_SAMPLES)
@@ -560,7 +563,7 @@ def _hilbert_perp_involution(args, rng):
     return "pass", f"{count} random subspaces satisfy perp-perp and the dimension law"
 
 
-@_check("hilbert-point-biorthogonality")
+@_check("hilbert-point-biorthogonality", "m", "n", "count")
 def _hilbert_point_biorthogonality(args, rng):
     m, n = _factor_dims(args)
     count = _int_arg(args, "count", 50, 0, MAX_SAMPLES)
@@ -571,7 +574,7 @@ def _hilbert_point_biorthogonality(args, rng):
     return "pass", f"{count} random pairs recover their product line"
 
 
-@_check("hilbert-antilinear-agreement")
+@_check("hilbert-antilinear-agreement", "m", "n", "maps", "pairs", "matrix")
 def _hilbert_antilinear_agreement(args, rng):
     m, n = _factor_dims(args)
     n_maps = _int_arg(args, "maps", 5, 0, MAX_SAMPLES)
@@ -616,7 +619,7 @@ def _hilbert_box_verdicts(args, rng):
     return "fail", " ".join(v.value for v in got)
 
 
-@_check("hilbert-dual-covering-break")
+@_check("hilbert-dual-covering-break", "m", "n")
 def _hilbert_dual_covering_break(args, rng):
     m, n = _factor_dims(args, lo=2)
     rep = hilbert.dual_covering_counterexample(m, n)
@@ -670,6 +673,9 @@ def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
         if handler is None:
             raise TargetError(f"unknown check id {name!r}")
         _check_count(name, _target_counts(handler), len(spec.targets), "target")
+        unknown = [key for key in spec.args if key not in _ARG_NAMES[name]]
+        if unknown:
+            raise TargetError(f"{label}: unknown argument {unknown[0]!r}")
         try:
             for t in spec.targets:
                 if t not in built:

@@ -26,18 +26,26 @@ members.
 So are the exact layer's operations that re-ran ``rref`` on bases that
 ``Subspace`` already holds reduced: membership, kernel and perp, and the
 construction that spanned a hyperplane of the 2x2 tensor square by its
-product vectors, which the rank rule on its perp line replaced.  The
+product vectors, which the rank rule on its perp line replaced, and the
+box membership that solved each plane's pencil with square roots in
+Q(i) and answered "unknown" when they left it, which the discriminant
+rule replaced, with the minor loop that counted the members of a
+two-atom pencil; a floating-point search for two rank-one members of a
+plane checks the planes that decider left open.  The
 Gaussian rational as a pair of ``Fraction`` parts, which the
 integer-triple ``GQ`` replaced, is kept with the row reduction and the
 seeded draws written over it.
 So are the checks that the meet-irreducible members replaced: P4 on
 every member's lifted image, coatomisticity by a closure over the
 coatoms scanning every member, centrality by the product split of every
-pair of members, and the complement law by closing each a | a'.
+pair of members, and the complement law by closing each a | a'.  So is
+the dual covering scan that closed x | a for each coatom x and member a,
+which the bit test a & ~x replaced.
 """
 
 from __future__ import annotations
 
+import cmath
 import collections
 import itertools
 import math
@@ -47,14 +55,15 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from weaktensor.hilbert import (
-    ONE, ZERO, Subspace, basis_vector, is_zero_vector, rref, tensor, vconj,
+    GQ, ONE, ZERO, Subspace, basis_vector, gq, is_zero_vector, normalize_vector, rref, tensor,
+    vadd, vconj, vscale,
 )
 from weaktensor.props import (
     DEFAULT_NODE_CAP, SEARCH_SET_CAP, CoveringFailure, ExhaustionCertificate, OrthoMap,
     SearchBudgetExceeded,
 )
 from weaktensor.products import P4Violation, ProductUniverse
-from weaktensor.spaces import ClosureSpace, _GeneratorClosure, bits, image
+from weaktensor.spaces import ClosureSpace, DualOrderReport, _GeneratorClosure, bits, image
 
 
 def naive_intersection_closure(n_points: int, masks) -> set[int]:
@@ -367,6 +376,17 @@ def p4_over_every_member(candidate, universe, generators) -> Optional[P4Violatio
     return None
 
 
+def dual_order_by_closing_joins(space) -> DualOrderReport:
+    """``dual_order_check`` with x v a = 1 tested by closing x | a."""
+    coatoms = space.coatoms()
+    co_witness = next((m for m in space.meet_irreducibles() if m not in coatoms), None)
+    for x in coatoms:
+        for a in space.masks:
+            if space.closure(x | a) == space.full_mask and space.covers(x & a, a) is not True:
+                return DualOrderReport(co_witness is None, False, co_witness, (x, a))
+    return DualOrderReport(co_witness is None, True, co_witness, None)
+
+
 def coatomistic_witness_by_coatom_closure(space) -> Optional[int]:
     """The least member that is not a meet of coatoms, by a closure over the
     coatoms run on every member, or None when the space is coatomistic."""
@@ -647,6 +667,168 @@ def hyperplane_spanned_by_products(subspace) -> bool:
         if not is_zero_vector(blam):
             collected.append(tensor(lam, blam))
     return Subspace.span(4, collected) == subspace
+
+
+def sqrt_fraction(x: Fraction) -> Optional[Fraction]:
+    """Exact nonnegative square root in Q, or None."""
+    if x < 0:
+        return None
+    if x == 0:
+        return Fraction(0)
+    ns = math.isqrt(x.numerator)
+    ds = math.isqrt(x.denominator)
+    if ns * ns == x.numerator and ds * ds == x.denominator:
+        return Fraction(ns, ds)
+    return None
+
+
+def gq_sqrt(z: GQ) -> Optional[GQ]:
+    """Exact square root in Q(i), or None when z is not a square there."""
+    if not z:
+        return ZERO
+    if not z.im:
+        r = sqrt_fraction(z.re)
+        if r is not None:
+            return GQ(r, Fraction(0))
+        r = sqrt_fraction(-z.re)
+        if r is not None:
+            return GQ(Fraction(0), r)
+        return None
+    n = sqrt_fraction(z.norm2())
+    if n is None:
+        return None
+    half = Fraction(1, 2)
+    u2 = (z.re + n) * half
+    u = sqrt_fraction(u2)
+    if u is None or u == 0:
+        return None
+    w = z.im / (2 * u)
+    cand = GQ(u, w)
+    if cand * cand == z:
+        return cand
+    return None
+
+
+def _as_matrix(v, m: int, n: int):
+    return [[v[i * n + j] for j in range(n)] for i in range(m)]
+
+
+def _det2(a):
+    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+
+
+def pencil_rank1_status(b0, b1):
+    """Rank-one vectors in a 2-dim pencil of 2x2 matrices.
+
+    Returns ('all', []) when every pencil vector has rank <= 1,
+    ('roots', vectors) with the exact rank-one lines otherwise, or
+    ('unknown', []) when the root field leaves Q(i).
+    """
+    m0, m1 = _as_matrix(b0, 2, 2), _as_matrix(b1, 2, 2)
+    a = _det2(m0)
+    c = _det2(m1)
+    both = [[m0[i][j] + m1[i][j] for j in range(2)] for i in range(2)]
+    b = _det2(both) - a - c
+    if not a and not b and not c:
+        return "all", []
+    roots = []
+    if not a:
+        roots.append((ONE, ZERO))
+        if b:
+            roots.append((-c / b, ONE))
+    else:
+        disc = b * b - gq(4) * a * c
+        s = gq_sqrt(disc)
+        if s is None:
+            return "unknown", []
+        two_a = gq(2) * a
+        roots.append(((-b + s) / two_a, ONE))
+        if s:
+            roots.append(((-b - s) / two_a, ONE))
+    vectors = []
+    seen = set()
+    for t0, t1 in roots:
+        v = vadd(vscale(t0, b0), vscale(t1, b1))
+        if not is_zero_vector(v):
+            v = normalize_vector(v)
+            if v not in seen:
+                seen.add(v)
+                vectors.append(v)
+    return "roots", vectors
+
+
+def box_verdict_by_roots(subspace) -> str:
+    """'in-box', 'not-in-box' or 'unknown' for a subspace of C^2 (x) C^2:
+    a line or hyperplane by the rank of the one line among it and its
+    perp, a plane and its perp each by the Q(i) rank-one lines of its
+    pencil, 'unknown' when those need roots outside Q(i)."""
+    d = subspace.dim
+    if d in (0, 4):
+        return "in-box"
+    if d != 2:
+        line = subspace if d == 1 else subspace.perp()
+        return "not-in-box" if _det2(_as_matrix(line.basis[0], 2, 2)) else "in-box"
+    sides = []
+    for plane in (subspace, subspace.perp()):
+        status, vectors = pencil_rank1_status(*plane.basis)
+        if status == "roots" and len(vectors) < 2:
+            return "not-in-box"
+        sides.append(status)
+    return "unknown" if "unknown" in sides else "in-box"
+
+
+def _complex_entries(v) -> list[complex]:
+    return [complex(float(z.re), float(z.im)) for z in v]
+
+
+def two_rank_one_members_by_cmath(plane) -> bool:
+    """Whether a plane of C^2 (x) C^2 holds two linearly independent
+    rank-one members, found in floating point: the roots (t0, t1) of
+    det(t0 B0 + t1 B1) by the quadratic formula in ``cmath``, each member
+    t0 B0 + t1 B1 checked to have a negligible determinant and the two
+    checked independent by their largest 2x2 coordinate minor."""
+    if plane.ambient != 4 or plane.dim != 2:
+        raise ValueError("need a plane of the 2x2 tensor square")
+    b0, b1 = (_complex_entries(v) for v in plane.basis)
+    a = b0[0] * b0[3] - b0[1] * b0[2]
+    c = b1[0] * b1[3] - b1[1] * b1[2]
+    b = b0[0] * b1[3] + b1[0] * b0[3] - b0[1] * b1[2] - b1[1] * b0[2]
+    eps = 1e-9
+    if max(abs(a), abs(b), abs(c)) < eps:
+        roots = [(1, 0), (0, 1)]
+    elif abs(a) < eps:
+        roots = [(1, 0)] + ([(-c / b, 1)] if abs(b) >= eps else [])
+    else:
+        s = cmath.sqrt(b * b - 4 * a * c)
+        roots = [((-b + s) / (2 * a), 1), ((-b - s) / (2 * a), 1)]
+    members = [[t0 * x + t1 * y for x, y in zip(b0, b1)] for t0, t1 in roots]
+    for v in members:
+        size = max(abs(x) for x in v)
+        if size < eps or abs(v[0] * v[3] - v[1] * v[2]) > eps * size * size:
+            return False
+    if len(members) < 2:
+        return False
+    u, w = members
+    minor = max(abs(u[i] * w[j] - u[j] * w[i]) for i, j in itertools.combinations(range(4), 2))
+    return minor > 1e-6 * max(map(abs, u)) * max(map(abs, w))
+
+
+def pencil_members_exactly_two_by_minors(a, b, m: int, n: int) -> bool:
+    """Exactly two product lines in the span of two product vectors, by
+    the determinant of each 2x2 minor of both generators and of their sum."""
+    ma = _as_matrix(a.product_vector(), m, n)
+    mb = _as_matrix(b.product_vector(), m, n)
+    mixed_nonzero = False
+    for r0, r1 in itertools.combinations(range(m), 2):
+        for c0, c1 in itertools.combinations(range(n), 2):
+            suba = [[ma[r0][c0], ma[r0][c1]], [ma[r1][c0], ma[r1][c1]]]
+            subb = [[mb[r0][c0], mb[r0][c1]], [mb[r1][c0], mb[r1][c1]]]
+            if _det2(suba) or _det2(subb):
+                return False  # a generator is not a product vector
+            both = [[suba[i][j] + subb[i][j] for j in range(2)] for i in range(2)]
+            if _det2(both):
+                mixed_nonzero = True
+    return mixed_nonzero
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,10 @@ def test_the_exports_are_the_pinned_list():
 HILBERT_NAMES = [
     "AntilinearMap", "BoxVerdict", "DualCoveringReport", "GQ", "I", "MAX_FACTOR_DIM", "Matrix",
     "ONE", "ProductAtomPair", "Subspace", "Vector", "ZERO", "basis_vector", "box_membership_test",
-    "coatom_from_antilinear", "dual_covering_counterexample", "gq", "gq_sqrt", "inner",
+    "coatom_from_antilinear", "dual_covering_counterexample", "gq", "inner",
     "is_zero_vector", "join_atoms", "normalize_vector", "parse_gq_matrix", "parse_gq_tokens",
     "random_antilinear", "random_gq", "random_pair", "random_subspace", "random_vector", "rref",
-    "sharp_point", "sigma_membership", "sqrt_fraction", "tensor", "vadd", "vconj",
+    "sharp_point", "sigma_membership", "tensor", "vadd", "vconj",
     "verify_point_biorthogonality", "vscale",
 ]
 
@@ -52,6 +52,12 @@ def test_the_hilbert_names_are_the_pinned_list():
         elif isinstance(node, ast.Assign):
             defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
     assert sorted(name for name in defined if not name.startswith("_")) == HILBERT_NAMES
+
+
+def test_the_box_verdicts_are_the_pinned_members():
+    # the values are report text: a change to them edits this test and CHANGES.md
+    assert {v.name: v.value for v in hilbert.BoxVerdict} == {
+        "IN_BOX": "in-box", "NOT_IN_BOX": "not-in-box"}
 
 
 CLOSURE_SPACE_NAMES = [

@@ -286,7 +286,7 @@ def test_check_input_errors(capsys, tmp_path):
         suite.write_text(json.dumps(data))
         code, _, err = run(capsys, "check", "--suite", str(suite))
         assert code == 2 and str(suite) in err and says in err
-    # a bad or over-cap integer argument is named with its check, not run
+    # a bad, over-cap or unknown argument is named with its check, not run
     for check, args, key in (
             ("hilbert-perp-involution", {"m": "x"}, "m"),
             ("automorphism-count", {"count": 7.5}, "count"),
@@ -298,7 +298,9 @@ def test_check_input_errors(capsys, tmp_path):
             ("hilbert-antilinear-agreement", {"matrix": "gr 1 0"}, "matrix"),
             ("orthocomplementation", {"node_cap": 0}, "node_cap"),
             ("orthocomplementation", {"node_cap": -5}, "node_cap"),
-            ("contains-mo", {"n": 2}, "n")):
+            ("contains-mo", {"n": 2}, "n"),
+            ("hilbert-perp-involution", {"cont": 3}, "cont"),
+            ("covering", {"node_cap": 5}, "node_cap")):
         targets = [] if check.startswith("hilbert-") else ["box(mo:3,mo:3)"]
         suite.write_text(json.dumps({"checks": [
             {"check": check, "targets": targets, "args": args}]}))

@@ -48,7 +48,9 @@ disjointness, against the closure of a | a' on every index map of the
 stock factors of at most 6 elements.  Coatomisticity and centrality, read off
 the meet-irreducible members, are checked against the closure over the
 coatoms and the product split on every space above, and P4 on the
-irreducibles against P4 on every member.
+irreducibles against P4 on every member.  The dual order report, which
+tests x v a = 1 for a coatom x by the bit test a & ~x, is checked
+against closing each join x | a on every space above.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from helpers import (
     covers_by_family_scan,
     cylinder_oracle,
     decode,
+    dual_order_by_closing_joins,
     extend_atom_images_by_violation,
     find_orthocomplementation_by_scan,
     fraser_by_laying,
@@ -444,6 +447,15 @@ def test_coatomistic_matches_the_coatom_closure_on_every_space():
             above = [c for c in coatoms if c & witness == witness]
             assert functools.reduce(operator.and_, above, space.full_mask) != witness, name
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_dual_order_matches_closing_each_join_on_every_space():
+    failures = 0
+    for name, space in every_space():
+        report = space.dual_order_check()
+        assert report == dual_order_by_closing_joins(space), name
+        failures += not report.dual_covering
+    assert failures, "no space breaks dual covering"
 
 
 def test_centrality_matches_the_product_split_on_every_element():

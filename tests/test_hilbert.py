@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction
 from random import Random
@@ -8,15 +9,21 @@ from hypothesis import strategies as st
 
 from helpers import (
     as_fraction_gq,
+    box_verdict_by_roots,
     contains_by_rref,
     fraction_random_gq,
     fraction_random_pair,
     fraction_random_vector,
     fraction_rref,
+    gq_sqrt,
     hyperplane_spanned_by_products,
     kernel_by_rref,
+    pencil_members_exactly_two_by_minors,
     perp_by_kernel,
+    sqrt_fraction,
+    two_rank_one_members_by_cmath,
 )
+from weaktensor import hilbert
 from weaktensor.hilbert import (
     AntilinearMap,
     BoxVerdict,
@@ -31,7 +38,6 @@ from weaktensor.hilbert import (
     coatom_from_antilinear,
     dual_covering_counterexample,
     gq,
-    gq_sqrt,
     inner,
     join_atoms,
     normalize_vector,
@@ -45,7 +51,6 @@ from weaktensor.hilbert import (
     rref,
     sharp_point,
     sigma_membership,
-    sqrt_fraction,
     tensor,
     vadd,
     vconj,
@@ -493,12 +498,16 @@ def test_box_membership_three_dimensional_sides():
     assert box_membership_test(diag.perp(), 2, 2) is BoxVerdict.NOT_IN_BOX
 
 
-def test_box_membership_unknown_on_irrational_roots():
-    # the rank-one locus of this pencil needs sqrt(2): no Q(i) witnesses
+def test_box_membership_in_box_on_irrational_roots():
+    # det of the pencil is t0^2 - 2 t1^2 on u and -t0^2 + t1^2 / 2 on its
+    # perp, discriminants 8 and 2: both pairs of rank-one lines need
+    # sqrt(2), outside Q(i), but exist over C
     u = Subspace.span(4, [vadd(tensor(e(2, 0), e(2, 0)), tensor(e(2, 1), e(2, 1))),
                           vadd(tensor(e(2, 0), e(2, 1)),
                                vscale(gq(2), tensor(e(2, 1), e(2, 0))))])
-    assert box_membership_test(u, 2, 2) is BoxVerdict.UNKNOWN
+    assert box_membership_test(u, 2, 2) is BoxVerdict.IN_BOX
+    assert box_verdict_by_roots(u) == "unknown"
+    assert two_rank_one_members_by_cmath(u) and two_rank_one_members_by_cmath(u.perp())
 
 
 def test_box_membership_matches_the_hyperplane_construction():
@@ -512,12 +521,51 @@ def test_box_membership_matches_the_hyperplane_construction():
         hyperplane = line.perp()
         spanned = hyperplane_spanned_by_products(hyperplane)
         assert spanned
-        if w[0] * w[3] - w[1] * w[2]:
-            want = BoxVerdict.NOT_IN_BOX
-        else:
-            want = BoxVerdict.IN_BOX if spanned else BoxVerdict.UNKNOWN
+        want = BoxVerdict.NOT_IN_BOX if w[0] * w[3] - w[1] * w[2] else BoxVerdict.IN_BOX
         assert box_membership_test(hyperplane, 2, 2) is want
         assert box_membership_test(line, 2, 2) is want
+
+
+def test_box_membership_matches_the_root_oracle():
+    # every line and hyperplane spanned by a vector in {0, +-1, +-i}^4 and
+    # 1200 seeded planes spanned by two: the old verdict wherever the Q(i)
+    # roots decided, and in the box where they left it open, with two
+    # independent rank-one members on both sides found in floating point
+    units = (ZERO, ONE, -ONE, I, -I)
+    vectors = [w for w in itertools.product(units, repeat=4) if any(w)]
+    lines = {Subspace.span(4, [w]) for w in vectors}
+    cases = lines | {line.perp() for line in lines}
+    rng = Random("box planes")
+    planes = set()
+    while len(planes) < 1200:
+        plane = Subspace.span(4, rng.sample(vectors, 2))
+        if plane.dim == 2:
+            planes.add(plane)
+    verdicts = collections.Counter()
+    for v in cases | planes:
+        got, old = box_membership_test(v, 2, 2), box_verdict_by_roots(v)
+        verdicts[v.dim, old] += 1
+        if old == "unknown":
+            assert got is BoxVerdict.IN_BOX, v
+            assert two_rank_one_members_by_cmath(v) and two_rank_one_members_by_cmath(v.perp()), v
+        else:
+            assert got.value == old, v
+    assert len(cases) == 312
+    assert verdicts[2, "unknown"] and verdicts[2, "in-box"] and verdicts[2, "not-in-box"], verdicts
+
+
+def test_pencil_members_match_the_minor_loop():
+    # seeded pairs over 2x2 to 3x3: independent, equal, and sharing either factor
+    rng = Random("pencil members")
+    outcomes = collections.Counter()
+    for m, n in itertools.product((2, 3), repeat=2):
+        for k in range(150):
+            a, b = random_pair(rng, m, n), random_pair(rng, m, n)
+            b = (b, a, ProductAtomPair(a.p1, b.p2), ProductAtomPair(b.p1, a.p2))[k % 4]
+            got = hilbert._pencil_members_exactly_two(a, b, m, n)
+            assert got == pencil_members_exactly_two_by_minors(a, b, m, n), (a, b)
+            outcomes[got] += 1
+    assert outcomes[True] and outcomes[False], outcomes
 
 
 def test_box_membership_caps():
