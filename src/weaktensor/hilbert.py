@@ -19,8 +19,8 @@ membership is a residual against the canonical basis.
 
 from __future__ import annotations
 
-import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -527,21 +527,17 @@ class DualCoveringReport:
                 and self.join_with_coatom_is_top and self.strict_chain)
 
 
-def _pencil_members_exactly_two(a: ProductAtomPair, b: ProductAtomPair,
-                                m: int, n: int) -> bool:
+def _pencil_members_exactly_two(a: ProductAtomPair, b: ProductAtomPair) -> bool:
     """Exactly two product lines in the span of two product vectors.
 
-    Each 2x2 minor of the pencil is a binary form (a, b, c) (see
-    ``_pencil_form``).  Both generators are product vectors iff every a and
-    c is zero; then every minor is b*t0*t1, and the members are exactly the
-    generators as soon as one b is nonzero.
+    Write the generators as x (x) y and u (x) w.  Each 2x2 minor of the
+    pencil is a binary form (a, b, c) (see ``_pencil_form``): a and c are
+    minors of rank-one matrices, so zero, and b = det[x u] det[y w] over
+    the minor's rows and columns.  So the members are exactly the
+    generators iff some b is nonzero, iff x is not parallel to u and y is
+    not parallel to w; on scale-canonical lines, iff both factors differ.
     """
-    ma = _as_matrix(a.product_vector(), m, n)
-    mb = _as_matrix(b.product_vector(), m, n)
-    forms = [_pencil_form(*([[x[r][c] for c in cols] for r in rows] for x in (ma, mb)))
-             for rows in itertools.combinations(range(m), 2)
-             for cols in itertools.combinations(range(n), 2)]
-    return not any(fa or fc for fa, _, fc in forms) and any(fb for _, fb, _ in forms)
+    return a.p1 != b.p1 and a.p2 != b.p2
 
 
 def dual_covering_counterexample(m: int, n: int) -> DualCoveringReport:
@@ -563,7 +559,7 @@ def dual_covering_counterexample(m: int, n: int) -> DualCoveringReport:
                 and not sigma_membership(x_subspace, s)
                 and r.p1 != s.p1 and r.p2 != s.p2)
     v_r = join_atoms([r, s], m, n)
-    closed_two = v_r.dim == 2 and _pencil_members_exactly_two(r, s, m, n)
+    closed_two = v_r.dim == 2 and _pencil_members_exactly_two(r, s)
     top = x_subspace.sum(v_r).dim == m * n
     singleton = Subspace.span(m * n, [r.product_vector()])
     chain = (sigma_membership(singleton, r) and not sigma_membership(singleton, s)
@@ -617,21 +613,33 @@ def random_antilinear(rng: Random, m: int, n: int) -> AntilinearMap:
 
 # -- CLI literals ---------------------------------------------------------------
 
+# an optionally signed integer or NUM/DEN in ASCII digits: no exponent, no
+# decimal point, no underscore, as Fraction() would also accept
+_FRACTION_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_fraction(tok: str) -> Fraction:
+    if not _FRACTION_LITERAL.fullmatch(tok):
+        raise ValueError(f"bad fraction in Gaussian-rational literal: {tok!r}")
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad fraction in Gaussian-rational literal: {exc}") from None
+
+
 def parse_gq_tokens(tokens: Sequence[str]) -> list[GQ]:
-    """Parse 'gr RE IM' token triples, RE and IM as NUM/DEN fractions."""
+    """Parse 'gr RE IM' token triples, RE and IM as integers or NUM/DEN
+    fractions in decimal digits, optionally with a leading minus."""
     out = []
     it = iter(tokens)
     for tok in it:
         if tok != "gr":
             raise ValueError(f"expected 'gr', got {tok!r}")
         try:
-            re = Fraction(next(it))
-            im = Fraction(next(it))
+            parts = next(it), next(it)
         except StopIteration:
             raise ValueError("truncated Gaussian-rational literal") from None
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad fraction in Gaussian-rational literal: {exc}") from None
-        out.append(GQ(re, im))
+        out.append(GQ(*map(_parse_fraction, parts)))
     return out
 
 

@@ -56,13 +56,12 @@ class ExhaustionCertificate:
 
     ``nodes`` counts the candidates tried at every visited atom, rejected
     ones included, read off candidate positions: a visited atom adds the
-    length of its candidate list.  ``branch_order`` lists the coatom
-    candidates in the order the search tried them at every atom, so the
-    exhaustion can be replayed.
+    length of its candidate list.  The search tries the coatoms in
+    ascending mask order at every atom, so the count replays from the
+    space alone: a cap of ``nodes`` finishes again, one less does not.
     """
 
     nodes: int
-    branch_order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -260,17 +259,15 @@ def find_orthocomplementation(
     space: ClosureSpace,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    reverse_branching: bool = False,
 ) -> Union[OrthoMap, ExhaustionCertificate]:
     """Backtracking search for an orthocomplementation.
 
-    Branches on the coatom image of each atom in canonical atom order.
-    In an atomistic lattice the atom images determine the whole map, so
-    exhausting the assignments decides existence; the certificate
-    records the node count and the order the coatoms were tried in
-    (descending with ``reverse_branching``, else ascending).  Candidates
-    are pruned by p not in p', injectivity, and the symmetry
-    q <= p' iff p <= q'.
+    Branches on the coatom image of each atom in canonical atom order,
+    trying the coatoms in ascending mask order.  In an atomistic lattice
+    the atom images determine the whole map, so exhausting the
+    assignments decides existence; the certificate records the node
+    count.  Candidates are pruned by p not in p', injectivity, and the
+    symmetry q <= p' iff p <= q'.
 
     ``nodes`` counts the candidates tried at every visited atom, rejected
     ones included.  The symmetry test fixes the points of p' below p, so
@@ -292,10 +289,7 @@ def find_orthocomplementation(
     n = space.n_points
     # a negative cap stops at the first node, as a cap of 0 does
     cap = max(node_cap, 0)
-    coatoms = space.coatoms()
-    if reverse_branching:
-        coatoms.reverse()
-    buckets, sizes = _symmetry_buckets(coatoms, n)
+    buckets, sizes = _symmetry_buckets(space.coatoms(), n)
     field = (1 << n) - 1
     chosen: list[int] = []
     used: set[int] = set()
@@ -347,7 +341,7 @@ def find_orthocomplementation(
         del dfs, buckets, sizes
     if found is not None:
         return found
-    return ExhaustionCertificate(nodes=nodes, branch_order=tuple(coatoms))
+    return ExhaustionCertificate(nodes=nodes)
 
 
 def is_orthomodular(space: ClosureSpace, om: OrthoMap) -> Union[bool, OrthomodularityWitness]:

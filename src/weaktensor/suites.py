@@ -61,6 +61,11 @@ MAX_SAMPLES = 200
 # tested on the factors' point counts before any product is built.
 SUBSET_SCAN_CAP = 16
 
+# Cap on the products nested inside one target, through the grammar and
+# ``.prod`` files alike; one-point factors nest without growing the product,
+# so the point cap alone does not bound the recursion.
+MAX_TARGET_DEPTH = 32
+
 
 def _int_arg(args: dict, key: str, default: Optional[int] = None,
              lo: Optional[int] = None, hi: Optional[int] = None) -> int:
@@ -103,34 +108,40 @@ def _split_args(body: str) -> list[str]:
 
 
 def resolve_target(text: str, base_dir: Path | None = None) -> ClosureSpace:
-    return _resolve(text, base_dir, frozenset())
+    return _resolve(text, base_dir, frozenset(), 0)
 
 
-def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path]) -> ClosureSpace:
+def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path],
+             depth: int) -> ClosureSpace:
     """``resolve_target``, given the resolved paths of the ``.prod``
-    files whose factors are being resolved, so an include cycle is an
-    input error rather than a runaway recursion."""
+    files whose factors are being resolved and the number of products
+    around ``text``, so an include cycle or a deep nest is an input error
+    rather than a runaway recursion."""
+    if depth > MAX_TARGET_DEPTH:
+        raise TargetError(f"target nested too deeply: more than {MAX_TARGET_DEPTH} "
+                          "levels of products")
     text = text.strip()
     if text == "two":
         return two_space()
     for prefix, builder in (("mo:", mo_space), ("powerset:", powerset_space),
                             ("pow:", powerset_space)):
         if text.startswith(prefix):
-            try:
-                n = int(text[len(prefix):])
-            except ValueError:
-                raise TargetError(f"bad size in target {text!r}") from None
-            return builder(n)
+            size = text[len(prefix):]
+            # int() would also take signs, spaces, underscores and non-ASCII digits
+            if not (size.isascii() and size.isdigit()):
+                raise TargetError(f"bad size in target {text!r}")
+            return builder(int(size))
     kind, paren, body = text.partition("(")
     if paren and text.endswith(")"):
         refs = _split_args(body[:-1])
         check_product_shape(kind, len(refs))
-        return build_product(kind, [_resolve(ref, base_dir, open_files) for ref in refs])
+        return build_product(kind, [_resolve(ref, base_dir, open_files, depth + 1)
+                                    for ref in refs])
     path = (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text)
     if text.endswith(".lat"):
         return load_lattice_file(path)
     if text.endswith(".prod"):
-        return build_product(*_parse_product_file(path, open_files))
+        return build_product(*_parse_product_file(path, open_files, depth))
     raise TargetError(f"unresolvable target {text!r}")
 
 
@@ -176,10 +187,10 @@ def build_product(kind: str, factors: Sequence[ClosureSpace]) -> ClosureSpace:
 def parse_product_file(path: Path) -> tuple[str, list[ClosureSpace]]:
     """Product description: a kind tag plus the factor targets, one per line;
     a missing file or a parse error names the file."""
-    return _parse_product_file(path, frozenset())
+    return _parse_product_file(path, frozenset(), 0)
 
 
-def _parse_product_file(path: Path, open_files: frozenset[Path]
+def _parse_product_file(path: Path, open_files: frozenset[Path], depth: int
                         ) -> tuple[str, list[ClosureSpace]]:
     if not path.exists():
         raise TargetError(f"no such product file: {path}")
@@ -204,7 +215,7 @@ def _parse_product_file(path: Path, open_files: frozenset[Path]
         check_product_shape(kind, len(refs))
     except TargetError as exc:
         raise TargetError(f"{path}: {exc}") from None
-    return kind, [_resolve(ref, path.parent, open_files | {key}) for ref in refs]
+    return kind, [_resolve(ref, path.parent, open_files | {key}, depth + 1) for ref in refs]
 
 
 def _universe_of(space: ClosureSpace) -> products.ProductUniverse:

@@ -540,7 +540,6 @@ def find_orthocomplementation_by_scan(
     space: ClosureSpace,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    reverse_branching: bool = False,
 ) -> Union[OrthoMap, ExhaustionCertificate]:
     """The orthocomplementation search that tries every candidate coatom
     in turn and runs the symmetry test on each, with the quadratic
@@ -548,13 +547,12 @@ def find_orthocomplementation_by_scan(
 
     Backtracking search for an orthocomplementation.
 
-    Branches on the coatom image of each atom in canonical atom order.
-    In an atomistic lattice the atom images determine the whole map, so
-    exhausting the assignments decides existence; the certificate
-    records the node count and the order the coatoms were tried in
-    (descending with ``reverse_branching``, else ascending).  Candidates
-    are pruned by p not in p', injectivity, and the symmetry
-    q <= p' iff p <= q'.
+    Branches on the coatom image of each atom in canonical atom order,
+    trying the coatoms in ascending mask order.  In an atomistic lattice
+    the atom images determine the whole map, so exhausting the
+    assignments decides existence; the certificate records the node
+    count.  Candidates are pruned by p not in p', injectivity, and the
+    symmetry q <= p' iff p <= q'.
 
     Raises SearchBudgetExceeded past ``node_cap`` nodes, and ValueError on
     a family of more than ``SEARCH_SET_CAP`` sets.  The search scans no
@@ -565,8 +563,6 @@ def find_orthocomplementation_by_scan(
                          f"of {SEARCH_SET_CAP}")
     n = space.n_points
     coatoms = sorted(space.coatoms())
-    if reverse_branching:
-        coatoms = coatoms[::-1]
     candidates = [[c for c in coatoms if not c >> i & 1] for i in range(n)]
     chosen: list[int] = []
     used: set[int] = set()
@@ -602,7 +598,19 @@ def find_orthocomplementation_by_scan(
     found = dfs(0)
     if found is not None:
         return found
-    return ExhaustionCertificate(nodes=nodes, branch_order=tuple(coatoms))
+    return ExhaustionCertificate(nodes=nodes)
+
+
+def relabelled(space: ClosureSpace, perm: Sequence[int]) -> ClosureSpace:
+    """The isomorphic copy of ``space`` that moves point i to ``perm[i]``,
+    label included: the image of every mask under the point permutation.
+    Its masks, and so the coatom order the search tries, differ from the
+    original's unless ``perm`` is an automorphism."""
+    points = [""] * space.n_points
+    for i, j in enumerate(perm):
+        points[j] = space.points[i]
+    table = [1 << j for j in perm]
+    return ClosureSpace.from_closed_sets(points, (image(m, table) for m in space.masks))
 
 
 def contains_by_rref(subspace, v) -> bool:

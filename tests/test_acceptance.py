@@ -71,6 +71,7 @@ from helpers import (
     involutions,
     is_orthocomplementation,
     orthocomplementations_oracle,
+    relabelled,
     section,
 )
 
@@ -162,15 +163,15 @@ def test_a06c_sharp_on_box33_unattainable(box33, mo3, box44, mo4, mo4_pairing):
     """No sharp map exists on box(mo:3, mo:3), and every pair of factor
     orthocomplementations gives one on box(mo:4, mo:4).
 
-    At mo:3 the search exhausts in both branching orders, the oracle
-    finds no orthocomplementation, and ``sharp_map`` rejects every one of
-    the 26 involutive element maps of mo:3 as a factor map.  At mo:4,
-    which meets the paper's hypotheses, the oracle finds the three atom
-    pairings, the search returns one of them, and each of the nine
-    factor pairs induces a valid orthocomplementation."""
-    for reverse in (False, True):
-        assert isinstance(find_orthocomplementation(mo3, reverse_branching=reverse),
-                          ExhaustionCertificate)
+    At mo:3 the search exhausts, the brute-force oracle finds no
+    orthocomplementation, and ``sharp_map`` rejects every one of the 26
+    involutive element maps of mo:3 as a factor map.  (Every permutation
+    of mo:3's points is an automorphism, so no relabelled copy would try
+    its coatoms in another order.)  At mo:4, which meets the paper's
+    hypotheses, the oracle finds the three atom pairings, the search
+    returns one of them, and each of the nine factor pairs induces a
+    valid orthocomplementation."""
+    assert isinstance(find_orthocomplementation(mo3), ExhaustionCertificate)
     assert orthocomplementations_oracle(mo3) == []
     maps = involutions(len(mo3))
     assert len(maps) == 26
@@ -257,34 +258,39 @@ def test_a09a_orthocomplementation_on_box33_expected_to_exist(box33, box44, mo3)
 
     box(mo:4, mo:4) has an orthocomplementation, and the one the search
     returns satisfies the laws checked both by the library and directly
-    on the family.  box(mo:3, mo:3) has none, certified by exhaustion in
-    both branching orders; that agrees with the main result only because
-    mo:3 itself has no orthocomplementation (the oracle finds none)."""
+    on the family.  box(mo:3, mo:3) has none, certified by exhaustion on
+    the space and on a copy relabelled by a transposition that is not an
+    automorphism, whose search runs on another coatom list; that agrees
+    with the main result only because mo:3 itself has no
+    orthocomplementation (the oracle finds none)."""
     found = find_orthocomplementation(box44, node_cap=NODE_BUDGET)
     assert isinstance(found, OrthoMap)
     assert validate_orthomap(box44, found)
     assert is_orthocomplementation(box44.masks, box44.full_mask, found.images)
 
-    for reverse in (False, True):
-        res = find_orthocomplementation(box33, node_cap=NODE_BUDGET,
-                                        reverse_branching=reverse)
+    copy = relabelled(box33, (1, 0, *range(2, box33.n_points)))
+    assert copy.masks != box33.masks
+    for space in (box33, copy):
+        res = find_orthocomplementation(space, node_cap=NODE_BUDGET)
         assert isinstance(res, ExhaustionCertificate)
     assert orthocomplementations_oracle(mo3) == []
 
 
 def test_a09b_fraser_and_circle_searches_exhaust(fraser33, circle33):
     """Both larger products are certified non-orthocomplemented within
-    the node budget, independently of branching order."""
+    the node budget, and so is each one's copy relabelled by a
+    transposition that is not an automorphism, whose search runs on
+    another coatom list."""
     for space in (fraser33, circle33):
-        try:
-            res = find_orthocomplementation(space, node_cap=NODE_BUDGET)
-        except SearchBudgetExceeded as exc:
-            pytest.fail(f"search exceeded the node budget: {exc.nodes}")
-        assert isinstance(res, ExhaustionCertificate)
-        assert res.nodes <= NODE_BUDGET
-        rev = find_orthocomplementation(space, node_cap=NODE_BUDGET,
-                                        reverse_branching=True)
-        assert isinstance(rev, ExhaustionCertificate)
+        copy = relabelled(space, (1, 0, *range(2, space.n_points)))
+        assert copy.masks != space.masks
+        for searched in (space, copy):
+            try:
+                res = find_orthocomplementation(searched, node_cap=NODE_BUDGET)
+            except SearchBudgetExceeded as exc:
+                pytest.fail(f"search exceeded the node budget: {exc.nodes}")
+            assert isinstance(res, ExhaustionCertificate)
+            assert res.nodes <= NODE_BUDGET
 
 
 def test_a10_box33_automorphisms_count_and_factor(box33):

@@ -1,12 +1,14 @@
 """The public API: every name that ``weaktensor/__init__.py`` exports,
-every public name that ``weaktensor/hilbert.py`` defines, and every public
-method, property and attribute of a ``ClosureSpace``.
+every public name that ``weaktensor/hilbert.py`` defines, every public
+method, property and attribute of a ``ClosureSpace``, and the surface of
+the orthocomplementation search.
 
 A name added, removed or renamed fails here until its list is updated,
 and CHANGES.md names the change.
 """
 
 import ast
+import dataclasses
 import inspect
 import types
 
@@ -58,6 +60,14 @@ def test_the_box_verdicts_are_the_pinned_members():
     # the values are report text: a change to them edits this test and CHANGES.md
     assert {v.name: v.value for v in hilbert.BoxVerdict} == {
         "IN_BOX": "in-box", "NOT_IN_BOX": "not-in-box"}
+
+
+def test_the_search_surface_is_pinned():
+    # a certificate replays from the space alone, and the search has one branch order
+    assert tuple(f.name for f in dataclasses.fields(weaktensor.ExhaustionCertificate)) == (
+        "nodes",)
+    params = inspect.signature(weaktensor.find_orthocomplementation).parameters.values()
+    assert tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY) == ("node_cap",)
 
 
 CLOSURE_SPACE_NAMES = [

@@ -67,11 +67,22 @@ def test_build_circle_and_powerset(capsys, tmp_path):
     assert code == 0 and len(out.splitlines()) == 51
 
 
+# targets the grammar refuses: a size that is not ASCII digits, which int()
+# would take, and one-point factors nested past the depth cap, which no point
+# cap stops
+BAD_TARGETS = (
+    ("mo: 3", "bad size"), ("mo:+3", "bad size"), ("pow:\u0663", "bad size"),
+    ("mo:1_0", "bad size"), ("box(" * 500 + "two" + ",two)" * 500, "nested too deeply"))
+
+
 def test_build_input_errors(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "build", "--product", "spiral", "x.lat", "y.lat")
     assert code == 2 and "spiral" in err
     code, _, err = run(capsys, "build", "--product", "box", *["mo:2"] * 4)
     assert code == 2 and "box takes 2 to 3 factors, got 4" in err
+    for target, says in BAD_TARGETS:
+        code, out, err = run(capsys, "build", "--product", "box", target, "two")
+        assert code == 2 and out == "" and says in err, target
     # one lattice-file loader: a lone file and a product factor read alike
     monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.lat"
@@ -296,6 +307,8 @@ def test_check_input_errors(capsys, tmp_path):
             ("hilbert-dual-covering-break", {"m": MAX_FACTOR_DIM + 1}, "m"),
             ("hilbert-antilinear-agreement", {"matrix": 5}, "matrix"),
             ("hilbert-antilinear-agreement", {"matrix": "gr 1 0"}, "matrix"),
+            ("hilbert-antilinear-agreement", {"matrix": "gr 1e3 0 gr 0 1 gr 1 0 gr 0 0"}, "matrix"),
+            ("hilbert-antilinear-agreement", {"matrix": "gr 0.5 0 gr 0 1 gr 1 0 gr 0 0"}, "matrix"),
             ("orthocomplementation", {"node_cap": 0}, "node_cap"),
             ("orthocomplementation", {"node_cap": -5}, "node_cap"),
             ("contains-mo", {"n": 2}, "n"),
@@ -318,6 +331,11 @@ def test_check_input_errors(capsys, tmp_path):
         suite.write_text(json.dumps({"checks": [{"check": check, "targets": targets}]}))
         code, out, err = run(capsys, "check", "--suite", str(suite))
         assert code == 2 and out == "" and says in err
+    # so is a target the grammar does not take, never a traceback
+    for target, says in BAD_TARGETS:
+        suite.write_text(json.dumps({"checks": [{"check": "covering", "targets": [target]}]}))
+        code, out, err = run(capsys, "check", "--suite", str(suite))
+        assert code == 2 and out == "" and says in err, target
 
 
 @pytest.mark.parametrize("files", [

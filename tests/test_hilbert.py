@@ -562,7 +562,7 @@ def test_pencil_members_match_the_minor_loop():
         for k in range(150):
             a, b = random_pair(rng, m, n), random_pair(rng, m, n)
             b = (b, a, ProductAtomPair(a.p1, b.p2), ProductAtomPair(b.p1, a.p2))[k % 4]
-            got = hilbert._pencil_members_exactly_two(a, b, m, n)
+            got = hilbert._pencil_members_exactly_two(a, b)
             assert got == pencil_members_exactly_two_by_minors(a, b, m, n), (a, b)
             outcomes[got] += 1
     assert outcomes[True] and outcomes[False], outcomes
@@ -624,6 +624,12 @@ def test_parse_gq_tokens():
         parse_gq_tokens(["nope", "1", "2"])
     with pytest.raises(ValueError):
         parse_gq_tokens(["gr", "1"])
+    # integers and NUM/DEN in ASCII digits only: Fraction() would take the rest
+    for tok in ("1e3", "1e300000", "0.5", "1_0", "+1", " 1", "1/-2", "\u0663", "inf", "nan"):
+        with pytest.raises(ValueError, match="bad fraction"):
+            parse_gq_tokens(["gr", tok, "0"])
+    with pytest.raises(ValueError, match="bad fraction"):
+        parse_gq_tokens(["gr", "1/0", "0"])
 
 
 def test_parse_gq_matrix():
