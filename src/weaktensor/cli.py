@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import products
-from .spaces import ClosureSpace, mo_space, powerset_space, render_lattice_text
+from .spaces import ClosureSpace, render_lattice_text
 from .suites import DEFAULT_SEED, build_product, check_product_shape, get_suite, \
     load_lattice_file, parse_product_file, resolve_target, run_suite
 
@@ -29,14 +29,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    chosen = [bool(args.mo), bool(args.powerset), bool(args.product), bool(args.lattice)]
-    if sum(chosen) != 1:
+    chosen = [args.mo, args.powerset, args.product, args.lattice]
+    if sum(arg is not None for arg in chosen) != 1:
         raise InputError("pick exactly one of --mo, --powerset, --product, --lattice")
-    if args.mo:
-        space = mo_space(args.mo)
-    elif args.powerset:
-        space = powerset_space(args.powerset)
-    elif args.lattice:
+    # the target grammar's size rule: ASCII digits only
+    if args.mo is not None:
+        space = resolve_target(f"mo:{args.mo}")
+    elif args.powerset is not None:
+        space = resolve_target(f"powerset:{args.powerset}")
+    elif args.lattice is not None:
         space = load_lattice_file(Path.cwd() / args.lattice)
     else:
         kind, factors = _product_arg(args.product)
@@ -124,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="write a canonical lattice file")
-    b.add_argument("--mo", type=int, metavar="N", help="MO lattice with N atoms")
-    b.add_argument("--powerset", type=int, metavar="N", help="powerset lattice on N points")
+    b.add_argument("--mo", metavar="N", help="MO lattice with N atoms")
+    b.add_argument("--powerset", metavar="N", help="powerset lattice on N points")
     b.add_argument("--product", nargs="+", metavar="ARG",
                    help="KIND A B [C] with KIND box|fraser|circle")
     b.add_argument("--lattice", metavar="FILE", help="canonicalize an existing lattice file")

@@ -357,14 +357,19 @@ def sigma_membership(subspace: Subspace, pair: ProductAtomPair) -> bool:
     return subspace.contains(pair.product_vector())
 
 
-def join_atoms(pairs: Sequence[ProductAtomPair], m: int, n: int) -> Subspace:
-    """Join of product atoms: span of the product vectors.
+def join_atoms(pairs: Sequence[ProductAtomPair]) -> Subspace:
+    """Join of product atoms: span of the product vectors, in the product
+    of the factor dimensions the pairs share.
 
     The double orthocomplement is verified to reproduce the span, which
     is the finite-dimensional identity backing the join formula.
     """
     if not pairs:
         raise ValueError("join of no atoms is not defined here")
+    shapes = {(len(p.p1), len(p.p2)) for p in pairs}
+    if len(shapes) != 1:
+        raise ValueError(f"product atoms of different shapes: {sorted(shapes)}")
+    (m, n), = shapes
     span = Subspace.span(m * n, [p.product_vector() for p in pairs])
     if span.perp().perp() != span:
         raise RuntimeError("double orthocomplement drifted from the span")
@@ -425,8 +430,9 @@ def coatom_from_antilinear(a_map: AntilinearMap
     return v, member
 
 
-def sharp_point(pair: ProductAtomPair, m: int, n: int) -> Subspace:
+def sharp_point(pair: ProductAtomPair) -> Subspace:
     """The cross subspace p1-perp (x) H2 + H1 (x) p2-perp."""
+    m, n = len(pair.p1), len(pair.p2)
     perp1 = Subspace.span(m, [pair.p1]).perp().basis
     perp2 = Subspace.span(n, [pair.p2]).perp().basis
     vectors = [tensor(u, basis_vector(n, j)) for u in perp1 for j in range(n)]
@@ -434,10 +440,10 @@ def sharp_point(pair: ProductAtomPair, m: int, n: int) -> Subspace:
     return Subspace.span(m * n, vectors)
 
 
-def verify_point_biorthogonality(pair: ProductAtomPair, m: int, n: int) -> bool:
+def verify_point_biorthogonality(pair: ProductAtomPair) -> bool:
     """perp of the sharp cross is exactly the pair's product line."""
-    cross = sharp_point(pair, m, n)
-    line = Subspace.span(m * n, [pair.product_vector()])
+    cross = sharp_point(pair)
+    line = Subspace.span(cross.ambient, [pair.product_vector()])
     return cross.perp() == line
 
 
@@ -448,8 +454,9 @@ class BoxVerdict(Enum):
     NOT_IN_BOX = "not-in-box"
 
 
-def _as_matrix(v: Vector, m: int, n: int) -> list[list[GQ]]:
-    return [[v[i * n + j] for j in range(n)] for i in range(m)]
+def _as_matrix(v: Vector) -> list[list[GQ]]:
+    """A vector of C^2 (x) C^2 as its 2x2 coefficient matrix."""
+    return [[v[0], v[1]], [v[2], v[3]]]
 
 
 def _det2(a: Sequence[Sequence[GQ]]) -> GQ:
@@ -477,23 +484,22 @@ def _product_spanned(v: Subspace) -> bool:
     has rank one) or has two distinct roots over C, i.e. b^2 - 4ac != 0.
     """
     if v.dim == 1:
-        return not _det2(_as_matrix(v.basis[0], 2, 2))
+        return not _det2(_as_matrix(v.basis[0]))
     if v.dim != 2:
         return True
-    a, b, c = _pencil_form(*(_as_matrix(row, 2, 2) for row in v.basis))
+    a, b, c = _pencil_form(*(_as_matrix(row) for row in v.basis))
     return not (a or b or c) or bool(b * b - gq(4) * a * c)
 
 
-def box_membership_test(subspace: Subspace, m: int, n: int) -> BoxVerdict:
+def box_membership_test(subspace: Subspace) -> BoxVerdict:
     """Decide whether a subspace of C^2 (x) C^2 and its perp are both
     spanned by product vectors (see ``_product_spanned``): ``IN_BOX`` iff
     both are, ``NOT_IN_BOX`` otherwise.  No root is taken, so every
-    subspace is decided.  Other factor dimensions are refused.
+    subspace is decided.  Any other ambient dimension than 4 is refused.
     """
-    if (m, n) != (2, 2):
-        raise ValueError(f"box membership is decided for 2 x 2 factors only, got {m} x {n}")
     if subspace.ambient != 4:
-        raise ValueError("ambient dimension does not match the factors")
+        raise ValueError("box membership is decided on C^2 (x) C^2 only, "
+                         f"got ambient dimension {subspace.ambient}")
     if _product_spanned(subspace) and _product_spanned(subspace.perp()):
         return BoxVerdict.IN_BOX
     return BoxVerdict.NOT_IN_BOX
@@ -558,7 +564,7 @@ def dual_covering_counterexample(m: int, n: int) -> DualCoveringReport:
     disjoint = (not sigma_membership(x_subspace, r)
                 and not sigma_membership(x_subspace, s)
                 and r.p1 != s.p1 and r.p2 != s.p2)
-    v_r = join_atoms([r, s], m, n)
+    v_r = join_atoms([r, s])
     closed_two = v_r.dim == 2 and _pencil_members_exactly_two(r, s)
     top = x_subspace.sum(v_r).dim == m * n
     singleton = Subspace.span(m * n, [r.product_vector()])
@@ -575,13 +581,11 @@ def dual_covering_counterexample(m: int, n: int) -> DualCoveringReport:
 
 # -- seeded sampling helpers ---------------------------------------------------
 
-def random_gq(rng: Random, zero_ok: bool = True) -> GQ:
-    while True:
-        p, q = rng.randint(-3, 3), rng.randint(1, 3)
-        r, s = rng.randint(-3, 3), rng.randint(1, 3)
-        z = _reduced(p * s, r * q, q * s)  # p/q + (r/s) i
-        if zero_ok or z:
-            return z
+def random_gq(rng: Random) -> GQ:
+    """p/q + (r/s) i with p, r in -3..3 and q, s in 1..3; zero is a possible draw."""
+    p, q = rng.randint(-3, 3), rng.randint(1, 3)
+    r, s = rng.randint(-3, 3), rng.randint(1, 3)
+    return _reduced(p * s, r * q, q * s)
 
 
 def random_vector(rng: Random, dim: int) -> Vector:

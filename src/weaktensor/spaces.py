@@ -21,8 +21,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .products import ProductUniverse
 
 MAX_POINTS = 24
-# Bounds the automorphism search, and with it the groups listed element by element.
+# Bounds the automorphism search.
 AUTOMORPHISM_POINT_CAP = 12
+# Bounds the groups listed element by element: 9!, the order of MO_9's group.
+AUTOMORPHISM_LIST_CAP = 362_880
 
 _LETTERS = "abcdefghijklmnopqrstuvwx"
 
@@ -30,11 +32,9 @@ _LETTERS = "abcdefghijklmnopqrstuvwx"
 class LatticeFormatError(ValueError):
     """Raised on malformed lattice text, with a 1-based line number."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,13 @@ class ClosureSpace:
         product t_0 t_1 ... t_(n-1) of an element of each level's
         transversal.  The products are formed level by level, skipping the
         levels whose transversal is the identity alone, and sorted once.
+        A group of order above ``AUTOMORPHISM_LIST_CAP`` is refused before
+        any element is formed.
         """
+        order = self.automorphism_order()
+        if order > AUTOMORPHISM_LIST_CAP:
+            raise ValueError(f"automorphism listing capped at {AUTOMORPHISM_LIST_CAP} "
+                             f"elements, the group has {order}")
         listing = [tuple(range(self.n_points))]
         for reps in self._chain.transversals:
             if len(reps) > 1:
@@ -624,19 +630,17 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(_LETTERS[:n])
 
 
-def mo_space(n: int, labels: Sequence[str] | None = None) -> ClosureSpace:
-    """MO_n: the space whose only closed sets are 0, 1 and the atoms."""
-    points = tuple(labels) if labels is not None else default_labels(n)
-    if len(points) != n:
-        raise ValueError("label count does not match n")
-    return ClosureSpace.from_closed_sets(points)
+def mo_space(n: int) -> ClosureSpace:
+    """MO_n on the points a, b, ...: the space whose only closed sets are
+    0, 1 and the atoms.  ``ClosureSpace.from_closed_sets(labels)`` is MO on
+    other labels."""
+    return ClosureSpace.from_closed_sets(default_labels(n))
 
 
-def powerset_space(n: int, labels: Sequence[str] | None = None) -> ClosureSpace:
-    points = _checked_points(labels) if labels is not None else default_labels(n)
-    if len(points) != n:
-        raise ValueError("label count does not match n")
-    return unchecked_space(points, range(1 << n))
+def powerset_space(n: int) -> ClosureSpace:
+    """The powerset of the points a, b, ...; on other labels it is
+    ``ClosureSpace.from_closed_sets(labels, range(1 << len(labels)))``."""
+    return unchecked_space(default_labels(n), range(1 << n))
 
 
 def two_space() -> ClosureSpace:

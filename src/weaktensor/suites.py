@@ -580,7 +580,7 @@ def _hilbert_point_biorthogonality(args, rng):
     count = _int_arg(args, "count", 50, 0, MAX_SAMPLES)
     for _ in range(count):
         pair = hilbert.random_pair(rng, m, n)
-        if not hilbert.verify_point_biorthogonality(pair, m, n):
+        if not hilbert.verify_point_biorthogonality(pair):
             return "fail", _render_pair(pair)
     return "pass", f"{count} random pairs recover their product line"
 
@@ -623,7 +623,7 @@ def _hilbert_box_verdicts(args, rng):
         (hilbert.Subspace.span(4, [t(e(2, 0), e(2, 0)), t(e(2, 0), e(2, 1))]),
          hilbert.BoxVerdict.IN_BOX),
     ]
-    got = [hilbert.box_membership_test(v, 2, 2) for v, _ in cases]
+    got = [hilbert.box_membership_test(v) for v, _ in cases]
     want = [w for _, w in cases]
     if got == want:
         return "pass", " ".join(v.value for v in got)

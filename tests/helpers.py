@@ -925,13 +925,10 @@ def fraction_rref(rows):
     return m[:r], pivots
 
 
-def fraction_random_gq(rng, zero_ok: bool = True) -> FractionGQ:
+def fraction_random_gq(rng) -> FractionGQ:
     """``hilbert.random_gq`` drawing ``FractionGQ`` values."""
-    while True:
-        z = FractionGQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                       Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        if zero_ok or z:
-            return z
+    return FractionGQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                      Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
 
 
 def fraction_random_vector(rng, dim: int):

@@ -314,7 +314,7 @@ def test_a11_exact_tensor_subspace_suite():
         assert p.perp() == v and v.dim + p.dim == 4
     # (b) point biorthogonality, 50 random pairs
     for _ in range(50):
-        assert verify_point_biorthogonality(random_pair(rng, 2, 2), 2, 2)
+        assert verify_point_biorthogonality(random_pair(rng, 2, 2))
     # (c) antilinear coatom agreement, 5 maps x 100 pairs
     for _ in range(5):
         a_map = random_antilinear(rng, 2, 2)
@@ -329,9 +329,9 @@ def test_a11_exact_tensor_subspace_suite():
     diagonal = Subspace.span(4, [vadd(tensor(e(2, 0), e(2, 0)),
                                       tensor(e(2, 1), e(2, 1)))])
     slice_ = Subspace.span(4, [tensor(e(2, 0), e(2, 0)), tensor(e(2, 0), e(2, 1))])
-    assert box_membership_test(spread, 2, 2) is BoxVerdict.IN_BOX
-    assert box_membership_test(diagonal, 2, 2) is BoxVerdict.NOT_IN_BOX
-    assert box_membership_test(slice_, 2, 2) is BoxVerdict.IN_BOX
+    assert box_membership_test(spread) is BoxVerdict.IN_BOX
+    assert box_membership_test(diagonal) is BoxVerdict.NOT_IN_BOX
+    assert box_membership_test(slice_) is BoxVerdict.IN_BOX
     # (e) the dual covering failure report passes all four checks
     rep = dual_covering_counterexample(2, 2)
     assert rep.disjoint_from_coatom

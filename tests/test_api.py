@@ -1,9 +1,10 @@
 """The public API: every name that ``weaktensor/__init__.py`` exports,
-every public name that ``weaktensor/hilbert.py`` defines, every public
-method, property and attribute of a ``ClosureSpace``, and the surface of
-the orthocomplementation search.
+every public name that ``weaktensor/hilbert.py`` defines and the
+parameters of its functions, the parameters of the stock builders and of
+``LatticeFormatError``, every public method, property and attribute of a
+``ClosureSpace``, and the surface of the orthocomplementation search.
 
-A name added, removed or renamed fails here until its list is updated,
+A name or parameter added, removed or renamed fails here until its list is updated,
 and CHANGES.md names the change.
 """
 
@@ -68,6 +69,53 @@ def test_the_search_surface_is_pinned():
         "nodes",)
     params = inspect.signature(weaktensor.find_orthocomplementation).parameters.values()
     assert tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY) == ("node_cap",)
+
+
+HILBERT_PARAMETERS = {
+    "basis_vector": ("n", "k"),
+    "box_membership_test": ("subspace",),
+    "coatom_from_antilinear": ("a_map",),
+    "dual_covering_counterexample": ("m", "n"),
+    "gq": ("re", "im"),
+    "inner": ("x", "y"),
+    "is_zero_vector": ("x",),
+    "join_atoms": ("pairs",),
+    "normalize_vector": ("x",),
+    "parse_gq_matrix": ("text", "rows", "cols"),
+    "parse_gq_tokens": ("tokens",),
+    "random_antilinear": ("rng", "m", "n"),
+    "random_gq": ("rng",),
+    "random_pair": ("rng", "m", "n"),
+    "random_subspace": ("rng", "ambient"),
+    "random_vector": ("rng", "dim"),
+    "rref": ("rows",),
+    "sharp_point": ("pair",),
+    "sigma_membership": ("subspace", "pair"),
+    "tensor": ("p1", "p2"),
+    "vadd": ("x", "y"),
+    "vconj": ("x",),
+    "verify_point_biorthogonality": ("pair",),
+    "vscale": ("c", "x"),
+}
+
+
+def parameter_names(fn):
+    return tuple(inspect.signature(fn).parameters)
+
+
+def test_the_parameters_are_the_pinned_lists():
+    # no parameter that the others already fix: the factor shapes come
+    # from the pairs, box membership from its ambient, the stock spaces
+    # from their size alone, and every lattice format error has its line
+    functions = {name: obj for name, obj in vars(hilbert).items()
+                 if not name.startswith("_") and inspect.isfunction(obj)
+                 and obj.__module__ == hilbert.__name__}
+    assert {name: parameter_names(fn) for name, fn in functions.items()} == HILBERT_PARAMETERS
+    assert parameter_names(weaktensor.mo_space) == ("n",)
+    assert parameter_names(weaktensor.powerset_space) == ("n",)
+    init = inspect.signature(weaktensor.LatticeFormatError.__init__).parameters.values()
+    assert [(p.name, p.default is p.empty) for p in init] == [
+        ("self", True), ("message", True), ("line", True)]
 
 
 CLOSURE_SPACE_NAMES = [

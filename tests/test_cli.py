@@ -96,6 +96,14 @@ def test_build_input_errors(capsys, tmp_path, monkeypatch):
     assert code == 2
     code, _, err = run(capsys, "build", "--mo", "3", "--powerset", "2")
     assert code == 2
+    # a size follows the target grammar: ASCII digits only, and at least 1
+    for flag, size, says in (("--mo", "1_0", "bad size in target 'mo:1_0'"),
+                             ("--powerset", "1_0", "bad size in target 'powerset:1_0'"),
+                             ("--mo", "+3", "bad size in target 'mo:+3'"),
+                             ("--mo", "\u0663", "bad size in target 'mo:\u0663'"),
+                             ("--mo", "0", "point count must be between 1 and 24"),
+                             ("--powerset", "0", "point count must be between 1 and 24")):
+        assert run(capsys, "build", flag, size) == (2, "", f"error: {says}\n"), (flag, size)
 
 
 def test_join_box_and_fraser(capsys, tmp_path):

@@ -486,7 +486,7 @@ def test_box_fraser_circle_satisfy_the_axioms(box33, fraser33, circle33):
 
 def test_full_powerset_on_product_violates_p3(mo3):
     uni = ProductUniverse([mo3, mo3])
-    candidate = powerset_space(9, labels=uni.points)
+    candidate = ClosureSpace.from_closed_sets(uni.points, range(1 << 9))
     violation = check_p1_p2_p3(candidate, uni)
     assert violation is not None
     assert violation.axiom == "P3"

@@ -32,7 +32,8 @@ from weaktensor.props import (
     orthomap_violation,
     validate_connected_covering,
 )
-from weaktensor.spaces import AUTOMORPHISM_POINT_CAP
+from weaktensor import spaces
+from weaktensor.spaces import AUTOMORPHISM_LIST_CAP, AUTOMORPHISM_POINT_CAP
 
 from helpers import relabelled
 
@@ -326,6 +327,21 @@ def test_automorphism_cap_raises_on_every_call(method, args):
         with pytest.raises(ValueError, match=f"automorphism search capped at "
                                              f"{AUTOMORPHISM_POINT_CAP} points"):
             getattr(space, method)(*args)
+
+
+def test_automorphism_listing_cap(monkeypatch):
+    # MO_10's group has 10! elements: refused from its order, before any is formed
+    space = mo_space(10)
+    for listing in (space.automorphism_perms, lambda: automorphisms(space)):
+        with pytest.raises(ValueError, match=f"automorphism listing capped at "
+                                             f"{AUTOMORPHISM_LIST_CAP} elements, "
+                                             f"the group has {math.factorial(10)}"):
+            listing()
+    # the cap itself is listed, one more element is not
+    monkeypatch.setattr(spaces, "AUTOMORPHISM_LIST_CAP", 24)
+    assert len(mo_space(4).automorphism_perms()) == 24
+    with pytest.raises(ValueError, match="capped at 24 elements, the group has 120"):
+        mo_space(5).automorphism_perms()
 
 
 def test_order_and_orbits_of_a_lopsided_group():
