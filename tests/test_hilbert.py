@@ -584,6 +584,15 @@ def test_box_membership_caps():
                 box_membership_test(v)
 
 
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (3, 3)])
+def test_box_membership_refuses_factors_other_than_2x2(m, n):
+    # a product line of C^m (x) C^n is refused by its ambient dimension m * n
+    line = Subspace.span(m * n, [tensor(e(m, 0), e(n, 0))])
+    for v in (Subspace.zero(m * n), line, line.perp()):
+        with pytest.raises(ValueError, match=f"C\\^2 \\(x\\) C\\^2 only, got ambient dimension {m * n}$"):
+            box_membership_test(v)
+
+
 # -- dual covering failure --------------------------------------------------------------------------
 
 def test_dual_covering_counterexample_2x2():
