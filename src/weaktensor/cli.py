@@ -102,10 +102,11 @@ def cmd_join(args: argparse.Namespace) -> int:
     else:
         if not args.betas:
             raise InputError("--method beta-sequence needs --betas, e.g. --betas 2,1,2")
-        try:
-            betas = [int(b) for b in args.betas.split(",")]
-        except ValueError:
+        # the target grammar's size rule: ASCII digits only
+        parts = args.betas.split(",")
+        if not all(b.isascii() and b.isdigit() for b in parts):
             raise InputError("--betas must be a comma-separated list of factor numbers")
+        betas = [int(b) for b in parts]
         if any(not 1 <= b <= len(factors) for b in betas):
             raise InputError(f"factor numbers must be between 1 and {len(factors)}")
         seq = products.beta_join_sequence(universe, region, [b - 1 for b in betas])

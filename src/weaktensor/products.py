@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .props import Automorphism, OrthoMap, atom_meets, orthomap_violation
+from .props import Automorphism, OrthoMap, orthomap_violation
 from .spaces import MAX_POINTS, ClosureSpace, bits, image, intersection_closure, unchecked_space
 
 # The most regions fraser_product lays: 2**20 is powerset:4 x powerset:5, on 20 points.
@@ -350,6 +350,13 @@ def check_p1_p2_p3(candidate: ClosureSpace, universe: ProductUniverse
     return None
 
 
+def _check_per_factor(universe: ProductUniverse, given: Sequence, what: str) -> None:
+    """Refuse a per-factor list of the wrong length: a short one would pass
+    over the factors it misses."""
+    if len(given) != len(universe.factors):
+        raise ValueError(f"{len(universe.factors)} factors but {len(given)} {what}")
+
+
 @dataclass(frozen=True)
 class P4Violation:
     factor_perms: tuple[tuple[int, ...], ...]
@@ -367,6 +374,7 @@ def check_p4(candidate: ClosureSpace, universe: ProductUniverse,
     bijection, keeps the family iff it keeps each meet-irreducible member.
     Returns the first failing one-generator tuple and least such member.
     """
+    _check_per_factor(universe, generators, "generator lists")
     for beta, gens in enumerate(generators):
         for g in gens:
             v = g.point_perm
@@ -402,16 +410,14 @@ def sharp_map(box_space: ClosureSpace, factor_maps: Sequence[OrthoMap]) -> Sharp
     universe = box_space.product
     if universe is None:
         raise ValueError("no product structure registered for this space")
+    _check_per_factor(universe, factor_maps, "factor maps")
     for beta, om in enumerate(factor_maps):
         bad = orthomap_violation(universe.factors[beta], om)
         if bad is not None:
             raise ValueError(f"factor {beta + 1} orthocomplementation invalid: {bad}")
-    points = [universe.cylinder_mask([om.image_mask(1 << q) for om, q in zip(factor_maps, c)])
-              for c in universe.coords]
-    images = tuple(map(box_space.element_index,
-                       atom_meets(box_space.masks, points, box_space.full_mask)))
-    return SharpMap(factor_maps=tuple(factor_maps),
-                    product_map=OrthoMap(box_space, images))
+    points = tuple(universe.cylinder_mask([om.atoms[q] for om, q in zip(factor_maps, c)])
+                   for c in universe.coords)
+    return SharpMap(factor_maps=tuple(factor_maps), product_map=OrthoMap(box_space, points))
 
 
 # -- coatom structure ----------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .spaces import ClosureSpace, CoverWitness, bits, image
 
@@ -32,22 +32,26 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class OrthoMap:
-    """An orthocomplementation given by element-index images.
+    """An orthocomplementation given by its atom images: ``atoms[i]`` is
+    the image of point i.
 
-    Laws (checked by :func:`validate_orthomap`): involution,
-    order-reversal, and a v a' = 1 for every element a.  The atom images
-    determine the map: an involution reverses order iff each image is the
-    meet of the images of the element's atoms.
+    In an atomistic lattice the atom images determine the map: an
+    element's image is the meet of its atoms' images, and 0 goes to the
+    full set.  So the map reverses order by construction, and the laws
+    left to check (by :func:`validate_orthomap`) are involution and
+    a v a' = 1 for every element a.
     """
 
     space: ClosureSpace
-    images: tuple[int, ...]
+    atoms: tuple[int, ...]
 
     def image_mask(self, mask: int) -> int:
-        return self.space.masks[self.images[self.space.element_index(mask)]]
+        if not isinstance(mask, int) or mask not in self.space:
+            raise ValueError(f"{mask!r} is not an element of this space")
+        return _meet_of_images(self.atoms, mask, self.space.full_mask)
 
     def atom_table(self) -> list[tuple[int, int]]:
-        return [(p, self.image_mask(p)) for p in self.space.atoms()]
+        return [(1 << i, c) for i, c in enumerate(self.atoms)]
 
 
 @dataclass(frozen=True)
@@ -161,68 +165,51 @@ def has_covering_property(space: ClosureSpace) -> Union[bool, CoveringFailure]:
 
 # -- orthocomplementation ---------------------------------------------------
 
-def atom_meets(masks: Iterable[int], atom_images: Sequence[int], full: int) -> list[int]:
-    """The meet of the point-indexed atom images below each mask; 0 gets ``full``."""
-    out = []
-    for m in masks:
-        img = full
-        for i in bits(m):
-            img &= atom_images[i]
-        out.append(img)
-    return out
+def _meet_of_images(atoms: Sequence[int], mask: int, full: int) -> int:
+    """The meet of the atom images of the points of ``mask``; 0 gets ``full``."""
+    for i in bits(mask):
+        full &= atoms[i]
+    return full
 
 
-def _law_failures(space: ClosureSpace, images: Sequence[int]) -> Iterator[tuple[str, int]]:
-    """Each (law, element index) failure of an index map, lazily: every
+def _atom_meets(space: ClosureSpace, atoms: Sequence[int]) -> dict[int, int]:
+    """Each element's image under the atom images ``atoms``.  When the atom
+    images are elements, so is every image: a meet of elements."""
+    full = space.full_mask
+    return {m: _meet_of_images(atoms, m, full) for m in space.masks}
+
+
+def _law_failures(images: dict[int, int]) -> Iterator[tuple[str, int]]:
+    """Each (law, element) failure of an element map, lazily: every
     involution failure first, then the complement-law ones, a ^ a' != 0: by De
-    Morgan, a v a' != 1 for the order-reversing involutions the callers act on."""
-    masks = space.masks
-    yield from (("involution fails at", i) for i, j in enumerate(images) if images[j] != i)
-    yield from (("complement law fails at", i) for i, j in enumerate(images)
-                if masks[i] & masks[j])
+    Morgan, a v a' != 1 once the map is an involution, as the maps of meets
+    reverse order."""
+    yield from (("involution fails at", a) for a, b in images.items() if images[b] != a)
+    yield from (("complement law fails at", a) for a, b in images.items() if a & b)
 
 
 def orthomap_violation(space: ClosureSpace, om: OrthoMap) -> Optional[str]:
     """Name the first violated orthocomplementation law, if any.
 
-    One pass per law, named in the order involution, order reversal,
-    complement.  An involution on valid indices is a bijection, so a test
-    that each image is an int in range stands for that law; order reversal
-    is tested as :class:`OrthoMap` describes.
+    Each point needs an atom image that is an element; then one pass per
+    law, named in the order involution, complement.  An involution is a
+    bijection, and order reversal holds by construction, as
+    :class:`OrthoMap` describes.
     """
-    n = len(space.masks)
-    if om.space is not space or len(om.images) != n:
+    if om.space is not space or len(om.atoms) != space.n_points:
         return "map does not index this space"
-    if not all(isinstance(j, int) and 0 <= j < n for j in om.images):
-        return "not a bijection on elements"
-    masks = space.masks
-    failure = next(_law_failures(space, om.images), None)
-    if failure is None or failure[0] != "involution fails at":
-        meets = atom_meets(masks, [om.image_mask(p) for p in space.atoms()], space.full_mask)
-        i = next((i for i, j in enumerate(om.images) if masks[j] != meets[i]), None)
-        if i is not None:
-            failure = ("order reversal fails at", i)
+    for p, c in zip(space.points, om.atoms):
+        # an int test first: 3.0 == 3, so a float can pass the member test
+        if not isinstance(c, int) or c not in space:
+            return f"atom image of {p!r} is not an element"
+    failure = next(_law_failures(_atom_meets(space, om.atoms)), None)
     if failure is None:
         return None
-    return f"{failure[0]} {space.render_set(masks[failure[1]])!r}"
+    return f"{failure[0]} {space.render_set(failure[1])!r}"
 
 
 def validate_orthomap(space: ClosureSpace, om: OrthoMap) -> bool:
     return orthomap_violation(space, om) is None
-
-
-def _extend_atom_images(space: ClosureSpace, images_by_atom: Sequence[int]) -> Optional[OrthoMap]:
-    """Extend an atom -> coatom assignment to all elements and validate.
-
-    Each image is the meet of the element's atom images (0 goes to 1), a
-    closed set that shrinks as atoms are added, so the map reverses order
-    by construction and only :func:`_law_failures` is left to check; an
-    involution is a bijection."""
-    meets = atom_meets(space.masks, images_by_atom, space.full_mask)
-    images = [space.element_index(m) for m in meets]
-    if any(_law_failures(space, images)):
-        return None
-    return OrthoMap(space, tuple(images))
 
 
 def _symmetry_buckets(coatoms: Sequence[int], n: int
@@ -300,7 +287,10 @@ def find_orthocomplementation(
         # atoms assigned so far, whose patterns packed holds
         nonlocal nodes
         if i == n:
-            return _extend_atom_images(space, chosen)
+            atoms = tuple(chosen)
+            if any(_law_failures(_atom_meets(space, atoms))):
+                return None
+            return OrthoMap(space, atoms)
         j = i + 1
         shift, size = j * n, sizes[j]
         base = nodes  # the count less this atom's positions: position k counts base + k + 1
@@ -353,8 +343,7 @@ def is_orthomodular(space: ClosureSpace, om: OrthoMap) -> Union[bool, Orthomodul
     violation = orthomap_violation(space, om)
     if violation is not None:
         raise ValueError(f"invalid orthocomplementation: {violation}")
-    for a in space.masks:
-        ia = om.image_mask(a)
+    for a, ia in _atom_meets(space, om.atoms).items():
         for b in space.masks:
             if a & ~b:
                 continue

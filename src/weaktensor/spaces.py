@@ -71,9 +71,9 @@ class ClosureSpace:
 
     Instances are immutable after construction and all operations are
     pure, so sharing across threads or workers is safe.  Internal memos
-    (the element index, the closure operator with the coatoms its scan
-    finds, and the automorphism chain) are cached properties, each
-    computed on first use from the family alone.
+    (the closure operator with the coatoms its scan finds, and the
+    automorphism chain) are cached properties, each computed on first
+    use from the family alone.
     """
 
     def __init__(self, points: Sequence[str], masks: Iterable[int],
@@ -106,10 +106,6 @@ class ClosureSpace:
         self._members = frozenset(masks)
         self.product = product
         return self
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.masks)}
 
     @cached_property
     def _close(self) -> "_GeneratorClosure":
@@ -172,12 +168,6 @@ class ClosureSpace:
 
     def is_closed(self, mask: int) -> bool:
         return mask in self._members
-
-    def element_index(self, mask: int) -> int:
-        try:
-            return self._index[mask]
-        except KeyError:
-            raise ValueError(f"{mask:#x} is not an element of this space") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
         m = 0

@@ -91,6 +91,10 @@ def _factor_dims(args: dict, lo: int = 1) -> tuple[int, int]:
 # -- target resolution --------------------------------------------------------
 
 def _split_args(body: str) -> list[str]:
+    """The comma-separated parts of a product body at depth 0, stripped; a
+    blank body has none, and a blank part stays in, as an empty string."""
+    if not body.strip():
+        return []
     parts, depth, cur = [], 0, []
     for ch in body:
         if ch == "(":
@@ -102,9 +106,8 @@ def _split_args(body: str) -> list[str]:
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        parts.append("".join(cur).strip())
-    return [p for p in parts if p]
+    parts.append("".join(cur).strip())
+    return parts
 
 
 def resolve_target(text: str, base_dir: Path | None = None) -> ClosureSpace:
@@ -134,6 +137,8 @@ def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path],
     kind, paren, body = text.partition("(")
     if paren and text.endswith(")"):
         refs = _split_args(body[:-1])
+        if "" in refs:
+            raise TargetError(f"empty factor in target {text!r}")
         check_product_shape(kind, len(refs))
         return build_product(kind, [_resolve(ref, base_dir, open_files, depth + 1)
                                     for ref in refs])

@@ -11,7 +11,9 @@ the scan of all n! permutations that the automorphism search replaced,
 the depth-first search over the whole group that the stabilizer chain
 replaced, and the orthocomplementation search that tried every candidate coatom
 and checked each complete assignment on every pair of elements, with the
-validator that compared every pair for order reversal, and the covering
+validator that compared every pair for order reversal on the element-index
+maps an ``OrthoMap`` once held (``index_images`` extends atom images to
+that form), and the covering
 check that asked ``covers`` once per (atom, element) pair, which the
 per-call join table replaced, and the incidence table of the generator
 closure built one bit test at a time.  So is the Fraser builder that laid every
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import collections
+import functools
 import itertools
 import math
 import operator
@@ -270,11 +273,12 @@ def is_orthocomplementation(masks, full: int, images) -> bool:
 
 
 def orthocomplementations_oracle(space) -> list[tuple[int, ...]]:
-    """All orthocomplementations of a small space, as element-index image
-    tuples over ``space.masks``, by filtering every involutive map."""
+    """All orthocomplementations of a small space, as atom-image tuples,
+    by filtering every involutive map of element indices."""
     masks = list(space.masks)
     assert len(masks) <= 8
-    return [images for images in involutions(len(masks))
+    atoms = [masks.index(1 << i) for i in range(space.n_points)]
+    return [tuple(masks[images[k]] for k in atoms) for images in involutions(len(masks))
             if is_orthocomplementation(masks, space.full_mask, images)]
 
 
@@ -406,12 +410,13 @@ def is_central_by_product_split(space, a: int) -> bool:
 
 
 def law_failures_by_closure(space, images):
-    """Each (law, element index) failure of an index map, lazily, the
-    complement law tested as the closure of a | a' being the full set."""
-    masks, full = space.masks, space.full_mask
-    yield from (("involution fails at", i) for i, j in enumerate(images) if images[j] != i)
-    yield from (("complement law fails at", i) for i, j in enumerate(images)
-                if space.closure(masks[i] | masks[j]) != full)
+    """Each (law, element) failure of an element map, given as a mask ->
+    image dict, lazily, the complement law tested as the closure of a | a'
+    being the full set."""
+    full = space.full_mask
+    yield from (("involution fails at", a) for a, b in images.items() if images[b] != a)
+    yield from (("complement law fails at", a) for a, b in images.items()
+                if space.closure(a | b) != full)
 
 
 def automorphisms_by_scan(space) -> list[tuple[int, ...]]:
@@ -485,28 +490,39 @@ def automorphisms_by_search(space) -> list[tuple[int, ...]]:
     return found
 
 
-def orthomap_violation_by_pairs(space: ClosureSpace, om: OrthoMap) -> Optional[str]:
-    """The validator that checked order reversal on every pair of elements.
+def index_images(space: ClosureSpace, atoms: Sequence[int]) -> tuple[int, ...]:
+    """The element-index form of the map with these atom images: the image
+    of a nonzero element is the meet of its atoms' images, and the image of
+    0 is 1.  Each meet of members is a member."""
+    index = {m: i for i, m in enumerate(space.masks)}
+    return tuple(index[functools.reduce(operator.and_, (atoms[i] for i in bits(m)),
+                                        space.full_mask)]
+                 for m in space.masks)
+
+
+def orthomap_violation_by_pairs(space: ClosureSpace, images: Sequence[int]) -> Optional[str]:
+    """The validator that checked order reversal on every pair of elements,
+    on a map of element indices.
 
     Name the first violated orthocomplementation law, if any."""
     n = len(space.masks)
-    if om.space is not space or len(om.images) != n:
+    if len(images) != n:
         return "map does not index this space"
-    if sorted(om.images) != list(range(n)):
+    if sorted(images) != list(range(n)):
         return "not a bijection on elements"
-    for i, j in enumerate(om.images):
-        if om.images[j] != i:
+    for i, j in enumerate(images):
+        if images[j] != i:
             return f"involution fails at {space.render_set(space.masks[i])!r}"
     masks = space.masks
     for i in range(n):
         for j in range(n):
             if masks[i] & ~masks[j] == 0:  # a <= b
-                if masks[om.images[j]] & ~masks[om.images[i]]:
+                if masks[images[j]] & ~masks[images[i]]:
                     return ("order reversal fails on "
                             f"{space.render_set(masks[i])!r} <= {space.render_set(masks[j])!r}")
     full = space.full_mask
     for i in range(n):
-        if space.closure(masks[i] | masks[om.images[i]]) != full:
+        if space.closure(masks[i] | masks[images[i]]) != full:
             return f"complement law fails at {space.render_set(masks[i])!r}"
     return None
 
@@ -519,20 +535,8 @@ def extend_atom_images_by_violation(space: ClosureSpace, images_by_atom: Sequenc
     The image of a nonzero element is the meet of its atoms' images; the
     image of 0 is 1.  Returns the map only if all laws hold.
     """
-    full = space.full_mask
-    images: list[int] = []
-    for m in space.masks:
-        img = full
-        for i in bits(m):
-            img &= images_by_atom[i]
-        if img not in space:
-            return None
-        images.append(space.element_index(img))
-    if len(set(images)) != len(images):
-        return None
-    om = OrthoMap(space, tuple(images))
-    if orthomap_violation_by_pairs(space, om) is None:
-        return om
+    if orthomap_violation_by_pairs(space, index_images(space, images_by_atom)) is None:
+        return OrthoMap(space, tuple(images_by_atom))
     return None
 
 

@@ -68,7 +68,7 @@ from helpers import (
     closure_in_family,
     distinct_coordinate_sets,
     fraser_family_oracle,
-    involutions,
+    index_images,
     is_orthocomplementation,
     orthocomplementations_oracle,
     relabelled,
@@ -164,8 +164,8 @@ def test_a06c_sharp_on_box33_unattainable(box33, mo3, box44, mo4, mo4_pairing):
     orthocomplementations gives one on box(mo:4, mo:4).
 
     At mo:3 the search exhausts, the brute-force oracle finds no
-    orthocomplementation, and ``sharp_map`` rejects every one of the 26
-    involutive element maps of mo:3 as a factor map.  (Every permutation
+    orthocomplementation, and ``sharp_map`` rejects as a factor map every
+    one of the 125 maps that send each point of mo:3 to an element.  (Every permutation
     of mo:3's points is an automorphism, so no relabelled copy would try
     its coatoms in another order.)  At mo:4, which meets the paper's
     hypotheses, the oracle finds the three atom pairings, the search
@@ -173,16 +173,16 @@ def test_a06c_sharp_on_box33_unattainable(box33, mo3, box44, mo4, mo4_pairing):
     valid orthocomplementation."""
     assert isinstance(find_orthocomplementation(mo3), ExhaustionCertificate)
     assert orthocomplementations_oracle(mo3) == []
-    maps = involutions(len(mo3))
-    assert len(maps) == 26
-    for images in maps:
-        factor_map = OrthoMap(mo3, images)
+    maps = list(itertools.product(mo3.masks, repeat=mo3.n_points))
+    assert len(maps) == 125
+    for atoms in maps:
+        factor_map = OrthoMap(mo3, atoms)
         with pytest.raises(ValueError, match="orthocomplementation invalid"):
             sharp_map(box33, [factor_map, factor_map])
 
     pairings = orthocomplementations_oracle(mo4)
     assert len(pairings) == 3
-    assert mo4_pairing.images in pairings
+    assert mo4_pairing.atoms in pairings
     for first, second in itertools.product(pairings, repeat=2):
         sm = sharp_map(box44, [OrthoMap(mo4, first), OrthoMap(mo4, second)])
         assert validate_orthomap(box44, sm.product_map)
@@ -266,7 +266,8 @@ def test_a09a_orthocomplementation_on_box33_expected_to_exist(box33, box44, mo3)
     found = find_orthocomplementation(box44, node_cap=NODE_BUDGET)
     assert isinstance(found, OrthoMap)
     assert validate_orthomap(box44, found)
-    assert is_orthocomplementation(box44.masks, box44.full_mask, found.images)
+    images = index_images(box44, found.atoms)
+    assert is_orthocomplementation(box44.masks, box44.full_mask, images)
 
     copy = relabelled(box33, (1, 0, *range(2, box33.n_points)))
     assert copy.masks != box33.masks

@@ -2,7 +2,8 @@
 every public name that ``weaktensor/hilbert.py`` defines and the
 parameters of its functions, the parameters of the stock builders and of
 ``LatticeFormatError``, every public method, property and attribute of a
-``ClosureSpace``, and the surface of the orthocomplementation search.
+``ClosureSpace``, the surface of the orthocomplementation search, and the
+fields of an ``OrthoMap``.
 
 A name or parameter added, removed or renamed fails here until its list is updated,
 and CHANGES.md names the change.
@@ -14,7 +15,7 @@ import inspect
 import types
 
 import weaktensor
-from weaktensor import hilbert
+from weaktensor import hilbert, props
 
 EXPORTS = [
     "Automorphism", "ClosureSpace", "ConnectedCovering", "CoverWitness",
@@ -71,6 +72,13 @@ def test_the_search_surface_is_pinned():
     assert tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY) == ("node_cap",)
 
 
+def test_an_orthomap_is_its_atom_images():
+    # an element's image is the meet of its atoms' images, so no element
+    # index is stored, and the meets stay inside props
+    assert tuple(f.name for f in dataclasses.fields(weaktensor.OrthoMap)) == ("space", "atoms")
+    assert not hasattr(props, "atom_meets")
+
+
 HILBERT_PARAMETERS = {
     "basis_vector": ("n", "k"),
     "box_membership_test": ("subspace",),
@@ -121,9 +129,8 @@ def test_the_parameters_are_the_pinned_lists():
 CLOSURE_SPACE_NAMES = [
     "atoms", "automorphism_generators", "automorphism_orbit", "automorphism_order",
     "automorphism_perms", "center", "closure", "coatoms", "covers", "dual_order_check",
-    "element_index", "from_closed_sets", "full_mask", "is_central", "is_closed", "join",
-    "labels_of", "mask_of", "masks", "meet", "meet_irreducibles", "n_points", "points",
-    "product", "render_set",
+    "from_closed_sets", "full_mask", "is_central", "is_closed", "join", "labels_of", "mask_of",
+    "masks", "meet", "meet_irreducibles", "n_points", "points", "product", "render_set",
 ]
 
 

@@ -72,7 +72,10 @@ def test_build_circle_and_powerset(capsys, tmp_path):
 # cap stops
 BAD_TARGETS = (
     ("mo: 3", "bad size"), ("mo:+3", "bad size"), ("pow:\u0663", "bad size"),
-    ("mo:1_0", "bad size"), ("box(" * 500 + "two" + ",two)" * 500, "nested too deeply"))
+    ("mo:1_0", "bad size"), ("box(" * 500 + "two" + ",two)" * 500, "nested too deeply"),
+    ("box(mo:3,,mo:3)", "empty factor"), ("box(mo:3,mo:3,)", "empty factor"),
+    ("box(,mo:3,mo:3)", "empty factor"), ("fraser(mo:2,mo:2,,)", "empty factor"),
+    ("box()", "box takes 2 to 3 factors, got 0"))
 
 
 def test_build_input_errors(capsys, tmp_path, monkeypatch):
@@ -202,6 +205,11 @@ def test_join_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
                        "--tuples", "a,a", "--method", "beta-sequence", "--betas", "9")
     assert code == 2
+    # factor numbers follow the target grammar's size rule: ASCII digits only
+    for betas in ("\u0662,1", "+1", " 1", "1, 2", "1,", ""):
+        code, out, err = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
+                             "--tuples", "a,a", "--method", "beta-sequence", "--betas", betas)
+        assert code == 2 and out == "" and "--betas" in err, betas
     code, _, err = run(capsys, "join", "--tuples", "a,a", "--method", "box")
     assert code == 2
     # the product's shape is checked as in every other front door

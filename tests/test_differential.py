@@ -40,14 +40,16 @@ The orthocomplementation search, which visits only the candidates that
 pass its symmetry test, is checked against the search that tried every
 candidate, at fixed caps and one node either side of each finished
 search's count, and its leaf check against the pair validator.
-``orthomap_violation``, which reads order reversal off the atom images
-once per element, is checked against the pair validator it replaced on
-every involution of every space of at most 8 elements, and on valid and
-broken maps of ``box(mo:4,mo:4)``; its complement law, read as
-disjointness, against the closure of a | a' on every index map of the
-stock factors of at most 6 elements.  Coatomisticity and centrality, read off
-the meet-irreducible members, are checked against the closure over the
-coatoms and the product split on every space above, and P4 on the
+``orthomap_violation``, which checks the atom images' meets once per
+element and law, is checked against the pair validator on element
+indices it replaced, on atom-image maps of every space of at most 8
+elements (every tuple of members on at most 4 points, a seeded sample
+above) and on valid and broken maps of ``box(mo:4,mo:4)``; its
+complement law, read as disjointness, against the closure of a | a' on
+every atom-image map of the stock factors of at most 6 elements.
+Coatomisticity and centrality, read off the meet-irreducible members,
+are checked against the closure over the coatoms and the product split
+on every space above, and P4 on the
 irreducibles against P4 on every member.  The dual order report, which
 tests x v a = 1 for a coatom x by the bit test a & ~x, is checked
 against closing each join x | a on every space above.
@@ -79,13 +81,12 @@ from helpers import (
     cylinder_oracle,
     decode,
     dual_order_by_closing_joins,
-    extend_atom_images_by_violation,
     find_orthocomplementation_by_scan,
     fraser_by_laying,
     fraser_family_oracle,
     in_xi,
+    index_images,
     incidence_by_comprehension,
-    involutions,
     is_central_by_product_split,
     law_failures_by_closure,
     meet_irreducibles_by_definition,
@@ -115,7 +116,7 @@ from weaktensor import (
 from weaktensor import props, suites
 from weaktensor.products import ProductUniverse, _xi_triples, sharp_map
 from weaktensor.props import (
-    Automorphism, OrthoMap, SearchBudgetExceeded, _extend_atom_images, check_factorization,
+    Automorphism, OrthoMap, SearchBudgetExceeded, check_factorization,
     find_orthocomplementation, orthomap_violation,
 )
 from weaktensor.spaces import CoverWitness
@@ -727,7 +728,7 @@ def search_outcome(search, space, **kwargs):
         res = search(space, **kwargs)
     except SearchBudgetExceeded as exc:
         return ("budget", exc.nodes)
-    return (type(res).__name__, getattr(res, "images", None), getattr(res, "nodes", None))
+    return (type(res).__name__, getattr(res, "atoms", None), getattr(res, "nodes", None))
 
 
 @functools.cache
@@ -824,31 +825,49 @@ def test_search_matches_oracle_on_random_spaces(family, cap):
             == search_outcome(find_orthocomplementation_by_scan, space, node_cap=cap))
 
 
-@pytest.mark.parametrize("name", ["mo:4", "powerset:3", "box(mo:2,mo:2)", "box(two,mo:4)"])
-def test_leaf_accepts_what_orthomap_violation_accepts(name):
-    space = FACTORS.get(name) or built(name)
-    laws = collections.Counter()
-    for assignment in itertools.product(space.coatoms(), repeat=space.n_points):
-        got = _extend_atom_images(space, assignment)
-        assert got == extend_atom_images_by_violation(space, assignment), (name, assignment)
-        # the law that rejects each injective map of meets
-        images = [space.element_index(functools.reduce(
-            operator.and_, (assignment[i] for i in bits(m)), space.full_mask)) for m in space.masks]
-        if len(set(images)) == len(images):
-            violation = orthomap_violation(space, OrthoMap(space, tuple(images)))
-            laws[violation.split()[0] if violation else "none"] += 1
-    # maps failing each law the leaf checks, and none failing order reversal,
-    # which a map of meets satisfies by construction
-    assert laws["involution"] and laws["complement"] and laws["none"], laws
-    assert set(laws) == {"involution", "complement", "none"}, laws
-
-
-# -- the per-element validator against the pair validator it replaced ---------
-
 def law(violation):
     """The law a violation names, without the element it names."""
     return None if violation is None else violation.split(" fails")[0]
 
+
+def atom_maps(space, seed: int) -> list[tuple[int, ...]]:
+    """Atom-image tuples on a space: every tuple of members per point on at
+    most 4 points, and beyond that a seeded sample of 300, a third of them
+    drawn from the coatoms, where the valid maps lie."""
+    if space.n_points <= 4:
+        return list(itertools.product(space.masks, repeat=space.n_points))
+    rng = random.Random(seed)
+    pools = (space.masks, space.masks, space.coatoms())
+    return [tuple(rng.choice(pools[k % 3]) for _ in range(space.n_points)) for k in range(300)]
+
+
+def valid_by_pairs(space, atoms) -> bool:
+    return orthomap_violation_by_pairs(space, index_images(space, atoms)) is None
+
+
+# the maps failing each law, and the valid ones, among every tuple of members
+LEAF_LAWS = {
+    "mo:4": {"involution": 1286, "complement law": 7, None: 3},
+    "powerset:3": {"involution": 508, "complement law": 3, None: 1},
+    "box(mo:2,mo:2)": {"involution": 65526, "complement law": 9, None: 1},
+    "box(two,mo:4)": {"involution": 1286, "complement law": 7, None: 3},
+}
+
+
+@pytest.mark.parametrize("name", LEAF_LAWS)
+def test_leaf_accepts_what_orthomap_violation_accepts(name):
+    # the search leaf keeps a complete assignment iff no law fails on the meets
+    space = FACTORS.get(name) or built(name)
+    laws = collections.Counter()
+    for atoms in atom_maps(space, 0):
+        leaf = not any(props._law_failures(props._atom_meets(space, atoms)))
+        violation = orthomap_violation(space, OrthoMap(space, atoms))
+        assert leaf == (violation is None) == valid_by_pairs(space, atoms), (name, atoms)
+        laws[law(violation)] += 1
+    assert laws == LEAF_LAWS[name], laws
+
+
+# -- the per-element validator against the pair validator it replaced ---------
 
 def spaces_up_to_eight_elements():
     """Every closure space of at most 8 elements, each family once: on n
@@ -867,50 +886,58 @@ def spaces_up_to_eight_elements():
     return out
 
 
-def test_validator_matches_pair_validator_on_every_involution_up_to_eight_elements():
+def test_validator_matches_pair_validator_on_atom_maps_up_to_eight_elements():
     spaces = [space for _, space in every_space() if len(space) <= 8]
     spaces += spaces_up_to_eight_elements()
     laws = collections.Counter()
-    for space in spaces:
-        for images in involutions(len(space)):
-            om = OrthoMap(space, images)
-            got = law(orthomap_violation(space, om))
-            assert got == law(orthomap_violation_by_pairs(space, om)), (space.masks, images)
-            laws[got] += 1
-    assert len(spaces) == 125 and sum(laws.values()) == 63_430, (len(spaces), laws)
-    assert set(laws) == {"order reversal", "complement law", None}, laws
+    for k, space in enumerate(spaces):
+        for atoms in atom_maps(space, k):
+            got = orthomap_violation(space, OrthoMap(space, atoms))
+            assert (got is None) == valid_by_pairs(space, atoms), (space.masks, atoms)
+            laws[law(got)] += 1
+    assert len(spaces) == 125, len(spaces)
+    assert laws == {"involution": 208_167, "complement law": 107, None: 39}, laws
 
 
 def test_validator_matches_pair_validator_on_box44_maps():
     box44 = built("box(mo:4,mo:4)")
     mo4 = FACTORS["mo:4"]
-    pairings = [OrthoMap(mo4, images) for images in orthocomplementations_oracle(mo4)]
+    pairings = [OrthoMap(mo4, atoms) for atoms in orthocomplementations_oracle(mo4)]
     assert len(pairings) == 3
-    maps = [find_orthocomplementation(box44).images]
-    maps += [sharp_map(box44, pair).product_map.images
+    maps = [find_orthocomplementation(box44).atoms]
+    maps += [sharp_map(box44, pair).product_map.atoms
              for pair in itertools.product(pairings, repeat=2)]
     rng = random.Random(10)
+    coatoms = box44.coatoms()
     laws = collections.Counter()
-    for images in maps:
-        assert orthomap_violation(box44, OrthoMap(box44, images)) is None
-        assert orthomap_violation_by_pairs(box44, OrthoMap(box44, images)) is None
-        pairs = sorted({(min(i, j), max(i, j)) for i, j in enumerate(images)})
-        for (a, a2), (b, b2) in rng.sample(list(itertools.combinations(pairs, 2)), 12):
-            # two ways to swap the partners of two pairs, each still an involution
-            for swap in ({a: b2, b2: a, b: a2, a2: b}, {a: b, b: a, a2: b2, b2: a2}):
-                broken = OrthoMap(box44, tuple(swap.get(i, j) for i, j in enumerate(images)))
-                got = law(orthomap_violation(box44, broken))
-                assert got == law(orthomap_violation_by_pairs(box44, broken)), (images, swap)
-                laws[got] += 1
-    assert laws["order reversal"], laws
+    for atoms in maps:
+        assert orthomap_violation(box44, OrthoMap(box44, atoms)) is None
+        assert valid_by_pairs(box44, atoms)
+        for p, q in rng.sample(list(itertools.combinations(range(box44.n_points), 2)), 12):
+            # swap the images of two points, or send one to another coatom
+            swapped = list(atoms)
+            swapped[p], swapped[q] = atoms[q], atoms[p]
+            moved = list(atoms)
+            moved[p] = rng.choice([c for c in coatoms if c != atoms[p]])
+            for broken in (swapped, moved):
+                got = orthomap_violation(box44, OrthoMap(box44, tuple(broken)))
+                assert (got is None) == valid_by_pairs(box44, broken), (atoms, p, q)
+                laws[law(got)] += 1
+    # every broken map in the sample fails the involution law
+    assert laws == {"involution": 240}, laws
 
 
-def test_disjoint_complement_law_matches_the_closure_on_every_index_map(monkeypatch):
+def test_disjoint_complement_law_matches_the_closure_on_every_atom_map(monkeypatch):
     spaces = [FACTORS[name] for name in ("two", "mo:2", "mo:3", "mo:4", "powerset:2")]
-    maps = [OrthoMap(space, images) for space in spaces + [powerset_space(1)]
-            for images in itertools.product(range(len(space)), repeat=len(space))]
+    maps = [OrthoMap(space, atoms) for space in spaces + [powerset_space(1)]
+            for atoms in itertools.product(space.masks, repeat=space.n_points)]
     messages = [orthomap_violation(om.space, om) for om in maps]
-    monkeypatch.setattr(props, "_law_failures", law_failures_by_closure)
-    assert [orthomap_violation(om.space, om) for om in maps] == messages
+    by_closure = []
+    for om in maps:
+        monkeypatch.setattr(props, "_law_failures",
+                            functools.partial(law_failures_by_closure, om.space))
+        by_closure.append(orthomap_violation(om.space, om))
+    assert by_closure == messages
     laws = collections.Counter(map(law, messages))
-    assert len(maps) == 50_301 and (laws[None], laws["complement law"]) == (7, 13), laws
+    assert len(maps) == 1457, len(maps)
+    assert laws == {"involution": 1437, "complement law": 13, None: 7}, laws

@@ -535,6 +535,19 @@ def test_p4_witness_is_the_least_failing_irreducible(box33, mo3):
         ((0, 2, 1), (0, 1, 2)), "a,a a,b a,c b,a maps to the non-closed a,a a,b a,c c,a")
 
 
+def test_p4_refuses_a_generator_list_per_factor_of_the_wrong_length(box33, mo3):
+    # the cylinders over a pair of the second factor break P4 there only, so
+    # a check that stopped at the first factor's list would let them pass
+    uni = box33.product
+    candidate = ClosureSpace.from_closed_sets(
+        uni.points, set(box33.masks) | {uni.preimage_mask(1, 0b011)}, product=uni)
+    gens = [automorphisms(mo3), automorphisms(mo3)]
+    assert check_p4(candidate, uni, gens) is not None
+    for given in (gens[:1], gens * 2):
+        with pytest.raises(ValueError, match=f"2 factors but {len(given)} generator lists"):
+            check_p4(candidate, uni, given)
+
+
 # -- sharp map ------------------------------------------------------------------------------------
 
 def test_sharp_of_a_point_is_the_partner_cross(box44, mo4_pairing):
@@ -595,9 +608,16 @@ def test_sharp_map_validates_across_factor_pairs(pow2, mo4, mo4_pairing):
         assert validate_orthomap(box, sm.product_map)
 
 
+def test_sharp_refuses_a_map_list_of_the_wrong_length(box44, mo4_pairing):
+    # with one map for two factors, zip would map each point by its first coordinate alone
+    for given in ([mo4_pairing], [mo4_pairing] * 3):
+        with pytest.raises(ValueError, match=f"2 factors but {len(given)} factor maps"):
+            sharp_map(box44, given)
+
+
 def test_sharp_rejects_invalid_factor_map(box44):
     mo4 = box44.product.factors[0]
-    identity = OrthoMap(mo4, tuple(range(len(mo4.masks))))
+    identity = OrthoMap(mo4, tuple(1 << q for q in range(mo4.n_points)))
     with pytest.raises(ValueError, match="factor 1"):
         sharp_map(box44, [identity, identity])
 

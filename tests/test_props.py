@@ -40,8 +40,7 @@ from helpers import relabelled
 
 def complement_map(space):
     full = space.full_mask
-    images = tuple(space.element_index(full & ~m) for m in space.masks)
-    return OrthoMap(space, images)
+    return OrthoMap(space, tuple(full & ~(1 << i) for i in range(space.n_points)))
 
 
 # -- orthomap validation -------------------------------------------------------
@@ -63,31 +62,27 @@ def test_mo4_pairing_found_and_orthomodular(mo4, mo4_pairing):
 
 def test_violations_are_named():
     p2 = powerset_space(2)
-    n = len(p2.masks)
-    identity = OrthoMap(p2, tuple(range(n)))
-    # 0 must go to the empty meet, the full set
-    assert orthomap_violation(p2, identity) == "order reversal fails at '-'"
-    bad_len = OrthoMap(p2, tuple(range(n - 1)))
-    assert orthomap_violation(p2, bad_len) is not None
-    for bad in (-1, n):
-        out_of_range = OrthoMap(p2, (bad,) + tuple(range(1, n)))
-        assert orthomap_violation(p2, out_of_range) == "not a bijection on elements"
-    # an image that is not an int is named, not an indexing TypeError
-    assert orthomap_violation(p2, OrthoMap(p2, (3.0, 2, 1, 0))) == "not a bijection on elements"
-    # on valid indices a map that is not injective fails the involution law
-    assert orthomap_violation(p2, OrthoMap(p2, (0,) * n)) == "involution fails at 'a'"
-    # swapping only 0 <-> 1 fixes the atoms: involutive, order-reversing,
-    # but an atom no longer joins with its image to the top
-    swap_tops = list(range(n))
-    i0, i1 = p2.element_index(0), p2.element_index(p2.full_mask)
-    swap_tops[i0], swap_tops[i1] = swap_tops[i1], swap_tops[i0]
-    assert "complement law" in orthomap_violation(p2, OrthoMap(p2, tuple(swap_tops)))
+    assert orthomap_violation(p2, OrthoMap(p2, (2, 1))) is None
+    assert orthomap_violation(p2, OrthoMap(p2, (2,))) == "map does not index this space"
+    assert orthomap_violation(mo_space(2), OrthoMap(p2, (2, 1))) == "map does not index this space"
+    assert orthomap_violation(p2, OrthoMap(p2, (2, 4))) == "atom image of 'b' is not an element"
+    # a float is named, not an indexing TypeError, though 3.0 in p2 holds
+    assert 3.0 in p2
+    assert orthomap_violation(p2, OrthoMap(p2, (3.0, 1))) == "atom image of 'a' is not an element"
+    # both atoms to b: 0 goes to 1, and 1 to b
+    assert orthomap_violation(p2, OrthoMap(p2, (2, 2))) == "involution fails at '-'"
+    # each atom to itself: involutive, but an atom meets its image
+    assert orthomap_violation(p2, OrthoMap(p2, (1, 2))) == "complement law fails at 'a'"
+    # the image of a non-element, a float among them, is refused by name too
+    for mask in (4, 3.0):
+        with pytest.raises(ValueError, match=f"{mask!r} is not an element"):
+            OrthoMap(p2, (2, 1)).image_mask(mask)
 
 
 def test_invalid_map_rejected_by_orthomodularity_check():
     p2 = powerset_space(2)
-    identity = OrthoMap(p2, tuple(range(len(p2.masks))))
-    with pytest.raises(ValueError, match="order reversal"):
+    identity = OrthoMap(p2, (1, 2))
+    with pytest.raises(ValueError, match="complement law"):
         is_orthomodular(p2, identity)
 
 
@@ -114,7 +109,7 @@ def test_powerset_search_finds_set_complement():
     p3 = powerset_space(3)
     found = find_orthocomplementation(p3)
     assert isinstance(found, OrthoMap)
-    assert found.images == complement_map(p3).images
+    assert found.atoms == complement_map(p3).atoms
 
 
 def test_two_element_lattice_is_orthocomplemented():
