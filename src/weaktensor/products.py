@@ -124,12 +124,19 @@ def _check_region(universe: ProductUniverse, region: int) -> None:
         raise ValueError("region uses points outside the universe")
 
 
+def _check_factor_index(universe: ProductUniverse, beta: int) -> None:
+    # a negative index would pick a factor from the end
+    if not 0 <= beta < len(universe.factors):
+        raise ValueError(f"factor index {beta} is outside 0..{len(universe.factors) - 1}")
+
+
 def beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
     """Close every beta-fiber of the region in its factor.
 
     Extensive, monotone and idempotent in the region argument.
     """
     _check_region(universe, region)
+    _check_factor_index(universe, beta)
     return _beta_join(universe, region, beta)
 
 
@@ -147,6 +154,8 @@ def beta_join_sequence(universe: ProductUniverse, region: int,
                        betas: Sequence[int]) -> list[int]:
     """The iterates R^0, R^1, ... under the given beta-join order."""
     _check_region(universe, region)
+    for b in betas:
+        _check_factor_index(universe, b)
     out = [region]
     for b in betas:
         out.append(_beta_join(universe, out[-1], b))
@@ -218,38 +227,55 @@ def _fraser_regions(universe: ProductUniverse, axis: int) -> list[int]:
     ``axis``.
 
     Fiber k of the axis gets each closed set of its factor in turn, so the
-    axis sections are closed by construction and never checked.  A fiber
-    of another axis is checked as soon as the last axis fiber it meets is
-    laid, when its section is final, and a failing check drops every
-    region below that choice.  The search is one level deep per fiber,
-    at most 20 under ``FRASER_REGION_CAP``, as every factor has at least
-    two closed sets.
+    axis sections are never checked.  A partial region is one packed int:
+    bits [0, n) hold the region, and the n bits from s * n hold the
+    sections of cross axis s (1-based, skipping ``axis``), one run per
+    fiber.  The axis fibers that meet a cross fiber differ only in its
+    coordinate and are laid in ascending order, so after fiber k the
+    section is final up to coordinate t, where they meet, and must there
+    be the trace of a closed set; at the last coordinate the traces are
+    the closed sets themselves.  A failing check drops every region
+    below that choice.  The search is one level deep per fiber, at most
+    20 under ``FRASER_REGION_CAP``, as every factor has at least two
+    closed sets.
     """
-    fibers = universe.fibers[axis]
-    # closing[k]: the fibers of the other axes whose section is final once
-    # fiber k is laid, each with its factor's is_closed and coordinate bits
-    closing: list[list[tuple]] = [[] for _ in fibers]
-    for beta, (factor, cross) in enumerate(zip(universe.factors, universe.fibers)):
-        if beta != axis:
-            for fiber in cross:
-                at = max(k for k, laid_fiber in enumerate(fibers) if laid_fiber & fiber)
-                closing[at].append((factor.is_closed, fiber, universe.coordinate_bits[beta]))
-    # the fibers are disjoint, so a region is the sum of its laid sections
-    laid = [[fiber & universe.preimage_mask(axis, sec) for sec in universe.factors[axis].masks]
-            for fiber in fibers]
-    last = len(fibers) - 1
+    n, fibers = universe.n_points, universe.fibers[axis]
+    on_axis = {pid: k for k, fiber in enumerate(fibers) for pid in bits(fiber)}
+    # where[pid]: the bit of the point in the region and in each cross field
+    where = [1 << pid for pid in range(n)]
+    # checks[k]: (shift, width, traces) for each cross fiber that meets
+    # fiber k; a check whose traces hold every pattern is left out, as it
+    # prunes nothing
+    checks: list[list[tuple]] = [[] for _ in fibers]
+    cross = (beta for beta in range(len(universe.factors)) if beta != axis)
+    for s, beta in enumerate(cross, 1):
+        size, masks = universe.sizes[beta], universe.factors[beta].masks
+        width = (1 << size) - 1
+        # traces[t]: the closed sets cut to coordinates 0..t
+        traces = [frozenset(m & (2 << t) - 1 for m in masks) for t in range(size)]
+        for j, fiber in enumerate(universe.fibers[beta]):
+            shift = s * n + j * size
+            for pid in bits(fiber):
+                t = universe.coords[pid][beta]
+                where[pid] |= 1 << shift + t
+                if len(traces[t]) < 2 << t:
+                    checks[on_axis[pid]].append((shift, width, traces[t]))
+    # the fibers are disjoint, so a choice is the sum of its laid parts
+    laid = [[image(fiber & universe.preimage_mask(axis, sec), where)
+             for sec in universe.factors[axis].masks] for fiber in fibers]
+    last, full = len(fibers) - 1, universe.full_mask
     regions: list[int] = []
 
     def lay(k: int, below: int) -> None:
-        checks = closing[k]
+        meets = checks[k]
         for part in laid[k]:
             region = below + part
-            for is_closed, fiber, coordinate_bits in checks:
-                if not is_closed(image(region & fiber, coordinate_bits)):
+            for shift, width, traces in meets:
+                if region >> shift & width not in traces:
                     break
             else:
                 if k == last:
-                    regions.append(region)
+                    regions.append(region & full)
                 else:
                     lay(k + 1, region)
 

@@ -71,9 +71,9 @@ class ClosureSpace:
 
     Instances are immutable after construction and all operations are
     pure, so sharing across threads or workers is safe.  Internal memos
-    (the closure operator with the coatoms its scan finds, and the
-    automorphism chain) are cached properties, each computed on first
-    use from the family alone.
+    (the member set, the closure operator with the coatoms its scan
+    finds, and the automorphism chain) are cached properties, each
+    computed on first use from the family alone.
     """
 
     def __init__(self, points: Sequence[str], masks: Iterable[int],
@@ -103,9 +103,14 @@ class ClosureSpace:
         tail of every constructor."""
         self.points = points
         self.masks = masks
-        self._members = frozenset(masks)
         self.product = product
         return self
+
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        """The family as a set, built on the first membership test: a space
+        that is built and never queried holds only its sorted tuple."""
+        return frozenset(self.masks)
 
     @cached_property
     def _close(self) -> "_GeneratorClosure":
@@ -211,6 +216,8 @@ class ClosureSpace:
 
     def closure(self, subset: int) -> int:
         """Smallest closed superset of ``subset``."""
+        if not isinstance(subset, int):
+            raise ValueError(f"{subset!r} is not a point set of this space")
         if subset & ~self.full_mask:
             raise ValueError("subset uses points outside the universe")
         if subset in self._members:
@@ -218,6 +225,9 @@ class ClosureSpace:
         return self._close(subset)
 
     def _require_element(self, mask: int) -> None:
+        # an int test first: 1.0 == 1, so a float can pass the member test
+        if not isinstance(mask, int):
+            raise ValueError(f"{mask!r} is not an element of this space")
         if mask not in self._members:
             raise ValueError(
                 f"{self.render_set(mask & self.full_mask)!r} is not an element of this space"

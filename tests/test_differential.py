@@ -239,8 +239,10 @@ FRASER_TRIPLES = (
     "fraser(two,mo:4,mo:4)", "fraser(mo:2,mo:2,mo:2)", "fraser(mo:2,mo:2,mo:3)",
     "fraser(mo:5,powerset:2,powerset:2)",
 )
-# every two-factor Fraser case and the three-factor ones
-FRASER_BUILDS = [c for c in CASES if c.startswith("fraser")] + list(FRASER_TRIPLES)
+# every two-factor Fraser case, the 24-point ones past FRASER_POINTS, where
+# the prefix traces prune the lay most, and the three-factor ones
+FRASER_BUILDS = ([c for c in CASES if c.startswith("fraser")]
+                 + ["fraser(mo:4,mo:6)", "fraser(mo:6,mo:4)"] + list(FRASER_TRIPLES))
 CLOSURE_SAMPLES = 2000
 
 

@@ -827,6 +827,16 @@ def test_region_functions_refuse_points_outside_the_universe(mo3, name):
             call(uni, bad)
 
 
+def test_factor_index_outside_the_factors_is_refused(mo3):
+    uni = ProductUniverse([mo3, mo3])
+    assert beta_join(uni, 0b11, 1) == 0b111
+    for beta in (-1, 2):
+        with pytest.raises(ValueError, match=rf"factor index {beta} is outside 0\.\.1"):
+            beta_join(uni, 0b11, beta)
+        with pytest.raises(ValueError, match=rf"factor index {beta} is outside 0\.\.1"):
+            beta_join_sequence(uni, 0b11, [0, beta])
+
+
 def test_three_factor_products(mo3):
     factors = [two_space(), mo3, mo3]
     box = box_product(factors)

@@ -176,6 +176,24 @@ def test_foreign_element_rejected():
         mo3.join(0b011, 0b001)  # 0b011 is not closed in MO3
 
 
+FLOAT_MASK_CALLS = {
+    "closure": lambda s: s.closure(3.0),
+    "covers": lambda s: s.covers(1, 3.0),
+    "meet": lambda s: s.meet(3.0, 1),
+    "join": lambda s: s.join(1.0, 2),
+    "is_central": lambda s: s.is_central(1.0),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_MASK_CALLS)
+def test_float_mask_is_named_not_a_type_error(name):
+    # 1.0 == 1, so a float can pass the member test and fail later on a bit operation
+    mo3 = mo_space(3)
+    assert 1.0 in mo3
+    with pytest.raises(ValueError, match=r"^(3\.0|1\.0) is not an? (element|point set) of this space$"):
+        FLOAT_MASK_CALLS[name](mo3)
+
+
 @given(data=st.data())
 @settings(max_examples=100)
 def test_lattice_algebra_laws(data):
