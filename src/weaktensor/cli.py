@@ -12,9 +12,8 @@ import sys
 from pathlib import Path
 
 from . import products
-from .spaces import ClosureSpace, render_lattice_text
-from .suites import DEFAULT_SEED, build_product, check_product_shape, get_suite, \
-    load_lattice_file, parse_product_file, resolve_target, run_suite
+from .spaces import render_lattice_text
+from .suites import DEFAULT_SEED, get_suite, resolve_product, resolve_target, run_suite
 
 
 class InputError(Exception):
@@ -29,32 +28,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    chosen = [args.mo, args.powerset, args.product, args.lattice]
-    if sum(arg is not None for arg in chosen) != 1:
-        raise InputError("pick exactly one of --mo, --powerset, --product, --lattice")
-    # the target grammar's size rule: ASCII digits only
-    if args.mo is not None:
-        space = resolve_target(f"mo:{args.mo}")
-    elif args.powerset is not None:
-        space = resolve_target(f"powerset:{args.powerset}")
-    elif args.lattice is not None:
-        space = load_lattice_file(Path.cwd() / args.lattice)
-    else:
-        kind, factors = _product_arg(args.product)
-        try:
-            space = build_product(kind, factors)
-        except AssertionError as exc:
-            raise InputError(str(exc)) from None
-    _emit(render_lattice_text(space), args.out)
+    _emit(render_lattice_text(resolve_target(args.target, Path.cwd())), args.out)
     return 0
-
-
-def _product_arg(argv: list[str]) -> tuple[str, list[ClosureSpace]]:
-    """The kind and the resolved factors of ``--product KIND A B [C]``; the
-    shape is checked before any factor is read."""
-    kind, refs = argv[0], argv[1:]
-    check_product_shape(kind, len(refs))
-    return kind, [resolve_target(ref, Path.cwd()) for ref in refs]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -84,12 +59,9 @@ def _parse_tuples(universe: products.ProductUniverse, text: str) -> int:
 
 
 def cmd_join(args: argparse.Namespace) -> int:
-    if bool(args.product_file) == bool(args.product):
-        raise InputError("give either a product file or --product KIND A B [C]")
-    if args.product_file:
-        kind, factors = parse_product_file(Path.cwd() / args.product_file)
-    else:
-        kind, factors = _product_arg(args.product)
+    if args.betas is not None and args.method != "beta-sequence":
+        raise InputError("--betas needs --method beta-sequence")
+    kind, factors = resolve_product(args.target, Path.cwd())
     if kind == "circle":
         products.check_circle_factors(factors)
     universe = products.ProductUniverse(factors)
@@ -126,11 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="write a canonical lattice file")
-    b.add_argument("--mo", metavar="N", help="MO lattice with N atoms")
-    b.add_argument("--powerset", metavar="N", help="powerset lattice on N points")
-    b.add_argument("--product", nargs="+", metavar="ARG",
-                   help="KIND A B [C] with KIND box|fraser|circle")
-    b.add_argument("--lattice", metavar="FILE", help="canonicalize an existing lattice file")
+    b.add_argument("target", metavar="TARGET",
+                   help="a suite target, e.g. mo:3, 'box(mo3.lat,mo3.lat)' or any.lat")
     b.add_argument("--out", metavar="FILE", help="also write the output to FILE")
     b.set_defaults(fn=cmd_build)
 
@@ -143,9 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_check)
 
     j = sub.add_parser("join", help="compute joins of point tuples in a product")
-    j.add_argument("product_file", nargs="?", metavar="FILE.prod")
-    j.add_argument("--product", nargs="+", metavar="ARG",
-                   help="KIND A B [C] instead of a product file")
+    j.add_argument("target", metavar="TARGET",
+                   help="a product target, e.g. 'box(mo:3,mo:3)' or pair.prod")
     j.add_argument("--tuples", required=True,
                    help="semicolon-separated tuples, e.g. 'a,x;b,y;c,z'")
     j.add_argument("--method", choices=("box", "fraser", "beta-sequence"),

@@ -464,6 +464,7 @@ def decompose_coatom(candidate: ClosureSpace, universe: ProductUniverse, coatom:
     and verifies z is a coatom of its factor.  A conformance failure is
     reported rather than raised; a non-coatom argument is an error.
     """
+    _check_factor_index(universe, free_factor)
     if coatom not in candidate:
         raise ValueError("not an element of the candidate space")
     if coatom not in candidate.coatoms():

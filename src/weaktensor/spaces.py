@@ -25,6 +25,8 @@ MAX_POINTS = 24
 AUTOMORPHISM_POINT_CAP = 12
 # Bounds the groups listed element by element: 9!, the order of MO_9's group.
 AUTOMORPHISM_LIST_CAP = 362_880
+# Bounds every family a space is built from: 2^20 sets, as many as powerset:20 has.
+_FAMILY_CAP = 1 << 20
 
 _LETTERS = "abcdefghijklmnopqrstuvwx"
 
@@ -209,6 +211,9 @@ class ClosureSpace:
             if m & ~full:
                 raise ValueError(f"subset {m:#x} uses points outside the universe")
             generators.add(m)
+            # every generator is a member
+            if len(generators) > _FAMILY_CAP:
+                raise _family_cap_error()
         family = tuple(sorted(intersection_closure(full, generators)))
         return cls.__new__(cls)._setup(points, family, product)
 
@@ -229,9 +234,9 @@ class ClosureSpace:
         if not isinstance(mask, int):
             raise ValueError(f"{mask!r} is not an element of this space")
         if mask not in self._members:
-            raise ValueError(
-                f"{self.render_set(mask & self.full_mask)!r} is not an element of this space"
-            )
+            # an int with points outside the universe names no set of it
+            shown = mask if mask < 0 or mask & ~self.full_mask else self.render_set(mask)
+            raise ValueError(f"{shown!r} is not an element of this space")
 
     def meet(self, a: int, b: int) -> int:
         self._require_element(a)
@@ -583,7 +588,14 @@ def _closure_sweep(full: int, generators: Iterable[int]) -> Iterator[set[int]]:
     for g in sorted(set(generators), reverse=True):
         if g not in family:
             family |= {f & g for f in family}
+            # a step at most doubles the family, so it never holds 2^21 + 1 sets
+            if len(family) > _FAMILY_CAP:
+                raise _family_cap_error()
             yield family
+
+
+def _family_cap_error() -> ValueError:
+    return ValueError(f"family exceeds the cap of {_FAMILY_CAP} sets")
 
 
 def next_closure(n: int, close: Callable[[int], int]) -> Iterator[int]:
@@ -640,7 +652,10 @@ def mo_space(n: int) -> ClosureSpace:
 def powerset_space(n: int) -> ClosureSpace:
     """The powerset of the points a, b, ...; on other labels it is
     ``ClosureSpace.from_closed_sets(labels, range(1 << len(labels)))``."""
-    return unchecked_space(default_labels(n), range(1 << n))
+    labels = default_labels(n)
+    if 1 << n > _FAMILY_CAP:
+        raise _family_cap_error()
+    return unchecked_space(labels, range(1 << n))
 
 
 def two_space() -> ClosureSpace:

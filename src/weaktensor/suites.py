@@ -114,6 +114,17 @@ def resolve_target(text: str, base_dir: Path | None = None) -> ClosureSpace:
     return _resolve(text, base_dir, frozenset(), 0)
 
 
+def resolve_product(text: str, base_dir: Path | None = None
+                    ) -> tuple[str, list[ClosureSpace]]:
+    """The kind and the resolved factors of a product target, ``kind(...)``
+    or a ``.prod`` file, without building the product; the shape is
+    checked before any factor is read."""
+    found = _product(text.strip(), base_dir, frozenset(), 0)
+    if found is None:
+        raise TargetError(f"not a product target: {text.strip()!r}")
+    return found
+
+
 def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path],
              depth: int) -> ClosureSpace:
     """``resolve_target``, given the resolved paths of the ``.prod``
@@ -134,31 +145,19 @@ def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path],
             if not (size.isascii() and size.isdigit()):
                 raise TargetError(f"bad size in target {text!r}")
             return builder(int(size))
-    kind, paren, body = text.partition("(")
-    if paren and text.endswith(")"):
-        refs = _split_args(body[:-1])
-        if "" in refs:
-            raise TargetError(f"empty factor in target {text!r}")
-        check_product_shape(kind, len(refs))
-        return build_product(kind, [_resolve(ref, base_dir, open_files, depth + 1)
-                                    for ref in refs])
-    path = (base_dir / text) if base_dir and not Path(text).is_absolute() else Path(text)
+    found = _product(text, base_dir, open_files, depth)
+    if found is not None:
+        kind, factors = found
+        return _BUILDERS[kind](factors)
     if text.endswith(".lat"):
-        return load_lattice_file(path)
-    if text.endswith(".prod"):
-        return build_product(*_parse_product_file(path, open_files, depth))
+        path = (base_dir or Path()) / text
+        if not path.exists():
+            raise TargetError(f"no such lattice file: {path}")
+        try:
+            return parse_lattice_text(path.read_text())
+        except LatticeFormatError as exc:
+            raise TargetError(f"{path}: {exc}") from None
     raise TargetError(f"unresolvable target {text!r}")
-
-
-def load_lattice_file(path: Path) -> ClosureSpace:
-    """The space of a lattice text file, whatever its name; a parse error
-    names the file."""
-    if not path.exists():
-        raise TargetError(f"no such lattice file: {path}")
-    try:
-        return parse_lattice_text(path.read_text())
-    except LatticeFormatError as exc:
-        raise TargetError(f"{path}: {exc}") from None
 
 
 _BUILDERS: dict[str, Callable[[Sequence[ClosureSpace]], ClosureSpace]] = {
@@ -176,27 +175,28 @@ def _check_count(what: str, counts: range, got: int, noun: str) -> None:
                           f"{noun}{'' if hi == 1 else 's'}, got {got}")
 
 
-def check_product_shape(kind: str, n_factors: int) -> None:
-    """The shape rule of the target grammar, ``.prod`` files and the CLI's
-    ``--product``, checked before any factor is resolved."""
+def _check_product_shape(kind: str, n_factors: int) -> None:
+    """The shape rule of the grammar and ``.prod`` files alike."""
     if kind not in _BUILDERS:
         raise TargetError(f"unknown product kind {kind!r}")
     _check_count(kind, range(2, 3) if kind == "circle" else _FACTOR_COUNTS, n_factors, "factor")
 
 
-def build_product(kind: str, factors: Sequence[ClosureSpace]) -> ClosureSpace:
-    """The ``kind`` product of ``factors``, a shape ``check_product_shape`` passed."""
-    return _BUILDERS[kind](factors)
-
-
-def parse_product_file(path: Path) -> tuple[str, list[ClosureSpace]]:
-    """Product description: a kind tag plus the factor targets, one per line;
-    a missing file or a parse error names the file."""
-    return _parse_product_file(path, frozenset(), 0)
-
-
-def _parse_product_file(path: Path, open_files: frozenset[Path], depth: int
-                        ) -> tuple[str, list[ClosureSpace]]:
+def _product(text: str, base_dir: Path | None, open_files: frozenset[Path],
+             depth: int) -> tuple[str, list[ClosureSpace]] | None:
+    """The kind and the resolved factors of a stripped product target, or
+    None for a target that names no product."""
+    head, paren, body = text.partition("(")
+    if paren and text.endswith(")"):
+        parts = _split_args(body[:-1])
+        if "" in parts:
+            raise TargetError(f"empty factor in target {text!r}")
+        _check_product_shape(head, len(parts))
+        return head, [_resolve(ref, base_dir, open_files, depth + 1) for ref in parts]
+    if not text.endswith(".prod"):
+        return None
+    # a product description file: a kind tag plus the factor targets, one per line
+    path = (base_dir or Path()) / text
     if not path.exists():
         raise TargetError(f"no such product file: {path}")
     key = path.resolve()
@@ -217,7 +217,7 @@ def _parse_product_file(path: Path, open_files: frozenset[Path], depth: int
     if kind is None:
         raise TargetError(f"{path}: missing 'product:' tag")
     try:
-        check_product_shape(kind, len(refs))
+        _check_product_shape(kind, len(refs))
     except TargetError as exc:
         raise TargetError(f"{path}: {exc}") from None
     return kind, [_resolve(ref, path.parent, open_files | {key}, depth + 1) for ref in refs]

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import weaktensor
-from weaktensor.cli import main
+from weaktensor.cli import build_parser, main
 from weaktensor.hilbert import MAX_FACTOR_DIM
 from weaktensor.suites import MAX_SAMPLES
 from weaktensor.spaces import parse_lattice_text
@@ -20,6 +21,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def exit_code(capsys, *argv):
+    """The exit code of a command line, a refusal by the parser's included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    return code
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -36,35 +51,75 @@ def builtin_reports():
 
 
 def test_build_mo3(capsys, tmp_path):
+    # the text ``build --mo 3`` printed
     out_file = tmp_path / "mo3.lat"
-    code, out, _ = run(capsys, "build", "--mo", "3", "--out", str(out_file))
+    code, out, _ = run(capsys, "build", "mo:3", "--out", str(out_file))
     assert code == 0
     assert out == "points: a b c\n-\na\nb\nc\na b c\n"
     assert out_file.read_text() == out
 
 
-def test_build_product_round_trip(capsys, tmp_path):
-    mo3 = tmp_path / "mo3.lat"
-    run(capsys, "build", "--mo", "3", "--out", str(mo3))
-    prod = tmp_path / "box.lat"
-    code, out, _ = run(capsys, "build", "--product", "box", str(mo3), str(mo3),
-                       "--out", str(prod))
+def test_build_product_round_trip(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "mo:3", "--out", "mo3.lat")
+    code, out, _ = run(capsys, "build", "box(mo3.lat,mo3.lat)", "--out", "box.lat")
     assert code == 0
-    space = parse_lattice_text(prod.read_text())
+    # the text ``build --product box mo3.lat mo3.lat`` printed
+    assert sha256(out) == "61fe44eceee978c0d5ea8627deaefea91716e30cb5f84d457a2882eec0df0c9b"
+    space = parse_lattice_text((tmp_path / "box.lat").read_text())
     assert len(space) == 44
-    again = tmp_path / "box2.lat"
-    code, out2, _ = run(capsys, "build", "--lattice", str(prod), "--out", str(again))
+    code, out2, _ = run(capsys, "build", "box.lat", "--out", "box2.lat")
     assert code == 0
-    assert again.read_text() == prod.read_text()
+    assert (tmp_path / "box2.lat").read_text() == out2 == out
 
 
-def test_build_circle_and_powerset(capsys, tmp_path):
-    code, out, _ = run(capsys, "build", "--powerset", "2")
-    assert code == 0 and len(out.splitlines()) == 5
-    mo3 = tmp_path / "mo3.lat"
-    run(capsys, "build", "--mo", "3", "--out", str(mo3))
-    code, out, _ = run(capsys, "build", "--product", "circle", str(mo3), str(mo3))
+def test_build_circle_and_powerset(capsys, tmp_path, monkeypatch):
+    # the texts ``build --powerset 2`` and ``build --product circle ...`` printed
+    code, out, _ = run(capsys, "build", "powerset:2")
+    assert (code, out) == (0, "points: a b\n-\na\nb\na b\n")
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "mo:3", "--out", "mo3.lat")
+    code, out, _ = run(capsys, "build", "circle(mo3.lat,mo3.lat)")
     assert code == 0 and len(out.splitlines()) == 51
+    assert sha256(out) == "ad7e2239f1f53b5a076416aa915d46f7ad0eebfdb4480c6f03323a00d5a61520"
+
+
+def test_build_and_join_take_one_target():
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices
+    options = {name: [a.option_strings[-1] if a.option_strings else a.metavar
+                      for a in sub[name]._actions if a.dest != "help"]
+               for name in ("build", "join")}
+    assert options == {"build": ["TARGET", "--out"],
+                       "join": ["TARGET", "--tuples", "--method", "--betas", "--out"]}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_command_lines():
+    """Each ``weaktensor`` line of README's "Command line" block, its
+    continuations joined, with the exit code its comment states (1 where
+    it says "exits 1", else 0)."""
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [(shlex.split(line.split("#", 1)[0]), 1 if "(exits 1)" in line else 0)
+            for line in lines if line.startswith("weaktensor ")]
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    # the files the block reads; the block writes the rest
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "any.lat").write_text("points: x y z\nx y\n")
+    (tmp_path / "pair.prod").write_text("product: box\nfactor: mo3.lat\nfactor: mo3.lat\n")
+    (tmp_path / "my_suite.json").write_text(json.dumps({"checks": [
+        {"check": "covering", "targets": ["circle(mo:3,mo:3)"], "expect": "pass"}]}))
+    lines = readme_command_lines()
+    assert len(lines) == 9
+    for argv, code in lines:
+        assert argv[0] == "weaktensor"
+        assert exit_code(capsys, *argv[1:]) == code, argv
+    assert (tmp_path / "report.txt").exists() and (tmp_path / "pow3.lat").exists()
 
 
 # targets the grammar refuses: a size that is not ASCII digits, which int()
@@ -79,53 +134,61 @@ BAD_TARGETS = (
 
 
 def test_build_input_errors(capsys, tmp_path, monkeypatch):
-    code, _, err = run(capsys, "build", "--product", "spiral", "x.lat", "y.lat")
+    code, _, err = run(capsys, "build", "spiral(x.lat,y.lat)")
     assert code == 2 and "spiral" in err
-    code, _, err = run(capsys, "build", "--product", "box", *["mo:2"] * 4)
+    code, _, err = run(capsys, "build", "box(mo:2,mo:2,mo:2,mo:2)")
     assert code == 2 and "box takes 2 to 3 factors, got 4" in err
     for target, says in BAD_TARGETS:
-        code, out, err = run(capsys, "build", "--product", "box", target, "two")
-        assert code == 2 and out == "" and says in err, target
+        for text in (target, f"box({target},two)"):
+            code, out, err = run(capsys, "build", text)
+            assert code == 2 and out == "" and says in err, text
     # one lattice-file loader: a lone file and a product factor read alike
     monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.lat"
     bad.write_text("points: a b\na z\n")
     for name, says in (("missing.lat", "no such lattice file: {}"),
                        ("bad.lat", "{}: line 2: unknown point label 'z'")):
-        lone = run(capsys, "build", "--lattice", name)
+        lone = run(capsys, "build", name)
         assert lone == (2, "", f"error: {says.format(Path.cwd() / name)}\n")
-        assert run(capsys, "build", "--product", "box", name, "mo:3") == lone
-    code, _, err = run(capsys, "build")
-    assert code == 2
-    code, _, err = run(capsys, "build", "--mo", "3", "--powerset", "2")
-    assert code == 2
+        assert run(capsys, "build", f"box({name},mo:3)") == lone
+    # one target, no more and no fewer
+    assert exit_code(capsys, "build") == 2
+    assert exit_code(capsys, "build", "mo:3", "powerset:2") == 2
     # a size follows the target grammar: ASCII digits only, and at least 1
-    for flag, size, says in (("--mo", "1_0", "bad size in target 'mo:1_0'"),
-                             ("--powerset", "1_0", "bad size in target 'powerset:1_0'"),
-                             ("--mo", "+3", "bad size in target 'mo:+3'"),
-                             ("--mo", "\u0663", "bad size in target 'mo:\u0663'"),
-                             ("--mo", "0", "point count must be between 1 and 24"),
-                             ("--powerset", "0", "point count must be between 1 and 24")):
-        assert run(capsys, "build", flag, size) == (2, "", f"error: {says}\n"), (flag, size)
+    for target, says in (("mo:1_0", "bad size in target 'mo:1_0'"),
+                         ("powerset:1_0", "bad size in target 'powerset:1_0'"),
+                         ("mo:+3", "bad size in target 'mo:+3'"),
+                         ("mo:\u0663", "bad size in target 'mo:\u0663'"),
+                         ("mo:0", "point count must be between 1 and 24"),
+                         ("powerset:0", "point count must be between 1 and 24")):
+        assert run(capsys, "build", target) == (2, "", f"error: {says}\n"), target
 
 
-def test_join_box_and_fraser(capsys, tmp_path):
-    mo3 = tmp_path / "mo3.lat"
-    run(capsys, "build", "--mo", "3", "--out", str(mo3))
-    code, out, _ = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
+@pytest.mark.parametrize("target", ["box(powerset:4,powerset:6)", "powerset:21"])
+def test_build_refuses_a_family_past_the_cap(capsys, target):
+    # the box sweep stops at the step that passes 2^20 sets; the powerset is never built
+    says = "error: family exceeds the cap of 1048576 sets\n"
+    assert run(capsys, "build", target) == (2, "", says)
+
+
+def test_join_box_and_fraser(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "mo:3", "--out", "mo3.lat")
+    code, out, _ = run(capsys, "join", "box(mo3.lat,mo3.lat)",
                        "--tuples", "a,a;b,b;c,c", "--method", "box")
     assert code == 0
     assert out.endswith("RESULT: a,a a,b a,c b,a b,b b,c c,a c,b c,c\n")
-    code, out, _ = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
+    code, out, _ = run(capsys, "join", "box(mo3.lat,mo3.lat)",
                        "--tuples", "a,a;b,b;c,c", "--method", "fraser")
     assert code == 0
     assert out.endswith("RESULT: a,a b,b c,c\n")
 
 
-def test_join_beta_sequence_trace(capsys, tmp_path):
-    mo4 = tmp_path / "mo4.lat"
-    run(capsys, "build", "--mo", "4", "--out", str(mo4))
-    code, out, _ = run(capsys, "join", "--product", "box", str(mo4), str(mo4),
+def test_join_beta_sequence_trace(capsys, tmp_path, monkeypatch):
+    # the trace ``join --product box mo4.lat mo4.lat`` printed
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "mo:4", "--out", "mo4.lat")
+    code, out, _ = run(capsys, "join", "box(mo4.lat,mo4.lat)",
                        "--tuples", "a,a;b,b;c,c;a,b", "--method", "beta-sequence",
                        "--betas", "2,1,2")
     assert code == 0
@@ -140,7 +203,7 @@ def test_join_beta_sequence_trace(capsys, tmp_path):
 
 def test_join_via_product_file(capsys, tmp_path):
     mo3 = tmp_path / "mo3.lat"
-    run(capsys, "build", "--mo", "3", "--out", str(mo3))
+    run(capsys, "build", "mo:3", "--out", str(mo3))
     prod = tmp_path / "pair.prod"
     prod.write_text("product: box\nfactor: mo3.lat\nfactor: mo3.lat\n")
     code, out, _ = run(capsys, "join", str(prod), "--tuples", "a,a;a,b",
@@ -154,14 +217,16 @@ def test_missing_product_file_reads_alike(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     says = f"error: no such product file: {Path.cwd() / 'missing.prod'}\n"
     assert run(capsys, "join", "missing.prod", "--tuples", "a,a") == (2, "", says)
-    assert run(capsys, "build", "--product", "box", "missing.prod", "mo:3") == (2, "", says)
+    assert run(capsys, "build", "box(missing.prod,mo:3)") == (2, "", says)
+    assert run(capsys, "build", "missing.prod") == (2, "", says)
 
 
 @pytest.mark.parametrize("argv", [
     ["check", "--suite", "DIR"],
-    ["build", "--lattice", "DIR"],
-    ["build", "--product", "box", "DIR.lat", "mo:3"],
+    ["build", "DIR.lat"],
+    ["build", "box(DIR.lat,mo:3)"],
     ["join", "DIR.prod", "--tuples", "a,a"],
+    ["build", "DIR.prod"],
 ])
 def test_an_unreadable_path_is_an_input_error(capsys, tmp_path, monkeypatch, argv):
     # a directory where a file is read: one error line and exit 2, not the mismatch code
@@ -175,9 +240,9 @@ def test_an_unreadable_path_is_an_input_error(capsys, tmp_path, monkeypatch, arg
 
 
 @pytest.mark.parametrize("argv", [
-    ["build", "--mo", "3"],
+    ["build", "mo:3"],
     ["check", "--suite", "s.json"],
-    ["join", "--product", "box", "mo:3", "mo:3", "--tuples", "a,a"],
+    ["join", "box(mo:3,mo:3)", "--tuples", "a,a"],
 ])
 def test_an_unwritable_out_prints_nothing(capsys, tmp_path, monkeypatch, argv):
     # --out names a directory: the write fails before any output is printed
@@ -190,37 +255,46 @@ def test_an_unwritable_out_prints_nothing(capsys, tmp_path, monkeypatch, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "DIR" in err
 
 
-def test_join_input_errors(capsys, tmp_path):
-    mo3 = tmp_path / "mo3.lat"
-    run(capsys, "build", "--mo", "3", "--out", str(mo3))
-    code, _, err = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
-                       "--tuples", "zz,a", "--method", "box")
+def test_join_input_errors(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "mo:3", "--out", "mo3.lat")
+    box = "box(mo3.lat,mo3.lat)"
+    code, _, err = run(capsys, "join", box, "--tuples", "zz,a", "--method", "box")
     assert code == 2 and "zz" in err
-    code, _, err = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
-                       "--tuples", "a,b,c", "--method", "box")
+    code, _, err = run(capsys, "join", box, "--tuples", "a,b,c", "--method", "box")
     assert code == 2 and "bad tuple 'a,b,c': expected 2 coordinates, got 3" in err
-    code, _, err = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
-                       "--tuples", "a,a", "--method", "beta-sequence")
+    code, _, err = run(capsys, "join", box, "--tuples", "a,a", "--method", "beta-sequence")
     assert code == 2 and "--betas" in err
-    code, _, err = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
-                       "--tuples", "a,a", "--method", "beta-sequence", "--betas", "9")
+    code, _, err = run(capsys, "join", box, "--tuples", "a,a", "--method", "beta-sequence",
+                       "--betas", "9")
     assert code == 2
     # factor numbers follow the target grammar's size rule: ASCII digits only
     for betas in ("\u0662,1", "+1", " 1", "1, 2", "1,", ""):
-        code, out, err = run(capsys, "join", "--product", "box", str(mo3), str(mo3),
-                             "--tuples", "a,a", "--method", "beta-sequence", "--betas", betas)
+        code, out, err = run(capsys, "join", box, "--tuples", "a,a",
+                             "--method", "beta-sequence", "--betas", betas)
         assert code == 2 and out == "" and "--betas" in err, betas
-    code, _, err = run(capsys, "join", "--tuples", "a,a", "--method", "box")
-    assert code == 2
+    # factor numbers without the method that reads them, the default included
+    for method in ([], ["--method", "fraser"], ["--method", "box"]):
+        code, out, err = run(capsys, "join", box, "--tuples", "a,a", *method, "--betas", "1")
+        assert (code, out, err) == (2, "", "error: --betas needs --method beta-sequence\n")
+    assert exit_code(capsys, "join", "--tuples", "a,a", "--method", "box") == 2
     # the product's shape is checked as in every other front door
-    for argv, says in (
-            (["spiral", "mo:3", "mo:3"], "unknown product kind 'spiral'"),
-            (["box"] + ["mo:2"] * 4, "box takes 2 to 3 factors, got 4"),
-            (["circle", "mo:3", "mo:3", "mo:3"], "circle takes 2 factors, got 3"),
+    for target, says in (
+            ("spiral(mo:3,mo:3)", "unknown product kind 'spiral'"),
+            ("box(mo:2,mo:2,mo:2,mo:2)", "box takes 2 to 3 factors, got 4"),
+            ("circle(mo:3,mo:3,mo:3)", "circle takes 2 factors, got 3"),
             # and a circle's factors as ``build`` checks them
-            (["circle", "powerset:2", "mo:3"], "circle product factors need at least three atoms")):
-        code, out, err = run(capsys, "join", "--product", *argv, "--tuples", "a,a")
+            ("circle(powerset:2,mo:3)", "circle product factors need at least three atoms"),
+            # and the target names a product
+            ("mo3.lat", "not a product target: 'mo3.lat'")):
+        code, out, err = run(capsys, "join", target, "--tuples", "a,a")
         assert code == 2 and out == "" and says in err
+
+
+def test_join_reads_a_universe_whose_fraser_product_is_refused(capsys):
+    # 2^24 regions on either axis: the Fraser product is refused, the join is not
+    code, out, _ = run(capsys, "join", "fraser(powerset:4,powerset:6)", "--tuples", "a,a;b,b")
+    assert (code, out) == (0, "R0: a,a b,b\nRESULT: a,a b,b\n")
 
 
 def test_check_core_verified_suite_passes(builtin_reports):
@@ -365,8 +439,9 @@ def test_cyclic_product_files_are_input_errors(capsys, tmp_path, monkeypatch, fi
     first = next(iter(files))
     monkeypatch.chdir(tmp_path)
     # each command returns its input-error code instead of recursing
-    code, _, err = run(capsys, "build", "--product", "box", first, "mo:3")
-    assert code == 2 and "includes itself" in err
+    for target in (first, f"box({first},mo:3)"):
+        code, _, err = run(capsys, "build", target)
+        assert code == 2 and "includes itself" in err
     code, _, err = run(capsys, "join", first, "--tuples", "a,a")
     assert code == 2 and "includes itself" in err
     suite = tmp_path / "s.json"
@@ -377,7 +452,7 @@ def test_cyclic_product_files_are_input_errors(capsys, tmp_path, monkeypatch, fi
 
 def test_check_with_product_file_target(capsys, tmp_path):
     mo3 = tmp_path / "mo3.lat"
-    run(capsys, "build", "--mo", "3", "--out", str(mo3))
+    run(capsys, "build", "mo:3", "--out", str(mo3))
     prod = tmp_path / "pair.prod"
     prod.write_text(f"product: circle\nfactor: {mo3}\nfactor: {mo3}\n")
     suite = tmp_path / "s.json"

@@ -733,6 +733,16 @@ def test_decompose_rejects_non_coatoms(fraser33):
         decompose_coatom(fraser33, uni, 0, 1, [0b001])
 
 
+@pytest.mark.parametrize("free_factor", [-2, -1, 2])
+def test_decompose_refuses_a_free_factor_outside_the_factors(box33, free_factor):
+    # -1 would decompose at factor 2, -2 report a real coatom as non-conforming
+    uni = box33.product
+    cross = uni.cylinder_mask((0b001, 0b010))
+    assert decompose_coatom(box33, uni, cross, 1, [0b001]) == 0b010
+    with pytest.raises(ValueError, match=rf"factor index {free_factor} is outside 0\.\.1"):
+        decompose_coatom(box33, uni, cross, free_factor, [0b001])
+
+
 # -- covering transfer ---------------------------------------------------------------------------------
 
 def test_fraser_covering_with_one_nontrivial_factor(pow2, mo4):

@@ -13,6 +13,7 @@ from weaktensor import (
     render_lattice_text,
     two_space,
 )
+from weaktensor import spaces
 from weaktensor.spaces import CoverWitness, bits, default_labels, image, unchecked_space
 
 
@@ -120,6 +121,41 @@ def test_universe_cap():
         powerset_space(25)
 
 
+FAMILY_CAP_SAYS = r"^family exceeds the cap of 1048576 sets$"
+
+
+def test_family_cap_refuses_before_building_the_powerset(monkeypatch):
+    assert len(powerset_space(20)) == 1 << 20
+    monkeypatch.setattr(spaces, "unchecked_space", lambda *args: pytest.fail("built"))
+    with pytest.raises(ValueError, match=FAMILY_CAP_SAYS):
+        powerset_space(21)
+
+
+def test_family_cap_counts_the_generators_as_they_come():
+    taken = []
+
+    def subsets():
+        for m in range(1 << 24):
+            taken.append(m)
+            yield m
+
+    with pytest.raises(ValueError, match=FAMILY_CAP_SAYS):
+        ClosureSpace.from_closed_sets(default_labels(24), subsets())
+    # 0 .. 2^20 - 4 and the singletons 2^20 .. 2^23 are 2^20 + 1 generators
+    assert len(taken) == (1 << 20) - 3
+
+
+def test_family_cap_stops_the_sweep_at_the_step_that_passes_it(monkeypatch):
+    # 5 coatoms generate the 32 subsets of 5 points, one doubling per step
+    monkeypatch.setattr(spaces, "_FAMILY_CAP", 10)
+    full = 0b11111
+    sizes = []
+    with pytest.raises(ValueError, match="^family exceeds the cap of 10 sets$"):
+        for family in spaces._closure_sweep(full, [full ^ 1 << i for i in range(5)]):
+            sizes.append(len(family))
+    assert sizes == [1, 2, 4, 8]
+
+
 def test_one_point_universe_is_fine():
     s = two_space()
     assert s.masks == (0, 1)
@@ -192,6 +228,22 @@ def test_float_mask_is_named_not_a_type_error(name):
     assert 1.0 in mo3
     with pytest.raises(ValueError, match=r"^(3\.0|1\.0) is not an? (element|point set) of this space$"):
         FLOAT_MASK_CALLS[name](mo3)
+
+
+OUTSIDE_MASK_CALLS = {
+    "covers": (lambda s: s.covers(1, 9), "9"),
+    "meet": (lambda s: s.meet(-1, 1), "-1"),
+    "join": (lambda s: s.join(8, 1), "8"),
+    "is_central": (lambda s: s.is_central(16), "16"),
+}
+
+
+@pytest.mark.parametrize("name", OUTSIDE_MASK_CALLS)
+def test_mask_outside_the_universe_is_named_as_given(name):
+    # its points inside the universe would name another set: 'a', 'a b c', '-'
+    call, shown = OUTSIDE_MASK_CALLS[name]
+    with pytest.raises(ValueError, match=rf"^{shown} is not an element of this space$"):
+        call(mo_space(3))
 
 
 @given(data=st.data())
