@@ -16,7 +16,9 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .props import Automorphism, OrthoMap, orthomap_violation
-from .spaces import MAX_POINTS, ClosureSpace, bits, image, intersection_closure, unchecked_space
+from .spaces import (
+    MAX_POINTS, ClosureSpace, bits, image, intersection_closure, require_int, unchecked_space,
+)
 
 # The most regions fraser_product lays: 2**20 is powerset:4 x powerset:5, on 20 points.
 FRASER_REGION_CAP = 1 << 20
@@ -126,7 +128,7 @@ def _check_region(universe: ProductUniverse, region: int) -> None:
 
 def _check_factor_index(universe: ProductUniverse, beta: int) -> None:
     # a negative index would pick a factor from the end
-    if not 0 <= beta < len(universe.factors):
+    if not 0 <= require_int(beta, "factor index") < len(universe.factors):
         raise ValueError(f"factor index {beta} is outside 0..{len(universe.factors) - 1}")
 
 

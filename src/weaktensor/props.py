@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-from .spaces import ClosureSpace, CoverWitness, bits, image
+from .spaces import ClosureSpace, CoverWitness, bits, image, require_int
 
 DEFAULT_NODE_CAP = 10_000_000
 # Each complete assignment is checked once per element (about 20 ms at 4096 sets,
@@ -125,42 +125,15 @@ UNKNOWN = Unknown()
 def has_covering_property(space: ClosureSpace) -> Union[bool, CoveringFailure]:
     """Check p ^ a = 0 implies p v a covers a, over all (atom, element).
 
-    Returns True, or the first failure in (atom id, element mask) order.
-    The rule is the one ``ClosureSpace.covers`` applies: j = a v p covers a
-    iff a v q = j for every point q of j outside a, and the witness is the
-    least of those joins short of j.  The joins come from a table with one
-    row per element a and one entry per point q, filled on first use, so
-    each join a v q is computed at most once per call.
+    Returns True, or the first failure in (atom id, element mask) order,
+    as ``ClosureSpace.covering_failure`` finds it: the witness is the one
+    ``covers(a, p v a)`` gives.
     """
-    n, close = space.n_points, space.closure
-    # rows[k][q] is masks[k] v q, or 0 until first computed (a join is never empty)
-    rows: list[Optional[list[int]]] = [None] * len(space)
-    for i in range(n):
-        for k, a in enumerate(space.masks):
-            if a >> i & 1:
-                continue
-            row = rows[k]
-            if row is None:
-                row = rows[k] = [0] * n
-            elif row[i]:
-                # filled by an earlier check of a, which passed with upper row[i]:
-                # this atom's check is that one again
-                continue
-            j = row[i] = close(a | 1 << i)
-            # inline rather than bits(), as in ClosureSpace.covers
-            least, rest = j, j & ~a
-            while rest:
-                low = rest & -rest
-                q = low.bit_length() - 1
-                jq = row[q] or close(a | low)
-                row[q] = jq
-                if jq < least:
-                    least = jq
-                rest ^= low
-            if least != j:
-                return CoveringFailure(atom=1 << i, element=a,
-                                       witness=CoverWitness(lower=a, upper=j, intermediate=least))
-    return True
+    failure = space.covering_failure()
+    if failure is None:
+        return True
+    atom, witness = failure
+    return CoveringFailure(atom=atom, element=witness.lower, witness=witness)
 
 
 # -- orthocomplementation ---------------------------------------------------
@@ -267,7 +240,8 @@ def find_orthocomplementation(
     (its whole list, with the same budget test) without being visited.
 
     Raises SearchBudgetExceeded past ``node_cap`` nodes, and ValueError on
-    a family of more than ``SEARCH_SET_CAP`` sets.  The search scans no
+    a ``node_cap`` that is not an int or a family of more than
+    ``SEARCH_SET_CAP`` sets.  The search scans no
     subsets of the universe, so the point count alone does not bound it.
     """
     if len(space) > SEARCH_SET_CAP:
@@ -275,7 +249,7 @@ def find_orthocomplementation(
                          f"of {SEARCH_SET_CAP}")
     n = space.n_points
     # a negative cap stops at the first node, as a cap of 0 does
-    cap = max(node_cap, 0)
+    cap = max(require_int(node_cap, "node_cap"), 0)
     buckets, sizes = _symmetry_buckets(space.coatoms(), n)
     field = (1 << n) - 1
     chosen: list[int] = []
@@ -360,7 +334,7 @@ def contains_mo_n(space: ClosureSpace, n: int) -> Optional[tuple[int, ...]]:
     Returns the canonical witness tuple (p1..pn) or None.  The join of
     the first and last witness atoms covers every atom in the tuple.
     """
-    if n < 3:
+    if require_int(n, "n") < 3:
         raise ValueError("MO_n containment is only asked for n >= 3")
     atoms = space.atoms()
     for p in atoms:

@@ -118,7 +118,8 @@ class ClosureSpace:
     def _close(self) -> "_GeneratorClosure":
         """The closure operator over the meet-irreducible members, the
         attributes of the reduced formal context (Ganter and Wille, 1999),
-        built on first use: a closure of a non-member, ``coatoms`` or ``meet_irreducibles``.
+        built on first use: a closure or ``covers`` join of a non-member,
+        ``covering_failure``, ``coatoms`` or ``meet_irreducibles``.
 
         One descending scan of the family: every strict superset of a
         member has a larger mask and comes first, and the operator over
@@ -275,18 +276,69 @@ class ClosureSpace:
             raise ValueError("covers() requires the first element below the second")
         if a == b:
             return CoverWitness(lower=a, upper=b)
-        # each join lies inside b, so it is below b in mask order unless it is b
-        least, rest = b, b & ~a
-        # inline rather than bits(): a bits() loop made has_covering_property 24% slower
+        # each join lies inside b, so it is below b in mask order unless it is b;
+        # a v q is a | q when that is a member, and otherwise the meet of the
+        # generators above a that hold q, picked at the first such join
+        members, least, rest, above = self._members, b, b & ~a, None
         while rest:
             low = rest & -rest
             j = a | low
-            if j not in self._members:
-                j = self._close(j)
+            if j not in members:
+                if above is None:
+                    close = self._close
+                    above = close.above(a)
+                j = close.meet(above & close.incidence[low.bit_length() - 1])
             if j < least:
                 least = j
             rest ^= low
         return True if least == b else CoverWitness(lower=a, upper=b, intermediate=least)
+
+    def covering_failure(self) -> Optional[tuple[int, CoverWitness]]:
+        """The first failure of the covering property: p ^ a = 0 implies
+        that j = a v p covers a, for every atom p and element a.
+
+        Returns None, or the first failing atom with the witness that
+        ``covers(a, j)`` gives, in (atom id, element mask) order.  The rule
+        is the one ``covers`` applies: j covers a iff a v q = j for every
+        point q of j outside a.  The joins come from a table with one row
+        per element a and one entry per point q, filled on first use, so
+        each join a v q is computed at most once per call, as the meet of
+        the generators above a, picked once per element, that hold q.
+        """
+        n, masks = self.n_points, self.masks
+        close = self._close
+        meet, incidence = close.meet, close.incidence
+        # rows[k][q] is masks[k] v q, or 0 until first computed (a join is never
+        # empty), and rows[k][n] is the generators above masks[k]
+        rows: list[Optional[list[int]]] = [None] * len(masks)
+        for i in range(n):
+            bit = 1 << i
+            for k, a in enumerate(masks):
+                if a & bit:
+                    continue
+                row = rows[k]
+                if row is None:
+                    row = rows[k] = [0] * n + [close.above(a)]
+                elif row[i]:
+                    # filled by an earlier check of a, which passed with upper row[i]:
+                    # this atom's check is that one again
+                    continue
+                above = row[n]
+                j = row[i] = meet(above & incidence[i])
+                # inline rather than bits(): this is the inner loop of the scan
+                least, rest = j, j & ~a
+                while rest:
+                    low = rest & -rest
+                    q = low.bit_length() - 1
+                    jq = row[q]
+                    if not jq:
+                        jq = row[q] = meet(above & incidence[q])
+                    if jq < least:
+                        least = jq
+                    rest ^= low
+                if least != j:
+                    return bit, CoverWitness(lower=a, upper=j, intermediate=least)
+        return None
 
     # -- duality ----------------------------------------------------------
 
@@ -356,7 +408,7 @@ class ClosureSpace:
     def automorphism_orbit(self, point: int) -> tuple[int, ...]:
         """The points that some automorphism maps ``point`` to, ascending,
         read off the stabilizer chain's generators without listing the group."""
-        if not 0 <= point < self.n_points:
+        if not 0 <= require_int(point, "point") < self.n_points:
             raise ValueError(f"point {point} is not in this space")
         return tuple(sorted(_orbit_reps(point, self._chain.generators, self.n_points)))
 
@@ -503,6 +555,14 @@ def image(mask: int, table: Sequence[int]) -> int:
     return out
 
 
+def require_int(value: object, name: str) -> int:
+    """``value`` if it is an int, else a ValueError naming it; a bool is an
+    int to Python but no count or index here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _checked_points(points: Sequence[str]) -> tuple[str, ...]:
     points = tuple(points)
     if not points:
@@ -550,13 +610,26 @@ class _GeneratorClosure:
             generator ^= low
 
     def __call__(self, subset: int) -> int:
-        # inline rather than bits() or image(): this is the inner loop of every closure
-        picked, incidence, generators = self.everything, self.incidence, self.generators
+        return self.meet(self.above(subset))
+
+    def above(self, subset: int) -> int:
+        """The generators that hold ``subset``, as bits over their indices.
+        Those that hold ``subset`` plus a point q are ``above(subset) &
+        incidence[q]``, so a caller joining one set with many points picks
+        them once."""
+        # inline rather than bits() or image(): this and meet() are the inner
+        # loops of every closure
+        picked, incidence = self.everything, self.incidence
         while subset:
             low = subset & -subset
             picked &= incidence[low.bit_length() - 1]
             subset ^= low
-        out = self.full
+        return picked
+
+    def meet(self, picked: int) -> int:
+        """The meet of the generators whose index bits ``picked`` holds; the
+        full set when it holds none."""
+        out, generators = self.full, self.generators
         while picked:
             low = picked & -picked
             out &= generators[low.bit_length() - 1]
@@ -637,7 +710,7 @@ def unchecked_space(points: Sequence[str], family: Sequence[int],
 # -- stock builders -------------------------------------------------------
 
 def default_labels(n: int) -> tuple[str, ...]:
-    if not 1 <= n <= MAX_POINTS:
+    if not 1 <= require_int(n, "point count") <= MAX_POINTS:
         raise ValueError(f"point count must be between 1 and {MAX_POINTS}")
     return tuple(_LETTERS[:n])
 

@@ -15,7 +15,9 @@ validator that compared every pair for order reversal on the element-index
 maps an ``OrthoMap`` once held (``index_images`` extends atom images to
 that form), and the covering
 check that asked ``covers`` once per (atom, element) pair, which the
-per-call join table replaced, and the incidence table of the generator
+per-call join table replaced, and that table as it was while it closed
+each join a v q afresh, before the joins were read off the generators
+above a, and the incidence table of the generator
 closure built one bit test at a time.  So is the Fraser builder that laid every
 choice of closed sections, kept the regions whose every section is
 closed and let ``from_closed_sets`` find the family again, which the
@@ -66,7 +68,9 @@ from weaktensor.props import (
     SearchBudgetExceeded,
 )
 from weaktensor.products import P4Violation, ProductUniverse
-from weaktensor.spaces import ClosureSpace, DualOrderReport, _GeneratorClosure, bits, image
+from weaktensor.spaces import (
+    ClosureSpace, CoverWitness, DualOrderReport, _GeneratorClosure, bits, image,
+)
 
 
 def naive_intersection_closure(n_points: int, masks) -> set[int]:
@@ -319,6 +323,36 @@ def covering_by_pairwise_covers(space):
             c = space.covers(a, j)
             if c is not True:
                 return CoveringFailure(atom=p, element=a, witness=c)
+    return True
+
+
+def covering_by_closure_table(space):
+    """The covering check that ``ClosureSpace.covering_failure`` replaced:
+    atom-major over the elements, with one row of joins a v q per element,
+    filled on first use, each join a fresh closure of a | q.  It closes
+    through ``closure_over_every_member``, so it shares no generators with
+    the space.  True, or the first ``CoveringFailure``."""
+    n, close = space.n_points, closure_over_every_member(space)
+    # rows[k][q] is masks[k] v q, or 0 until first computed (a join is never empty)
+    rows: list[Optional[list[int]]] = [None] * len(space)
+    for i in range(n):
+        for k, a in enumerate(space.masks):
+            if a >> i & 1:
+                continue
+            row = rows[k]
+            if row is None:
+                row = rows[k] = [0] * n
+            elif row[i]:
+                # filled by an earlier check of a, which passed with upper row[i]
+                continue
+            j = row[i] = close(a | 1 << i)
+            least = j
+            for q in bits(j & ~a):
+                jq = row[q] = row[q] or close(a | 1 << q)
+                least = min(least, jq)
+            if least != j:
+                return CoveringFailure(atom=1 << i, element=a,
+                                       witness=CoverWitness(lower=a, upper=j, intermediate=least))
     return True
 
 

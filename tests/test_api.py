@@ -128,9 +128,10 @@ def test_the_parameters_are_the_pinned_lists():
 
 CLOSURE_SPACE_NAMES = [
     "atoms", "automorphism_generators", "automorphism_orbit", "automorphism_order",
-    "automorphism_perms", "center", "closure", "coatoms", "covers", "dual_order_check",
-    "from_closed_sets", "full_mask", "is_central", "is_closed", "join", "labels_of", "mask_of",
-    "masks", "meet", "meet_irreducibles", "n_points", "points", "product", "render_set",
+    "automorphism_perms", "center", "closure", "coatoms", "covering_failure", "covers",
+    "dual_order_check", "from_closed_sets", "full_mask", "is_central", "is_closed", "join",
+    "labels_of", "mask_of", "masks", "meet", "meet_irreducibles", "n_points", "points",
+    "product", "render_set",
 ]
 
 

@@ -27,8 +27,13 @@ above, and the members it keeps against the definition of
 meet-irreducibility.
 
 The join-based ``covers`` is checked against the family scan it
-replaced, the coatoms the closure operator's scan records against the
-maximality scan and the join rule they replaced, on every space above
+replaced, on every comparable pair of the spaces above of at most 120
+sets and on seeded pairs of two larger ones; the covering scan, which
+reads each join a v q off the generators above a, against the per-call
+table that closed each join afresh and the ``covers`` loop before it,
+witnesses included, on every covering case; the coatoms the closure
+operator's scan records against the maximality scan and the join rule
+they replaced, on every space above
 and on the build catalogue's box, circle and three-factor Fraser
 families, P4 on generators against the loop over every tuple
 of the given factor automorphisms, and the automorphisms listed from the
@@ -76,6 +81,7 @@ from helpers import (
     coatomistic_witness_by_coatom_closure,
     coatoms_by_joins,
     coatoms_by_maximality,
+    covering_by_closure_table,
     covering_by_pairwise_covers,
     covers_by_family_scan,
     cylinder_oracle,
@@ -427,6 +433,26 @@ def test_covers_matches_family_scan_on_every_comparable_pair():
     assert checked > 20000
 
 
+@pytest.mark.parametrize("case", ["circle(mo:4,mo:6)", "box(mo:2,mo:3,mo:4)"])
+def test_covers_matches_family_scan_on_seeded_pairs_of_large_spaces(case):
+    space = built(case)
+    rng = random.Random(case)
+    verdicts = collections.Counter()
+    for _ in range(150):
+        a = rng.choice(space.masks)
+        # b the join of a with one to three points, or a itself
+        points = rng.sample(range(space.n_points), rng.randrange(4))
+        b = space.closure(a | sum(1 << p for p in points))
+        expected = covers_by_family_scan(space, a, b)
+        if expected is None:
+            expected = CoverWitness(lower=a, upper=b)
+        elif expected is not True:
+            expected = CoverWitness(lower=a, upper=b, intermediate=expected)
+        assert space.covers(a, b) == expected, (case, a, b)
+        verdicts[expected is True] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
 def test_coatoms_match_maximality_scan_on_every_space():
     checked = dict(every_space())
     checked.update((case, built(case)) for case in (*FRASER_TRIPLES, *BUILD_CLOSED))
@@ -511,6 +537,12 @@ def test_covering_matches_pairwise_covers(case):
     assert space.is_closed(w.intermediate) and w.intermediate not in (w.lower, w.upper)
     assert w.lower & ~w.intermediate == 0 and w.intermediate & ~w.upper == 0
     assert not brute_cover_check(space, w.lower, w.upper)
+
+
+@pytest.mark.parametrize("case", COVERING_CASES)
+def test_covering_matches_the_closure_table(case):
+    space = FACTORS[case] if case in FACTORS else built(case)
+    assert has_covering_property(space) == covering_by_closure_table(space)
 
 
 def test_p4_matches_all_tuples_on_the_stock_products():

@@ -847,6 +847,15 @@ def test_factor_index_outside_the_factors_is_refused(mo3):
             beta_join_sequence(uni, 0b11, [0, beta])
 
 
+@pytest.mark.parametrize("beta", [1.0, True, "1"])
+def test_factor_index_that_is_no_int_is_refused(mo3, beta):
+    uni = ProductUniverse([mo3, mo3])
+    with pytest.raises(ValueError, match=f"^factor index must be an integer, got {beta!r}$"):
+        beta_join(uni, 0b11, beta)
+    with pytest.raises(ValueError, match=f"^factor index must be an integer, got {beta!r}$"):
+        beta_join_sequence(uni, 0b11, [0, beta])
+
+
 def test_three_factor_products(mo3):
     factors = [two_space(), mo3, mo3]
     box = box_product(factors)

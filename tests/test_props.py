@@ -33,7 +33,7 @@ from weaktensor.props import (
     validate_connected_covering,
 )
 from weaktensor import spaces
-from weaktensor.spaces import AUTOMORPHISM_LIST_CAP, AUTOMORPHISM_POINT_CAP
+from weaktensor.spaces import AUTOMORPHISM_LIST_CAP, AUTOMORPHISM_POINT_CAP, _GeneratorClosure
 
 from helpers import relabelled
 
@@ -162,6 +162,12 @@ def test_node_budget_boundary_is_exact(fraser33):
     assert exc.value.nodes == 296
 
 
+@pytest.mark.parametrize("cap", [2.5, True, "10", None])
+def test_node_cap_that_is_no_int_is_refused(fraser33, cap):
+    with pytest.raises(ValueError, match=f"^node_cap must be an integer, got {cap!r}$"):
+        find_orthocomplementation(fraser33, node_cap=cap)
+
+
 def test_search_leaves_no_reference_cycle(fraser33, circle44):
     # a cycle through the recursive helper would hold the candidate tables
     # until the next full garbage collection
@@ -215,6 +221,7 @@ def test_search_cap_is_on_the_family_size():
 def test_mo_lattices_have_covering():
     assert has_covering_property(mo_space(3)) is True
     assert has_covering_property(mo_space(4)) is True
+    assert mo_space(4).covering_failure() is None
 
 
 def test_box_covering_fails_with_canonical_witness(box33):
@@ -223,6 +230,7 @@ def test_box_covering_fails_with_canonical_witness(box33):
     assert box33.render_set(res.atom) == "a,a"
     assert box33.render_set(res.element) == "b,c c,b"
     assert box33.render_set(res.witness.intermediate) == "a,b b,a b,b b,c c,b"
+    assert box33.covering_failure() == (res.atom, res.witness)
 
 
 def test_fraser_of_mo4_fails_covering(fraser44):
@@ -232,17 +240,18 @@ def test_fraser_of_mo4_fails_covering(fraser44):
     assert res.element.bit_count() == 3
 
 
-def test_covering_computes_each_join_at_most_once():
+def test_covering_computes_each_join_at_most_once(monkeypatch):
     s = mo_circle(mo_space(4), mo_space(6))
     calls = 0
-    closure = s.closure
+    meet = _GeneratorClosure.meet
 
-    def counted(subset):
+    def counted(self, picked):
         nonlocal calls
         calls += 1
-        return closure(subset)
+        return meet(self, picked)
 
-    s.closure = counted
+    # every join a v q is one meet of the generators above a that hold q
+    monkeypatch.setattr(_GeneratorClosure, "meet", counted)
     assert has_covering_property(s) is True
     # one join per (element, point) pair; asking covers() once per (atom, element)
     # pair took 249,696 closures here
@@ -264,6 +273,12 @@ def test_contains_mo_examples(mo3, box33):
 def test_contains_mo_requires_three():
     with pytest.raises(ValueError):
         contains_mo_n(mo_space(3), 2)
+
+
+@pytest.mark.parametrize("n", [3.0, True, "3"])
+def test_contains_mo_refuses_an_n_that_is_no_int(n):
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+        contains_mo_n(mo_space(3), n)
 
 
 # -- automorphisms ----------------------------------------------------------------------
@@ -347,6 +362,9 @@ def test_order_and_orbits_of_a_lopsided_group():
     assert not is_transitive(space)
     with pytest.raises(ValueError, match="point 3"):
         space.automorphism_orbit(3)
+    for point in (1.0, True):
+        with pytest.raises(ValueError, match=f"^point must be an integer, got {point!r}$"):
+            space.automorphism_orbit(point)
     with pytest.raises(ValueError, match="capped"):
         powerset_space(13).automorphism_order()
 

@@ -121,6 +121,13 @@ def test_universe_cap():
         powerset_space(25)
 
 
+@pytest.mark.parametrize("n", [2.0, True, "3", None])
+@pytest.mark.parametrize("builder", [mo_space, powerset_space])
+def test_point_count_that_is_no_int_is_refused(builder, n):
+    with pytest.raises(ValueError, match=f"^point count must be an integer, got {n!r}$"):
+        builder(n)
+
+
 FAMILY_CAP_SAYS = r"^family exceeds the cap of 1048576 sets$"
 
 
