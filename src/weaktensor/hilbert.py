@@ -11,8 +11,10 @@ All arithmetic is exact over Q(i); there is no floating point anywhere.
 A scalar ``GQ`` is the value (a + b*i) / d stored as three Python ints
 with d > 0 and gcd(a, b, d) = 1, so each operation costs a few integer
 products and at most one gcd, and equal values are equal triples.
-Subspaces are canonicalized by reduced row echelon form, so equality of
-subspaces is equality of basis tuples.  Atom sets are never enumerated:
+Each value has one constructor, which makes its canonical form: a
+``Subspace`` holds the reduced row echelon form of the rows it is given,
+so equality of subspaces is equality of basis tuples, and a
+``ProductAtomPair`` scales both lines.  Atom sets are never enumerated:
 an element of the product is represented by its subspace, and point
 membership is a residual against the canonical basis.
 """
@@ -35,13 +37,13 @@ class GQ:
 
     Invariant: d > 0 and gcd(a, b, d) = 1, so each value has exactly one
     triple and equality is equality of triples.  Every operation works on
-    the ints and costs at most one gcd; ``re``, ``im`` and ``norm2()``
-    read the value back as ``Fraction``.  Instances are immutable.
+    the ints and costs at most one gcd; ``re`` and ``im`` read the value
+    back as ``Fraction``.  Instances are immutable.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: int | Fraction, im: int | Fraction):
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         re, im = Fraction(re), Fraction(im)
         # both parts are in lowest terms, so no prime of the lcm divides
         # both scaled numerators: the triple is reduced without a gcd
@@ -102,9 +104,6 @@ class GQ:
     def conj(self) -> "GQ":
         return _triple(self._a, -self._b, self._d)
 
-    def norm2(self) -> Fraction:
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 
@@ -160,13 +159,8 @@ def _reduced(a: int, b: int, d: int) -> GQ:
     return _triple(a, b, d)
 
 
-def gq(re: int | Fraction = 0, im: int | Fraction = 0) -> GQ:
-    return GQ(re, im)
-
-
-ZERO = gq(0)
-ONE = gq(1)
-I = gq(0, 1)
+ZERO = GQ()
+ONE = GQ(1)
 
 Vector = tuple[GQ, ...]
 Matrix = tuple[Vector, ...]
@@ -255,51 +249,27 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[GQ]], list[int]]:
 
 # -- subspaces ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subspace:
-    """A linear subspace whose ``basis`` is its reduced row echelon form
-    with unit pivots, so equal subspaces have equal bases.  ``span`` (the
-    one reduction), ``zero`` and ``full`` are the constructors keeping it;
-    a basis given directly is checked and refused with ``ValueError``
-    unless it is already in that form.
+    """The span of ``rows`` in the coordinate space of dimension
+    ``ambient``, held as the reduced row echelon form of the rows with unit
+    pivots, so equal subspaces have equal bases.  A row that is not
+    ``ambient`` ``GQ`` entries is a ValueError.
     """
 
     ambient: int
     basis: Matrix
-    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pivots: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        """Check the invariant in one scan of the basis; no reduction."""
-        pivots: list[int] = []
-        for row in self.basis:
-            if len(row) != self.ambient:
-                raise ValueError("basis row length does not match the ambient dimension")
-            p = next((c for c, a in enumerate(row) if a), None)
-            if p is None or row[p] != ONE:
-                raise ValueError("every basis row must lead with a unit pivot")
-            if pivots and p <= pivots[-1]:
-                raise ValueError("basis pivots must strictly increase")
-            pivots.append(p)
-        for i, row in enumerate(self.basis):
-            if any(row[p] for j, p in enumerate(pivots) if j != i):
-                raise ValueError("a pivot column must be zero outside its own row")
+    def __init__(self, ambient: int, rows: Sequence[Vector] = ()):
+        rows = list(rows)
+        for row in rows:
+            if len(row) != ambient or not all(isinstance(a, GQ) for a in row):
+                raise ValueError(f"row {row!r} is no vector of {ambient} Gaussian rationals")
+        basis, pivots = rref(rows)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", tuple(map(tuple, basis)))
         object.__setattr__(self, "pivots", tuple(pivots))
-
-    @classmethod
-    def span(cls, ambient: int, vectors: Sequence[Vector]) -> "Subspace":
-        for v in vectors:
-            if len(v) != ambient:
-                raise ValueError("vector length does not match the ambient dimension")
-        red, _ = rref(vectors)
-        return cls(ambient, tuple(tuple(r) for r in red))
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
-
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, tuple(basis_vector(ambient, k) for k in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -326,26 +296,27 @@ class Subspace:
                 for p, row in zip(self.pivots, self.basis):
                     v[p] = -row[f].conj()
                 vectors.append(tuple(v))
-        return Subspace.span(self.ambient, vectors)
+        return Subspace(self.ambient, vectors)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise ValueError("ambient dimensions differ")
-        return Subspace.span(self.ambient, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient, self.basis + other.basis)
 
 
 # -- product-atom machinery ---------------------------------------------------
 
 @dataclass(frozen=True)
 class ProductAtomPair:
-    """A pair of projective points, scale-canonicalized."""
+    """A pair of projective points, each line scaled so that its first
+    nonzero coordinate is 1 (see ``normalize_vector``)."""
 
     p1: Vector
     p2: Vector
 
-    @classmethod
-    def of(cls, p1: Vector, p2: Vector) -> "ProductAtomPair":
-        return cls(normalize_vector(p1), normalize_vector(p2))
+    def __post_init__(self):
+        object.__setattr__(self, "p1", normalize_vector(self.p1))
+        object.__setattr__(self, "p2", normalize_vector(self.p2))
 
     def product_vector(self) -> Vector:
         return tensor(self.p1, self.p2)
@@ -370,7 +341,7 @@ def join_atoms(pairs: Sequence[ProductAtomPair]) -> Subspace:
     if len(shapes) != 1:
         raise ValueError(f"product atoms of different shapes: {sorted(shapes)}")
     (m, n), = shapes
-    span = Subspace.span(m * n, [p.product_vector() for p in pairs])
+    span = Subspace(m * n, [p.product_vector() for p in pairs])
     if span.perp().perp() != span:
         raise RuntimeError("double orthocomplement drifted from the span")
     return span
@@ -433,17 +404,17 @@ def coatom_from_antilinear(a_map: AntilinearMap
 def sharp_point(pair: ProductAtomPair) -> Subspace:
     """The cross subspace p1-perp (x) H2 + H1 (x) p2-perp."""
     m, n = len(pair.p1), len(pair.p2)
-    perp1 = Subspace.span(m, [pair.p1]).perp().basis
-    perp2 = Subspace.span(n, [pair.p2]).perp().basis
+    perp1 = Subspace(m, [pair.p1]).perp().basis
+    perp2 = Subspace(n, [pair.p2]).perp().basis
     vectors = [tensor(u, basis_vector(n, j)) for u in perp1 for j in range(n)]
     vectors += [tensor(basis_vector(m, i), w) for i in range(m) for w in perp2]
-    return Subspace.span(m * n, vectors)
+    return Subspace(m * n, vectors)
 
 
 def verify_point_biorthogonality(pair: ProductAtomPair) -> bool:
     """perp of the sharp cross is exactly the pair's product line."""
     cross = sharp_point(pair)
-    line = Subspace.span(cross.ambient, [pair.product_vector()])
+    line = Subspace(cross.ambient, [pair.product_vector()])
     return cross.perp() == line
 
 
@@ -488,7 +459,7 @@ def _product_spanned(v: Subspace) -> bool:
     if v.dim != 2:
         return True
     a, b, c = _pencil_form(*(_as_matrix(row) for row in v.basis))
-    return not (a or b or c) or bool(b * b - gq(4) * a * c)
+    return not (a or b or c) or bool(b * b - GQ(4) * a * c)
 
 
 def box_membership_test(subspace: Subspace) -> BoxVerdict:
@@ -552,22 +523,22 @@ def dual_covering_counterexample(m: int, n: int) -> DualCoveringReport:
         raise ValueError("both factors must have dimension at least 2")
     if m > MAX_FACTOR_DIM or n > MAX_FACTOR_DIM:
         raise ValueError(f"factor dimensions capped at {MAX_FACTOR_DIM}")
-    p = ProductAtomPair.of(basis_vector(m, 0), basis_vector(n, 0))
+    p = ProductAtomPair(basis_vector(m, 0), basis_vector(n, 0))
     v = p.product_vector()
-    x_subspace = Subspace.span(m * n, [v]).perp()
+    x_subspace = Subspace(m * n, [v]).perp()
     ones_m = tuple(ONE for _ in range(m))
     ones_n = tuple(ONE for _ in range(n))
-    ramp_m = tuple(gq(k + 1) for k in range(m))
-    ramp_n = tuple(gq(k + 1) for k in range(n))
-    r = ProductAtomPair.of(ones_m, ones_n)
-    s = ProductAtomPair.of(ramp_m, ramp_n)
+    ramp_m = tuple(GQ(k + 1) for k in range(m))
+    ramp_n = tuple(GQ(k + 1) for k in range(n))
+    r = ProductAtomPair(ones_m, ones_n)
+    s = ProductAtomPair(ramp_m, ramp_n)
     disjoint = (not sigma_membership(x_subspace, r)
                 and not sigma_membership(x_subspace, s)
                 and r.p1 != s.p1 and r.p2 != s.p2)
     v_r = join_atoms([r, s])
     closed_two = v_r.dim == 2 and _pencil_members_exactly_two(r, s)
     top = x_subspace.sum(v_r).dim == m * n
-    singleton = Subspace.span(m * n, [r.product_vector()])
+    singleton = Subspace(m * n, [r.product_vector()])
     chain = (sigma_membership(singleton, r) and not sigma_membership(singleton, s)
              and sigma_membership(v_r, r) and sigma_membership(v_r, s))
     return DualCoveringReport(
@@ -599,12 +570,12 @@ def random_vector(rng: Random, dim: int) -> Vector:
 
 
 def random_pair(rng: Random, m: int, n: int) -> ProductAtomPair:
-    return ProductAtomPair.of(random_vector(rng, m), random_vector(rng, n))
+    return ProductAtomPair(random_vector(rng, m), random_vector(rng, n))
 
 
 def random_subspace(rng: Random, ambient: int) -> Subspace:
     k = rng.randint(0, ambient)
-    return Subspace.span(ambient, [random_vector(rng, ambient) for _ in range(k)])
+    return Subspace(ambient, [random_vector(rng, ambient) for _ in range(k)])
 
 
 def random_antilinear(rng: Random, m: int, n: int) -> AntilinearMap:

@@ -4,7 +4,8 @@ orthocomplementation on the box product.
 
 A product universe identifies tuples over the factor point sets with
 flat point ids via a mixed-radix scheme; all set arguments are bitmasks
-over those flat ids.
+over those flat ids, and factor automorphisms are point permutation
+tuples.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .props import Automorphism, OrthoMap, orthomap_violation
+from .props import OrthoMap, orthomap_violation
 from .spaces import (
-    MAX_POINTS, ClosureSpace, bits, image, intersection_closure, require_int, unchecked_space,
+    FAMILY_CAP, MAX_POINTS, ClosureSpace, bits, image, intersection_closure, require_int,
+    require_permutation, unchecked_space,
 )
-
-# The most regions fraser_product lays: 2**20 is powerset:4 x powerset:5, on 20 points.
-FRASER_REGION_CAP = 1 << 20
 
 
 class ProductUniverse:
@@ -62,15 +61,17 @@ class ProductUniverse:
         return (1 << self.n_points) - 1
 
     def encode(self, coords: Sequence[int]) -> int:
-        """The flat id of a coordinate tuple; a tuple of the wrong length raises
-        ValueError and a coordinate outside its factor IndexError."""
+        """The flat id of a coordinate tuple; a tuple of the wrong length or a
+        coordinate that is no int raises ValueError, and a coordinate
+        outside its factor IndexError."""
         if len(coords) != len(self.sizes):
             raise ValueError(f"expected {len(self.sizes)} coordinates, got {len(coords)}")
         return sum(self.replace(0, beta, c) for beta, c in enumerate(coords))
 
     def decode(self, pid: int) -> tuple[int, ...]:
-        """The coordinates of a flat id; an id outside the universe raises IndexError."""
-        if not 0 <= pid < self.n_points:
+        """The coordinates of a flat id; an id that is no int raises
+        ValueError, and one outside the universe IndexError."""
+        if not 0 <= require_int(pid, "point id") < self.n_points:
             raise IndexError(f"point id {pid} is outside the universe")
         return self.coords[pid]
 
@@ -82,7 +83,8 @@ class ProductUniverse:
 
     def replace(self, pid: int, beta: int, q: int) -> int:
         """p[q, beta]: replace the beta-th coordinate of the point."""
-        if not 0 <= q < self.sizes[beta]:
+        _check_factor_index(self, beta)
+        if not 0 <= require_int(q, "coordinate") < self.sizes[beta]:
             raise IndexError(f"coordinate {q} is outside factor {beta + 1}")
         return pid + (q - self.decode(pid)[beta]) * self.strides[beta]
 
@@ -122,7 +124,7 @@ class ProductUniverse:
 # laid back on the fiber as fiber & preimage_mask(beta, sec).
 
 def _check_region(universe: ProductUniverse, region: int) -> None:
-    if region & ~universe.full_mask:
+    if require_int(region, "region") & ~universe.full_mask:
         raise ValueError("region uses points outside the universe")
 
 
@@ -210,16 +212,17 @@ def fraser_product(factors: Sequence[ClosureSpace]) -> ClosureSpace:
     Lays closed sections along the cheapest axis, one fiber at a time (see
     ``_fraser_regions``), and builds the space straight from the sorted
     family, which is intersection-closed by construction.  That axis has
-    |closed sets of its factor| ** |fibers| choices; ValueError is raised,
-    before any region is laid, when that exceeds ``FRASER_REGION_CAP``.
+    |closed sets of its factor| ** |fibers| choices, a bound on the family;
+    ValueError is raised, before any region is laid, when that exceeds
+    ``FAMILY_CAP``.
     """
     universe = ProductUniverse(factors)
     counts = [len(f) ** len(fibers) for f, fibers in zip(universe.factors, universe.fibers)]
     # ties go to the later axis; the family is sorted, so the axis does not change it
     axis = min(range(len(factors)), key=lambda b: (counts[b], -b))
-    if counts[axis] > FRASER_REGION_CAP:
-        raise ValueError(f"Fraser enumeration of {counts[axis]} regions exceeds the cap "
-                         f"of {FRASER_REGION_CAP}")
+    if counts[axis] > FAMILY_CAP:
+        raise ValueError(f"Fraser family of up to {counts[axis]} sets exceeds the cap "
+                         f"of {FAMILY_CAP} sets")
     family = sorted(_fraser_regions(universe, axis))
     return unchecked_space(universe.points, family, product=universe)
 
@@ -238,7 +241,7 @@ def _fraser_regions(universe: ProductUniverse, axis: int) -> list[int]:
     be the trace of a closed set; at the last coordinate the traces are
     the closed sets themselves.  A failing check drops every region
     below that choice.  The search is one level deep per fiber, at most
-    20 under ``FRASER_REGION_CAP``, as every factor has at least two
+    20 under ``FAMILY_CAP``, as every factor has at least two
     closed sets.
     """
     n, fibers = universe.n_points, universe.fibers[axis]
@@ -392,21 +395,24 @@ class P4Violation:
 
 
 def check_p4(candidate: ClosureSpace, universe: ProductUniverse,
-             generators: Sequence[Sequence[Automorphism]]) -> Optional[P4Violation]:
+             generators: Sequence[Sequence[Sequence[int]]]) -> Optional[P4Violation]:
     """Check that every product of factor automorphisms lifts.
 
-    Each given factor automorphism v is lifted alone, with the identity
-    on the other factors: p -> p[v(p_beta), beta].  Lifting is a
-    homomorphism and maps that preserve the family compose, so every
-    tuple in the groups generated per factor lifts iff these do; a lift, a
-    bijection, keeps the family iff it keeps each meet-irreducible member.
-    Returns the first failing one-generator tuple and least such member.
+    ``generators`` holds one list of point permutations per factor.  Each
+    given factor automorphism v is lifted alone, with the identity on the
+    other factors: p -> p[v(p_beta), beta].  Lifting is a homomorphism and
+    maps that preserve the family compose, so every tuple in the groups
+    generated per factor lifts iff these do; a lift, a bijection, keeps the
+    family iff it keeps each meet-irreducible member.  Returns the first
+    failing one-generator tuple and least such member.  A permutation that
+    is no permutation of its factor's points is a ValueError.
     """
     _check_per_factor(universe, generators, "generator lists")
     for beta, gens in enumerate(generators):
+        stride, size = universe.strides[beta], universe.sizes[beta]
         for g in gens:
-            v = g.point_perm
-            lift = [1 << universe.replace(pid, beta, v[c[beta]])
+            v = require_permutation(g, size, f"factor {beta + 1} generator")
+            lift = [1 << pid + (v[c[beta]] - c[beta]) * stride
                     for pid, c in enumerate(universe.coords)]
             for m in candidate.meet_irreducibles():
                 img = image(m, lift)
@@ -467,7 +473,7 @@ def decompose_coatom(candidate: ClosureSpace, universe: ProductUniverse, coatom:
     reported rather than raised; a non-coatom argument is an error.
     """
     _check_factor_index(universe, free_factor)
-    if coatom not in candidate:
+    if require_int(coatom, "coatom") not in candidate:
         raise ValueError("not an element of the candidate space")
     if coatom not in candidate.coatoms():
         raise ValueError("not a coatom of the candidate space")
@@ -477,7 +483,7 @@ def decompose_coatom(candidate: ClosureSpace, universe: ProductUniverse, coatom:
     others = [b for b in range(k) if b != free_factor]
     base = 0
     for beta, x in zip(others, pinned):
-        if x not in universe.factors[beta].coatoms():
+        if require_int(x, "pinned coatom") not in universe.factors[beta].coatoms():
             raise ValueError(f"pinned element for factor {beta + 1} is not a coatom")
         base |= universe.preimage_mask(beta, x)
     if base & ~coatom:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-from .spaces import ClosureSpace, CoverWitness, bits, image, require_int
+from .spaces import ClosureSpace, CoverWitness, bits, image, require_int, require_permutation
 
 DEFAULT_NODE_CAP = 10_000_000
 # Each complete assignment is checked once per element (about 20 ms at 4096 sets,
@@ -81,14 +81,15 @@ class OrthomodularityWitness:
     b: int
 
 
-@dataclass(frozen=True, slots=True)
-class Automorphism:
-    """A point permutation whose induced set map preserves the family."""
+class Automorphism(tuple):
+    """A point permutation whose induced set map preserves the family: the
+    tuple of the points' images itself, as ``automorphisms`` lists them."""
 
-    point_perm: tuple[int, ...]
+    __slots__ = ()
 
-    def apply_point(self, i: int) -> int:
-        return self.point_perm[i]
+    @property
+    def point_perm(self) -> tuple[int, ...]:
+        return self
 
 
 @dataclass(frozen=True)
@@ -360,7 +361,12 @@ def automorphisms(space: ClosureSpace) -> list[Automorphism]:
     stabilizer chain by ``ClosureSpace.automorphism_perms``.  Its order and
     orbits are read off the chain without listing, by
     ``ClosureSpace.automorphism_order`` and ``automorphism_orbit``."""
-    return [Automorphism(perm) for perm in space.automorphism_perms()]
+    listing = list(space.automorphism_perms())
+    # in place, so that each listed tuple goes as its copy comes: the peak
+    # holds one listing, not two
+    for i, perm in enumerate(listing):
+        listing[i] = Automorphism(perm)
+    return listing
 
 
 def is_transitive(space: ClosureSpace) -> bool:
@@ -375,48 +381,46 @@ class FactoredForm:
     factor_isos: tuple[tuple[int, ...], ...]
 
 
-def check_factorization(space: ClosureSpace, universe, auto: Automorphism
+def check_factorization(space: ClosureSpace, universe, perm: Sequence[int]
                         ) -> Optional[FactoredForm]:
-    """Factor a product-space automorphism through the factors.
+    """Factor a product-space automorphism, given as its point permutation
+    u, through the factors.
 
     Finds a bijection f of the factor indices and per-factor point
     bijections v_i with u(p)_{f(i)} = v_i(p_i) for every product point,
     each v_i an isomorphism onto its target factor.  Returns None when
-    no such factorization exists.
+    no such factorization exists.  A ``perm`` that is no permutation of
+    the product's points is a ValueError.
     """
     if universe is None:
         raise ValueError("no product structure registered for this space")
-    factors = universe.factors
+    perm = require_permutation(perm, universe.n_points, "product permutation")
+    factors, sizes, coords = universe.factors, universe.sizes, universe.coords
     k = len(factors)
-    sizes = [f.n_points for f in factors]
+    images = [coords[q] for q in perm]
     for f in itertools.permutations(range(k)):
         if any(sizes[i] != sizes[f[i]] for i in range(k)):
             continue
         # Read candidate v_i off the images of points varying coordinate i.
         isos = []
-        consistent = True
-        for i in range(k):
-            v = [-1] * sizes[i]
-            for pid, t in enumerate(universe.coords):
-                img = universe.coords[auto.apply_point(pid)]
+        for i, size in enumerate(sizes):
+            v = [-1] * size
+            for t, img in zip(coords, images):
                 if v[t[i]] == -1:
                     v[t[i]] = img[f[i]]
                 elif v[t[i]] != img[f[i]]:
-                    consistent = False
                     break
-            if not consistent:
-                break
-            if sorted(v) != list(range(sizes[i])):
-                consistent = False
-                break
-            isos.append(tuple(v))
-        if not consistent:
-            continue
-        # Each v_i must carry the closed family of factor i onto factor f(i).
-        tables = [[1 << j for j in v] for v in isos]
-        if all({image(m, tables[i]) for m in factors[i].masks} == set(factors[f[i]].masks)
-               for i in range(k)):
-            return FactoredForm(factor_bijection=f, factor_isos=tuple(isos))
+            else:
+                if sorted(v) == list(range(size)):
+                    isos.append(tuple(v))
+                    continue
+            break  # v_i is no map, or no bijection: f fails
+        else:
+            # Each v_i must carry the closed family of factor i onto factor f(i).
+            tables = [[1 << j for j in v] for v in isos]
+            if all({image(m, tables[i]) for m in factors[i].masks} == set(factors[f[i]].masks)
+                   for i in range(k)):
+                return FactoredForm(factor_bijection=f, factor_isos=tuple(isos))
     return None
 
 

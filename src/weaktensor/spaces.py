@@ -26,7 +26,7 @@ AUTOMORPHISM_POINT_CAP = 12
 # Bounds the groups listed element by element: 9!, the order of MO_9's group.
 AUTOMORPHISM_LIST_CAP = 362_880
 # Bounds every family a space is built from: 2^20 sets, as many as powerset:20 has.
-_FAMILY_CAP = 1 << 20
+FAMILY_CAP = 1 << 20
 
 _LETTERS = "abcdefghijklmnopqrstuvwx"
 
@@ -213,7 +213,7 @@ class ClosureSpace:
                 raise ValueError(f"subset {m:#x} uses points outside the universe")
             generators.add(m)
             # every generator is a member
-            if len(generators) > _FAMILY_CAP:
+            if len(generators) > FAMILY_CAP:
                 raise _family_cap_error()
         family = tuple(sorted(intersection_closure(full, generators)))
         return cls.__new__(cls)._setup(points, family, product)
@@ -563,6 +563,15 @@ def require_int(value: object, name: str) -> int:
     return value
 
 
+def require_permutation(perm: Sequence[int], n: int, name: str) -> tuple[int, ...]:
+    """``perm`` as a tuple if it lists each of the points 0..n-1 once, as
+    ints, else a ValueError naming it."""
+    perm = tuple(perm)
+    if len(perm) != n or set(perm) != set(range(n)) or set(map(type, perm)) != {int}:
+        raise ValueError(f"{name} {perm!r} is not a permutation of {n} points")
+    return perm
+
+
 def _checked_points(points: Sequence[str]) -> tuple[str, ...]:
     points = tuple(points)
     if not points:
@@ -662,13 +671,13 @@ def _closure_sweep(full: int, generators: Iterable[int]) -> Iterator[set[int]]:
         if g not in family:
             family |= {f & g for f in family}
             # a step at most doubles the family, so it never holds 2^21 + 1 sets
-            if len(family) > _FAMILY_CAP:
+            if len(family) > FAMILY_CAP:
                 raise _family_cap_error()
             yield family
 
 
 def _family_cap_error() -> ValueError:
-    return ValueError(f"family exceeds the cap of {_FAMILY_CAP} sets")
+    return ValueError(f"family exceeds the cap of {FAMILY_CAP} sets")
 
 
 def next_closure(n: int, close: Callable[[int], int]) -> Iterator[int]:
@@ -726,7 +735,7 @@ def powerset_space(n: int) -> ClosureSpace:
     """The powerset of the points a, b, ...; on other labels it is
     ``ClosureSpace.from_closed_sets(labels, range(1 << len(labels)))``."""
     labels = default_labels(n)
-    if 1 << n > _FAMILY_CAP:
+    if 1 << n > FAMILY_CAP:
         raise _family_cap_error()
     return unchecked_space(labels, range(1 << n))
 

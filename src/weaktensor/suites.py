@@ -111,7 +111,7 @@ def _split_args(body: str) -> list[str]:
 
 
 def resolve_target(text: str, base_dir: Path | None = None) -> ClosureSpace:
-    return _resolve(text, base_dir, frozenset(), 0)
+    return _resolve(text, base_dir, {}, 0)
 
 
 def resolve_product(text: str, base_dir: Path | None = None
@@ -119,18 +119,18 @@ def resolve_product(text: str, base_dir: Path | None = None
     """The kind and the resolved factors of a product target, ``kind(...)``
     or a ``.prod`` file, without building the product; the shape is
     checked before any factor is read."""
-    found = _product(text.strip(), base_dir, frozenset(), 0)
+    found = _product(text.strip(), base_dir, {}, 0)
     if found is None:
         raise TargetError(f"not a product target: {text.strip()!r}")
     return found
 
 
-def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path],
-             depth: int) -> ClosureSpace:
-    """``resolve_target``, given the resolved paths of the ``.prod``
-    files whose factors are being resolved and the number of products
-    around ``text``, so an include cycle or a deep nest is an input error
-    rather than a runaway recursion."""
+def _resolve(text: str, base_dir: Path | None, files: dict, depth: int) -> ClosureSpace:
+    """``resolve_target``, given the ``.prod`` files met so far, by resolved
+    path (the depth each was resolved at, its kind and its factors, or None
+    while its factors are being resolved), and the number of products
+    around ``text``, so that each file is resolved once, and an include
+    cycle or a deep nest is an input error rather than a runaway recursion."""
     if depth > MAX_TARGET_DEPTH:
         raise TargetError(f"target nested too deeply: more than {MAX_TARGET_DEPTH} "
                           "levels of products")
@@ -145,7 +145,7 @@ def _resolve(text: str, base_dir: Path | None, open_files: frozenset[Path],
             if not (size.isascii() and size.isdigit()):
                 raise TargetError(f"bad size in target {text!r}")
             return builder(int(size))
-    found = _product(text, base_dir, open_files, depth)
+    found = _product(text, base_dir, files, depth)
     if found is not None:
         kind, factors = found
         return _BUILDERS[kind](factors)
@@ -182,7 +182,7 @@ def _check_product_shape(kind: str, n_factors: int) -> None:
     _check_count(kind, range(2, 3) if kind == "circle" else _FACTOR_COUNTS, n_factors, "factor")
 
 
-def _product(text: str, base_dir: Path | None, open_files: frozenset[Path],
+def _product(text: str, base_dir: Path | None, files: dict,
              depth: int) -> tuple[str, list[ClosureSpace]] | None:
     """The kind and the resolved factors of a stripped product target, or
     None for a target that names no product."""
@@ -192,7 +192,7 @@ def _product(text: str, base_dir: Path | None, open_files: frozenset[Path],
         if "" in parts:
             raise TargetError(f"empty factor in target {text!r}")
         _check_product_shape(head, len(parts))
-        return head, [_resolve(ref, base_dir, open_files, depth + 1) for ref in parts]
+        return head, [_resolve(ref, base_dir, files, depth + 1) for ref in parts]
     if not text.endswith(".prod"):
         return None
     # a product description file: a kind tag plus the factor targets, one per line
@@ -200,8 +200,15 @@ def _product(text: str, base_dir: Path | None, open_files: frozenset[Path],
     if not path.exists():
         raise TargetError(f"no such product file: {path}")
     key = path.resolve()
-    if key in open_files:
-        raise TargetError(f"{path}: product file includes itself")
+    if key in files:
+        met = files[key]
+        if met is None:
+            raise TargetError(f"{path}: product file includes itself")
+        # resolved at this depth or deeper, its factors nest no deeper here; a
+        # deeper use resolves them again, so that the depth cap holds as written
+        if depth <= met[0]:
+            return met[1], met[2]
+    files[key] = None
     kind: str | None = None
     refs: list[str] = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -220,7 +227,9 @@ def _product(text: str, base_dir: Path | None, open_files: frozenset[Path],
         _check_product_shape(kind, len(refs))
     except TargetError as exc:
         raise TargetError(f"{path}: {exc}") from None
-    return kind, [_resolve(ref, path.parent, open_files | {key}, depth + 1) for ref in refs]
+    factors = [_resolve(ref, path.parent, files, depth + 1) for ref in refs]
+    files[key] = depth, kind, factors
+    return kind, factors
 
 
 def _universe_of(space: ClosureSpace) -> products.ProductUniverse:
@@ -346,7 +355,7 @@ def _factorization(s, args, rng):
     # factored maps are closed under composition: the group factors iff its generators do
     universe = _universe_of(s)
     for perm in s.automorphism_generators():
-        if props.check_factorization(s, universe, props.Automorphism(perm)) is None:
+        if props.check_factorization(s, universe, perm) is None:
             return "fail", f"perm={perm} does not factor"
     return "pass", f"all {s.automorphism_order()} automorphisms factor"
 
@@ -608,7 +617,7 @@ def _hilbert_antilinear_agreement(args, rng):
     maps.extend(hilbert.random_antilinear(rng, m, n) for _ in range(max(n_maps, 0)))
     for a_map in maps:
         v, member = hilbert.coatom_from_antilinear(a_map)
-        line_perp = hilbert.Subspace.span(m * n, [v]).perp()
+        line_perp = hilbert.Subspace(m * n, [v]).perp()
         for _ in range(n_pairs):
             pair = hilbert.random_pair(rng, m, n)
             if member(pair) != hilbert.sigma_membership(line_perp, pair):
@@ -621,11 +630,11 @@ def _hilbert_box_verdicts(args, rng):
     e = hilbert.basis_vector
     t = hilbert.tensor
     cases = [
-        (hilbert.Subspace.span(4, [t(e(2, 0), e(2, 0)), t(e(2, 1), e(2, 1))]),
+        (hilbert.Subspace(4, [t(e(2, 0), e(2, 0)), t(e(2, 1), e(2, 1))]),
          hilbert.BoxVerdict.IN_BOX),
-        (hilbert.Subspace.span(4, [hilbert.vadd(t(e(2, 0), e(2, 0)), t(e(2, 1), e(2, 1)))]),
+        (hilbert.Subspace(4, [hilbert.vadd(t(e(2, 0), e(2, 0)), t(e(2, 1), e(2, 1)))]),
          hilbert.BoxVerdict.NOT_IN_BOX),
-        (hilbert.Subspace.span(4, [t(e(2, 0), e(2, 0)), t(e(2, 0), e(2, 1))]),
+        (hilbert.Subspace(4, [t(e(2, 0), e(2, 0)), t(e(2, 0), e(2, 1))]),
          hilbert.BoxVerdict.IN_BOX),
     ]
     got = [hilbert.box_membership_test(v) for v, _ in cases]
@@ -656,8 +665,7 @@ def _p123(s, args, rng):
 @_check("p4")
 def _p4(s, args, rng):
     universe = _universe_of(s)
-    gens = [[props.Automorphism(perm) for perm in f.automorphism_generators()]
-            for f in universe.factors]
+    gens = [f.automorphism_generators() for f in universe.factors]
     res = products.check_p4(s, universe, gens)
     if res is None:
         sizes = "x".join(str(f.automorphism_order()) for f in universe.factors)

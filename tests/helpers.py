@@ -60,7 +60,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from weaktensor.hilbert import (
-    GQ, ONE, ZERO, Subspace, basis_vector, gq, is_zero_vector, normalize_vector, rref, tensor,
+    GQ, ONE, ZERO, Subspace, basis_vector, is_zero_vector, normalize_vector, rref, tensor,
     vadd, vconj, vscale,
 )
 from weaktensor.props import (
@@ -676,9 +676,9 @@ def perp_by_kernel(subspace):
     """Orthocomplement as the kernel of the conjugated basis."""
     ambient = subspace.ambient
     if subspace.dim == 0:
-        return Subspace.span(ambient, [basis_vector(ambient, k) for k in range(ambient)])
+        return Subspace(ambient, [basis_vector(ambient, k) for k in range(ambient)])
     rows = [vconj(b) for b in subspace.basis]
-    return Subspace.span(ambient, kernel_by_rref(rows, ambient))
+    return Subspace(ambient, kernel_by_rref(rows, ambient))
 
 
 _ROT = ((ZERO, -ONE), (ONE, ZERO))
@@ -712,7 +712,7 @@ def hyperplane_spanned_by_products(subspace) -> bool:
         blam = apply_b(lam)
         if not is_zero_vector(blam):
             collected.append(tensor(lam, blam))
-    return Subspace.span(4, collected) == subspace
+    return Subspace(4, collected) == subspace
 
 
 def sqrt_fraction(x: Fraction) -> Optional[Fraction]:
@@ -740,7 +740,7 @@ def gq_sqrt(z: GQ) -> Optional[GQ]:
         if r is not None:
             return GQ(Fraction(0), r)
         return None
-    n = sqrt_fraction(z.norm2())
+    n = sqrt_fraction(z.re * z.re + z.im * z.im)
     if n is None:
         return None
     half = Fraction(1, 2)
@@ -783,11 +783,11 @@ def pencil_rank1_status(b0, b1):
         if b:
             roots.append((-c / b, ONE))
     else:
-        disc = b * b - gq(4) * a * c
+        disc = b * b - GQ(4) * a * c
         s = gq_sqrt(disc)
         if s is None:
             return "unknown", []
-        two_a = gq(2) * a
+        two_a = GQ(2) * a
         roots.append(((-b + s) / two_a, ONE))
         if s:
             roots.append(((-b - s) / two_a, ONE))

@@ -320,16 +320,16 @@ def test_a11_exact_tensor_subspace_suite():
     for _ in range(5):
         a_map = random_antilinear(rng, 2, 2)
         v, member = coatom_from_antilinear(a_map)
-        side = Subspace.span(4, [v]).perp()
+        side = Subspace(4, [v]).perp()
         for _ in range(100):
             pair = random_pair(rng, 2, 2)
             assert member(pair) == sigma_membership(side, pair)
     # (d) box-membership verdicts on the three fixed subspaces
     e = basis_vector
-    spread = Subspace.span(4, [tensor(e(2, 0), e(2, 0)), tensor(e(2, 1), e(2, 1))])
-    diagonal = Subspace.span(4, [vadd(tensor(e(2, 0), e(2, 0)),
-                                      tensor(e(2, 1), e(2, 1)))])
-    slice_ = Subspace.span(4, [tensor(e(2, 0), e(2, 0)), tensor(e(2, 0), e(2, 1))])
+    spread = Subspace(4, [tensor(e(2, 0), e(2, 0)), tensor(e(2, 1), e(2, 1))])
+    diagonal = Subspace(4, [vadd(tensor(e(2, 0), e(2, 0)),
+                                 tensor(e(2, 1), e(2, 1)))])
+    slice_ = Subspace(4, [tensor(e(2, 0), e(2, 0)), tensor(e(2, 0), e(2, 1))])
     assert box_membership_test(spread) is BoxVerdict.IN_BOX
     assert box_membership_test(diagonal) is BoxVerdict.NOT_IN_BOX
     assert box_membership_test(slice_) is BoxVerdict.IN_BOX

@@ -2,8 +2,8 @@
 every public name that ``weaktensor/hilbert.py`` defines and the
 parameters of its functions, the parameters of the stock builders and of
 ``LatticeFormatError``, every public method, property and attribute of a
-``ClosureSpace``, the surface of the orthocomplementation search, and the
-fields of an ``OrthoMap``.
+``ClosureSpace``, the surface of the orthocomplementation search, the
+fields of an ``OrthoMap``, and README's "Library tour".
 
 A name or parameter added, removed or renamed fails here until its list is updated,
 and CHANGES.md names the change.
@@ -12,7 +12,9 @@ and CHANGES.md names the change.
 import ast
 import dataclasses
 import inspect
+import re
 import types
+from pathlib import Path
 
 import weaktensor
 from weaktensor import hilbert, props
@@ -37,9 +39,9 @@ def test_the_exports_are_the_pinned_list():
 
 
 HILBERT_NAMES = [
-    "AntilinearMap", "BoxVerdict", "DualCoveringReport", "GQ", "I", "MAX_FACTOR_DIM", "Matrix",
+    "AntilinearMap", "BoxVerdict", "DualCoveringReport", "GQ", "MAX_FACTOR_DIM", "Matrix",
     "ONE", "ProductAtomPair", "Subspace", "Vector", "ZERO", "basis_vector", "box_membership_test",
-    "coatom_from_antilinear", "dual_covering_counterexample", "gq", "inner",
+    "coatom_from_antilinear", "dual_covering_counterexample", "inner",
     "is_zero_vector", "join_atoms", "normalize_vector", "parse_gq_matrix", "parse_gq_tokens",
     "random_antilinear", "random_gq", "random_pair", "random_subspace", "random_vector", "rref",
     "sharp_point", "sigma_membership", "tensor", "vadd", "vconj",
@@ -84,7 +86,6 @@ HILBERT_PARAMETERS = {
     "box_membership_test": ("subspace",),
     "coatom_from_antilinear": ("a_map",),
     "dual_covering_counterexample": ("m", "n"),
-    "gq": ("re", "im"),
     "inner": ("x", "y"),
     "is_zero_vector": ("x",),
     "join_atoms": ("pairs",),
@@ -139,3 +140,27 @@ def test_the_closure_space_names_are_the_pinned_list():
     # an instance, so that the attributes the constructors set count too
     space = weaktensor.two_space()
     assert sorted(name for name in dir(space) if not name.startswith("_")) == CLOSURE_SPACE_NAMES
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_tour_runs_as_commented():
+    # every statement runs, and a statement with a trailing comment is an
+    # expression whose repr reads as the comment, "..." standing for any text
+    text = README.read_text().split("## Library tour", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        code, hash_, comment = lines[node.end_lineno - 1].partition("#")
+        if not hash_:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+            continue
+        assert isinstance(node, ast.Expr), code
+        got = repr(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        pattern = ".*".join(map(re.escape, comment.strip().split("...")))
+        assert re.fullmatch(pattern, got), (code, got)
+        checked += 1
+    assert checked == 8

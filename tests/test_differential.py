@@ -720,7 +720,7 @@ def test_factorization_on_generators_matches_the_whole_listing():
     for name, space in chain_products():
         listing = space.automorphism_perms()
         unfactored = [perm for perm in listing if check_factorization(
-            space, space.product, Automorphism(perm)) is None]
+            space, space.product, perm) is None]
         verdict, witness = run_check("factorization", space)
         verdicts[verdict] += 1
         if not unfactored:
@@ -747,6 +747,27 @@ def test_p4_on_generators_matches_the_whole_listing():
             sizes = "x".join(str(len(g)) for g in groups)
             assert witness == f"all {sizes} factor automorphism tuples lift", name
     assert verdicts["pass"] and verdicts["fail"]
+
+
+def test_permutation_tuples_and_automorphisms_give_equal_results():
+    # the benchmark's call shapes (each factor's listed group of Automorphism
+    # values for check_p4, each listed Automorphism for check_factorization)
+    # and the checks' (the chain's generator tuples) against the other form
+    verdicts = collections.Counter()
+    for name, space in chain_products():
+        universe = space.product
+        listed = [automorphisms(f) for f in universe.factors]
+        generators = [f.automorphism_generators() for f in universe.factors]
+        for given, other in ((listed, [[tuple(u) for u in group] for group in listed]),
+                             (generators, [[Automorphism(g) for g in gens] for gens in generators])):
+            got = check_p4(space, universe, given)
+            assert got == check_p4(space, universe, other), name
+            verdicts[got is None] += 1
+        for u in automorphisms(space):
+            form = check_factorization(space, universe, u)
+            assert form == check_factorization(space, universe, tuple(u)), (name, u)
+            verdicts[form is None] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 # -- orthocomplementation search against the search that tried every candidate --

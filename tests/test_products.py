@@ -1,6 +1,7 @@
 import collections
 import itertools
 import pickle
+import re
 from random import Random
 
 import pytest
@@ -33,7 +34,7 @@ from weaktensor import (
     validate_orthomap,
 )
 from weaktensor import products, spaces
-from weaktensor.props import OrthoMap, automorphisms
+from weaktensor.props import Automorphism, OrthoMap, automorphisms
 from weaktensor.products import CoatomNonConformance
 
 
@@ -151,7 +152,8 @@ def test_diagonal_is_fraser_closed(fraser33):
 def test_fraser_enumeration_cap(monkeypatch):
     # 16**6 = 64**4 = 2**24 regions on either axis: refused before any is laid
     monkeypatch.setattr(products, "_fraser_regions", lambda *args: pytest.fail("enumerated"))
-    with pytest.raises(ValueError, match="16777216 regions exceeds the cap of 1048576"):
+    with pytest.raises(ValueError, match="^Fraser family of up to 16777216 sets exceeds the "
+                                         "cap of 1048576 sets$"):
         fraser_product([powerset_space(4), powerset_space(6)])
 
 
@@ -548,6 +550,20 @@ def test_p4_refuses_a_generator_list_per_factor_of_the_wrong_length(box33, mo3):
             check_p4(candidate, uni, given)
 
 
+@pytest.mark.parametrize("bad", [(1, 0), (0, 1, 2, 0), (0, 0, 1), (0, 1, 2.0), (0, 1, True)])
+def test_p4_refuses_a_generator_that_is_no_permutation_of_its_factor(box33, mo3, bad):
+    # short, long, not a bijection, and entries that are no int
+    uni = box33.product
+    for beta in (0, 1):
+        for shape in (tuple, Automorphism):
+            gens = [automorphisms(mo3), automorphisms(mo3)]
+            gens[beta] = [gens[beta][1], shape(bad)]
+            with pytest.raises(ValueError, match=f"^factor {beta + 1} generator "
+                                                 f"{re.escape(repr(bad))} is not a "
+                                                 "permutation of 3 points$"):
+                check_p4(box33, uni, gens)
+
+
 # -- sharp map ------------------------------------------------------------------------------------
 
 def test_sharp_of_a_point_is_the_partner_cross(box44, mo4_pairing):
@@ -854,6 +870,40 @@ def test_factor_index_that_is_no_int_is_refused(mo3, beta):
         beta_join(uni, 0b11, beta)
     with pytest.raises(ValueError, match=f"^factor index must be an integer, got {beta!r}$"):
         beta_join_sequence(uni, 0b11, [0, beta])
+
+
+@pytest.mark.parametrize("name", REGION_CALLS)
+def test_region_functions_refuse_a_region_that_is_no_int(mo3, name):
+    uni = ProductUniverse([mo3, mo3])
+    for bad in (3.0, True, "3"):
+        with pytest.raises(ValueError, match=f"^region must be an integer, got {re.escape(repr(bad))}$"):
+            REGION_CALLS[name](uni, bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True])
+def test_universe_refuses_coordinates_and_ids_that_are_no_int(mo3, bad):
+    uni = ProductUniverse([mo3, mo3])
+    says = f"must be an integer, got {bad!r}$"
+    with pytest.raises(ValueError, match="^coordinate " + says):
+        uni.encode((bad, 0))
+    with pytest.raises(ValueError, match="^coordinate " + says):
+        uni.replace(0, 0, bad)
+    with pytest.raises(ValueError, match="^point id " + says):
+        uni.decode(bad)
+    with pytest.raises(ValueError, match="^point id " + says):
+        uni.replace(bad, 0, 1)
+    with pytest.raises(ValueError, match="^factor index " + says):
+        uni.replace(0, bad, 1)
+
+
+def test_decompose_refuses_coatoms_that_are_no_int(fraser33):
+    uni = fraser33.product
+    cross = uni.cylinder_mask((0b001, 0b010))
+    assert decompose_coatom(fraser33, uni, cross, 1, [0b001]) == 0b010
+    with pytest.raises(ValueError, match=f"^coatom must be an integer, got {float(cross)}$"):
+        decompose_coatom(fraser33, uni, float(cross), 1, [0b001])
+    with pytest.raises(ValueError, match="^pinned coatom must be an integer, got 1.0$"):
+        decompose_coatom(fraser33, uni, cross, 1, [1.0])
 
 
 def test_three_factor_products(mo3):

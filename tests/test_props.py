@@ -380,21 +380,30 @@ def test_chain_leaves_no_reference_cycle():
 
 def test_factorization_identity_and_swap(box33):
     universe = box33.product
-    identity = Automorphism(tuple(range(9)))
+    identity = tuple(range(9))
     form = check_factorization(box33, universe, identity)
     assert form is not None
     assert form.factor_bijection == (0, 1)
     assert all(v == tuple(range(3)) for v in form.factor_isos)
-    flip = Automorphism(tuple(universe.encode(tuple(reversed(universe.decode(i))))
-                              for i in range(9)))
+    flip = tuple(universe.encode(tuple(reversed(universe.decode(i)))) for i in range(9))
     form = check_factorization(box33, universe, flip)
     assert form is not None
     assert form.factor_bijection == (1, 0)
 
 
+@pytest.mark.parametrize("bad", [tuple(range(8)), tuple(range(10)), (0,) * 9,
+                                 (*range(8), 8.0)])
+def test_factorization_refuses_a_map_that_is_no_permutation_of_the_points(box33, bad):
+    # short, long, not a bijection, and an entry that is no int
+    for shape in (tuple, Automorphism):
+        with pytest.raises(ValueError, match=r"^product permutation \(.*\) is not a "
+                                             "permutation of 9 points$"):
+            check_factorization(box33, box33.product, shape(bad))
+
+
 def test_factorization_needs_product_structure(mo3):
     with pytest.raises(ValueError):
-        check_factorization(mo3, None, Automorphism((0, 1, 2)))
+        check_factorization(mo3, None, (0, 1, 2))
 
 
 # -- weak connectivity ----------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_family_cap_counts_the_generators_as_they_come():
 
 def test_family_cap_stops_the_sweep_at_the_step_that_passes_it(monkeypatch):
     # 5 coatoms generate the 32 subsets of 5 points, one doubling per step
-    monkeypatch.setattr(spaces, "_FAMILY_CAP", 10)
+    monkeypatch.setattr(spaces, "FAMILY_CAP", 10)
     full = 0b11111
     sizes = []
     with pytest.raises(ValueError, match="^family exceeds the cap of 10 sets$"):

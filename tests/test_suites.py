@@ -1,3 +1,6 @@
+import collections
+from pathlib import Path
+
 import pytest
 
 from weaktensor import ClosureSpace, products, suites
@@ -37,6 +40,47 @@ def test_a_product_file_included_twice_is_not_a_cycle(tmp_path):
     (tmp_path / "leaf.prod").write_text("product: box\nfactor: mo:2\nfactor: mo:2\n")
     (tmp_path / "pair.prod").write_text("product: box\nfactor: leaf.prod\nfactor: leaf.prod\n")
     assert suites.resolve_target("pair.prod", tmp_path).n_points == 16
+
+
+def test_a_chain_of_product_files_resolves_each_file_once(tmp_path, monkeypatch):
+    # each file names the next twice, so resolving per mention would read
+    # the last file 2^19 times
+    count = 20
+    for k in range(1, count + 1):
+        nxt = f"p{k + 1}.prod" if k < count else "two"
+        (tmp_path / f"p{k}.prod").write_text(f"product: box\nfactor: {nxt}\nfactor: {nxt}\n")
+    reads = collections.Counter()
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads[path.name] += 1
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    assert suites.resolve_target("p1.prod", tmp_path).n_points == 1
+    assert reads == {f"p{k}.prod": 1 for k in range(1, count + 1)}
+    reads.clear()
+    assert [len(f) for f in suites.resolve_product("p1.prod", tmp_path)[1]] == [2, 2]
+    assert reads == {f"p{k}.prod": 1 for k in range(1, count + 1)}
+
+
+def test_a_product_file_met_again_deeper_keeps_the_depth_cap(tmp_path):
+    # a file resolved once near the top is resolved again where it sits
+    # deeper, so a target nests too deeply whether or not it was met before
+    (tmp_path / "d.prod").write_text("product: box\nfactor: two\nfactor: two\n")
+    outcomes = set()
+    for nest in range(suites.MAX_TARGET_DEPTH - 3, suites.MAX_TARGET_DEPTH + 1):
+        deep = "box(two," * nest + "d.prod" + ")" * nest
+        got = []
+        for target in (f"box(two,{deep})", f"box(d.prod,{deep})"):
+            try:
+                got.append(suites.resolve_target(target, tmp_path).n_points)
+            except suites.TargetError as exc:
+                assert "nested too deeply" in str(exc)
+                got.append("too deep")
+        assert got[0] == got[1], nest
+        outcomes.add(got[0])
+    assert outcomes == {1, "too deep"}
 
 
 def test_product_files_follow_the_shape_rule(tmp_path):
