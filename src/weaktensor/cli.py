@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     j = sub.add_parser("join", help="compute joins of point tuples in a product")
     j.add_argument("target", metavar="TARGET",
-                   help="a product target, e.g. 'box(mo:3,mo:3)' or pair.prod")
+                   help="a product target, e.g. 'box(mo:3,mo:3)' or 'circle(mo3.lat,mo3.lat)'")
     j.add_argument("--tuples", required=True,
                    help="semicolon-separated tuples, e.g. 'a,x;b,y;c,z'")
     j.add_argument("--method", choices=("box", "fraser", "beta-sequence"),

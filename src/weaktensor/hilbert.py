@@ -168,7 +168,19 @@ Matrix = tuple[Vector, ...]
 
 # -- vectors ------------------------------------------------------------------
 
+def _check_dimension(n: int, name: str) -> None:
+    # a bool is an int to Python, and a zero or negative dimension would
+    # give the empty space, its own orthocomplement
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+
+
 def basis_vector(n: int, k: int) -> Vector:
+    """The k-th unit vector of C^n; n must be a positive int and k an int
+    in 0..n-1, else a ValueError."""
+    _check_dimension(n, "dimension")
+    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < n:
+        raise ValueError(f"index must be an integer in 0..{n - 1}, got {k!r}")
     return tuple(ONE if j == k else ZERO for j in range(n))
 
 
@@ -253,8 +265,9 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[GQ]], list[int]]:
 class Subspace:
     """The span of ``rows`` in the coordinate space of dimension
     ``ambient``, held as the reduced row echelon form of the rows with unit
-    pivots, so equal subspaces have equal bases.  A row that is not
-    ``ambient`` ``GQ`` entries is a ValueError.
+    pivots, so equal subspaces have equal bases.  An ``ambient`` that is no
+    positive int, or a row that is not ``ambient`` ``GQ`` entries, is a
+    ValueError.
     """
 
     ambient: int
@@ -262,6 +275,7 @@ class Subspace:
     pivots: tuple[int, ...] = field(repr=False, compare=False)
 
     def __init__(self, ambient: int, rows: Sequence[Vector] = ()):
+        _check_dimension(ambient, "ambient")
         rows = list(rows)
         for row in rows:
             if len(row) != ambient or not all(isinstance(a, GQ) for a in row):

@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Optional, Sequence, Union
 
 from .props import OrthoMap, orthomap_violation
@@ -66,7 +67,8 @@ class ProductUniverse:
         outside its factor IndexError."""
         if len(coords) != len(self.sizes):
             raise ValueError(f"expected {len(self.sizes)} coordinates, got {len(coords)}")
-        return sum(self.replace(0, beta, c) for beta, c in enumerate(coords))
+        return sum(self._coordinate(beta, c) * stride
+                   for beta, (c, stride) in enumerate(zip(coords, self.strides)))
 
     def decode(self, pid: int) -> tuple[int, ...]:
         """The coordinates of a flat id; an id that is no int raises
@@ -84,34 +86,39 @@ class ProductUniverse:
     def replace(self, pid: int, beta: int, q: int) -> int:
         """p[q, beta]: replace the beta-th coordinate of the point."""
         _check_factor_index(self, beta)
+        return pid + (self._coordinate(beta, q) - self.decode(pid)[beta]) * self.strides[beta]
+
+    def _coordinate(self, beta: int, q: int) -> int:
         if not 0 <= require_int(q, "coordinate") < self.sizes[beta]:
             raise IndexError(f"coordinate {q} is outside factor {beta + 1}")
-        return pid + (q - self.decode(pid)[beta]) * self.strides[beta]
+        return q
 
     def preimage_mask(self, beta: int, factor_mask: int) -> int:
-        """Flat mask of the cylinder over one factor element."""
+        """Flat mask of the cylinder over one factor element; a factor index
+        or a mask outside the factors, or one that is no int, is a ValueError."""
+        _check_factor_index(self, beta)
+        if require_int(factor_mask, "factor mask") & ~((1 << self.sizes[beta]) - 1):
+            raise ValueError(f"factor mask {factor_mask} uses points outside factor {beta + 1}")
         return image(factor_mask, self.coordinate_masks[beta])
 
     def cylinder_mask(self, components: Sequence[int]) -> int:
-        """Union over factors of the coordinate preimages of the components."""
-        m = 0
-        for beta, a in enumerate(components):
-            m |= self.preimage_mask(beta, a)
-        return m
+        """Union over factors of the coordinate preimages of the components,
+        one per factor."""
+        _check_per_factor(self, components, "components")
+        return reduce(or_, map(self.preimage_mask, range(len(components)), components))
 
     @cached_property
     def cylinders(self) -> tuple[int, ...]:
         """The distinct cylinders, one per tuple of factor elements, in
         first-seen order over ``itertools.product`` of the factor families."""
         combos = itertools.product(*(f.masks for f in self.factors))
-        return tuple(dict.fromkeys(self.cylinder_mask(c) for c in combos))
+        return tuple(dict.fromkeys(reduce(or_, map(image, combo, self.coordinate_masks))
+                                   for combo in combos))
 
     def full_box_mask(self, components: Sequence[int]) -> int:
         """The full box prod_a of one element per factor, as a flat mask."""
-        m = self.full_mask
-        for beta, a in enumerate(components):
-            m &= self.preimage_mask(beta, a)
-        return m
+        _check_per_factor(self, components, "components")
+        return reduce(and_, map(self.preimage_mask, range(len(components)), components))
 
     def render_set(self, mask: int) -> str:
         return " ".join(self.points[i] for i in bits(mask)) or "-"
@@ -121,7 +128,7 @@ class ProductUniverse:
 #
 # The section of a region on a beta-fiber is the factor mask
 # image(region & fiber, coordinate_bits[beta]), and a factor mask sec is
-# laid back on the fiber as fiber & preimage_mask(beta, sec).
+# laid back on the fiber as fiber & image(sec, coordinate_masks[beta]).
 
 def _check_region(universe: ProductUniverse, region: int) -> None:
     if require_int(region, "region") & ~universe.full_mask:
@@ -146,11 +153,12 @@ def beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
 
 def _beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
     close, coordinate_bits = universe.factors[beta].closure, universe.coordinate_bits[beta]
+    coordinate_masks = universe.coordinate_masks[beta]
     out = 0
     for fiber in universe.fibers[beta]:
         if region & fiber:
             sec = close(image(region & fiber, coordinate_bits))
-            out |= fiber & universe.preimage_mask(beta, sec)
+            out |= fiber & image(sec, coordinate_masks)
     return out
 
 
@@ -266,7 +274,7 @@ def _fraser_regions(universe: ProductUniverse, axis: int) -> list[int]:
                 if len(traces[t]) < 2 << t:
                     checks[on_axis[pid]].append((shift, width, traces[t]))
     # the fibers are disjoint, so a choice is the sum of its laid parts
-    laid = [[image(fiber & universe.preimage_mask(axis, sec), where)
+    laid = [[image(fiber & image(sec, universe.coordinate_masks[axis]), where)
              for sec in universe.factors[axis].masks] for fiber in fibers]
     last, full = len(fibers) - 1, universe.full_mask
     regions: list[int] = []

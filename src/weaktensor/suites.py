@@ -5,12 +5,11 @@ entries.  Targets are written in a small grammar:
 
     two                  the two-element lattice (one point)
     mo:N                 the MO lattice with N atoms
-    powerset:N | pow:N   the powerset lattice on N points
+    powerset:N           the powerset lattice on N points
     box(T,T[,T])         box product of targets
     fraser(T,T[,T])      Fraser product of targets
     circle(T,T)          MO circle product of targets
     path/to/file.lat     lattice text file
-    path/to/file.prod    product description file
 
 Suites themselves are JSON files: {"name": ..., "checks": [{"check":
 ..., "targets": [...], "args": {...}, "expect": "pass"}]}.
@@ -61,9 +60,9 @@ MAX_SAMPLES = 200
 # tested on the factors' point counts before any product is built.
 SUBSET_SCAN_CAP = 16
 
-# Cap on the products nested inside one target, through the grammar and
-# ``.prod`` files alike; one-point factors nest without growing the product,
-# so the point cap alone does not bound the recursion.
+# Cap on the products nested inside one target; one-point factors nest
+# without growing the product, so the point cap alone does not bound the
+# recursion.
 MAX_TARGET_DEPTH = 32
 
 
@@ -111,41 +110,37 @@ def _split_args(body: str) -> list[str]:
 
 
 def resolve_target(text: str, base_dir: Path | None = None) -> ClosureSpace:
-    return _resolve(text, base_dir, {}, 0)
+    return _resolve(text, base_dir, 0)
 
 
 def resolve_product(text: str, base_dir: Path | None = None
                     ) -> tuple[str, list[ClosureSpace]]:
-    """The kind and the resolved factors of a product target, ``kind(...)``
-    or a ``.prod`` file, without building the product; the shape is
-    checked before any factor is read."""
-    found = _product(text.strip(), base_dir, {}, 0)
+    """The kind and the resolved factors of a product target ``kind(...)``,
+    without building the product; the shape is checked before any factor
+    is read."""
+    found = _product(text.strip(), base_dir, 0)
     if found is None:
         raise TargetError(f"not a product target: {text.strip()!r}")
     return found
 
 
-def _resolve(text: str, base_dir: Path | None, files: dict, depth: int) -> ClosureSpace:
-    """``resolve_target``, given the ``.prod`` files met so far, by resolved
-    path (the depth each was resolved at, its kind and its factors, or None
-    while its factors are being resolved), and the number of products
-    around ``text``, so that each file is resolved once, and an include
-    cycle or a deep nest is an input error rather than a runaway recursion."""
+def _resolve(text: str, base_dir: Path | None, depth: int) -> ClosureSpace:
+    """``resolve_target``, given the number of products around ``text``, so
+    that a deep nest is an input error rather than a runaway recursion."""
     if depth > MAX_TARGET_DEPTH:
         raise TargetError(f"target nested too deeply: more than {MAX_TARGET_DEPTH} "
                           "levels of products")
     text = text.strip()
     if text == "two":
         return two_space()
-    for prefix, builder in (("mo:", mo_space), ("powerset:", powerset_space),
-                            ("pow:", powerset_space)):
+    for prefix, builder in (("mo:", mo_space), ("powerset:", powerset_space)):
         if text.startswith(prefix):
             size = text[len(prefix):]
             # int() would also take signs, spaces, underscores and non-ASCII digits
             if not (size.isascii() and size.isdigit()):
                 raise TargetError(f"bad size in target {text!r}")
             return builder(int(size))
-    found = _product(text, base_dir, files, depth)
+    found = _product(text, base_dir, depth)
     if found is not None:
         kind, factors = found
         return _BUILDERS[kind](factors)
@@ -175,61 +170,20 @@ def _check_count(what: str, counts: range, got: int, noun: str) -> None:
                           f"{noun}{'' if hi == 1 else 's'}, got {got}")
 
 
-def _check_product_shape(kind: str, n_factors: int) -> None:
-    """The shape rule of the grammar and ``.prod`` files alike."""
-    if kind not in _BUILDERS:
-        raise TargetError(f"unknown product kind {kind!r}")
-    _check_count(kind, range(2, 3) if kind == "circle" else _FACTOR_COUNTS, n_factors, "factor")
-
-
-def _product(text: str, base_dir: Path | None, files: dict,
+def _product(text: str, base_dir: Path | None,
              depth: int) -> tuple[str, list[ClosureSpace]] | None:
     """The kind and the resolved factors of a stripped product target, or
     None for a target that names no product."""
     head, paren, body = text.partition("(")
-    if paren and text.endswith(")"):
-        parts = _split_args(body[:-1])
-        if "" in parts:
-            raise TargetError(f"empty factor in target {text!r}")
-        _check_product_shape(head, len(parts))
-        return head, [_resolve(ref, base_dir, files, depth + 1) for ref in parts]
-    if not text.endswith(".prod"):
+    if not (paren and text.endswith(")")):
         return None
-    # a product description file: a kind tag plus the factor targets, one per line
-    path = (base_dir or Path()) / text
-    if not path.exists():
-        raise TargetError(f"no such product file: {path}")
-    key = path.resolve()
-    if key in files:
-        met = files[key]
-        if met is None:
-            raise TargetError(f"{path}: product file includes itself")
-        # resolved at this depth or deeper, its factors nest no deeper here; a
-        # deeper use resolves them again, so that the depth cap holds as written
-        if depth <= met[0]:
-            return met[1], met[2]
-    files[key] = None
-    kind: str | None = None
-    refs: list[str] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("product:"):
-            kind = line[len("product:"):].strip()
-        elif line.startswith("factor:"):
-            refs.append(line[len("factor:"):].strip())
-        else:
-            raise TargetError(f"{path}:{lineno}: unrecognized line {line!r}")
-    if kind is None:
-        raise TargetError(f"{path}: missing 'product:' tag")
-    try:
-        _check_product_shape(kind, len(refs))
-    except TargetError as exc:
-        raise TargetError(f"{path}: {exc}") from None
-    factors = [_resolve(ref, path.parent, files, depth + 1) for ref in refs]
-    files[key] = depth, kind, factors
-    return kind, factors
+    parts = _split_args(body[:-1])
+    if "" in parts:
+        raise TargetError(f"empty factor in target {text!r}")
+    if head not in _BUILDERS:
+        raise TargetError(f"unknown product kind {head!r}")
+    _check_count(head, range(2, 3) if head == "circle" else _FACTOR_COUNTS, len(parts), "factor")
+    return head, [_resolve(ref, base_dir, depth + 1) for ref in parts]
 
 
 def _universe_of(space: ClosureSpace) -> products.ProductUniverse:

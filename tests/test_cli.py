@@ -111,7 +111,6 @@ def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
     # the files the block reads; the block writes the rest
     monkeypatch.chdir(tmp_path)
     (tmp_path / "any.lat").write_text("points: x y z\nx y\n")
-    (tmp_path / "pair.prod").write_text("product: box\nfactor: mo3.lat\nfactor: mo3.lat\n")
     (tmp_path / "my_suite.json").write_text(json.dumps({"checks": [
         {"check": "covering", "targets": ["circle(mo:3,mo:3)"], "expect": "pass"}]}))
     lines = readme_command_lines()
@@ -123,10 +122,11 @@ def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
 
 
 # targets the grammar refuses: a size that is not ASCII digits, which int()
-# would take, and one-point factors nested past the depth cap, which no point
-# cap stops
+# would take, one-point factors nested past the depth cap, which no point
+# cap stops, and names outside the grammar
 BAD_TARGETS = (
-    ("mo: 3", "bad size"), ("mo:+3", "bad size"), ("pow:\u0663", "bad size"),
+    ("mo: 3", "bad size"), ("mo:+3", "bad size"), ("powerset:\u0663", "bad size"),
+    ("pow:3", "unresolvable target 'pow:3'"), ("pair.prod", "unresolvable target 'pair.prod'"),
     ("mo:1_0", "bad size"), ("box(" * 500 + "two" + ",two)" * 500, "nested too deeply"),
     ("box(mo:3,,mo:3)", "empty factor"), ("box(mo:3,mo:3,)", "empty factor"),
     ("box(,mo:3,mo:3)", "empty factor"), ("fraser(mo:2,mo:2,,)", "empty factor"),
@@ -202,23 +202,13 @@ def test_join_beta_sequence_trace(capsys, tmp_path, monkeypatch):
 
 
 def test_join_via_product_file(capsys, tmp_path):
+    # lattice files by absolute path, so the target names them from any working directory
     mo3 = tmp_path / "mo3.lat"
     run(capsys, "build", "mo:3", "--out", str(mo3))
-    prod = tmp_path / "pair.prod"
-    prod.write_text("product: box\nfactor: mo3.lat\nfactor: mo3.lat\n")
-    code, out, _ = run(capsys, "join", str(prod), "--tuples", "a,a;a,b",
+    code, out, _ = run(capsys, "join", f"box({mo3},{mo3})", "--tuples", "a,a;a,b",
                        "--method", "fraser")
     assert code == 0
     assert out.endswith("RESULT: a,a a,b a,c\n")
-
-
-def test_missing_product_file_reads_alike(capsys, tmp_path, monkeypatch):
-    # one product-file loader: join's file and a build factor say the same
-    monkeypatch.chdir(tmp_path)
-    says = f"error: no such product file: {Path.cwd() / 'missing.prod'}\n"
-    assert run(capsys, "join", "missing.prod", "--tuples", "a,a") == (2, "", says)
-    assert run(capsys, "build", "box(missing.prod,mo:3)") == (2, "", says)
-    assert run(capsys, "build", "missing.prod") == (2, "", says)
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,7 +276,10 @@ def test_join_input_errors(capsys, tmp_path, monkeypatch):
             # and a circle's factors as ``build`` checks them
             ("circle(powerset:2,mo:3)", "circle product factors need at least three atoms"),
             # and the target names a product
-            ("mo3.lat", "not a product target: 'mo3.lat'")):
+            ("mo3.lat", "not a product target: 'mo3.lat'"),
+            ("x.prod", "not a product target: 'x.prod'"),
+            ("pow:3", "not a product target: 'pow:3'"),
+            ("box(x.prod,mo:3)", "unresolvable target 'x.prod'")):
         code, out, err = run(capsys, "join", target, "--tuples", "a,a")
         assert code == 2 and out == "" and says in err
 
@@ -428,36 +421,13 @@ def test_check_input_errors(capsys, tmp_path):
         assert code == 2 and out == "" and says in err, target
 
 
-@pytest.mark.parametrize("files", [
-    {"self.prod": "product: box\nfactor: self.prod\nfactor: mo:3\n"},
-    {"a.prod": "product: box\nfactor: b.prod\nfactor: mo:3\n",
-     "b.prod": "product: circle\nfactor: mo:3\nfactor: box(mo:3,a.prod)\n"},
-])
-def test_cyclic_product_files_are_input_errors(capsys, tmp_path, monkeypatch, files):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    first = next(iter(files))
-    monkeypatch.chdir(tmp_path)
-    # each command returns its input-error code instead of recursing
-    for target in (first, f"box({first},mo:3)"):
-        code, _, err = run(capsys, "build", target)
-        assert code == 2 and "includes itself" in err
-    code, _, err = run(capsys, "join", first, "--tuples", "a,a")
-    assert code == 2 and "includes itself" in err
-    suite = tmp_path / "s.json"
-    suite.write_text(json.dumps({"checks": [{"check": "covering", "targets": [first]}]}))
-    code, _, err = run(capsys, "check", "--suite", str(suite))
-    assert code == 2 and "includes itself" in err
-
-
 def test_check_with_product_file_target(capsys, tmp_path):
+    # lattice files by absolute path, so the target names them from any working directory
     mo3 = tmp_path / "mo3.lat"
     run(capsys, "build", "mo:3", "--out", str(mo3))
-    prod = tmp_path / "pair.prod"
-    prod.write_text(f"product: circle\nfactor: {mo3}\nfactor: {mo3}\n")
     suite = tmp_path / "s.json"
     suite.write_text(json.dumps({"checks": [
-        {"check": "covering", "targets": [str(prod)], "expect": "pass"}]}))
+        {"check": "covering", "targets": [f"circle({mo3},{mo3})"], "expect": "pass"}]}))
     code, out, _ = run(capsys, "check", "--suite", str(suite))
     assert code == 0
 

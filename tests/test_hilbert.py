@@ -415,6 +415,24 @@ def test_subspace_refuses_a_row_of_another_length_or_an_entry_that_is_no_gq():
             Subspace(2, [(ZERO, entry)])
 
 
+@pytest.mark.parametrize("ambient", [0, -2, True, 2.0, "2"])
+def test_subspace_refuses_an_ambient_that_is_no_positive_int(ambient):
+    # -2 once built a zero subspace that was its own perp, and 2.0 one
+    # whose perp raised TypeError
+    with pytest.raises(ValueError, match=f"^ambient must be a positive integer, got {ambient!r}$"):
+        Subspace(ambient)
+
+
+def test_basis_vector_refuses_an_index_outside_its_dimension():
+    assert basis_vector(2, 1) == (ZERO, ONE)
+    for k in (2, 5, -1, True, 1.0):
+        with pytest.raises(ValueError, match=f"^index must be an integer in 0..1, got {k!r}$"):
+            basis_vector(2, k)
+    for n in (0, -1, False, 2.0):
+        with pytest.raises(ValueError, match=f"^dimension must be a positive integer, got {n!r}$"):
+            basis_vector(n, 0)
+
+
 def test_perp_and_membership_match_the_rref_oracles():
     rng = Random(2011)
     for ambient in range(1, 10):

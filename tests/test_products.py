@@ -856,11 +856,15 @@ def test_region_functions_refuse_points_outside_the_universe(mo3, name):
 def test_factor_index_outside_the_factors_is_refused(mo3):
     uni = ProductUniverse([mo3, mo3])
     assert beta_join(uni, 0b11, 1) == 0b111
-    for beta in (-1, 2):
+    assert uni.preimage_mask(1, 1) == 0b1001001
+    for beta in (-1, 2, 5):
         with pytest.raises(ValueError, match=rf"factor index {beta} is outside 0\.\.1"):
             beta_join(uni, 0b11, beta)
         with pytest.raises(ValueError, match=rf"factor index {beta} is outside 0\.\.1"):
             beta_join_sequence(uni, 0b11, [0, beta])
+        # -1 would read the last factor's cylinder
+        with pytest.raises(ValueError, match=rf"factor index {beta} is outside 0\.\.1"):
+            uni.preimage_mask(beta, 1)
 
 
 @pytest.mark.parametrize("beta", [1.0, True, "1"])
@@ -870,6 +874,8 @@ def test_factor_index_that_is_no_int_is_refused(mo3, beta):
         beta_join(uni, 0b11, beta)
     with pytest.raises(ValueError, match=f"^factor index must be an integer, got {beta!r}$"):
         beta_join_sequence(uni, 0b11, [0, beta])
+    with pytest.raises(ValueError, match=f"^factor index must be an integer, got {beta!r}$"):
+        uni.preimage_mask(beta, 1)
 
 
 @pytest.mark.parametrize("name", REGION_CALLS)
@@ -894,6 +900,25 @@ def test_universe_refuses_coordinates_and_ids_that_are_no_int(mo3, bad):
         uni.replace(bad, 0, 1)
     with pytest.raises(ValueError, match="^factor index " + says):
         uni.replace(0, bad, 1)
+    for call in (lambda: uni.preimage_mask(0, bad), lambda: uni.cylinder_mask((1, bad)),
+                 lambda: uni.full_box_mask((bad, 1))):
+        with pytest.raises(ValueError, match="^factor mask " + says):
+            call()
+
+
+def test_cylinders_refuse_masks_outside_their_factors_and_lists_of_the_wrong_length(mo3):
+    uni = ProductUniverse([two_space(), mo3])
+    assert uni.preimage_mask(1, 0b100) == 0b100 and uni.preimage_mask(0, 1) == 0b111
+    for beta, mask in ((0, 0b10), (1, 0b1000), (1, -1)):
+        with pytest.raises(ValueError, match=f"^factor mask {mask} uses points outside "
+                                             f"factor {beta + 1}$"):
+            uni.preimage_mask(beta, mask)
+    assert uni.cylinder_mask((0, 0b001)) == 0b001 and uni.full_box_mask((1, 0b011)) == 0b011
+    # a short list would read the missing factor as full, a long one fail on its index
+    for given in ((1,), (1, 1, 1), ()):
+        for call in (uni.cylinder_mask, uni.full_box_mask):
+            with pytest.raises(ValueError, match=f"^2 factors but {len(given)} components$"):
+                call(given)
 
 
 def test_decompose_refuses_coatoms_that_are_no_int(fraser33):

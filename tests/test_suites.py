@@ -1,6 +1,3 @@
-import collections
-from pathlib import Path
-
 import pytest
 
 from weaktensor import ClosureSpace, products, suites
@@ -36,66 +33,19 @@ def test_each_target_text_is_built_once_per_run(monkeypatch):
     assert seen[3][0] is not mo3
 
 
-def test_a_product_file_included_twice_is_not_a_cycle(tmp_path):
-    (tmp_path / "leaf.prod").write_text("product: box\nfactor: mo:2\nfactor: mo:2\n")
-    (tmp_path / "pair.prod").write_text("product: box\nfactor: leaf.prod\nfactor: leaf.prod\n")
-    assert suites.resolve_target("pair.prod", tmp_path).n_points == 16
+def test_a_nest_of_max_target_depth_products_resolves_and_one_more_is_refused():
+    # one-point factors, so only the depth cap can refuse the nest
+    def nest(depth):
+        return "box(two," * depth + "two" + ")" * depth
 
-
-def test_a_chain_of_product_files_resolves_each_file_once(tmp_path, monkeypatch):
-    # each file names the next twice, so resolving per mention would read
-    # the last file 2^19 times
-    count = 20
-    for k in range(1, count + 1):
-        nxt = f"p{k + 1}.prod" if k < count else "two"
-        (tmp_path / f"p{k}.prod").write_text(f"product: box\nfactor: {nxt}\nfactor: {nxt}\n")
-    reads = collections.Counter()
-    read_text = Path.read_text
-
-    def counted(path, *args, **kwargs):
-        reads[path.name] += 1
-        return read_text(path, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "read_text", counted)
-    assert suites.resolve_target("p1.prod", tmp_path).n_points == 1
-    assert reads == {f"p{k}.prod": 1 for k in range(1, count + 1)}
-    reads.clear()
-    assert [len(f) for f in suites.resolve_product("p1.prod", tmp_path)[1]] == [2, 2]
-    assert reads == {f"p{k}.prod": 1 for k in range(1, count + 1)}
-
-
-def test_a_product_file_met_again_deeper_keeps_the_depth_cap(tmp_path):
-    # a file resolved once near the top is resolved again where it sits
-    # deeper, so a target nests too deeply whether or not it was met before
-    (tmp_path / "d.prod").write_text("product: box\nfactor: two\nfactor: two\n")
-    outcomes = set()
-    for nest in range(suites.MAX_TARGET_DEPTH - 3, suites.MAX_TARGET_DEPTH + 1):
-        deep = "box(two," * nest + "d.prod" + ")" * nest
-        got = []
-        for target in (f"box(two,{deep})", f"box(d.prod,{deep})"):
-            try:
-                got.append(suites.resolve_target(target, tmp_path).n_points)
-            except suites.TargetError as exc:
-                assert "nested too deeply" in str(exc)
-                got.append("too deep")
-        assert got[0] == got[1], nest
-        outcomes.add(got[0])
-    assert outcomes == {1, "too deep"}
-
-
-def test_product_files_follow_the_shape_rule(tmp_path):
-    # the kind and factor count are checked, with the file named, before
-    # any factor line is resolved
-    for text, says in (
-            ("product: spiral\nfactor: mo:2\nfactor: mo:2\n", "unknown product kind 'spiral'"),
-            ("product: box\n" + "factor: mo:2\n" * 3 + "factor: nope.lat\n",
-             "box takes 2 to 3 factors, got 4"),
-            ("product: circle\nfactor: mo:3\nfactor: mo:3\nfactor: mo:3\n",
-             "circle takes 2 factors, got 3"),
-            ("factor: mo:2\nfactor: mo:2\n", "missing 'product:' tag")):
-        (tmp_path / "p.prod").write_text(text)
-        with pytest.raises(suites.TargetError, match=f"p.prod: {says}"):
-            suites.resolve_target("p.prod", tmp_path)
+    cap = suites.MAX_TARGET_DEPTH
+    assert suites.resolve_target(nest(cap)).n_points == 1
+    kind, factors = suites.resolve_product(nest(cap))
+    assert kind == "box" and [f.n_points for f in factors] == [1, 1]
+    says = f"^target nested too deeply: more than {cap} levels of products$"
+    for resolve in (suites.resolve_target, suites.resolve_product):
+        with pytest.raises(suites.TargetError, match=says):
+            resolve(nest(cap + 1))
 
 
 def test_order_and_transitivity_are_decided_without_listing(monkeypatch):
