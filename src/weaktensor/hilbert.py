@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+from .spaces import CheckedRecord
 
 MAX_FACTOR_DIM = 3
 
@@ -261,18 +262,20 @@ def rref(rows: Sequence[Vector]) -> tuple[list[list[GQ]], list[int]]:
 
 # -- subspaces ---------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
-class Subspace:
+class Subspace(CheckedRecord):
     """The span of ``rows`` in the coordinate space of dimension
     ``ambient``, held as the reduced row echelon form of the rows with unit
     pivots, so equal subspaces have equal bases.  An ``ambient`` that is no
     positive int, or a row that is not ``ambient`` ``GQ`` entries, is a
-    ValueError.
+    ValueError.  ``pivots`` is derived from the basis, so it is neither
+    compared nor shown.
     """
 
+    __slots__ = ("ambient", "basis", "pivots")
+    _fields = ("ambient", "basis")
     ambient: int
     basis: Matrix
-    pivots: tuple[int, ...] = field(repr=False, compare=False)
+    pivots: tuple[int, ...]
 
     def __init__(self, ambient: int, rows: Sequence[Vector] = ()):
         _check_dimension(ambient, "ambient")
@@ -320,17 +323,17 @@ class Subspace:
 
 # -- product-atom machinery ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ProductAtomPair:
+class ProductAtomPair(CheckedRecord):
     """A pair of projective points, each line scaled so that its first
     nonzero coordinate is 1 (see ``normalize_vector``)."""
 
+    __slots__ = _fields = ("p1", "p2")
     p1: Vector
     p2: Vector
 
-    def __post_init__(self):
-        object.__setattr__(self, "p1", normalize_vector(self.p1))
-        object.__setattr__(self, "p2", normalize_vector(self.p2))
+    def __init__(self, p1: Vector, p2: Vector):
+        object.__setattr__(self, "p1", normalize_vector(p1))
+        object.__setattr__(self, "p2", normalize_vector(p2))
 
     def product_vector(self) -> Vector:
         return tensor(self.p1, self.p2)
@@ -363,16 +366,17 @@ def join_atoms(pairs: Sequence[ProductAtomPair]) -> Subspace:
 
 # -- antilinear maps and induced coatoms -------------------------------------
 
-@dataclass(frozen=True)
-class AntilinearMap:
+class AntilinearMap(CheckedRecord):
     """w -> S . conj(w) in the canonical bases; additive, and scalars
     come out conjugated."""
 
+    __slots__ = _fields = ("matrix",)
     matrix: Matrix  # n rows, m cols
 
-    def __post_init__(self):
-        if not self.matrix or not self.matrix[0]:
+    def __init__(self, matrix: Matrix):
+        if not matrix or not matrix[0]:
             raise ValueError("empty matrix")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def rows(self) -> int:
@@ -492,8 +496,7 @@ def box_membership_test(subspace: Subspace) -> BoxVerdict:
 
 # -- dual covering failure ----------------------------------------------------
 
-@dataclass(frozen=True)
-class DualCoveringReport:
+class DualCoveringReport(NamedTuple):
     """Witness data for the failure of covering in the order dual.
 
     A coatom x (the sigma-set of a product line's perp) and a closed

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .props import OrthoMap, orthomap_violation
 from .spaces import (
@@ -353,8 +352,7 @@ def _check_circle_pairs(box: set[int], xi: Sequence[int]) -> None:
 
 # -- product axioms -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: str
     witness: str
 
@@ -396,8 +394,7 @@ def _check_per_factor(universe: ProductUniverse, given: Sequence, what: str) -> 
         raise ValueError(f"{len(universe.factors)} factors but {len(given)} {what}")
 
 
-@dataclass(frozen=True)
-class P4Violation:
+class P4Violation(NamedTuple):
     factor_perms: tuple[tuple[int, ...], ...]
     witness: str
 
@@ -435,8 +432,7 @@ def check_p4(candidate: ClosureSpace, universe: ProductUniverse,
 
 # -- the sharp orthocomplementation on the box product ------------------------
 
-@dataclass(frozen=True)
-class SharpMap:
+class SharpMap(NamedTuple):
     """Factor orthocomplementations and the product map they induce.
 
     On a point, the image is the union over factors of the coordinate
@@ -464,8 +460,7 @@ def sharp_map(box_space: ClosureSpace, factor_maps: Sequence[OrthoMap]) -> Sharp
 
 # -- coatom structure ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoatomNonConformance:
+class CoatomNonConformance(NamedTuple):
     detail: str
 
 

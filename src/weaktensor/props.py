@@ -10,8 +10,7 @@ under the ordering (atom id, element bitmask).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .spaces import ClosureSpace, CoverWitness, bits, image, require_int, require_permutation
 
@@ -30,8 +29,7 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"orthocomplementation search exceeded {nodes} nodes")
 
 
-@dataclass(frozen=True)
-class OrthoMap:
+class OrthoMap(NamedTuple):
     """An orthocomplementation given by its atom images: ``atoms[i]`` is
     the image of point i.
 
@@ -54,8 +52,7 @@ class OrthoMap:
         return [(1 << i, c) for i, c in enumerate(self.atoms)]
 
 
-@dataclass(frozen=True)
-class ExhaustionCertificate:
+class ExhaustionCertificate(NamedTuple):
     """Proof token that the orthocomplementation search tree was exhausted.
 
     ``nodes`` counts the candidates tried at every visited atom, rejected
@@ -68,15 +65,13 @@ class ExhaustionCertificate:
     nodes: int
 
 
-@dataclass(frozen=True)
-class CoveringFailure:
+class CoveringFailure(NamedTuple):
     atom: int
     element: int
     witness: CoverWitness
 
 
-@dataclass(frozen=True)
-class OrthomodularityWitness:
+class OrthomodularityWitness(NamedTuple):
     a: int
     b: int
 
@@ -92,8 +87,7 @@ class Automorphism(tuple):
         return self
 
 
-@dataclass(frozen=True)
-class ConnectedCovering:
+class ConnectedCovering(NamedTuple):
     """A family of blocks witnessing weak connectivity.
 
     Every block has at least two atoms, the join of any two atoms in a
@@ -104,8 +98,7 @@ class ConnectedCovering:
     blocks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NotWeaklyConnected:
+class NotWeaklyConnected(NamedTuple):
     """Certificate: the two-element lattice, or an isolated atom whose
     join with any other atom never contains a third."""
 
@@ -375,8 +368,7 @@ def is_transitive(space: ClosureSpace) -> bool:
     return len(space.automorphism_orbit(0)) == space.n_points
 
 
-@dataclass(frozen=True)
-class FactoredForm:
+class FactoredForm(NamedTuple):
     factor_bijection: tuple[int, ...]
     factor_isos: tuple[tuple[int, ...], ...]
 

@@ -11,22 +11,25 @@ the records for optional diagnostics but stay out of the rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .spaces import CheckedRecord
 
 VERDICTS = ("pass", "fail", "none", "unknown", "error")
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(CheckedRecord):
+    __slots__ = _fields = ("name", "verdict", "witness", "elapsed", "expected")
     name: str
     verdict: str
-    witness: str = ""
-    elapsed: float = 0.0
-    expected: str | None = None
+    witness: str
+    elapsed: float
+    expected: str | None
 
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
+    def __init__(self, name: str, verdict: str, witness: str = "", elapsed: float = 0.0,
+                 expected: str | None = None):
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        for field, value in zip(self._fields, (name, verdict, witness, elapsed, expected)):
+            object.__setattr__(self, field, value)
 
     @property
     def matched(self) -> bool:
@@ -39,9 +42,19 @@ class CheckRecord:
         return line
 
 
-@dataclass
 class Report:
-    records: list[CheckRecord] = field(default_factory=list)
+    __slots__ = ("records",)
+
+    def __init__(self, records: list[CheckRecord] | None = None):
+        self.records = [] if records is None else records
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.records == other.records
+
+    def __repr__(self) -> str:
+        return f"Report(records={self.records!r})"
 
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)

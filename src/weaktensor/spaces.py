@@ -11,7 +11,6 @@ of the bitwise OR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import itemgetter
@@ -39,8 +38,7 @@ class LatticeFormatError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class CoverWitness:
+class CoverWitness(NamedTuple):
     """Certifies that ``upper`` does not cover ``lower``.
 
     ``intermediate``, when present, is a closed set strictly between the
@@ -66,6 +64,41 @@ class _StabilizerChain(NamedTuple):
 
     generators: tuple[tuple[int, ...], ...]
     transversals: tuple[dict[int, tuple[int, ...]], ...]
+
+
+class CheckedRecord:
+    """Base of the records whose constructor checks or canonicalizes its
+    input.  A subclass names its slots, and in ``_fields`` the constructor
+    arguments it is compared, hashed, shown and pickled by; its ``__init__``
+    sets each slot once through ``object.__setattr__``, and the slots are
+    read-only after."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ClosureSpace:

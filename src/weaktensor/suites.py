@@ -17,15 +17,14 @@ Suites themselves are JSON files: {"name": ..., "checks": [{"check":
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import hilbert, products, props
 from .reports import CheckRecord, Report
@@ -35,16 +34,14 @@ from .spaces import ClosureSpace, LatticeFormatError, bits, image, mo_space, \
 DEFAULT_SEED = 12345
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     check: str
     targets: tuple[str, ...] = ()
-    args: dict = field(default_factory=dict)
+    args: Mapping = MappingProxyType({})  # read-only, so the default is never shared mutable
     expect: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     name: str
     checks: tuple[CheckSpec, ...]
 
@@ -200,12 +197,27 @@ Handler = Callable[..., tuple[str, str]]
 CHECKS: dict[str, Handler] = {}
 # The ``args`` keys each check reads; any other key is an input error.
 _ARG_NAMES: dict[str, frozenset[str]] = {}
+# How many targets each check takes, read off its handler once.
+_TARGET_COUNTS: dict[str, range] = {}
+# The code-object flag (CO_VARARGS) of a ``*args`` parameter.
+_CO_VARARGS = 0x04
+
+
+def _target_counts(handler: Handler) -> range:
+    """How many targets a check takes: its parameters before ``args`` and ``rng``,
+    less those with defaults, or as many as a product's factors for ``*factors``."""
+    code = handler.__code__
+    if code.co_flags & _CO_VARARGS:
+        return _FACTOR_COUNTS
+    n = code.co_argcount + code.co_kwonlyargcount - 2
+    return range(n - len(handler.__defaults__ or ()), n + 1)
 
 
 def _check(name: str, *arg_names: str):
     def deco(fn: Handler) -> Handler:
         CHECKS[name] = fn
         _ARG_NAMES[name] = frozenset(arg_names)
+        _TARGET_COUNTS[name] = _target_counts(fn)
         return fn
     return deco
 
@@ -629,15 +641,6 @@ def _p4(s, args, rng):
 
 # -- suite running --------------------------------------------------------------
 
-def _target_counts(handler: Handler) -> range:
-    """How many targets a check takes: its parameters before ``args`` and ``rng``,
-    less those with defaults, or as many as a product's factors for ``*factors``."""
-    *params, _, _ = inspect.signature(handler).parameters.values()
-    if any(p.kind is p.VAR_POSITIONAL for p in params):
-        return _FACTOR_COUNTS
-    return range(sum(p.default is p.empty for p in params), len(params) + 1)
-
-
 def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
               base_dir: Path | None = None) -> Report:
     report = Report()
@@ -650,7 +653,7 @@ def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
         handler = CHECKS.get(name)
         if handler is None:
             raise TargetError(f"unknown check id {name!r}")
-        _check_count(name, _target_counts(handler), len(spec.targets), "target")
+        _check_count(name, _TARGET_COUNTS[name], len(spec.targets), "target")
         unknown = [key for key in spec.args if key not in _ARG_NAMES[name]]
         if unknown:
             raise TargetError(f"{label}: unknown argument {unknown[0]!r}")

@@ -3,21 +3,27 @@ every public name that ``weaktensor/hilbert.py`` defines and the
 parameters of its functions, the parameters of the stock builders and of
 ``LatticeFormatError``, every public method, property and attribute of a
 ``ClosureSpace``, the surface of the orthocomplementation search, the
-fields of an ``OrthoMap``, and README's "Library tour".
+fields of an ``OrthoMap``, the repr, equality and immutability of every
+public record, the modules an import loads, and README's "Library tour".
 
 A name or parameter added, removed or renamed fails here until its list is updated,
 and CHANGES.md names the change.
 """
 
 import ast
-import dataclasses
 import inspect
+import os
+import pickle
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import weaktensor
-from weaktensor import hilbert, props
+from weaktensor import hilbert, products, props, reports, suites
 
 EXPORTS = [
     "Automorphism", "ClosureSpace", "ConnectedCovering", "CoverWitness",
@@ -68,8 +74,7 @@ def test_the_box_verdicts_are_the_pinned_members():
 
 def test_the_search_surface_is_pinned():
     # a certificate replays from the space alone, and the search has one branch order
-    assert tuple(f.name for f in dataclasses.fields(weaktensor.ExhaustionCertificate)) == (
-        "nodes",)
+    assert weaktensor.ExhaustionCertificate._fields == ("nodes",)
     params = inspect.signature(weaktensor.find_orthocomplementation).parameters.values()
     assert tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY) == ("node_cap",)
 
@@ -77,7 +82,7 @@ def test_the_search_surface_is_pinned():
 def test_an_orthomap_is_its_atom_images():
     # an element's image is the meet of its atoms' images, so no element
     # index is stored, and the meets stay inside props
-    assert tuple(f.name for f in dataclasses.fields(weaktensor.OrthoMap)) == ("space", "atoms")
+    assert weaktensor.OrthoMap._fields == ("space", "atoms")
     assert not hasattr(props, "atom_meets")
 
 
@@ -164,3 +169,124 @@ def test_readme_library_tour_runs_as_commented():
         assert re.fullmatch(pattern, got), (code, got)
         checked += 1
     assert checked == 8
+
+
+MO2, MO3 = weaktensor.mo_space(2), weaktensor.mo_space(3)
+BOX22 = weaktensor.box_product([MO2, MO2])
+BOX33 = weaktensor.box_product([MO3, MO3])
+OM2 = weaktensor.find_orthocomplementation(MO2)
+DUAL22 = hilbert.dual_covering_counterexample(2, 2)
+GQ0, GQ1 = repr(hilbert.ZERO), repr(hilbert.ONE)
+E0, E1 = hilbert.basis_vector(2, 0), hilbert.basis_vector(2, 1)
+
+# each public record: a maker of fresh equal instances, and their repr
+RECORDS = {
+    "CoverWitness": (lambda: MO3.covers(0, 7), "CoverWitness(lower=0, upper=7, intermediate=1)"),
+    "OrthoMap": (lambda: weaktensor.find_orthocomplementation(MO2),
+                 f"OrthoMap(space={MO2!r}, atoms=(2, 1))"),
+    "ExhaustionCertificate": (lambda: weaktensor.find_orthocomplementation(MO3),
+                              "ExhaustionCertificate(nodes=8)"),
+    "CoveringFailure": (lambda: weaktensor.has_covering_property(BOX33),
+                        "CoveringFailure(atom=1, element=160, witness=CoverWitness("
+                        "lower=160, upper=511, intermediate=186))"),
+    "OrthomodularityWitness": (lambda: props.OrthomodularityWitness(1, 1025),
+                               "OrthomodularityWitness(a=1, b=1025)"),
+    "ConnectedCovering": (lambda: weaktensor.is_weakly_connected(MO3),
+                          "ConnectedCovering(blocks=(7,))"),
+    "NotWeaklyConnected": (lambda: weaktensor.is_weakly_connected(weaktensor.two_space()),
+                           "NotWeaklyConnected(reason='the two-element lattice', "
+                           "isolated_atom=None)"),
+    "FactoredForm": (lambda: weaktensor.check_factorization(BOX22, BOX22.product, (0, 2, 1, 3)),
+                     "FactoredForm(factor_bijection=(1, 0), factor_isos=((0, 1), (0, 1)))"),
+    "AxiomViolation": (lambda: weaktensor.check_p1_p2_p3(MO3, BOX22.product),
+                       "AxiomViolation(axiom='P1', "
+                       "witness='points are not the product of the factor points')"),
+    "P4Violation": (lambda: products.P4Violation(((1, 0), (0, 1)), "a maps to b"),
+                    "P4Violation(factor_perms=((1, 0), (0, 1)), witness='a maps to b')"),
+    "SharpMap": (lambda: weaktensor.sharp_map(BOX22, [OM2, OM2]),
+                 f"SharpMap(factor_maps=({OM2!r}, {OM2!r}), "
+                 f"product_map=OrthoMap(space={BOX22!r}, atoms=(14, 13, 11, 7)))"),
+    "CoatomNonConformance": (lambda: products.CoatomNonConformance("not a cross"),
+                             "CoatomNonConformance(detail='not a cross')"),
+    "DualCoveringReport": (lambda: hilbert.dual_covering_counterexample(2, 2),
+                           f"DualCoveringReport(m=2, n=2, coatom_vector={DUAL22.coatom_vector!r}, "
+                           f"pair_a={DUAL22.pair_a!r}, pair_b={DUAL22.pair_b!r}, "
+                           "disjoint_from_coatom=True, two_atom_set_closed=True, "
+                           "join_with_coatom_is_top=True, strict_chain=True)"),
+    "CheckSpec": (lambda: suites.CheckSpec("covering", ("mo:3",), {"n": 3}, "pass"),
+                  "CheckSpec(check='covering', targets=('mo:3',), args={'n': 3}, expect='pass')"),
+    "Suite": (lambda: suites.Suite("demo", (suites.CheckSpec("covering", ("mo:3",), {}),)),
+              "Suite(name='demo', checks=(CheckSpec(check='covering', targets=('mo:3',), "
+              "args={}, expect=None),))"),
+    # the echelon form of the rows, whatever their scale and repeats
+    "Subspace": (lambda: hilbert.Subspace(2, [E1, hilbert.vscale(hilbert.GQ(3), E1)]),
+                 f"Subspace(ambient=2, basis=(({GQ0}, {GQ1}),))"),
+    "ProductAtomPair": (lambda: hilbert.ProductAtomPair(hilbert.vscale(hilbert.GQ(0, 2), E0), E1),
+                        f"ProductAtomPair(p1=({GQ1}, {GQ0}), p2=({GQ0}, {GQ1}))"),
+    "AntilinearMap": (lambda: hilbert.AntilinearMap(((hilbert.ONE, hilbert.ZERO),)),
+                      f"AntilinearMap(matrix=(({GQ1}, {GQ0}),))"),
+    "CheckRecord": (lambda: reports.CheckRecord("covering mo:3", "pass"),
+                    "CheckRecord(name='covering mo:3', verdict='pass', witness='', "
+                    "elapsed=0.0, expected=None)"),
+    "Report": (lambda: reports.Report([reports.CheckRecord("x", "fail", "w", 0.5, "pass")]),
+               "Report(records=[CheckRecord(name='x', verdict='fail', witness='w', "
+               "elapsed=0.5, expected='pass')])"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_is_pinned(name):
+    make, shown = RECORDS[name]
+    record, again = make(), make()
+    assert type(record).__name__ == name and record is not again
+    assert repr(record) == shown
+    assert record == again
+    if name == "Report":  # the one mutable record: no hash, its list grows
+        assert type(record).__hash__ is None
+        with pytest.raises(AttributeError):
+            record.title = "x"
+    else:
+        if name in ("CheckSpec", "Suite"):  # a spec's args are a dict, as parsed
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        else:
+            assert hash(record) == hash(again)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    if isinstance(record, tuple):
+        # a NamedTuple unpacks, indexes and compares as the tuple of its fields
+        *values, = record
+        assert record == tuple(values) and record[0] == getattr(record, record._fields[0])
+        assert len(values) == len(record._fields)
+    else:
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("make, says", [
+    (lambda: reports.CheckRecord("covering mo:3", "passed"), "unknown verdict 'passed'"),
+    (lambda: hilbert.AntilinearMap(()), "empty matrix"),
+    (lambda: hilbert.Subspace(2, [(hilbert.ONE,)]), "is no vector of 2 Gaussian rationals"),
+    (lambda: hilbert.ProductAtomPair((hilbert.ZERO, hilbert.ZERO), E0), "zero"),
+])
+def test_a_checking_record_refuses_bad_input(make, says):
+    with pytest.raises(ValueError, match=says):
+        make()
+
+
+def test_a_check_spec_default_args_are_read_only():
+    # the default is shared by every spec, so it must not be writable
+    spec = suites.CheckSpec("covering", ("mo:3",))
+    assert dict(spec.args) == {} and spec.args is suites.CheckSpec("p4").args
+    with pytest.raises(TypeError):
+        spec.args["n"] = 3
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter: this process has loaded both for pytest
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, weaktensor, weaktensor.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -215,17 +215,18 @@ def test_join_via_product_file(capsys, tmp_path):
     ["check", "--suite", "DIR"],
     ["build", "DIR.lat"],
     ["build", "box(DIR.lat,mo:3)"],
-    ["join", "DIR.prod", "--tuples", "a,a"],
-    ["build", "DIR.prod"],
+    ["join", "box(DIR.lat,mo:3)", "--tuples", "a,a"],
+    ["build", "fraser(mo:3,circle(DIR.lat,mo:3))"],
 ])
 def test_an_unreadable_path_is_an_input_error(capsys, tmp_path, monkeypatch, argv):
     # a directory where a file is read: one error line and exit 2, not the mismatch code
     monkeypatch.chdir(tmp_path)
-    for name in ("DIR", "DIR.lat", "DIR.prod"):
+    for name in ("DIR", "DIR.lat"):
         (tmp_path / name).mkdir()
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "DIR" in err
+    assert "[Errno 21] Is a directory" in err
     assert "Traceback" not in err
 
 

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from weaktensor import ClosureSpace, products, suites
@@ -18,6 +20,7 @@ def test_each_target_text_is_built_once_per_run(monkeypatch):
     resolve = suites.resolve_target
     monkeypatch.setattr(suites, "resolve_target", counting_resolve)
     monkeypatch.setitem(suites.CHECKS, "record", record)
+    monkeypatch.setitem(suites._TARGET_COUNTS, "record", suites._target_counts(record))
     suite = Suite(name="demo", checks=(
         CheckSpec("record", ("mo:3",)),
         CheckSpec("record", ("powerset:2", "mo:3")),
@@ -31,6 +34,28 @@ def test_each_target_text_is_built_once_per_run(monkeypatch):
     run_suite(suite)
     assert sorted(built) == ["mo:3", "mo:3", "powerset:2", "powerset:2"]
     assert seen[3][0] is not mo3
+
+
+def target_counts_by_signature(handler):
+    # the rule as read off inspect.signature: the parameters before args and rng
+    *params, _, _ = inspect.signature(handler).parameters.values()
+    if any(p.kind is p.VAR_POSITIONAL for p in params):
+        return range(2, 4)
+    return range(sum(p.default is p.empty for p in params), len(params) + 1)
+
+
+def test_target_counts_match_the_signatures():
+    def one_or_two(first, second=None, *, args, rng): ...
+    def none(*, args, rng): ...
+    def factors(*factors, args, rng): ...
+    def two(a, b, args, rng): ...
+
+    handlers = {**suites.CHECKS, "one-or-two": one_or_two, "none": none, "factors": factors,
+                "two": two}
+    assert {name: suites._target_counts(fn) for name, fn in handlers.items()} == {
+        name: target_counts_by_signature(fn) for name, fn in handlers.items()}
+    assert suites._TARGET_COUNTS == {name: suites._target_counts(fn)
+                                     for name, fn in suites.CHECKS.items()}
 
 
 def test_a_nest_of_max_target_depth_products_resolves_and_one_more_is_refused():
