@@ -22,7 +22,6 @@ membership is a residual against the canonical basis.
 from __future__ import annotations
 
 import math
-import re
 from enum import Enum
 from fractions import Fraction
 from random import Random
@@ -368,7 +367,8 @@ def join_atoms(pairs: Sequence[ProductAtomPair]) -> Subspace:
 
 class AntilinearMap(CheckedRecord):
     """w -> S . conj(w) in the canonical bases; additive, and scalars
-    come out conjugated."""
+    come out conjugated.  An empty or ragged matrix, or an entry that is
+    no ``GQ``, is a ValueError."""
 
     __slots__ = _fields = ("matrix",)
     matrix: Matrix  # n rows, m cols
@@ -376,7 +376,11 @@ class AntilinearMap(CheckedRecord):
     def __init__(self, matrix: Matrix):
         if not matrix or not matrix[0]:
             raise ValueError("empty matrix")
-        object.__setattr__(self, "matrix", matrix)
+        cols = len(matrix[0])
+        for row in matrix:
+            if len(row) != cols or not all(isinstance(a, GQ) for a in row):
+                raise ValueError(f"row {row!r} is no row of {cols} Gaussian rationals")
+        object.__setattr__(self, "matrix", tuple(map(tuple, matrix)))
 
     @property
     def rows(self) -> int:
@@ -601,42 +605,3 @@ def random_antilinear(rng: Random, m: int, n: int) -> AntilinearMap:
         a = AntilinearMap(mat)
         if not a.is_zero():
             return a
-
-
-# -- CLI literals ---------------------------------------------------------------
-
-# an optionally signed integer or NUM/DEN in ASCII digits: no exponent, no
-# decimal point, no underscore, as Fraction() would also accept
-_FRACTION_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _parse_fraction(tok: str) -> Fraction:
-    if not _FRACTION_LITERAL.fullmatch(tok):
-        raise ValueError(f"bad fraction in Gaussian-rational literal: {tok!r}")
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad fraction in Gaussian-rational literal: {exc}") from None
-
-
-def parse_gq_tokens(tokens: Sequence[str]) -> list[GQ]:
-    """Parse 'gr RE IM' token triples, RE and IM as integers or NUM/DEN
-    fractions in decimal digits, optionally with a leading minus."""
-    out = []
-    it = iter(tokens)
-    for tok in it:
-        if tok != "gr":
-            raise ValueError(f"expected 'gr', got {tok!r}")
-        try:
-            parts = next(it), next(it)
-        except StopIteration:
-            raise ValueError("truncated Gaussian-rational literal") from None
-        out.append(GQ(*map(_parse_fraction, parts)))
-    return out
-
-
-def parse_gq_matrix(text: str, rows: int, cols: int) -> Matrix:
-    values = parse_gq_tokens(text.split())
-    if len(values) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(values)}")
-    return tuple(tuple(values[r * cols + c] for c in range(cols)) for r in range(rows))

@@ -50,9 +50,6 @@ class TargetError(ValueError):
     pass
 
 
-# Cap on each sample count of the sampled hilbert checks (count, maps, pairs).
-MAX_SAMPLES = 200
-
 # Cap on the product's points for the checks that scan every subset of them,
 # tested on the factors' point counts before any product is built.
 SUBSET_SCAN_CAP = 16
@@ -66,10 +63,10 @@ MAX_TARGET_DEPTH = 32
 def _int_arg(args: dict, key: str, default: Optional[int] = None,
              lo: Optional[int] = None, hi: Optional[int] = None) -> int:
     """The integer argument ``key`` of a check; a missing required key, a
-    value that is not an integer or one outside [lo, hi] is a TargetError."""
-    value = args.get(key, default)
-    if value is None:
+    value that is no integer (a given null too) or one outside [lo, hi] is a TargetError."""
+    if key not in args and default is None:
         raise TargetError(f"argument {key!r} is required")
+    value = args.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise TargetError(f"argument {key!r} must be an integer, got {value!r}")
     if (lo is not None and value < lo) or (hi is not None and value > hi):
@@ -78,10 +75,11 @@ def _int_arg(args: dict, key: str, default: Optional[int] = None,
     return value
 
 
-def _factor_dims(args: dict, lo: int = 1) -> tuple[int, int]:
-    """The factor dimensions ``m`` and ``n`` (default 2) of a hilbert check."""
-    cap = hilbert.MAX_FACTOR_DIM
-    return _int_arg(args, "m", 2, lo, cap), _int_arg(args, "n", 2, lo, cap)
+def _refuse_unknown(keys, known, what: str) -> None:
+    """A TargetError "<what> 'key'" for the first of ``keys`` not in ``known``."""
+    for key in keys:
+        if key not in known:
+            raise TargetError(f"{what} {key!r}")
 
 
 # -- target resolution --------------------------------------------------------
@@ -249,10 +247,9 @@ def _coatomistic(s, args, rng):
     return "fail", f"element=({s.render_set(rep.coatomistic_witness)})"
 
 
-@_check("orthocomplementation", "node_cap")
+@_check("orthocomplementation")
 def _orthocomplementation(s, args, rng):
-    cap = _int_arg(args, "node_cap", props.DEFAULT_NODE_CAP, 1)
-    res = props.find_orthocomplementation(s, node_cap=cap)
+    res = props.find_orthocomplementation(s)
     if isinstance(res, props.OrthoMap):
         table = " ".join(f"{s.render_set(p)}->({s.render_set(c)})"
                          for p, c in res.atom_table())
@@ -541,11 +538,10 @@ def _render_pair(pair: hilbert.ProductAtomPair) -> str:
     return f"[{left}]x[{right}]"
 
 
-@_check("hilbert-perp-involution", "m", "n", "count")
+# The sampled hilbert checks draw on C^2 (x) C^2 with fixed sample counts.
+@_check("hilbert-perp-involution")
 def _hilbert_perp_involution(args, rng):
-    m, n = _factor_dims(args)
-    count = _int_arg(args, "count", 100, 0, MAX_SAMPLES)
-    ambient = m * n
+    ambient, count = 4, 100
     for _ in range(count):
         v = hilbert.random_subspace(rng, ambient)
         p = v.perp()
@@ -554,38 +550,25 @@ def _hilbert_perp_involution(args, rng):
     return "pass", f"{count} random subspaces satisfy perp-perp and the dimension law"
 
 
-@_check("hilbert-point-biorthogonality", "m", "n", "count")
+@_check("hilbert-point-biorthogonality")
 def _hilbert_point_biorthogonality(args, rng):
-    m, n = _factor_dims(args)
-    count = _int_arg(args, "count", 50, 0, MAX_SAMPLES)
+    count = 50
     for _ in range(count):
-        pair = hilbert.random_pair(rng, m, n)
+        pair = hilbert.random_pair(rng, 2, 2)
         if not hilbert.verify_point_biorthogonality(pair):
             return "fail", _render_pair(pair)
     return "pass", f"{count} random pairs recover their product line"
 
 
-@_check("hilbert-antilinear-agreement", "m", "n", "maps", "pairs", "matrix")
+@_check("hilbert-antilinear-agreement")
 def _hilbert_antilinear_agreement(args, rng):
-    m, n = _factor_dims(args)
-    n_maps = _int_arg(args, "maps", 5, 0, MAX_SAMPLES)
-    n_pairs = _int_arg(args, "pairs", 100, 0, MAX_SAMPLES)
-    maps = []
-    if "matrix" in args:
-        text = args["matrix"]
-        if not isinstance(text, str):
-            raise TargetError(f"argument 'matrix' must be a string, got {text!r}")
-        try:
-            maps.append(hilbert.AntilinearMap(hilbert.parse_gq_matrix(text, n, m)))
-        except ValueError as exc:
-            raise TargetError(f"argument 'matrix': {exc}") from None
-        n_maps -= 1
-    maps.extend(hilbert.random_antilinear(rng, m, n) for _ in range(max(n_maps, 0)))
+    n_pairs = 100
+    maps = [hilbert.random_antilinear(rng, 2, 2) for _ in range(5)]
     for a_map in maps:
         v, member = hilbert.coatom_from_antilinear(a_map)
-        line_perp = hilbert.Subspace(m * n, [v]).perp()
+        line_perp = hilbert.Subspace(4, [v]).perp()
         for _ in range(n_pairs):
-            pair = hilbert.random_pair(rng, m, n)
+            pair = hilbert.random_pair(rng, 2, 2)
             if member(pair) != hilbert.sigma_membership(line_perp, pair):
                 return "fail", _render_pair(pair)
     return "pass", f"{len(maps)} maps x {n_pairs} pairs agree on both descriptions"
@@ -612,8 +595,9 @@ def _hilbert_box_verdicts(args, rng):
 
 @_check("hilbert-dual-covering-break", "m", "n")
 def _hilbert_dual_covering_break(args, rng):
-    m, n = _factor_dims(args, lo=2)
-    rep = hilbert.dual_covering_counterexample(m, n)
+    cap = hilbert.MAX_FACTOR_DIM
+    rep = hilbert.dual_covering_counterexample(_int_arg(args, "m", 2, 2, cap),
+                                               _int_arg(args, "n", 2, 2, cap))
     bits = (f"disjoint={rep.disjoint_from_coatom} two-atom-closed={rep.two_atom_set_closed} "
             f"join-top={rep.join_with_coatom_is_top} strict-chain={rep.strict_chain}")
     return ("pass" if rep.passed else "fail"), bits
@@ -654,9 +638,7 @@ def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
         if handler is None:
             raise TargetError(f"unknown check id {name!r}")
         _check_count(name, _TARGET_COUNTS[name], len(spec.targets), "target")
-        unknown = [key for key in spec.args if key not in _ARG_NAMES[name]]
-        if unknown:
-            raise TargetError(f"{label}: unknown argument {unknown[0]!r}")
+        _refuse_unknown(spec.args, _ARG_NAMES[name], f"{label}: unknown argument")
         try:
             for t in spec.targets:
                 if t not in built:
@@ -681,15 +663,20 @@ def run_suite(suite: Suite, seed: int = DEFAULT_SEED,
 def load_suite(path: Path) -> Suite:
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
         raise TargetError(f"{path}: bad JSON: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("checks"), list):
         raise TargetError(f"{path}: a suite is an object with a 'checks' list")
+    _refuse_unknown(data, Suite._fields, f"{path}: the suite has unknown key")
+    name = data.get("name", path.stem)
+    if not isinstance(name, str):
+        raise TargetError(f"{path}: the suite 'name' must be a string, got {name!r}")
     checks = []
     for i, entry in enumerate(data["checks"]):
         where = f"{path}: check #{i + 1}"
         if not isinstance(entry, dict):
             raise TargetError(f"{where} is not an object")
+        _refuse_unknown(entry, CheckSpec._fields, f"{where} has unknown key")
         if not isinstance(entry.get("check"), str):
             raise TargetError(f"{where} needs a 'check' id string")
         targets = entry.get("targets", [])
@@ -703,7 +690,7 @@ def load_suite(path: Path) -> Suite:
             raise TargetError(f"{where} has bad expectation {expect!r}")
         checks.append(CheckSpec(check=entry["check"], targets=tuple(targets),
                                 args=dict(args), expect=expect))
-    return Suite(name=data.get("name", path.stem), checks=tuple(checks))
+    return Suite(name=name, checks=tuple(checks))
 
 
 # -- built-in suites -------------------------------------------------------------
@@ -754,11 +741,11 @@ def _builtin_checks() -> tuple[tuple[tuple[str, ...], CheckSpec], ...]:
         (_BOTH, _c("automorphism-count", ["box(mo:3,mo:3)"], count=72)),
         (_BOTH, _c("factorization", ["box(mo:3,mo:3)"])),
         # 11: the exact tensor-subspace suite at 2x2
-        (_BOTH, _c("hilbert-perp-involution", m=2, n=2, count=100)),
-        (_BOTH, _c("hilbert-point-biorthogonality", m=2, n=2, count=50)),
-        (_BOTH, _c("hilbert-antilinear-agreement", m=2, n=2, maps=5, pairs=100)),
+        (_BOTH, _c("hilbert-perp-involution")),
+        (_BOTH, _c("hilbert-point-biorthogonality")),
+        (_BOTH, _c("hilbert-antilinear-agreement")),
         (_BOTH, _c("hilbert-box-verdicts")),
-        (_BOTH, _c("hilbert-dual-covering-break", m=2, n=2)),
+        (_BOTH, _c("hilbert-dual-covering-break")),
         (_CORE, _c("hilbert-dual-covering-break", m=2, n=3)),
         # 12: strictness of box < circle < fraser
         (_BOTH, _c("families-strict-subset", ["box(mo:3,mo:3)", "circle(mo:3,mo:3)"])),

@@ -48,7 +48,7 @@ HILBERT_NAMES = [
     "AntilinearMap", "BoxVerdict", "DualCoveringReport", "GQ", "MAX_FACTOR_DIM", "Matrix",
     "ONE", "ProductAtomPair", "Subspace", "Vector", "ZERO", "basis_vector", "box_membership_test",
     "coatom_from_antilinear", "dual_covering_counterexample", "inner",
-    "is_zero_vector", "join_atoms", "normalize_vector", "parse_gq_matrix", "parse_gq_tokens",
+    "is_zero_vector", "join_atoms", "normalize_vector",
     "random_antilinear", "random_gq", "random_pair", "random_subspace", "random_vector", "rref",
     "sharp_point", "sigma_membership", "tensor", "vadd", "vconj",
     "verify_point_biorthogonality", "vscale",
@@ -95,8 +95,6 @@ HILBERT_PARAMETERS = {
     "is_zero_vector": ("x",),
     "join_atoms": ("pairs",),
     "normalize_vector": ("x",),
-    "parse_gq_matrix": ("text", "rows", "cols"),
-    "parse_gq_tokens": ("tokens",),
     "random_antilinear": ("rng", "m", "n"),
     "random_gq": ("rng",),
     "random_pair": ("rng", "m", "n"),
@@ -265,6 +263,9 @@ def test_a_record_is_pinned(name):
 @pytest.mark.parametrize("make, says", [
     (lambda: reports.CheckRecord("covering mo:3", "passed"), "unknown verdict 'passed'"),
     (lambda: hilbert.AntilinearMap(()), "empty matrix"),
+    (lambda: hilbert.AntilinearMap(((hilbert.ONE, hilbert.ZERO), (hilbert.ONE,))),
+     "is no row of 2 Gaussian rationals"),
+    (lambda: hilbert.AntilinearMap(((1, 0), (0, 1))), r"row \(1, 0\) is no row"),
     (lambda: hilbert.Subspace(2, [(hilbert.ONE,)]), "is no vector of 2 Gaussian rationals"),
     (lambda: hilbert.ProductAtomPair((hilbert.ZERO, hilbert.ZERO), E0), "zero"),
 ])

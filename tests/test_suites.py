@@ -21,6 +21,7 @@ def test_each_target_text_is_built_once_per_run(monkeypatch):
     monkeypatch.setattr(suites, "resolve_target", counting_resolve)
     monkeypatch.setitem(suites.CHECKS, "record", record)
     monkeypatch.setitem(suites._TARGET_COUNTS, "record", suites._target_counts(record))
+    monkeypatch.setitem(suites._ARG_NAMES, "record", frozenset())
     suite = Suite(name="demo", checks=(
         CheckSpec("record", ("mo:3",)),
         CheckSpec("record", ("powerset:2", "mo:3")),
@@ -115,3 +116,14 @@ def test_a_circle_builder_fault_is_an_error_not_a_skip(monkeypatch, check):
     report = run_suite(Suite(name="demo", checks=(CheckSpec(check, ("mo:3", "mo:3")),)))
     assert [(r.verdict, r.witness) for r in report.records] == [
         ("error", "TypeError: broken circle builder")]
+
+
+def test_the_suite_arguments_are_the_pinned_keys():
+    # the settable values of the suite format, each stating the question
+    # itself: a new knob edits this test and CHANGES.md
+    assert set(suites._ARG_NAMES) == set(suites.CHECKS)
+    assert {name: keys for name, keys in suites._ARG_NAMES.items() if keys} == {
+        "contains-mo": {"n"},
+        "automorphism-count": {"count"},
+        "hilbert-dual-covering-break": {"m", "n"},
+    }
