@@ -9,14 +9,18 @@ root taken, and the failure of the covering property in the order dual.
 
 All arithmetic is exact over Q(i); there is no floating point anywhere.
 A scalar ``GQ`` is the value (a + b*i) / d stored as three Python ints
-with d > 0 and gcd(a, b, d) = 1, so each operation costs a few integer
-products and at most one gcd, and equal values are equal triples.
-Each value has one constructor, which makes its canonical form: a
-``Subspace`` holds the reduced row echelon form of the rows it is given,
-so equality of subspaces is equality of basis tuples, and a
-``ProductAtomPair`` scales both lines.  Atom sets are never enumerated:
-an element of the product is represented by its subspace, and point
-membership is a residual against the canonical basis.
+with d > 0 and gcd(a, b, d) = 1, so equal values are equal triples.
+Rows are worked on below ``GQ``, as Gaussian integers: the int lists of
+a vector's parts times a positive int.  Elimination is fraction free (a
+pivot row times its conjugate pivot, d*x - x[c]*y for another row) and
+divides each row by the gcd of its parts, so the rows it leaves, over
+their least common pivot value, are a canonical form.  A ``Subspace``
+holds those rows for the reduced row echelon form of the rows it is
+given, and a ``ProductAtomPair`` the rows of its lines; ``GQ`` values,
+one gcd per entry, are made only at the boundary: a subspace's unit-pivot
+basis, a pair's lines scaled to a leading 1, and returned vectors.  Atom
+sets are never enumerated: an element of the product is represented by
+its subspace, and point membership is a residual against the basis.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from random import Random
 from typing import Callable, NamedTuple, Sequence
 
@@ -38,12 +43,16 @@ class GQ:
     Invariant: d > 0 and gcd(a, b, d) = 1, so each value has exactly one
     triple and equality is equality of triples.  Every operation works on
     the ints and costs at most one gcd; ``re`` and ``im`` read the value
-    back as ``Fraction``.  Instances are immutable.
+    back as ``Fraction``.  A part that is no int or ``Fraction`` (a float
+    or a bool, say) is a ValueError.  Instances are immutable.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        for part in (re, im):
+            if isinstance(part, bool) or not isinstance(part, (int, Fraction)):
+                raise ValueError(f"a GQ part must be an int or a Fraction, got {part!r}")
         re, im = Fraction(re), Fraction(im)
         # both parts are in lowest terms, so no prime of the lcm divides
         # both scaled numerators: the triple is reduced without a gcd
@@ -83,7 +92,7 @@ class GQ:
         return _reduced(self._a * d - a * self._d, self._b * d - b * self._d, self._d * d)
 
     def __neg__(self) -> "GQ":
-        return _triple(-self._a, -self._b, self._d)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GQ") -> "GQ":
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
@@ -102,7 +111,7 @@ class GQ:
         return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
     def conj(self) -> "GQ":
-        return _triple(self._a, -self._b, self._d)
+        return _reduced(self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
@@ -135,28 +144,19 @@ class GQ:
 
 
 # The slot descriptors write past GQ's raising __setattr__; only the
-# constructors below use them.
+# constructors use them.
 _set_a, _set_b, _set_d = GQ._a.__set__, GQ._b.__set__, GQ._d.__set__
 _new = object.__new__
-
-
-def _triple(a: int, b: int, d: int) -> GQ:
-    """A GQ from a triple that already meets the invariant."""
-    z = _new(GQ)
-    _set_a(z, a)
-    _set_b(z, b)
-    _set_d(z, d)
-    return z
 
 
 def _reduced(a: int, b: int, d: int) -> GQ:
     """(a + b*i) / d for d > 0, divided through by gcd(a, b, d)."""
     g = math.gcd(a, b, d)
-    if g != 1:
-        a //= g
-        b //= g
-        d //= g
-    return _triple(a, b, d)
+    z = _new(GQ)
+    _set_a(z, a // g)
+    _set_b(z, b // g)
+    _set_d(z, d // g)
+    return z
 
 
 ZERO = GQ()
@@ -210,53 +210,89 @@ def inner(x: Vector, y: Vector) -> GQ:
 
 def normalize_vector(x: Vector) -> Vector:
     """Scale so the first nonzero coordinate is 1; canonical for lines."""
-    for a in x:
-        if a:
-            return vscale(ONE / a, x)
-    raise ValueError("cannot normalize the zero vector")
+    return _line(_ints(x, len(x))).basis[0]
 
 
 def tensor(p1: Vector, p2: Vector) -> Vector:
     """Product vector of two factor vectors, index (i, j) -> i * n + j."""
+    _ints(p1, len(p1)), _ints(p2, len(p2))  # entries that are no GQ are refused
     if is_zero_vector(p1) or is_zero_vector(p2):
         raise ValueError("tensor factors must be nonzero")
     return tuple(a * b for a in p1 for b in p2)
 
 
-# -- exact row reduction ------------------------------------------------------
+# -- Gaussian-integer rows ----------------------------------------------------
+# A row is the pair (re, im) of int lists, the parts of a vector times a
+# positive int; the lists are never changed in place.
+
+_Row = tuple[list[int], list[int]]
+
+
+def _ints(x: Vector, n: int, kind: str = "vector") -> _Row:
+    """The parts of x times the lcm of its denominators; x must be n GQs."""
+    if len(x) != n or not all(isinstance(a, GQ) for a in x):
+        raise ValueError(f"{kind} {x!r} is no vector of {n} Gaussian rationals")
+    d = math.lcm(*[a._d for a in x])
+    return [a._a * (d // a._d) for a in x], [a._b * (d // a._d) for a in x]
+
+
+def _gqs(row: _Row, d: int) -> Vector:
+    """The vector row / d."""
+    return tuple(_reduced(a, b, d) if a or b else ZERO for a, b in zip(*row))
+
+
+def _tensor_ints(x: _Row, y: _Row) -> _Row:
+    """The product row, index (i, j) -> i * len(y) + j, as in ``tensor``."""
+    (xr, xi), (yr, yi) = x, y
+    return ([a * c - b * d for a, b in zip(xr, xi) for c, d in zip(yr, yi)],
+            [a * d + b * c for a, b in zip(xr, xi) for c, d in zip(yr, yi)])
+
+
+def _primitive(re: list[int], im: list[int]) -> _Row:
+    g = math.gcd(*re, *im)
+    return ([a // g for a in re], [b // g for b in im]) if g > 1 else (re, im)
+
+
+def _echelon(rows: Sequence[_Row]) -> tuple[list[_Row], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (see the module docstring):
+    the reduced rows, scaled to one pivot value d, the least positive int
+    that makes them integral, their pivot columns and d.  Zero rows drop."""
+    rows, pivots, n = list(rows), [], len(rows)
+    for c in range(len(rows[0][0]) if rows else 0):
+        r = len(pivots)
+        for i in range(r, n):
+            if rows[i][0][c] or rows[i][1][c]:
+                break
+        else:
+            continue
+        (yr, yi), pr, pi = rows[i], rows[i][0][c], rows[i][1][c]
+        if pi or pr < 0:  # times the conjugate pivot, which makes it |pivot|^2
+            yr, yi = ([a * pr + b * pi for a, b in zip(yr, yi)],
+                      [b * pr - a * pi for a, b in zip(yr, yi)])
+        rows[i], rows[r] = rows[r], _primitive(yr, yi)
+        (yr, yi), d = rows[r], rows[r][0][c]
+        for i, (xr, xi) in enumerate(rows):
+            fr, fi = xr[c], xi[c]
+            if (fr or fi) and i != r:  # d*x - x[c]*y
+                rows[i] = _primitive([d * a - fr * b + fi * e for a, b, e in zip(xr, yr, yi)],
+                                     [d * a - fr * e - fi * b for a, b, e in zip(xi, yr, yi)])
+        pivots.append(c)
+    d = math.lcm(*[re[p] for (re, _), p in zip(rows, pivots)])
+    return [([a * (d // re[p]) for a in re], [b * (d // re[p]) for b in im])
+            for (re, im), p in zip(rows, pivots)], pivots, d
+
 
 def rref(rows: Sequence[Vector]) -> tuple[list[list[GQ]], list[int]]:
     """Reduced row echelon form with unit pivots; returns (rows, pivot cols).
 
     Zero rows are dropped, so the output is the canonical basis of the
-    row space.
+    row space: the basis of their ``Subspace``.
     """
-    m = [list(r) for r in rows]
-    if not m:
+    rows = list(rows)
+    if not rows:
         return [], []
-    cols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [inv * a for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    s = Subspace(len(rows[0]), rows)
+    return list(map(list, s.basis)), list(s.pivots)
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -266,82 +302,139 @@ class Subspace(CheckedRecord):
     ``ambient``, held as the reduced row echelon form of the rows with unit
     pivots, so equal subspaces have equal bases.  An ``ambient`` that is no
     positive int, or a row that is not ``ambient`` ``GQ`` entries, is a
-    ValueError.  ``pivots`` is derived from the basis, so it is neither
-    compared nor shown.
+    ValueError.  The form is held as the integer rows of ``_echelon`` over
+    their pivot value ``_d``; they are canonical too, so they are compared
+    in place of the basis, which is made on each read.  ``pivots`` is
+    derived from the basis, so it is neither compared nor shown.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "pivots", "_rows", "_d")
     _fields = ("ambient", "basis")
     ambient: int
-    basis: Matrix
     pivots: tuple[int, ...]
 
     def __init__(self, ambient: int, rows: Sequence[Vector] = ()):
         _check_dimension(ambient, "ambient")
-        rows = list(rows)
-        for row in rows:
-            if len(row) != ambient or not all(isinstance(a, GQ) for a in row):
-                raise ValueError(f"row {row!r} is no vector of {ambient} Gaussian rationals")
-        basis, pivots = rref(rows)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(map(tuple, basis)))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        _subspace(ambient, [_ints(row, ambient, "row") for row in rows], self)
+
+    @property
+    def basis(self) -> Matrix:
+        return tuple(_gqs(row, self._d) for row in self._rows)
+
+    def __eq__(self, other):  # as the bases compare, without making them
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient == other.ambient and self._rows == other._rows
+
+    __hash__ = CheckedRecord.__hash__
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
+
+    def _residual(self, x: _Row) -> _Row:
+        """d times the residual of x: zero at each pivot, and at each free
+        column f, d*x[f] - sum_p x[p]*row_p[f]."""
+        (xr, xi), n, d = x, self.ambient, self._d
+        re, im = [0] * n, [0] * n
+        for f in range(n):
+            if f not in self.pivots:
+                a, b = d * xr[f], d * xi[f]
+                for p, (yr, yi) in zip(self.pivots, self._rows):
+                    a -= xr[p] * yr[f] - xi[p] * yi[f]
+                    b -= xr[p] * yi[f] + xi[p] * yr[f]
+                re[f], im[f] = a, b
+        return re, im
 
     def residual(self, v: Vector) -> Vector:
         """v less v[p] times the row of each pivot p; zero iff v lies in the subspace."""
-        res = list(v)
-        for p, row in zip(self.pivots, self.basis):
-            if f := res[p]:
-                res = [a - f * b for a, b in zip(res, row)]
-        return tuple(res)
+        x = self._residual(_ints(v, self.ambient))
+        return _gqs(x, self._d * math.lcm(*[a._d for a in v]))
 
     def contains(self, v: Vector) -> bool:
-        return is_zero_vector(self.residual(v))
+        return not any(map(any, self._residual(_ints(v, self.ambient))))
+
+    def _perp_rows(self) -> list[_Row]:
+        """Rows spanning the orthocomplement: free column f gives
+        d*e_f - sum_p conj(row_p[f]) e_p (the unit rows, for the zero space)."""
+        n, out = self.ambient, []
+        for f in range(n):
+            if f not in self.pivots:
+                re, im = [0] * n, [0] * n
+                re[f] = self._d
+                for p, (yr, yi) in zip(self.pivots, self._rows):
+                    re[p], im[p] = -yr[f], yi[f]
+                out.append((re, im))
+        return out
 
     def perp(self) -> "Subspace":
-        """Orthocomplement under the Hermitian inner product; the conjugated
-        basis stays reduced, so free column f gives e_f - sum_p conj(row_p[f]) e_p."""
-        vectors = []
-        for f in range(self.ambient):
-            if f not in self.pivots:
-                v = list(basis_vector(self.ambient, f))
-                for p, row in zip(self.pivots, self.basis):
-                    v[p] = -row[f].conj()
-                vectors.append(tuple(v))
-        return Subspace(self.ambient, vectors)
+        """Orthocomplement under the Hermitian inner product."""
+        return _subspace(self.ambient, self._perp_rows())
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise ValueError("ambient dimensions differ")
-        return Subspace(self.ambient, self.basis + other.basis)
+        return _subspace(self.ambient, self._rows + other._rows)
+
+
+def _subspace(ambient: int, rows: Sequence[_Row], s: Subspace | None = None) -> Subspace:
+    """The span of integer rows; fills ``s`` when given."""
+    s = _new(Subspace) if s is None else s
+    rows, pivots, d = _echelon(rows)
+    object.__setattr__(s, "ambient", ambient)
+    object.__setattr__(s, "pivots", tuple(pivots))
+    object.__setattr__(s, "_rows", tuple(rows))
+    object.__setattr__(s, "_d", d)
+    return s
+
+
+def _line(row: _Row) -> Subspace:
+    """The span of a row that must be nonzero."""
+    line = _subspace(len(row[0]), [row])
+    if not line.dim:
+        raise ValueError("cannot normalize the zero vector")
+    return line
 
 
 # -- product-atom machinery ---------------------------------------------------
 
 class ProductAtomPair(CheckedRecord):
     """A pair of projective points, each line scaled so that its first
-    nonzero coordinate is 1 (see ``normalize_vector``)."""
+    nonzero coordinate is 1 (see ``normalize_vector``).  The lines are held
+    as nonzero integer rows of any scale; ``p1`` and ``p2`` are each line's
+    ``Subspace`` basis vector, made on each read."""
 
-    __slots__ = _fields = ("p1", "p2")
-    p1: Vector
-    p2: Vector
+    __slots__ = ("_rows",)
+    _fields = ("p1", "p2")
 
     def __init__(self, p1: Vector, p2: Vector):
-        object.__setattr__(self, "p1", normalize_vector(p1))
-        object.__setattr__(self, "p2", normalize_vector(p2))
+        _pair(*(_line(_ints(x, len(x)))._rows[0] for x in (p1, p2)), self)
+
+    p1 = property(lambda self: _line(self._rows[0]).basis[0])
+    p2 = property(lambda self: _line(self._rows[1]).basis[0])
+
+    @property
+    def _shape(self) -> tuple[int, int]:
+        return len(self._rows[0][0]), len(self._rows[1][0])
 
     def product_vector(self) -> Vector:
         return tensor(self.p1, self.p2)
 
 
+def _pair(x: _Row, y: _Row, pair: ProductAtomPair | None = None) -> ProductAtomPair:
+    pair = _new(ProductAtomPair) if pair is None else pair
+    object.__setattr__(pair, "_rows", (x, y))
+    return pair
+
+
 def sigma_membership(subspace: Subspace, pair: ProductAtomPair) -> bool:
     """Whether the pair's product vector lies in the subspace (residual
     against the canonical basis)."""
-    return subspace.contains(pair.product_vector())
+    m, n = pair._shape
+    if m * n != subspace.ambient:
+        raise ValueError(f"the product vector of a {m}x{n} pair is no vector of "
+                         f"{subspace.ambient} Gaussian rationals")
+    return not any(map(any, subspace._residual(_tensor_ints(*pair._rows))))
 
 
 def join_atoms(pairs: Sequence[ProductAtomPair]) -> Subspace:
@@ -353,11 +446,11 @@ def join_atoms(pairs: Sequence[ProductAtomPair]) -> Subspace:
     """
     if not pairs:
         raise ValueError("join of no atoms is not defined here")
-    shapes = {(len(p.p1), len(p.p2)) for p in pairs}
+    shapes = {p._shape for p in pairs}
     if len(shapes) != 1:
         raise ValueError(f"product atoms of different shapes: {sorted(shapes)}")
     (m, n), = shapes
-    span = Subspace(m * n, [p.product_vector() for p in pairs])
+    span = _subspace(m * n, [_tensor_ints(*p._rows) for p in pairs])
     if span.perp().perp() != span:
         raise RuntimeError("double orthocomplement drifted from the span")
     return span
@@ -391,8 +484,7 @@ class AntilinearMap(CheckedRecord):
         return len(self.matrix[0])
 
     def apply(self, w: Vector) -> Vector:
-        if len(w) != self.cols:
-            raise ValueError("dimension mismatch")
+        _ints(w, self.cols)
         cw = vconj(w)
         return tuple(sum((r[k] * cw[k] for k in range(self.cols)), ZERO)
                      for r in self.matrix)
@@ -416,28 +508,32 @@ def coatom_from_antilinear(a_map: AntilinearMap
         raise ValueError("the zero map induces no coatom")
     n, m = a_map.rows, a_map.cols
     v = tuple(a_map.matrix[j][i] for i in range(m) for j in range(n))
+    s = _ints(sum(a_map.matrix, ()), m * n)  # S_jk at j*m + k, over one denominator
 
     def member(pair: ProductAtomPair) -> bool:
-        return not inner(a_map.apply(pair.p1), pair.p2)
+        """Whether <A p1, p2> = sum_jk conj(S_jk) p1_k p2_j = <S, p2 (x) p1> is 0."""
+        if pair._shape != (m, n):
+            raise ValueError(f"a {pair._shape} pair is no point of a map from C^{m} to C^{n}")
+        (sr, si), (xr, xi) = s, _tensor_ints(pair._rows[1], pair._rows[0])
+        return not (sum(map(mul, sr, xr)) + sum(map(mul, si, xi))
+                    or sum(map(mul, sr, xi)) - sum(map(mul, si, xr)))
 
     return v, member
 
 
 def sharp_point(pair: ProductAtomPair) -> Subspace:
     """The cross subspace p1-perp (x) H2 + H1 (x) p2-perp."""
-    m, n = len(pair.p1), len(pair.p2)
-    perp1 = Subspace(m, [pair.p1]).perp().basis
-    perp2 = Subspace(n, [pair.p2]).perp().basis
-    vectors = [tensor(u, basis_vector(n, j)) for u in perp1 for j in range(n)]
-    vectors += [tensor(basis_vector(m, i), w) for i in range(m) for w in perp2]
-    return Subspace(m * n, vectors)
+    (m, n), (line1, line2) = pair._shape, map(_line, pair._rows)
+    units_m, units_n = _subspace(m, ())._perp_rows(), _subspace(n, ())._perp_rows()
+    vectors = [_tensor_ints(u, e) for u in line1._perp_rows() for e in units_n]
+    vectors += [_tensor_ints(e, w) for e in units_m for w in line2._perp_rows()]
+    return _subspace(m * n, vectors)
 
 
 def verify_point_biorthogonality(pair: ProductAtomPair) -> bool:
     """perp of the sharp cross is exactly the pair's product line."""
     cross = sharp_point(pair)
-    line = Subspace(cross.ambient, [pair.product_vector()])
-    return cross.perp() == line
+    return cross.perp() == _subspace(cross.ambient, [_tensor_ints(*pair._rows)])
 
 
 # -- box membership -----------------------------------------------------------
@@ -573,33 +669,47 @@ def dual_covering_counterexample(m: int, n: int) -> DualCoveringReport:
 
 # -- seeded sampling helpers ---------------------------------------------------
 
+# An entry p/q + (r/s) i is drawn as the ints 36p/q and 36r/s over 36, by
+# rng.choice over these tuples, which calls rng._randbelow as randint(-3, 3)
+# and randint(1, 3) do: every seeded stream and drawn value stays the same.
+_NUMERATORS, _SCALES, _DENOMINATOR = tuple(range(-3, 4)), (36, 18, 12), 36
+
+
+def _draw(rng: Random, dim: int) -> _Row:
+    """A nonzero row of ``dim`` random entries over ``_DENOMINATOR``."""
+    _check_dimension(dim, "dimension")  # the zero row is the only row of C^0
+    c = rng.choice
+    while True:
+        parts = [c(_NUMERATORS) * c(_SCALES) for _ in range(2 * dim)]
+        if any(parts):
+            return parts[::2], parts[1::2]
+
+
 def random_gq(rng: Random) -> GQ:
     """p/q + (r/s) i with p, r in -3..3 and q, s in 1..3; zero is a possible draw."""
-    p, q = rng.randint(-3, 3), rng.randint(1, 3)
-    r, s = rng.randint(-3, 3), rng.randint(1, 3)
-    return _reduced(p * s, r * q, q * s)
+    c = rng.choice
+    re = c(_NUMERATORS) * c(_SCALES)
+    return _reduced(re, c(_NUMERATORS) * c(_SCALES), _DENOMINATOR)
 
 
 def random_vector(rng: Random, dim: int) -> Vector:
     """A nonzero vector of ``dim`` >= 1 random entries."""
-    if dim < 1:
-        raise ValueError(f"a nonzero vector needs dimension at least 1, got {dim}")
-    while True:
-        v = tuple(random_gq(rng) for _ in range(dim))
-        if not is_zero_vector(v):
-            return v
+    return _gqs(_draw(rng, dim), _DENOMINATOR)
 
 
 def random_pair(rng: Random, m: int, n: int) -> ProductAtomPair:
-    return ProductAtomPair(random_vector(rng, m), random_vector(rng, n))
+    return _pair(_draw(rng, m), _draw(rng, n))
 
 
 def random_subspace(rng: Random, ambient: int) -> Subspace:
+    _check_dimension(ambient, "ambient")
     k = rng.randint(0, ambient)
-    return Subspace(ambient, [random_vector(rng, ambient) for _ in range(k)])
+    return _subspace(ambient, [_draw(rng, ambient) for _ in range(k)])
 
 
 def random_antilinear(rng: Random, m: int, n: int) -> AntilinearMap:
+    for dim in (m, n):
+        _check_dimension(dim, "dimension")
     while True:
         mat = tuple(tuple(random_gq(rng) for _ in range(m)) for _ in range(n))
         a = AntilinearMap(mat)

@@ -27,8 +27,9 @@ through ``section``, not through the library's fiber masks.  So are the
 coordinates replaced, and the closure over every member but the full
 set, which each space held before it kept only its meet-irreducible
 members.
-So are the exact layer's operations that re-ran ``rref`` on bases that
-``Subspace`` already holds reduced: membership, kernel and perp, and the
+So are the exact layer's operations that re-ran a row reduction on bases
+that ``Subspace`` already holds reduced: membership, kernel and perp, here
+over the ``Fraction``-pair row reduction, not the integer kernel, and the
 construction that spanned a hyperplane of the 2x2 tensor square by its
 product vectors, which the rank rule on its perp line replaced, and the
 box membership that solved each plane's pencil with square roots in
@@ -37,8 +38,9 @@ rule replaced, with the minor loop that counted the members of a
 two-atom pencil; a floating-point search for two rank-one members of a
 plane checks the planes that decider left open.  The
 Gaussian rational as a pair of ``Fraction`` parts, which the
-integer-triple ``GQ`` replaced, is kept with the row reduction and the
-seeded draws written over it.
+integer-triple ``GQ`` replaced, is kept with the row reduction that the
+Gaussian-integer kernel replaced and the seeded draws written over it by
+``randint``, whose stream the library's ``choice`` draws must keep.
 So are the checks that the meet-irreducible members replaced: P4 on
 every member's lifted image, coatomisticity by a closure over the
 coatoms scanning every member, centrality by the product split of every
@@ -60,7 +62,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from weaktensor.hilbert import (
-    GQ, ONE, ZERO, Subspace, basis_vector, is_zero_vector, normalize_vector, rref, tensor,
+    GQ, ONE, ZERO, Subspace, basis_vector, is_zero_vector, normalize_vector, tensor,
     vadd, vconj, vscale,
 )
 from weaktensor.props import (
@@ -652,24 +654,24 @@ def relabelled(space: ClosureSpace, perm: Sequence[int]) -> ClosureSpace:
 
 
 def contains_by_rref(subspace, v) -> bool:
-    """Membership as a rank test on the basis plus v."""
-    red, _ = rref(list(subspace.basis) + [v])
+    """Membership as a rank test on the basis plus v, by ``fraction_rref``."""
+    red, _ = fraction_rref([list(map(as_fraction_gq, r)) for r in subspace.basis + (v,)])
     return len(red) == subspace.dim
 
 
 def kernel_by_rref(rows, width: int) -> list:
-    """Canonical basis of {x | rows . x = 0}."""
-    red, pivots = rref(rows)
+    """Canonical basis of {x | rows . x = 0}, by ``fraction_rref``."""
+    red, pivots = fraction_rref([list(map(as_fraction_gq, r)) for r in rows])
     free = [c for c in range(width) if c not in pivots]
     basis = []
     for f in free:
-        v = [ZERO] * width
-        v[f] = ONE
+        v = [FRACTION_ZERO] * width
+        v[f] = FRACTION_ONE
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]
-        basis.append(tuple(v))
-    canon, _ = rref(basis)
-    return [tuple(row) for row in canon]
+        basis.append(v)
+    canon, _ = fraction_rref(basis)
+    return [tuple(GQ(a.re, a.im) for a in row) for row in canon]
 
 
 def perp_by_kernel(subspace):
@@ -926,6 +928,7 @@ class FractionGQ:
         return self.render()
 
 
+FRACTION_ZERO = FractionGQ(Fraction(0), Fraction(0))
 FRACTION_ONE = FractionGQ(Fraction(1), Fraction(0))
 
 
@@ -964,7 +967,8 @@ def fraction_rref(rows):
 
 
 def fraction_random_gq(rng) -> FractionGQ:
-    """``hilbert.random_gq`` drawing ``FractionGQ`` values."""
+    """``hilbert.random_gq`` drawing ``FractionGQ`` values by ``randint``; the
+    library draws by ``choice``, which must leave the same stream."""
     return FractionGQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
                       Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
 
@@ -983,3 +987,17 @@ def fraction_random_pair(rng, m: int, n: int):
         return tuple((FRACTION_ONE / lead) * a for a in x)
 
     return normalize(fraction_random_vector(rng, m)), normalize(fraction_random_vector(rng, n))
+
+
+def fraction_random_subspace(rng, ambient: int):
+    """The reduced rows ``hilbert.random_subspace`` draws."""
+    k = rng.randint(0, ambient)
+    return fraction_rref([fraction_random_vector(rng, ambient) for _ in range(k)])[0]
+
+
+def fraction_random_antilinear(rng, m: int, n: int):
+    """The matrix ``hilbert.random_antilinear`` draws."""
+    while True:
+        mat = tuple(tuple(fraction_random_gq(rng) for _ in range(m)) for _ in range(n))
+        if any(map(any, mat)):
+            return mat

@@ -283,11 +283,14 @@ def test_a_check_spec_default_args_are_read_only():
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter: this process has loaded both for pytest
+    # a fresh interpreter: this process has loaded both for pytest.  build
+    # and decide import the package alone, so neither pays for the
+    # Gaussian-rational layer, the suites or fractions either
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, weaktensor, weaktensor.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys, weaktensor; print(sorted({'dataclasses', 'inspect', 'fractions', "
+            "'weaktensor.hilbert', 'weaktensor.suites'} & set(sys.modules))); "
+            "import weaktensor.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "[]\n[]\n"

@@ -11,8 +11,10 @@ from helpers import (
     as_fraction_gq,
     box_verdict_by_roots,
     contains_by_rref,
+    fraction_random_antilinear,
     fraction_random_gq,
     fraction_random_pair,
+    fraction_random_subspace,
     fraction_random_vector,
     fraction_rref,
     gq_sqrt,
@@ -85,6 +87,14 @@ def test_field_laws(a, b, c):
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+
+
+@pytest.mark.parametrize("part", [0.1, 1.0, True, False, 1j, "1/2", None])
+def test_gq_refuses_a_part_that_is_no_int_or_fraction(part):
+    # GQ(0.1) once built 3602879701896397/36028797018963968, and GQ(True) 1
+    for args in ((part,), (0, part)):
+        with pytest.raises(ValueError, match=f"^a GQ part must be an int or a Fraction, got {part!r}$"):
+            GQ(*args)
 
 
 def test_sqrt_cases():
@@ -194,29 +204,41 @@ def test_rref_matches_the_fraction_pair_oracle():
 
 
 def test_seeded_draws_match_the_fraction_pair_oracle():
+    # the library draws by rng.choice and the oracle by rng.randint: the
+    # values and the generator state must agree after every draw
+    def agree(got, want):
+        assert got == want
+        assert new.getstate() == old.getstate()
+
     for seed in range(20):
         new, old = Random(seed), Random(seed)
         for _ in range(10):
-            assert as_fraction_gq(random_gq(new)) == fraction_random_gq(old)
+            agree(as_fraction_gq(random_gq(new)), fraction_random_gq(old))
         for dim in (1, 2, 3, 9):
-            assert tuple(map(as_fraction_gq, random_vector(new, dim))) == fraction_random_vector(old, dim)
+            agree(tuple(map(as_fraction_gq, random_vector(new, dim))), fraction_random_vector(old, dim))
         for m, n in ((2, 2), (2, 3), (3, 3)):
             pair = random_pair(new, m, n)
             got = (tuple(map(as_fraction_gq, pair.p1)), tuple(map(as_fraction_gq, pair.p2)))
-            assert got == fraction_random_pair(old, m, n)
+            agree(got, fraction_random_pair(old, m, n))
+            a_map = random_antilinear(new, m, n)
+            agree(tuple(tuple(map(as_fraction_gq, r)) for r in a_map.matrix),
+                  fraction_random_antilinear(old, m, n))
+        for ambient in (1, 2, 4, 6, 9):
+            s = random_subspace(new, ambient)
+            agree([list(map(as_fraction_gq, r)) for r in s.basis], fraction_random_subspace(old, ambient))
         assert new.random() == old.random()
 
 
 def test_samplers_refuse_a_dimension_below_one():
     # the only vector of dimension 0 is zero, so redrawing until nonzero never ends
+    # a float or a bool dimension once raised a bare TypeError or drew on C^1
     rng = Random(1)
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
-            random_vector(rng, bad)
-        with pytest.raises(ValueError):
-            random_pair(rng, bad, 2)
-        with pytest.raises(ValueError):
-            random_pair(rng, 2, bad)
+    for bad in (0, -1, 2.0, True):
+        for draw in (lambda: random_vector(rng, bad), lambda: random_pair(rng, bad, 2),
+                     lambda: random_pair(rng, 2, bad), lambda: random_antilinear(rng, bad, 2),
+                     lambda: random_antilinear(rng, 2, bad), lambda: random_subspace(rng, bad)):
+            with pytest.raises(ValueError, match=f"must be a positive integer, got {bad!r}$"):
+                draw()
 
 
 # -- row reduction -----------------------------------------------------------------
@@ -411,6 +433,32 @@ def test_subspace_refuses_a_row_of_another_length_or_an_entry_that_is_no_gq():
     for entry in (1, Fraction(1), 1.0, 1j):
         with pytest.raises(ValueError, match="is no vector of 2 Gaussian rationals$"):
             Subspace(2, [(ZERO, entry)])
+    # a vector of another length was once cut short by zip: (ONE,) and e(5, 0)
+    # read as members of the span of e(4, 0), and a 2x3 pair as a point of C^4
+    s = Subspace(4, [e(4, 0)])
+    for v in ((ONE,), e(5, 0), (ONE, ZERO, ZERO, 0), (ONE, ZERO, ZERO, 0.0)):
+        for test in (s.residual, s.contains):
+            with pytest.raises(ValueError, match=r"^vector .* is no vector of 4 Gaussian rationals$"):
+                test(v)
+    for pair in (ProductAtomPair(e(2, 0), e(3, 0)), ProductAtomPair(e(3, 0), e(3, 0))):
+        with pytest.raises(ValueError, match="pair is no vector of 4 Gaussian rationals$"):
+            sigma_membership(s, pair)
+
+
+def test_vector_functions_refuse_an_entry_that_is_no_gq():
+    # each raised a bare AttributeError ('int' object has no attribute ...)
+    a_map = AntilinearMap(((ONE, ZERO), (ZERO, ONE)))
+    for bad in ((1, 0), (ONE, 0), (ONE, Fraction(1, 2)), (ONE, 1.5)):
+        for make in (lambda: ProductAtomPair(bad, e(2, 0)), lambda: ProductAtomPair(e(2, 0), bad),
+                     lambda: tensor(bad, e(2, 0)), lambda: tensor(e(2, 0), bad),
+                     lambda: a_map.apply(bad), lambda: normalize_vector(bad)):
+            with pytest.raises(ValueError, match="is no vector of 2 Gaussian rationals$"):
+                make()
+    with pytest.raises(ValueError, match="is no vector of 2 Gaussian rationals$"):
+        a_map.apply((ONE,))
+    _, member = coatom_from_antilinear(a_map)
+    with pytest.raises(ValueError, match=r"^a \(2, 3\) pair is no point of a map from C\^2 to C\^2$"):
+        member(ProductAtomPair(e(2, 0), e(3, 0)))
 
 
 @pytest.mark.parametrize("ambient", [0, -2, True, 2.0, "2"])
@@ -446,6 +494,43 @@ def test_perp_and_membership_match_the_rref_oracles():
                 assert s.contains(v) == contains_by_rref(s, v)
                 assert s.contains(v) == (not any(s.residual(v)))
             assert s.contains(member)
+
+
+def _assert_kernel_matches_the_oracles(rows, width, probes):
+    """The integer kernel's rref, membership and perp against the
+    ``Fraction``-pair row reduction."""
+    red, pivots = rref(rows) if rows else ([], [])
+    want, want_pivots = fraction_rref([list(map(as_fraction_gq, r)) for r in rows])
+    assert [list(map(as_fraction_gq, r)) for r in red] == want and pivots == want_pivots
+    s = Subspace(width, rows)
+    assert s.perp().basis == tuple(kernel_by_rref([vconj(b) for b in s.basis], width))
+    for v in probes:
+        assert s.contains(v) == contains_by_rref(s, v)
+    return s
+
+
+def test_integer_kernel_matches_the_fraction_pair_oracles():
+    # every 1- and 2-row matrix over C^2 with entries in {0, 1, -1, i, 1/2 + i},
+    # against every vector of those entries as a membership probe
+    entries = (ZERO, ONE, -ONE, I, GQ(Fraction(1, 2), 1))
+    vectors = list(itertools.product(entries, repeat=2))
+    spans = collections.Counter()
+    for count in (1, 2):
+        for rows in itertools.product(vectors, repeat=count):
+            spans[_assert_kernel_matches_the_oracles(list(rows), 2, vectors).dim] += 1
+    assert spans == {0: 2, 1: 138, 2: 510}
+    # seeded rows, some dependent, on the ambients of the products
+    rng = Random(2013)
+    for width in (4, 6, 9):
+        for count in range(1, width + 2):
+            for _ in range(3):
+                rows = _matrix_with_dependent_rows(rng, count, width)
+                s = Subspace(width, rows)
+                member = tuple(ZERO for _ in range(width))
+                for b in s.basis:
+                    member = vadd(member, vscale(random_gq(rng), b))
+                probes = [member, random_vector(rng, width), e(width, width - 1)] + rows
+                _assert_kernel_matches_the_oracles(rows, width, probes)
 
 
 def test_sharp_cross_factors_match_the_rref_kernel():
