@@ -8,19 +8,20 @@ reads each plane's rank-one members off a discriminant, with no square
 root taken, and the failure of the covering property in the order dual.
 
 All arithmetic is exact over Q(i); there is no floating point anywhere.
-A scalar ``GQ`` is the value (a + b*i) / d stored as three Python ints
-with d > 0 and gcd(a, b, d) = 1, so equal values are equal triples.
-Rows are worked on below ``GQ``, as Gaussian integers: the int lists of
-a vector's parts times a positive int.  Elimination is fraction free (a
-pivot row times its conjugate pivot, d*x - x[c]*y for another row) and
-divides each row by the gcd of its parts, so the rows it leaves, over
-their least common pivot value, are a canonical form.  A ``Subspace``
-holds those rows for the reduced row echelon form of the rows it is
-given, and a ``ProductAtomPair`` the rows of its lines; ``GQ`` values,
-one gcd per entry, are made only at the boundary: a subspace's unit-pivot
-basis, a pair's lines scaled to a leading 1, and returned vectors.  Atom
-sets are never enumerated: an element of the product is represented by
-its subspace, and point membership is a residual against the basis.
+A scalar ``GQ`` is a value with no arithmetic: (a + b*i) / d stored as
+three Python ints with d > 0 and gcd(a, b, d) = 1, so equal values are
+equal triples.  Every computation is on rows of Gaussian integers: the
+int lists of a vector's parts times a positive int.  Elimination is
+fraction free (a pivot row times its conjugate pivot, d*x - x[c]*y for
+another row) and divides each row by the gcd of its parts, so the rows it
+leaves, over their least common pivot value, are a canonical form.  A
+``Subspace`` holds those rows for the reduced row echelon form of the
+rows it is given, and a ``ProductAtomPair`` the rows of its lines; ``GQ``
+values, one gcd per entry, are made only at the boundary: a subspace's
+unit-pivot basis, a pair's lines scaled to a leading 1, and returned
+vectors.  Atom sets are never enumerated: an element of the product is
+represented by its subspace, and point membership is a residual against
+the basis.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from random import Random
 from typing import Callable, NamedTuple, Sequence
 
@@ -41,10 +42,11 @@ class GQ:
     """A Gaussian rational (a + b*i) / d held as three Python ints.
 
     Invariant: d > 0 and gcd(a, b, d) = 1, so each value has exactly one
-    triple and equality is equality of triples.  Every operation works on
-    the ints and costs at most one gcd; ``re`` and ``im`` read the value
-    back as ``Fraction``.  A part that is no int or ``Fraction`` (a float
-    or a bool, say) is a ValueError.  Instances are immutable.
+    triple and equality is equality of triples.  A ``GQ`` is a value
+    only: it has no arithmetic, which the module does on integer rows.
+    ``re`` and ``im`` read it back as ``Fraction``.  A part that is no
+    int or ``Fraction`` (a float or a bool, say) is a ValueError.
+    Instances are immutable.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -74,44 +76,6 @@ class GQ:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
-
-    def __add__(self, other: "GQ") -> "GQ":
-        a, b, d = other._a, other._b, other._d
-        if not (a or b):
-            return self
-        if d == self._d:
-            return _reduced(self._a + a, self._b + b, d)
-        return _reduced(self._a * d + a * self._d, self._b * d + b * self._d, self._d * d)
-
-    def __sub__(self, other: "GQ") -> "GQ":
-        a, b, d = other._a, other._b, other._d
-        if not (a or b):
-            return self
-        if d == self._d:
-            return _reduced(self._a - a, self._b - b, d)
-        return _reduced(self._a * d - a * self._d, self._b * d - b * self._d, self._d * d)
-
-    def __neg__(self) -> "GQ":
-        return _reduced(-self._a, -self._b, self._d)
-
-    def __mul__(self, other: "GQ") -> "GQ":
-        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        if not (a1 or b1):
-            return self
-        if not (a2 or b2):
-            return other
-        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
-
-    def __truediv__(self, other: "GQ") -> "GQ":
-        a2, b2, d2 = other._a, other._b, other._d
-        n = a2 * a2 + b2 * b2
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        a1, b1 = self._a, self._b
-        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
-
-    def conj(self) -> "GQ":
-        return _reduced(self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
@@ -184,41 +148,17 @@ def basis_vector(n: int, k: int) -> Vector:
     return tuple(ONE if j == k else ZERO for j in range(n))
 
 
-def vadd(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vscale(c: GQ, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
-def vconj(x: Vector) -> Vector:
-    return tuple(a.conj() for a in x)
-
-
-def is_zero_vector(x: Vector) -> bool:
-    return not any(x)
-
-
-def inner(x: Vector, y: Vector) -> GQ:
-    """Hermitian inner product, conjugate-linear in the first slot."""
-    acc = ZERO
-    for a, b in zip(x, y):
-        acc = acc + a.conj() * b
-    return acc
-
-
 def normalize_vector(x: Vector) -> Vector:
     """Scale so the first nonzero coordinate is 1; canonical for lines."""
-    return _line(_ints(x, len(x))).basis[0]
+    return _line(_ints(x, len(x))[0]).basis[0]
 
 
 def tensor(p1: Vector, p2: Vector) -> Vector:
     """Product vector of two factor vectors, index (i, j) -> i * n + j."""
-    _ints(p1, len(p1)), _ints(p2, len(p2))  # entries that are no GQ are refused
-    if is_zero_vector(p1) or is_zero_vector(p2):
+    (x, d1), (y, d2) = _ints(p1, len(p1)), _ints(p2, len(p2))
+    if not (any(map(any, x)) and any(map(any, y))):
         raise ValueError("tensor factors must be nonzero")
-    return tuple(a * b for a in p1 for b in p2)
+    return _gqs(_tensor_ints(x, y), d1 * d2)
 
 
 # -- Gaussian-integer rows ----------------------------------------------------
@@ -228,12 +168,13 @@ def tensor(p1: Vector, p2: Vector) -> Vector:
 _Row = tuple[list[int], list[int]]
 
 
-def _ints(x: Vector, n: int, kind: str = "vector") -> _Row:
-    """The parts of x times the lcm of its denominators; x must be n GQs."""
+def _ints(x: Vector, n: int, kind: str = "vector") -> tuple[_Row, int]:
+    """The parts of x times d, the lcm of its denominators, and d; x must
+    be n GQs."""
     if len(x) != n or not all(isinstance(a, GQ) for a in x):
         raise ValueError(f"{kind} {x!r} is no vector of {n} Gaussian rationals")
     d = math.lcm(*[a._d for a in x])
-    return [a._a * (d // a._d) for a in x], [a._b * (d // a._d) for a in x]
+    return ([a._a * (d // a._d) for a in x], [a._b * (d // a._d) for a in x]), d
 
 
 def _gqs(row: _Row, d: int) -> Vector:
@@ -315,7 +256,7 @@ class Subspace(CheckedRecord):
 
     def __init__(self, ambient: int, rows: Sequence[Vector] = ()):
         _check_dimension(ambient, "ambient")
-        _subspace(ambient, [_ints(row, ambient, "row") for row in rows], self)
+        _subspace(ambient, [_ints(row, ambient, "row")[0] for row in rows], self)
 
     @property
     def basis(self) -> Matrix:
@@ -348,11 +289,11 @@ class Subspace(CheckedRecord):
 
     def residual(self, v: Vector) -> Vector:
         """v less v[p] times the row of each pivot p; zero iff v lies in the subspace."""
-        x = self._residual(_ints(v, self.ambient))
-        return _gqs(x, self._d * math.lcm(*[a._d for a in v]))
+        x, d = _ints(v, self.ambient)
+        return _gqs(self._residual(x), self._d * d)
 
     def contains(self, v: Vector) -> bool:
-        return not any(map(any, self._residual(_ints(v, self.ambient))))
+        return not any(map(any, self._residual(_ints(v, self.ambient)[0])))
 
     def _perp_rows(self) -> list[_Row]:
         """Rows spanning the orthocomplement: free column f gives
@@ -408,7 +349,7 @@ class ProductAtomPair(CheckedRecord):
     _fields = ("p1", "p2")
 
     def __init__(self, p1: Vector, p2: Vector):
-        _pair(*(_line(_ints(x, len(x)))._rows[0] for x in (p1, p2)), self)
+        _pair(*(_line(_ints(x, len(x))[0])._rows[0] for x in (p1, p2)), self)
 
     p1 = property(lambda self: _line(self._rows[0]).basis[0])
     p2 = property(lambda self: _line(self._rows[1]).basis[0])
@@ -459,9 +400,9 @@ def join_atoms(pairs: Sequence[ProductAtomPair]) -> Subspace:
 # -- antilinear maps and induced coatoms -------------------------------------
 
 class AntilinearMap(CheckedRecord):
-    """w -> S . conj(w) in the canonical bases; additive, and scalars
-    come out conjugated.  An empty or ragged matrix, or an entry that is
-    no ``GQ``, is a ValueError."""
+    """The antilinear map w -> S . conj(w), held as the matrix S of its
+    canonical bases.  An empty or ragged matrix, or an entry that is no
+    ``GQ``, is a ValueError."""
 
     __slots__ = _fields = ("matrix",)
     matrix: Matrix  # n rows, m cols
@@ -483,12 +424,6 @@ class AntilinearMap(CheckedRecord):
     def cols(self) -> int:
         return len(self.matrix[0])
 
-    def apply(self, w: Vector) -> Vector:
-        _ints(w, self.cols)
-        cw = vconj(w)
-        return tuple(sum((r[k] * cw[k] for k in range(self.cols)), ZERO)
-                     for r in self.matrix)
-
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.matrix)
 
@@ -508,7 +443,7 @@ def coatom_from_antilinear(a_map: AntilinearMap
         raise ValueError("the zero map induces no coatom")
     n, m = a_map.rows, a_map.cols
     v = tuple(a_map.matrix[j][i] for i in range(m) for j in range(n))
-    s = _ints(sum(a_map.matrix, ()), m * n)  # S_jk at j*m + k, over one denominator
+    s, _ = _ints(sum(a_map.matrix, ()), m * n)  # S_jk at j*m + k, over one denominator
 
     def member(pair: ProductAtomPair) -> bool:
         """Whether <A p1, p2> = sum_jk conj(S_jk) p1_k p2_j = <S, p2 (x) p1> is 0."""
@@ -543,22 +478,17 @@ class BoxVerdict(Enum):
     NOT_IN_BOX = "not-in-box"
 
 
-def _as_matrix(v: Vector) -> list[list[GQ]]:
-    """A vector of C^2 (x) C^2 as its 2x2 coefficient matrix."""
-    return [[v[0], v[1]], [v[2], v[3]]]
+def _mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of two Gaussian integers given as (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _det2(a: Sequence[Sequence[GQ]]) -> GQ:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
-def _pencil_form(m0: Sequence[Sequence[GQ]], m1: Sequence[Sequence[GQ]]
-                 ) -> tuple[GQ, GQ, GQ]:
-    """The coefficients (a, b, c) of det(t0*m0 + t1*m1) = a t0^2 + b t0 t1 + c t1^2
-    for 2x2 matrices: a = det m0, c = det m1 and b = det(m0 + m1) - a - c."""
-    a, c = _det2(m0), _det2(m1)
-    both = [[x + y for x, y in zip(r0, r1)] for r0, r1 in zip(m0, m1)]
-    return a, _det2(both) - a - c, c
+def _cross(x: _Row, y: _Row) -> tuple[int, int]:
+    """x[0]*y[3] - x[1]*y[2] for rows of C^2 (x) C^2: the determinant of
+    the 2x2 coefficient matrix of x when y is x."""
+    (xr, xi), (yr, yi) = x, y
+    (a, b), (c, d) = _mul((xr[0], xi[0]), (yr[3], yi[3])), _mul((xr[1], xi[1]), (yr[2], yi[2]))
+    return a - c, b - d
 
 
 def _product_spanned(v: Subspace) -> bool:
@@ -569,15 +499,21 @@ def _product_spanned(v: Subspace) -> bool:
     for every t with B built from w, and those span it.  d = 4: it holds
     e_i (x) e_j.  d = 1: iff the line's matrix has determinant 0.  d = 2:
     the rank-one members are the roots of the binary form det(t0 B0 + t1 B1)
-    over the basis; the plane is spanned iff the form is zero (every member
-    has rank one) or has two distinct roots over C, i.e. b^2 - 4ac != 0.
+    = a t0^2 + b t0 t1 + c t1^2 over the basis; the plane is spanned iff
+    the form is zero (every member has rank one) or has two distinct roots
+    over C, i.e. b^2 - 4ac != 0.  The forms are read off the integer rows,
+    the basis times d: they are homogeneous, so each is zero or not at
+    either scale.
     """
     if v.dim == 1:
-        return not _det2(_as_matrix(v.basis[0]))
+        return not any(_cross(v._rows[0], v._rows[0]))
     if v.dim != 2:
         return True
-    a, b, c = _pencil_form(*(_as_matrix(row) for row in v.basis))
-    return not (a or b or c) or bool(b * b - GQ(4) * a * c)
+    x, y = v._rows
+    a, c = _cross(x, x), _cross(y, y)
+    b = tuple(map(add, _cross(x, y), _cross(y, x)))
+    (bb, bi), (ac, ai) = _mul(b, b), _mul(a, c)
+    return not any(a + b + c) or bool(bb - 4 * ac or bi - 4 * ai)
 
 
 def box_membership_test(subspace: Subspace) -> BoxVerdict:
@@ -625,7 +561,7 @@ def _pencil_members_exactly_two(a: ProductAtomPair, b: ProductAtomPair) -> bool:
     """Exactly two product lines in the span of two product vectors.
 
     Write the generators as x (x) y and u (x) w.  Each 2x2 minor of the
-    pencil is a binary form (a, b, c) (see ``_pencil_form``): a and c are
+    pencil is a binary form (a, b, c) (see ``_product_spanned``): a and c are
     minors of rank-one matrices, so zero, and b = det[x u] det[y w] over
     the minor's rows and columns.  So the members are exactly the
     generators iff some b is nonzero, iff x is not parallel to u and y is

@@ -419,8 +419,12 @@ def check_factorization(space: ClosureSpace, universe, perm: Sequence[int]
 # -- weak connectivity ---------------------------------------------------------
 
 def validate_connected_covering(space: ClosureSpace, cov: ConnectedCovering) -> bool:
-    """Check the three connected-covering conditions verbatim."""
+    """Check the three connected-covering conditions verbatim.  A block
+    that is no int, or has points outside the universe, is a ValueError."""
     blocks = cov.blocks
+    for b in blocks:  # -3 has infinitely many bits: bits(-3) never ends
+        if not isinstance(b, int) or b & ~space.full_mask:
+            raise ValueError(f"block {b!r} is not a point set of this space")
     union = 0
     for b in blocks:
         union |= b

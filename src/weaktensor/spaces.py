@@ -114,6 +114,10 @@ class ClosureSpace:
     def __init__(self, points: Sequence[str], masks: Iterable[int],
                  product: "ProductUniverse | None" = None):
         points = _checked_points(points)
+        masks = tuple(masks)
+        for m in masks:  # 3.0 == 3, so a float would pass every membership test
+            if not isinstance(m, int):
+                raise ValueError(f"member {m!r} is not a point set of this space")
         family = tuple(sorted(set(masks)))
         if not family or family[0] != 0 or family[-1] != (1 << len(points)) - 1:
             raise ValueError("closed family must contain the empty and the full set "
@@ -242,6 +246,8 @@ class ClosureSpace:
         full = (1 << len(points)) - 1
         generators = {0, *(1 << i for i in range(len(points)))}
         for m in subsets:
+            if not isinstance(m, int):
+                raise ValueError(f"subset {m!r} is not a point set of this space")
             if m & ~full:
                 raise ValueError(f"subset {m:#x} uses points outside the universe")
             generators.add(m)

@@ -581,7 +581,7 @@ def _hilbert_box_verdicts(args, rng):
     cases = [
         (hilbert.Subspace(4, [t(e(2, 0), e(2, 0)), t(e(2, 1), e(2, 1))]),
          hilbert.BoxVerdict.IN_BOX),
-        (hilbert.Subspace(4, [hilbert.vadd(t(e(2, 0), e(2, 0)), t(e(2, 1), e(2, 1)))]),
+        (hilbert.Subspace(4, [(hilbert.ONE, hilbert.ZERO, hilbert.ZERO, hilbert.ONE)]),
          hilbert.BoxVerdict.NOT_IN_BOX),
         (hilbert.Subspace(4, [t(e(2, 0), e(2, 0)), t(e(2, 0), e(2, 1))]),
          hilbert.BoxVerdict.IN_BOX),

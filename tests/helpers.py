@@ -34,13 +34,17 @@ construction that spanned a hyperplane of the 2x2 tensor square by its
 product vectors, which the rank rule on its perp line replaced, and the
 box membership that solved each plane's pencil with square roots in
 Q(i) and answered "unknown" when they left it, which the discriminant
-rule replaced, with the minor loop that counted the members of a
+rule replaced, and that rule as it was while it formed the pencil in
+Q(i) on the unit-pivot basis, before the forms were read off the integer
+rows, with the minor loop that counted the members of a
 two-atom pencil; a floating-point search for two rank-one members of a
 plane checks the planes that decider left open.  The
 Gaussian rational as a pair of ``Fraction`` parts, which the
 integer-triple ``GQ`` replaced, is kept with the row reduction that the
 Gaussian-integer kernel replaced and the seeded draws written over it by
-``randint``, whose stream the library's ``choice`` draws must keep.
+``randint``, whose stream the library's ``choice`` draws must keep.  It
+is the only scalar arithmetic here: a ``GQ`` is a value with no
+arithmetic, so every Hilbert oracle computes over ``FractionGQ``.
 So are the checks that the meet-irreducible members replaced: P4 on
 every member's lifted image, coatomisticity by a closure over the
 coatoms scanning every member, centrality by the product split of every
@@ -61,10 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from weaktensor.hilbert import (
-    GQ, ONE, ZERO, Subspace, basis_vector, is_zero_vector, normalize_vector, tensor,
-    vadd, vconj, vscale,
-)
+from weaktensor.hilbert import GQ, Subspace, basis_vector
 from weaktensor.props import (
     DEFAULT_NODE_CAP, SEARCH_SET_CAP, CoveringFailure, ExhaustionCertificate, OrthoMap,
     SearchBudgetExceeded,
@@ -653,232 +654,6 @@ def relabelled(space: ClosureSpace, perm: Sequence[int]) -> ClosureSpace:
     return ClosureSpace.from_closed_sets(points, (image(m, table) for m in space.masks))
 
 
-def contains_by_rref(subspace, v) -> bool:
-    """Membership as a rank test on the basis plus v, by ``fraction_rref``."""
-    red, _ = fraction_rref([list(map(as_fraction_gq, r)) for r in subspace.basis + (v,)])
-    return len(red) == subspace.dim
-
-
-def kernel_by_rref(rows, width: int) -> list:
-    """Canonical basis of {x | rows . x = 0}, by ``fraction_rref``."""
-    red, pivots = fraction_rref([list(map(as_fraction_gq, r)) for r in rows])
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [FRACTION_ZERO] * width
-        v[f] = FRACTION_ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    canon, _ = fraction_rref(basis)
-    return [tuple(GQ(a.re, a.im) for a in row) for row in canon]
-
-
-def perp_by_kernel(subspace):
-    """Orthocomplement as the kernel of the conjugated basis."""
-    ambient = subspace.ambient
-    if subspace.dim == 0:
-        return Subspace(ambient, [basis_vector(ambient, k) for k in range(ambient)])
-    rows = [vconj(b) for b in subspace.basis]
-    return Subspace(ambient, kernel_by_rref(rows, ambient))
-
-
-_ROT = ((ZERO, -ONE), (ONE, ZERO))
-
-
-def hyperplane_spanned_by_products(subspace) -> bool:
-    """Whether a hyperplane of C^2 (x) C^2 is the span of product vectors
-    it contains, by construction.  Its product vectors are the curve
-    t -> t (x) Bt for B = rot . conj(A), A the transposed 2x2 matrix of the
-    perp generator: the polarization triple t = e0, e1, e0 + e1, plus the
-    slice ker(B) (x) C^2 when B has rank one."""
-    if subspace.ambient != 4 or subspace.dim != 3:
-        raise ValueError("need a hyperplane of the 2x2 tensor square")
-    w = subspace.perp().basis[0]
-    a_mat = [[w[i * 2 + j] for i in range(2)] for j in range(2)]
-    bmat = [[sum((_ROT[r][k] * a_mat[k][c].conj() for k in range(2)), ZERO)
-             for c in range(2)] for r in range(2)]
-
-    def apply_b(lam):
-        return tuple(sum((bmat[r][k] * lam[k] for k in range(2)), ZERO) for r in range(2))
-
-    collected = []
-    if not bmat[0][0] * bmat[1][1] - bmat[0][1] * bmat[1][0]:
-        if bmat[0][0] or bmat[0][1]:
-            ker = (bmat[0][1], -bmat[0][0])
-        else:
-            ker = (bmat[1][1], -bmat[1][0])
-        if not is_zero_vector(ker):
-            collected.extend(tensor(ker, basis_vector(2, j)) for j in range(2))
-    for lam in (basis_vector(2, 0), basis_vector(2, 1), (ONE, ONE)):
-        blam = apply_b(lam)
-        if not is_zero_vector(blam):
-            collected.append(tensor(lam, blam))
-    return Subspace(4, collected) == subspace
-
-
-def sqrt_fraction(x: Fraction) -> Optional[Fraction]:
-    """Exact nonnegative square root in Q, or None."""
-    if x < 0:
-        return None
-    if x == 0:
-        return Fraction(0)
-    ns = math.isqrt(x.numerator)
-    ds = math.isqrt(x.denominator)
-    if ns * ns == x.numerator and ds * ds == x.denominator:
-        return Fraction(ns, ds)
-    return None
-
-
-def gq_sqrt(z: GQ) -> Optional[GQ]:
-    """Exact square root in Q(i), or None when z is not a square there."""
-    if not z:
-        return ZERO
-    if not z.im:
-        r = sqrt_fraction(z.re)
-        if r is not None:
-            return GQ(r, Fraction(0))
-        r = sqrt_fraction(-z.re)
-        if r is not None:
-            return GQ(Fraction(0), r)
-        return None
-    n = sqrt_fraction(z.re * z.re + z.im * z.im)
-    if n is None:
-        return None
-    half = Fraction(1, 2)
-    u2 = (z.re + n) * half
-    u = sqrt_fraction(u2)
-    if u is None or u == 0:
-        return None
-    w = z.im / (2 * u)
-    cand = GQ(u, w)
-    if cand * cand == z:
-        return cand
-    return None
-
-
-def _as_matrix(v, m: int, n: int):
-    return [[v[i * n + j] for j in range(n)] for i in range(m)]
-
-
-def _det2(a):
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
-def pencil_rank1_status(b0, b1):
-    """Rank-one vectors in a 2-dim pencil of 2x2 matrices.
-
-    Returns ('all', []) when every pencil vector has rank <= 1,
-    ('roots', vectors) with the exact rank-one lines otherwise, or
-    ('unknown', []) when the root field leaves Q(i).
-    """
-    m0, m1 = _as_matrix(b0, 2, 2), _as_matrix(b1, 2, 2)
-    a = _det2(m0)
-    c = _det2(m1)
-    both = [[m0[i][j] + m1[i][j] for j in range(2)] for i in range(2)]
-    b = _det2(both) - a - c
-    if not a and not b and not c:
-        return "all", []
-    roots = []
-    if not a:
-        roots.append((ONE, ZERO))
-        if b:
-            roots.append((-c / b, ONE))
-    else:
-        disc = b * b - GQ(4) * a * c
-        s = gq_sqrt(disc)
-        if s is None:
-            return "unknown", []
-        two_a = GQ(2) * a
-        roots.append(((-b + s) / two_a, ONE))
-        if s:
-            roots.append(((-b - s) / two_a, ONE))
-    vectors = []
-    seen = set()
-    for t0, t1 in roots:
-        v = vadd(vscale(t0, b0), vscale(t1, b1))
-        if not is_zero_vector(v):
-            v = normalize_vector(v)
-            if v not in seen:
-                seen.add(v)
-                vectors.append(v)
-    return "roots", vectors
-
-
-def box_verdict_by_roots(subspace) -> str:
-    """'in-box', 'not-in-box' or 'unknown' for a subspace of C^2 (x) C^2:
-    a line or hyperplane by the rank of the one line among it and its
-    perp, a plane and its perp each by the Q(i) rank-one lines of its
-    pencil, 'unknown' when those need roots outside Q(i)."""
-    d = subspace.dim
-    if d in (0, 4):
-        return "in-box"
-    if d != 2:
-        line = subspace if d == 1 else subspace.perp()
-        return "not-in-box" if _det2(_as_matrix(line.basis[0], 2, 2)) else "in-box"
-    sides = []
-    for plane in (subspace, subspace.perp()):
-        status, vectors = pencil_rank1_status(*plane.basis)
-        if status == "roots" and len(vectors) < 2:
-            return "not-in-box"
-        sides.append(status)
-    return "unknown" if "unknown" in sides else "in-box"
-
-
-def _complex_entries(v) -> list[complex]:
-    return [complex(float(z.re), float(z.im)) for z in v]
-
-
-def two_rank_one_members_by_cmath(plane) -> bool:
-    """Whether a plane of C^2 (x) C^2 holds two linearly independent
-    rank-one members, found in floating point: the roots (t0, t1) of
-    det(t0 B0 + t1 B1) by the quadratic formula in ``cmath``, each member
-    t0 B0 + t1 B1 checked to have a negligible determinant and the two
-    checked independent by their largest 2x2 coordinate minor."""
-    if plane.ambient != 4 or plane.dim != 2:
-        raise ValueError("need a plane of the 2x2 tensor square")
-    b0, b1 = (_complex_entries(v) for v in plane.basis)
-    a = b0[0] * b0[3] - b0[1] * b0[2]
-    c = b1[0] * b1[3] - b1[1] * b1[2]
-    b = b0[0] * b1[3] + b1[0] * b0[3] - b0[1] * b1[2] - b1[1] * b0[2]
-    eps = 1e-9
-    if max(abs(a), abs(b), abs(c)) < eps:
-        roots = [(1, 0), (0, 1)]
-    elif abs(a) < eps:
-        roots = [(1, 0)] + ([(-c / b, 1)] if abs(b) >= eps else [])
-    else:
-        s = cmath.sqrt(b * b - 4 * a * c)
-        roots = [((-b + s) / (2 * a), 1), ((-b - s) / (2 * a), 1)]
-    members = [[t0 * x + t1 * y for x, y in zip(b0, b1)] for t0, t1 in roots]
-    for v in members:
-        size = max(abs(x) for x in v)
-        if size < eps or abs(v[0] * v[3] - v[1] * v[2]) > eps * size * size:
-            return False
-    if len(members) < 2:
-        return False
-    u, w = members
-    minor = max(abs(u[i] * w[j] - u[j] * w[i]) for i, j in itertools.combinations(range(4), 2))
-    return minor > 1e-6 * max(map(abs, u)) * max(map(abs, w))
-
-
-def pencil_members_exactly_two_by_minors(a, b, m: int, n: int) -> bool:
-    """Exactly two product lines in the span of two product vectors, by
-    the determinant of each 2x2 minor of both generators and of their sum."""
-    ma = _as_matrix(a.product_vector(), m, n)
-    mb = _as_matrix(b.product_vector(), m, n)
-    mixed_nonzero = False
-    for r0, r1 in itertools.combinations(range(m), 2):
-        for c0, c1 in itertools.combinations(range(n), 2):
-            suba = [[ma[r0][c0], ma[r0][c1]], [ma[r1][c0], ma[r1][c1]]]
-            subb = [[mb[r0][c0], mb[r0][c1]], [mb[r1][c0], mb[r1][c1]]]
-            if _det2(suba) or _det2(subb):
-                return False  # a generator is not a product vector
-            both = [[suba[i][j] + subb[i][j] for j in range(2)] for i in range(2)]
-            if _det2(both):
-                mixed_nonzero = True
-    return mixed_nonzero
-
-
 @dataclass(frozen=True)
 class FractionGQ:
     """A Gaussian rational a + bi with exact rational parts."""
@@ -936,6 +711,293 @@ def as_fraction_gq(z) -> FractionGQ:
     return FractionGQ(z.re, z.im)
 
 
+def as_gq(z) -> GQ:
+    return GQ(z.re, z.im)
+
+
+def fraction_vector(v) -> tuple[FractionGQ, ...]:
+    return tuple(map(as_fraction_gq, v))
+
+
+def fraction_tensor(x, y) -> tuple[FractionGQ, ...]:
+    """The product vector of two ``FractionGQ`` vectors, index (i, j) -> i * len(y) + j."""
+    return tuple(a * b for a in x for b in y)
+
+
+def fraction_inner(x, y) -> FractionGQ:
+    """The Hermitian inner product of two vectors, conjugate-linear in the
+    first slot, over ``FractionGQ``."""
+    return sum((a.conj() * b for a, b in zip(fraction_vector(x), fraction_vector(y))),
+               FRACTION_ZERO)
+
+
+def conj_vector(v) -> tuple[GQ, ...]:
+    """The entrywise conjugate of a ``GQ`` vector."""
+    return tuple(GQ(a.re, -a.im) for a in v)
+
+
+def fraction_normalize(x) -> tuple[FractionGQ, ...]:
+    """A nonzero ``FractionGQ`` vector scaled so its first nonzero entry is 1."""
+    lead = next(a for a in x if a)
+    return tuple((FRACTION_ONE / lead) * a for a in x)
+
+
+def contains_by_rref(subspace, v) -> bool:
+    """Membership as a rank test on the basis plus v, by ``fraction_rref``."""
+    red, _ = fraction_rref([list(map(as_fraction_gq, r)) for r in subspace.basis + (v,)])
+    return len(red) == subspace.dim
+
+
+def kernel_by_rref(rows, width: int) -> list:
+    """Canonical basis of {x | rows . x = 0}, by ``fraction_rref``."""
+    red, pivots = fraction_rref([list(map(as_fraction_gq, r)) for r in rows])
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [FRACTION_ZERO] * width
+        v[f] = FRACTION_ONE
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    canon, _ = fraction_rref(basis)
+    return [tuple(GQ(a.re, a.im) for a in row) for row in canon]
+
+
+def perp_by_kernel(subspace):
+    """Orthocomplement as the kernel of the conjugated basis."""
+    ambient = subspace.ambient
+    if subspace.dim == 0:
+        return Subspace(ambient, [basis_vector(ambient, k) for k in range(ambient)])
+    rows = [[a.conj() for a in fraction_vector(b)] for b in subspace.basis]
+    return Subspace(ambient, kernel_by_rref(rows, ambient))
+
+
+_ROT = ((FRACTION_ZERO, -FRACTION_ONE), (FRACTION_ONE, FRACTION_ZERO))
+_UNITS = ((FRACTION_ONE, FRACTION_ZERO), (FRACTION_ZERO, FRACTION_ONE))
+
+
+def hyperplane_spanned_by_products(subspace) -> bool:
+    """Whether a hyperplane of C^2 (x) C^2 is the span of product vectors
+    it contains, by construction.  Its product vectors are the curve
+    t -> t (x) Bt for B = rot . conj(A), A the transposed 2x2 matrix of the
+    perp generator: the polarization triple t = e0, e1, e0 + e1, plus the
+    slice ker(B) (x) C^2 when B has rank one."""
+    if subspace.ambient != 4 or subspace.dim != 3:
+        raise ValueError("need a hyperplane of the 2x2 tensor square")
+    w = fraction_vector(subspace.perp().basis[0])
+    a_mat = [[w[i * 2 + j] for i in range(2)] for j in range(2)]
+    bmat = [[sum((_ROT[r][k] * a_mat[k][c].conj() for k in range(2)), FRACTION_ZERO)
+             for c in range(2)] for r in range(2)]
+
+    def apply_b(lam):
+        return tuple(sum((bmat[r][k] * lam[k] for k in range(2)), FRACTION_ZERO)
+                     for r in range(2))
+
+    collected = []
+    if not _det2(bmat):
+        if bmat[0][0] or bmat[0][1]:
+            ker = (bmat[0][1], -bmat[0][0])
+        else:
+            ker = (bmat[1][1], -bmat[1][0])
+        if any(ker):
+            collected.extend(fraction_tensor(ker, unit) for unit in _UNITS)
+    for lam in (*_UNITS, (FRACTION_ONE, FRACTION_ONE)):
+        blam = apply_b(lam)
+        if any(blam):
+            collected.append(fraction_tensor(lam, blam))
+    return Subspace(4, [tuple(map(as_gq, v)) for v in collected]) == subspace
+
+
+def sqrt_fraction(x: Fraction) -> Optional[Fraction]:
+    """Exact nonnegative square root in Q, or None."""
+    if x < 0:
+        return None
+    if x == 0:
+        return Fraction(0)
+    ns = math.isqrt(x.numerator)
+    ds = math.isqrt(x.denominator)
+    if ns * ns == x.numerator and ds * ds == x.denominator:
+        return Fraction(ns, ds)
+    return None
+
+
+def gq_sqrt(z) -> Optional[FractionGQ]:
+    """Exact square root in Q(i) of a ``GQ`` or ``FractionGQ``, as a
+    ``FractionGQ``, or None when z is not a square there."""
+    z = as_fraction_gq(z)
+    if not z:
+        return FRACTION_ZERO
+    if not z.im:
+        r = sqrt_fraction(z.re)
+        if r is not None:
+            return FractionGQ(r, Fraction(0))
+        r = sqrt_fraction(-z.re)
+        if r is not None:
+            return FractionGQ(Fraction(0), r)
+        return None
+    n = sqrt_fraction(z.re * z.re + z.im * z.im)
+    if n is None:
+        return None
+    half = Fraction(1, 2)
+    u2 = (z.re + n) * half
+    u = sqrt_fraction(u2)
+    if u is None or u == 0:
+        return None
+    w = z.im / (2 * u)
+    cand = FractionGQ(u, w)
+    if cand * cand == z:
+        return cand
+    return None
+
+
+def _as_matrix(v, m: int, n: int):
+    return [[v[i * n + j] for j in range(n)] for i in range(m)]
+
+
+def _det2(a):
+    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+
+
+_TWO = FractionGQ(Fraction(2), Fraction(0))
+_FOUR = FractionGQ(Fraction(4), Fraction(0))
+
+
+def _pencil_form(b0, b1):
+    """The coefficients (a, b, c) of det(t0 M0 + t1 M1) = a t0^2 + b t0 t1 + c t1^2
+    for the 2x2 matrices of two vectors of C^2 (x) C^2, as ``FractionGQ``:
+    a = det M0, c = det M1 and b = det(M0 + M1) - a - c."""
+    m0, m1 = (_as_matrix(fraction_vector(v), 2, 2) for v in (b0, b1))
+    a, c = _det2(m0), _det2(m1)
+    both = [[x + y for x, y in zip(r0, r1)] for r0, r1 in zip(m0, m1)]
+    return a, _det2(both) - a - c, c
+
+
+def pencil_rank1_status(b0, b1):
+    """Rank-one vectors in a 2-dim pencil of 2x2 matrices.
+
+    Returns ('all', []) when every pencil vector has rank <= 1,
+    ('roots', vectors) with the exact rank-one lines otherwise, as
+    ``FractionGQ`` vectors with a leading 1, or ('unknown', []) when the
+    root field leaves Q(i).
+    """
+    a, b, c = _pencil_form(b0, b1)
+    if not a and not b and not c:
+        return "all", []
+    roots = []
+    if not a:
+        roots.append((FRACTION_ONE, FRACTION_ZERO))
+        if b:
+            roots.append((-c / b, FRACTION_ONE))
+    else:
+        s = gq_sqrt(b * b - _FOUR * a * c)
+        if s is None:
+            return "unknown", []
+        two_a = _TWO * a
+        roots.append(((-b + s) / two_a, FRACTION_ONE))
+        if s:
+            roots.append(((-b - s) / two_a, FRACTION_ONE))
+    vectors = []
+    b0, b1 = fraction_vector(b0), fraction_vector(b1)
+    for t0, t1 in roots:
+        v = tuple(t0 * x + t1 * y for x, y in zip(b0, b1))
+        if any(v) and fraction_normalize(v) not in vectors:
+            vectors.append(fraction_normalize(v))
+    return "roots", vectors
+
+
+def _spanned_by_pencil(v) -> bool:
+    if v.dim == 1:
+        return not _det2(_as_matrix(fraction_vector(v.basis[0]), 2, 2))
+    if v.dim != 2:
+        return True
+    a, b, c = _pencil_form(*v.basis)
+    return not (a or b or c) or bool(b * b - _FOUR * a * c)
+
+
+def box_verdict_by_roots(subspace) -> str:
+    """'in-box', 'not-in-box' or 'unknown' for a subspace of C^2 (x) C^2:
+    a line or hyperplane by the rank of the one line among it and its
+    perp, a plane and its perp each by the Q(i) rank-one lines of its
+    pencil, 'unknown' when those need roots outside Q(i)."""
+    d = subspace.dim
+    if d in (0, 4):
+        return "in-box"
+    if d != 2:
+        line = subspace if d == 1 else subspace.perp()
+        m = _as_matrix(fraction_vector(line.basis[0]), 2, 2)
+        return "not-in-box" if _det2(m) else "in-box"
+    sides = []
+    for plane in (subspace, subspace.perp()):
+        status, vectors = pencil_rank1_status(*plane.basis)
+        if status == "roots" and len(vectors) < 2:
+            return "not-in-box"
+        sides.append(status)
+    return "unknown" if "unknown" in sides else "in-box"
+
+
+def box_verdict_by_pencil(subspace) -> str:
+    """'in-box' or 'not-in-box' for a subspace of C^2 (x) C^2, by the
+    discriminant rule on the ``FractionGQ`` entries of the unit-pivot
+    basis of it and of its perp: a line's determinant, and a plane's
+    pencil form (a, b, c) with b^2 - 4ac, each formed in Q(i)."""
+    spanned = _spanned_by_pencil(subspace) and _spanned_by_pencil(subspace.perp())
+    return "in-box" if spanned else "not-in-box"
+
+
+def _complex_entries(v) -> list[complex]:
+    return [complex(float(z.re), float(z.im)) for z in v]
+
+
+def two_rank_one_members_by_cmath(plane) -> bool:
+    """Whether a plane of C^2 (x) C^2 holds two linearly independent
+    rank-one members, found in floating point: the roots (t0, t1) of
+    det(t0 B0 + t1 B1) by the quadratic formula in ``cmath``, each member
+    t0 B0 + t1 B1 checked to have a negligible determinant and the two
+    checked independent by their largest 2x2 coordinate minor."""
+    if plane.ambient != 4 or plane.dim != 2:
+        raise ValueError("need a plane of the 2x2 tensor square")
+    b0, b1 = (_complex_entries(v) for v in plane.basis)
+    a = b0[0] * b0[3] - b0[1] * b0[2]
+    c = b1[0] * b1[3] - b1[1] * b1[2]
+    b = b0[0] * b1[3] + b1[0] * b0[3] - b0[1] * b1[2] - b1[1] * b0[2]
+    eps = 1e-9
+    if max(abs(a), abs(b), abs(c)) < eps:
+        roots = [(1, 0), (0, 1)]
+    elif abs(a) < eps:
+        roots = [(1, 0)] + ([(-c / b, 1)] if abs(b) >= eps else [])
+    else:
+        s = cmath.sqrt(b * b - 4 * a * c)
+        roots = [((-b + s) / (2 * a), 1), ((-b - s) / (2 * a), 1)]
+    members = [[t0 * x + t1 * y for x, y in zip(b0, b1)] for t0, t1 in roots]
+    for v in members:
+        size = max(abs(x) for x in v)
+        if size < eps or abs(v[0] * v[3] - v[1] * v[2]) > eps * size * size:
+            return False
+    if len(members) < 2:
+        return False
+    u, w = members
+    minor = max(abs(u[i] * w[j] - u[j] * w[i]) for i, j in itertools.combinations(range(4), 2))
+    return minor > 1e-6 * max(map(abs, u)) * max(map(abs, w))
+
+
+def pencil_members_exactly_two_by_minors(a, b, m: int, n: int) -> bool:
+    """Exactly two product lines in the span of two product vectors, by
+    the determinant of each 2x2 minor of both generators and of their sum."""
+    ma = _as_matrix(fraction_vector(a.product_vector()), m, n)
+    mb = _as_matrix(fraction_vector(b.product_vector()), m, n)
+    mixed_nonzero = False
+    for r0, r1 in itertools.combinations(range(m), 2):
+        for c0, c1 in itertools.combinations(range(n), 2):
+            suba = [[ma[r0][c0], ma[r0][c1]], [ma[r1][c0], ma[r1][c1]]]
+            subb = [[mb[r0][c0], mb[r0][c1]], [mb[r1][c0], mb[r1][c1]]]
+            if _det2(suba) or _det2(subb):
+                return False  # a generator is not a product vector
+            both = [[suba[i][j] + subb[i][j] for j in range(2)] for i in range(2)]
+            if _det2(both):
+                mixed_nonzero = True
+    return mixed_nonzero
+
+
 def fraction_rref(rows):
     """``hilbert.rref`` over ``FractionGQ`` entries."""
     m = [list(r) for r in rows]
@@ -982,11 +1044,7 @@ def fraction_random_vector(rng, dim: int):
 
 def fraction_random_pair(rng, m: int, n: int):
     """The two scale-canonical vectors ``hilbert.random_pair`` draws."""
-    def normalize(x):
-        lead = next(a for a in x if a)
-        return tuple((FRACTION_ONE / lead) * a for a in x)
-
-    return normalize(fraction_random_vector(rng, m)), normalize(fraction_random_vector(rng, n))
+    return tuple(fraction_normalize(fraction_random_vector(rng, k)) for k in (m, n))
 
 
 def fraction_random_subspace(rng, ambient: int):

@@ -39,6 +39,8 @@ from weaktensor import (
     validate_orthomap,
 )
 from weaktensor.hilbert import (
+    ONE,
+    ZERO,
     BoxVerdict,
     Subspace,
     basis_vector,
@@ -50,7 +52,6 @@ from weaktensor.hilbert import (
     random_subspace,
     sigma_membership,
     tensor,
-    vadd,
     verify_point_biorthogonality,
 )
 from weaktensor.props import (
@@ -327,8 +328,7 @@ def test_a11_exact_tensor_subspace_suite():
     # (d) box-membership verdicts on the three fixed subspaces
     e = basis_vector
     spread = Subspace(4, [tensor(e(2, 0), e(2, 0)), tensor(e(2, 1), e(2, 1))])
-    diagonal = Subspace(4, [vadd(tensor(e(2, 0), e(2, 0)),
-                                 tensor(e(2, 1), e(2, 1)))])
+    diagonal = Subspace(4, [(ONE, ZERO, ZERO, ONE)])  # e0 (x) e0 + e1 (x) e1
     slice_ = Subspace(4, [tensor(e(2, 0), e(2, 0)), tensor(e(2, 0), e(2, 1))])
     assert box_membership_test(spread) is BoxVerdict.IN_BOX
     assert box_membership_test(diagonal) is BoxVerdict.NOT_IN_BOX

@@ -47,23 +47,31 @@ def test_the_exports_are_the_pinned_list():
 HILBERT_NAMES = [
     "AntilinearMap", "BoxVerdict", "DualCoveringReport", "GQ", "MAX_FACTOR_DIM", "Matrix",
     "ONE", "ProductAtomPair", "Subspace", "Vector", "ZERO", "basis_vector", "box_membership_test",
-    "coatom_from_antilinear", "dual_covering_counterexample", "inner",
-    "is_zero_vector", "join_atoms", "normalize_vector",
+    "coatom_from_antilinear", "dual_covering_counterexample", "join_atoms", "normalize_vector",
     "random_antilinear", "random_gq", "random_pair", "random_subspace", "random_vector", "rref",
-    "sharp_point", "sigma_membership", "tensor", "vadd", "vconj",
-    "verify_point_biorthogonality", "vscale",
+    "sharp_point", "sigma_membership", "tensor", "verify_point_biorthogonality",
 ]
+
+# a GQ is a value with no arithmetic, and a map is its matrix: the exact
+# layer computes on integer rows only
+GQ_MEMBERS = ["__bool__", "__delattr__", "__eq__", "__hash__", "__init__", "__reduce__",
+              "__repr__", "__setattr__", "__str__", "im", "re", "render"]
+ANTILINEAR_MAP_MEMBERS = ["__init__", "cols", "is_zero", "rows"]
 
 
 def test_the_hilbert_names_are_the_pinned_list():
     # the names the module binds at top level, not the ones it imports
-    defined = []
+    defined, members = [], {}
     for node in ast.parse(inspect.getsource(hilbert)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.append(node.name)
         elif isinstance(node, ast.Assign):
             defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            members[node.name] = sorted(n.name for n in node.body if isinstance(n, ast.FunctionDef))
     assert sorted(name for name in defined if not name.startswith("_")) == HILBERT_NAMES
+    assert members["GQ"] == GQ_MEMBERS
+    assert members["AntilinearMap"] == ANTILINEAR_MAP_MEMBERS
 
 
 def test_the_box_verdicts_are_the_pinned_members():
@@ -91,8 +99,6 @@ HILBERT_PARAMETERS = {
     "box_membership_test": ("subspace",),
     "coatom_from_antilinear": ("a_map",),
     "dual_covering_counterexample": ("m", "n"),
-    "inner": ("x", "y"),
-    "is_zero_vector": ("x",),
     "join_atoms": ("pairs",),
     "normalize_vector": ("x",),
     "random_antilinear": ("rng", "m", "n"),
@@ -104,10 +110,7 @@ HILBERT_PARAMETERS = {
     "sharp_point": ("pair",),
     "sigma_membership": ("subspace", "pair"),
     "tensor": ("p1", "p2"),
-    "vadd": ("x", "y"),
-    "vconj": ("x",),
     "verify_point_biorthogonality": ("pair",),
-    "vscale": ("c", "x"),
 }
 
 
@@ -217,9 +220,9 @@ RECORDS = {
               "Suite(name='demo', checks=(CheckSpec(check='covering', targets=('mo:3',), "
               "args={}, expect=None),))"),
     # the echelon form of the rows, whatever their scale and repeats
-    "Subspace": (lambda: hilbert.Subspace(2, [E1, hilbert.vscale(hilbert.GQ(3), E1)]),
+    "Subspace": (lambda: hilbert.Subspace(2, [E1, (hilbert.ZERO, hilbert.GQ(3))]),
                  f"Subspace(ambient=2, basis=(({GQ0}, {GQ1}),))"),
-    "ProductAtomPair": (lambda: hilbert.ProductAtomPair(hilbert.vscale(hilbert.GQ(0, 2), E0), E1),
+    "ProductAtomPair": (lambda: hilbert.ProductAtomPair((hilbert.GQ(0, 2), hilbert.ZERO), E1),
                         f"ProductAtomPair(p1=({GQ1}, {GQ0}), p2=({GQ0}, {GQ1}))"),
     "AntilinearMap": (lambda: hilbert.AntilinearMap(((hilbert.ONE, hilbert.ZERO),)),
                       f"AntilinearMap(matrix=(({GQ1}, {GQ0}),))"),

@@ -416,6 +416,14 @@ def test_mo_is_weakly_connected(mo3, mo4):
         assert validate_connected_covering(s, cov)
 
 
+@pytest.mark.parametrize("block", [-3, 1.5, 1 << 3 | 3])
+def test_connected_covering_refuses_a_block_that_is_no_point_set(block):
+    # -3 once ran forever: bits(-3) never ends, and combinations reads all of it
+    # 1 << 3 | 3 holds a point past the three of MO3
+    with pytest.raises(ValueError, match=f"^block {block!r} is not a point set of this space$"):
+        validate_connected_covering(mo_space(3), ConnectedCovering(blocks=(block,)))
+
+
 def test_powerset_is_not_weakly_connected():
     res = is_weakly_connected(powerset_space(3))
     assert isinstance(res, NotWeaklyConnected)

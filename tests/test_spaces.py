@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,17 @@ def test_constructor_stops_on_a_family_with_a_huge_closure():
 def test_family_outside_the_universe_rejected():
     with pytest.raises(ValueError, match="outside the universe"):
         ClosureSpace("ab", [0, 1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("member", [3.0, 1.5, "3", None])
+def test_constructors_refuse_a_member_that_is_no_int(member):
+    # ClosureSpace('ab', [0, 1, 2, 3.0]) once built, and its lattice text,
+    # covering check and box product each raised a bare TypeError
+    shown = re.escape(repr(member))
+    with pytest.raises(ValueError, match=rf"^member {shown} is not a point set of this space$"):
+        ClosureSpace("ab", [0, 1, 2, member])
+    with pytest.raises(ValueError, match=rf"^subset {shown} is not a point set of this space$"):
+        ClosureSpace.from_closed_sets("abc", [member])
 
 
 def test_empty_point_list_rejected():
