@@ -43,16 +43,18 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _parse_tuples(universe: products.ProductUniverse, text: str) -> int:
+    """The mask of the ``;``-separated tuples, each a product point label
+    with any spaces around its commas."""
+    index = {label: pid for pid, label in enumerate(universe.points)}
     mask = 0
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        labels = [p.strip() for p in chunk.split(",")]
-        try:
-            mask |= 1 << universe.encode_labels(labels)
-        except ValueError as exc:
-            raise InputError(f"bad tuple {chunk!r}: {exc}") from None
+        label = ",".join(p.strip() for p in chunk.split(","))
+        if label not in index:
+            raise InputError(f"unknown tuple {chunk!r}")
+        mask |= 1 << index[label]
     if mask == 0:
         raise InputError("no tuples given")
     return mask

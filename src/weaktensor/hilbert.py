@@ -38,18 +38,19 @@ from .spaces import CheckedRecord
 MAX_FACTOR_DIM = 3
 
 
-class GQ:
+class GQ(CheckedRecord):
     """A Gaussian rational (a + b*i) / d held as three Python ints.
 
     Invariant: d > 0 and gcd(a, b, d) = 1, so each value has exactly one
-    triple and equality is equality of triples.  A ``GQ`` is a value
-    only: it has no arithmetic, which the module does on integer rows.
-    ``re`` and ``im`` read it back as ``Fraction``.  A part that is no
-    int or ``Fraction`` (a float or a bool, say) is a ValueError.
-    Instances are immutable.
+    triple.  A ``GQ`` is a value only: it has no arithmetic, which the
+    module does on integer rows.  ``re`` and ``im`` read it back as
+    ``Fraction``, and it is compared, hashed, shown and pickled by them.
+    A part that is no int or ``Fraction`` (a float or a bool, say) is a
+    ValueError.
     """
 
     __slots__ = ("_a", "_b", "_d")
+    _fields = ("re", "im")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         for part in (re, im):
@@ -63,12 +64,6 @@ class GQ:
         _set_b(self, im.numerator * (d // im.denominator))
         _set_d(self, d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GQ is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GQ is immutable")
-
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -79,20 +74,6 @@ class GQ:
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GQ):
-            return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
-
-    def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
-
-    def __repr__(self) -> str:
-        return f"GQ(re={self.re!r}, im={self.im!r})"
-
-    def __reduce__(self):
-        return GQ, (self.re, self.im)
 
     def render(self) -> str:
         if not self._b:
@@ -146,11 +127,6 @@ def basis_vector(n: int, k: int) -> Vector:
     if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < n:
         raise ValueError(f"index must be an integer in 0..{n - 1}, got {k!r}")
     return tuple(ONE if j == k else ZERO for j in range(n))
-
-
-def normalize_vector(x: Vector) -> Vector:
-    """Scale so the first nonzero coordinate is 1; canonical for lines."""
-    return _line(_ints(x, len(x))[0]).basis[0]
 
 
 def tensor(p1: Vector, p2: Vector) -> Vector:
@@ -223,19 +199,6 @@ def _echelon(rows: Sequence[_Row]) -> tuple[list[_Row], list[int], int]:
             for (re, im), p in zip(rows, pivots)], pivots, d
 
 
-def rref(rows: Sequence[Vector]) -> tuple[list[list[GQ]], list[int]]:
-    """Reduced row echelon form with unit pivots; returns (rows, pivot cols).
-
-    Zero rows are dropped, so the output is the canonical basis of the
-    row space: the basis of their ``Subspace``.
-    """
-    rows = list(rows)
-    if not rows:
-        return [], []
-    s = Subspace(len(rows[0]), rows)
-    return list(map(list, s.basis)), list(s.pivots)
-
-
 # -- subspaces ---------------------------------------------------------------
 
 class Subspace(CheckedRecord):
@@ -287,14 +250,6 @@ class Subspace(CheckedRecord):
                 re[f], im[f] = a, b
         return re, im
 
-    def residual(self, v: Vector) -> Vector:
-        """v less v[p] times the row of each pivot p; zero iff v lies in the subspace."""
-        x, d = _ints(v, self.ambient)
-        return _gqs(self._residual(x), self._d * d)
-
-    def contains(self, v: Vector) -> bool:
-        return not any(map(any, self._residual(_ints(v, self.ambient)[0])))
-
     def _perp_rows(self) -> list[_Row]:
         """Rows spanning the orthocomplement: free column f gives
         d*e_f - sum_p conj(row_p[f]) e_p (the unit rows, for the zero space)."""
@@ -341,9 +296,9 @@ def _line(row: _Row) -> Subspace:
 
 class ProductAtomPair(CheckedRecord):
     """A pair of projective points, each line scaled so that its first
-    nonzero coordinate is 1 (see ``normalize_vector``).  The lines are held
-    as nonzero integer rows of any scale; ``p1`` and ``p2`` are each line's
-    ``Subspace`` basis vector, made on each read."""
+    nonzero coordinate is 1, the canonical vector of a line.  The lines are
+    held as nonzero integer rows of any scale; ``p1`` and ``p2`` are each
+    line's ``Subspace`` basis vector, made on each read."""
 
     __slots__ = ("_rows",)
     _fields = ("p1", "p2")
@@ -626,11 +581,6 @@ def random_gq(rng: Random) -> GQ:
     c = rng.choice
     re = c(_NUMERATORS) * c(_SCALES)
     return _reduced(re, c(_NUMERATORS) * c(_SCALES), _DENOMINATOR)
-
-
-def random_vector(rng: Random, dim: int) -> Vector:
-    """A nonzero vector of ``dim`` >= 1 random entries."""
-    return _gqs(_draw(rng, dim), _DENOMINATOR)
 
 
 def random_pair(rng: Random, m: int, n: int) -> ProductAtomPair:

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .props import OrthoMap, orthomap_violation
 from .spaces import (
     FAMILY_CAP, MAX_POINTS, ClosureSpace, bits, image, intersection_closure, require_int,
-    require_permutation, unchecked_space,
+    require_permutation, require_points, unchecked_space,
 )
 
 
@@ -40,6 +40,9 @@ class ProductUniverse:
         self.strides = tuple(math.prod(self.sizes[beta + 1:]) for beta in range(len(factors)))
         self.points = tuple(",".join(f.points[c] for f, c in zip(factors, coords))
                             for coords in self.coords)
+        # a factor label with a comma can make two tuples one label
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("point labels must be unique")
         # mask of all flat ids whose beta-th coordinate is q
         self.coordinate_masks = tuple(
             tuple(sum(1 << pid for pid, c in enumerate(self.coords) if c[beta] == q)
@@ -68,24 +71,6 @@ class ProductUniverse:
             raise ValueError(f"expected {len(self.sizes)} coordinates, got {len(coords)}")
         return sum(self._coordinate(beta, c) * stride
                    for beta, (c, stride) in enumerate(zip(coords, self.strides)))
-
-    def decode(self, pid: int) -> tuple[int, ...]:
-        """The coordinates of a flat id; an id that is no int raises
-        ValueError, and one outside the universe IndexError."""
-        if not 0 <= require_int(pid, "point id") < self.n_points:
-            raise IndexError(f"point id {pid} is outside the universe")
-        return self.coords[pid]
-
-    def encode_labels(self, labels: Sequence[str]) -> int:
-        if len(labels) != len(self.factors):
-            raise ValueError(f"expected {len(self.factors)} coordinates, got {len(labels)}")
-        return self.encode([f.mask_of([lbl]).bit_length() - 1
-                            for f, lbl in zip(self.factors, labels)])
-
-    def replace(self, pid: int, beta: int, q: int) -> int:
-        """p[q, beta]: replace the beta-th coordinate of the point."""
-        _check_factor_index(self, beta)
-        return pid + (self._coordinate(beta, q) - self.decode(pid)[beta]) * self.strides[beta]
 
     def _coordinate(self, beta: int, q: int) -> int:
         if not 0 <= require_int(q, "coordinate") < self.sizes[beta]:
@@ -189,7 +174,7 @@ def fraser_join(universe: ProductUniverse, region: int) -> int:
 def in_fraser(universe: ProductUniverse, region: int) -> bool:
     """Membership in the Fraser product: every section closed in its factor."""
     _check_region(universe, region)
-    return all(factor.is_closed(image(region & fiber, coordinate_bits))
+    return all(image(region & fiber, coordinate_bits) in factor
                for factor, fibers, coordinate_bits
                in zip(universe.factors, universe.fibers, universe.coordinate_bits)
                for fiber in fibers)
@@ -365,7 +350,7 @@ def check_p1_p2_p3(candidate: ClosureSpace, universe: ProductUniverse
     closed; and every closed set confined to a single fiber must project
     to a closed set of its factor.  Returns the first violation, or None.
     """
-    if candidate.n_points != universe.n_points or candidate.points != universe.points:
+    if candidate.points != universe.points:
         return AxiomViolation("P1", "points are not the product of the factor points")
     for cyl in universe.cylinders:
         if cyl not in candidate:
@@ -379,7 +364,7 @@ def check_p1_p2_p3(candidate: ClosureSpace, universe: ProductUniverse
                 # region lies in the first, where its empty section is closed
                 if region & ~fiber == 0:
                     sec = image(region & fiber, coordinate_bits)
-                    if not factor.is_closed(sec):
+                    if sec not in factor:
                         return AxiomViolation(
                             "P3", f"{universe.render_set(region)} projects to the non-closed "
                                   f"{factor.render_set(sec)} in factor {beta + 1}")
@@ -409,9 +394,11 @@ def check_p4(candidate: ClosureSpace, universe: ProductUniverse,
     maps that preserve the family compose, so every tuple in the groups
     generated per factor lifts iff these do; a lift, a bijection, keeps the
     family iff it keeps each meet-irreducible member.  Returns the first
-    failing one-generator tuple and least such member.  A permutation that
-    is no permutation of its factor's points is a ValueError.
+    failing one-generator tuple and least such member.  A universe over
+    other points than the candidate's, or a permutation that is no
+    permutation of its factor's points, is a ValueError.
     """
+    require_points(candidate, universe)
     _check_per_factor(universe, generators, "generator lists")
     for beta, gens in enumerate(generators):
         stride, size = universe.strides[beta], universe.sizes[beta]
@@ -473,8 +460,10 @@ def decompose_coatom(candidate: ClosureSpace, universe: ProductUniverse, coatom:
     ``free_factor``.  The decomposition extracts the free-factor element
     z with coatom = union of the pinned preimages and the preimage of z,
     and verifies z is a coatom of its factor.  A conformance failure is
-    reported rather than raised; a non-coatom argument is an error.
+    reported rather than raised; a non-coatom argument, or a universe over
+    other points than the candidate's, is an error.
     """
+    require_points(candidate, universe)
     _check_factor_index(universe, free_factor)
     if require_int(coatom, "coatom") not in candidate:
         raise ValueError("not an element of the candidate space")

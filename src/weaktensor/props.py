@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .spaces import ClosureSpace, CoverWitness, bits, image, require_int, require_permutation
+from .spaces import (
+    ClosureSpace, CoverWitness, bits, image, require_int, require_permutation, require_points,
+)
 
 DEFAULT_NODE_CAP = 10_000_000
 # Each complete assignment is checked once per element (about 20 ms at 4096 sets,
@@ -42,11 +44,6 @@ class OrthoMap(NamedTuple):
 
     space: ClosureSpace
     atoms: tuple[int, ...]
-
-    def image_mask(self, mask: int) -> int:
-        if not isinstance(mask, int) or mask not in self.space:
-            raise ValueError(f"{mask!r} is not an element of this space")
-        return _meet_of_images(self.atoms, mask, self.space.full_mask)
 
     def atom_table(self) -> list[tuple[int, int]]:
         return [(1 << i, c) for i, c in enumerate(self.atoms)]
@@ -381,11 +378,13 @@ def check_factorization(space: ClosureSpace, universe, perm: Sequence[int]
     Finds a bijection f of the factor indices and per-factor point
     bijections v_i with u(p)_{f(i)} = v_i(p_i) for every product point,
     each v_i an isomorphism onto its target factor.  Returns None when
-    no such factorization exists.  A ``perm`` that is no permutation of
-    the product's points is a ValueError.
+    no such factorization exists.  A ``universe`` over other points than
+    the space's, or a ``perm`` that is no permutation of them, is a
+    ValueError.
     """
     if universe is None:
         raise ValueError("no product structure registered for this space")
+    require_points(space, universe)
     perm = require_permutation(perm, universe.n_points, "product permutation")
     factors, sizes, coords = universe.factors, universe.sizes, universe.coords
     k = len(factors)

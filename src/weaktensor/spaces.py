@@ -211,18 +211,6 @@ class ClosureSpace:
     def __contains__(self, mask: object) -> bool:
         return mask in self._members
 
-    def is_closed(self, mask: int) -> bool:
-        return mask in self._members
-
-    def mask_of(self, labels: Iterable[str]) -> int:
-        m = 0
-        for lbl in labels:
-            try:
-                m |= 1 << self.points.index(lbl)
-            except ValueError:
-                raise ValueError(f"unknown point label {lbl!r}") from None
-        return m
-
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.points[i] for i in bits(mask))
 
@@ -540,21 +528,6 @@ class ClosureSpace:
         del first_leaf
         return _StabilizerChain(tuple(generators), tuple(reversed(transversals)))
 
-    # -- center -----------------------------------------------------------
-
-    def is_central(self, a: int) -> bool:
-        """Order-theoretic centrality: ``a`` is central iff its complement c is
-        closed and every union y | z of elements under ``a`` and c is closed, iff
-        every meet-irreducible member holds ``a`` or c: y | z = (y | c) & (a | z),
-        and the irreducibles through y that miss some of ``a`` all hold c | y."""
-        self._require_element(a)
-        ac = self.full_mask & ~a
-        return ac in self._members and all(
-            m & a == a or m & ac == ac for m in self.meet_irreducibles())
-
-    def center(self) -> list[int]:
-        return [m for m in self.masks if self.is_central(m)]
-
 
 def _orbit_reps(point: int, generators: Sequence[tuple[int, ...]], n: int
                 ) -> dict[int, tuple[int, ...]]:
@@ -609,6 +582,13 @@ def require_permutation(perm: Sequence[int], n: int, name: str) -> tuple[int, ..
     if len(perm) != n or set(perm) != set(range(n)) or set(map(type, perm)) != {int}:
         raise ValueError(f"{name} {perm!r} is not a permutation of {n} points")
     return perm
+
+
+def require_points(space: ClosureSpace, universe: "ProductUniverse") -> None:
+    """A ValueError unless ``universe`` indexes the points of ``space``,
+    P1's rule: a lift over other points than the space's means nothing."""
+    if space.points != universe.points:
+        raise ValueError("the space's points are not the points of the product universe")
 
 
 def _checked_points(points: Sequence[str]) -> tuple[str, ...]:

@@ -391,7 +391,7 @@ def _single_nonboolean_equality(*factors, args, rng):
     beta = nonbool[0] if nonbool else 0
     factor, coordinate_bits = universe.factors[beta], universe.coordinate_bits[beta]
     explicit = {region for region in range(1 << universe.n_points)
-                if all(factor.is_closed(image(region & fiber, coordinate_bits))
+                if all(image(region & fiber, coordinate_bits) in factor
                        for fiber in universe.fibers[beta])}
     if set(box.masks) == set(fraser.masks) == explicit:
         return "pass", f"three-way equality, {len(explicit)} closed sets"

@@ -47,8 +47,8 @@ is the only scalar arithmetic here: a ``GQ`` is a value with no
 arithmetic, so every Hilbert oracle computes over ``FractionGQ``.
 So are the checks that the meet-irreducible members replaced: P4 on
 every member's lifted image, coatomisticity by a closure over the
-coatoms scanning every member, centrality by the product split of every
-pair of members, and the complement law by closing each a | a'.  So is
+coatoms scanning every member, and the complement law by closing each
+a | a'.  So is
 the dual covering scan that closed x | a for each coatom x and member a,
 which the bit test a & ~x replaced.
 """
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from weaktensor.hilbert import GQ, Subspace, basis_vector
+from weaktensor.hilbert import GQ, Subspace, basis_vector, random_gq
 from weaktensor.props import (
     DEFAULT_NODE_CAP, SEARCH_SET_CAP, CoveringFailure, ExhaustionCertificate, OrthoMap,
     SearchBudgetExceeded,
@@ -125,7 +125,7 @@ def brute_cover_check(space, a: int, b: int) -> bool:
     for c in range(1 << space.n_points):
         if c in (a, b):
             continue
-        if a & ~c == 0 and c & ~b == 0 and space.is_closed(c):
+        if a & ~c == 0 and c & ~b == 0 and c in space:
             return False
     return True
 
@@ -147,11 +147,19 @@ def decode(universe, pid: int):
     return tuple(reversed(out))
 
 
+def replace(universe, pid: int, beta: int, q: int) -> int:
+    """p[q, beta]: the flat id of the point with its beta-th coordinate
+    replaced by q, re-encoded over the strides."""
+    coords = list(decode(universe, pid))
+    coords[beta] = q
+    return sum(c * s for c, s in zip(coords, universe.strides))
+
+
 def section(universe, region: int, beta: int, pid: int) -> int:
     """The beta-section of a region through a point, as a factor mask:
     {q in the beta-th factor | p[q, beta] in region}."""
     return sum(1 << q for q in range(universe.sizes[beta])
-               if region >> universe.replace(pid, beta, q) & 1)
+               if region >> replace(universe, pid, beta, q) & 1)
 
 
 def in_xi(universe, region: int) -> bool:
@@ -212,7 +220,7 @@ def fraser_family_oracle(universe) -> set[int]:
             for q, flat in enumerate(line):
                 if region >> flat & 1:
                     sec |= 1 << q
-            if not factor.is_closed(sec):
+            if sec not in factor:
                 break
         else:
             out.add(region)
@@ -230,12 +238,12 @@ def fraser_by_laying(factors) -> ClosureSpace:
               for beta in range(len(factors))]
     counts = [len(f) ** len(s) for f, s in zip(universe.factors, starts)]
     axis = min(range(len(factors)), key=lambda b: (counts[b], -b))
-    regions = (sum(1 << universe.replace(pid, axis, q) for sec, pid in zip(choice, starts[axis])
+    regions = (sum(1 << replace(universe, pid, axis, q) for sec, pid in zip(choice, starts[axis])
                    for q in bits(sec))
                for choice in itertools.product(universe.factors[axis].masks,
                                                repeat=len(starts[axis])))
     family = [region for region in regions
-              if all(f.is_closed(section(universe, region, beta, pid))
+              if all(section(universe, region, beta, pid) in f
                      for beta, f in enumerate(universe.factors) for pid in starts[beta])]
     return ClosureSpace.from_closed_sets(universe.points, family, product=universe)
 
@@ -404,7 +412,7 @@ def p4_over_every_member(candidate, universe, generators) -> Optional[P4Violatio
     for beta, gens in enumerate(generators):
         for g in gens:
             v = g.point_perm
-            lift = [1 << universe.replace(pid, beta, v[c[beta]])
+            lift = [1 << replace(universe, pid, beta, v[c[beta]])
                     for pid, c in enumerate(universe.coords)]
             for m in candidate.masks:
                 img = image(m, lift)
@@ -433,17 +441,6 @@ def coatomistic_witness_by_coatom_closure(space) -> Optional[int]:
     coatoms run on every member, or None when the space is coatomistic."""
     meet_of_coatoms = _GeneratorClosure(space.n_points, space.coatoms())
     return next((m for m in space.masks if meet_of_coatoms(m) != m), None)
-
-
-def is_central_by_product_split(space, a: int) -> bool:
-    """Whether the complement c of ``a`` is closed and every union of a
-    member under ``a`` with a member under c is closed."""
-    ac = space.full_mask & ~a
-    if ac not in space:
-        return False
-    below_a = [m for m in space.masks if m & ~a == 0]
-    below_c = [m for m in space.masks if m & ~ac == 0]
-    return all((y | z) in space for y in below_a for z in below_c)
 
 
 def law_failures_by_closure(space, images):
@@ -535,6 +532,12 @@ def index_images(space: ClosureSpace, atoms: Sequence[int]) -> tuple[int, ...]:
     return tuple(index[functools.reduce(operator.and_, (atoms[i] for i in bits(m)),
                                         space.full_mask)]
                  for m in space.masks)
+
+
+def element_image(om: OrthoMap, mask: int) -> int:
+    """The image of an element under an ``OrthoMap``: the meet of its
+    atoms' images, the full set for 0."""
+    return functools.reduce(operator.and_, (om.atoms[i] for i in bits(mask)), om.space.full_mask)
 
 
 def orthomap_violation_by_pairs(space: ClosureSpace, images: Sequence[int]) -> Optional[str]:
@@ -999,7 +1002,8 @@ def pencil_members_exactly_two_by_minors(a, b, m: int, n: int) -> bool:
 
 
 def fraction_rref(rows):
-    """``hilbert.rref`` over ``FractionGQ`` entries."""
+    """The reduced row echelon form with unit pivots, zero rows dropped, over
+    ``FractionGQ`` entries: the reduced rows and their pivot columns."""
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -1033,6 +1037,16 @@ def fraction_random_gq(rng) -> FractionGQ:
     library draws by ``choice``, which must leave the same stream."""
     return FractionGQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
                       Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+def random_vector(rng, dim: int) -> tuple[GQ, ...]:
+    """``dim`` draws of ``random_gq``, drawn again while all are zero: the
+    draws of the removed ``hilbert.random_vector``, so seeded data stay the
+    same.  ``dim`` must be at least 1, or the loop never ends."""
+    while True:
+        v = tuple(random_gq(rng) for _ in range(dim))
+        if any(v):
+            return v
 
 
 def fraction_random_vector(rng, dim: int):

@@ -4,7 +4,8 @@ parameters of its functions, the parameters of the stock builders and of
 ``LatticeFormatError``, every public method, property and attribute of a
 ``ClosureSpace``, the surface of the orthocomplementation search, the
 fields of an ``OrthoMap``, the repr, equality and immutability of every
-public record, the modules an import loads, and README's "Library tour".
+public record, the modules an import loads, README's "Library tour", and
+that every public name of ``src/`` has a caller outside the tests.
 
 A name or parameter added, removed or renamed fails here until its list is updated,
 and CHANGES.md names the change.
@@ -18,6 +19,7 @@ import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -47,15 +49,15 @@ def test_the_exports_are_the_pinned_list():
 HILBERT_NAMES = [
     "AntilinearMap", "BoxVerdict", "DualCoveringReport", "GQ", "MAX_FACTOR_DIM", "Matrix",
     "ONE", "ProductAtomPair", "Subspace", "Vector", "ZERO", "basis_vector", "box_membership_test",
-    "coatom_from_antilinear", "dual_covering_counterexample", "join_atoms", "normalize_vector",
-    "random_antilinear", "random_gq", "random_pair", "random_subspace", "random_vector", "rref",
-    "sharp_point", "sigma_membership", "tensor", "verify_point_biorthogonality",
+    "coatom_from_antilinear", "dual_covering_counterexample", "join_atoms", "random_antilinear",
+    "random_gq", "random_pair", "random_subspace", "sharp_point", "sigma_membership", "tensor",
+    "verify_point_biorthogonality",
 ]
 
 # a GQ is a value with no arithmetic, and a map is its matrix: the exact
-# layer computes on integer rows only
-GQ_MEMBERS = ["__bool__", "__delattr__", "__eq__", "__hash__", "__init__", "__reduce__",
-              "__repr__", "__setattr__", "__str__", "im", "re", "render"]
+# layer computes on integer rows only.  A GQ is a checked record, which
+# compares, hashes, shows and pickles it by its parts
+GQ_MEMBERS = ["__bool__", "__init__", "__str__", "im", "re", "render"]
 ANTILINEAR_MAP_MEMBERS = ["__init__", "cols", "is_zero", "rows"]
 
 
@@ -100,13 +102,10 @@ HILBERT_PARAMETERS = {
     "coatom_from_antilinear": ("a_map",),
     "dual_covering_counterexample": ("m", "n"),
     "join_atoms": ("pairs",),
-    "normalize_vector": ("x",),
     "random_antilinear": ("rng", "m", "n"),
     "random_gq": ("rng",),
     "random_pair": ("rng", "m", "n"),
     "random_subspace": ("rng", "ambient"),
-    "random_vector": ("rng", "dim"),
-    "rref": ("rows",),
     "sharp_point": ("pair",),
     "sigma_membership": ("subspace", "pair"),
     "tensor": ("p1", "p2"),
@@ -135,10 +134,9 @@ def test_the_parameters_are_the_pinned_lists():
 
 CLOSURE_SPACE_NAMES = [
     "atoms", "automorphism_generators", "automorphism_orbit", "automorphism_order",
-    "automorphism_perms", "center", "closure", "coatoms", "covering_failure", "covers",
-    "dual_order_check", "from_closed_sets", "full_mask", "is_central", "is_closed", "join",
-    "labels_of", "mask_of", "masks", "meet", "meet_irreducibles", "n_points", "points",
-    "product", "render_set",
+    "automorphism_perms", "closure", "coatoms", "covering_failure", "covers",
+    "dual_order_check", "from_closed_sets", "full_mask", "join", "labels_of", "masks", "meet",
+    "meet_irreducibles", "n_points", "points", "product", "render_set",
 ]
 
 
@@ -148,7 +146,44 @@ def test_the_closure_space_names_are_the_pinned_list():
     assert sorted(name for name in dir(space) if not name.startswith("_")) == CLOSURE_SPACE_NAMES
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A caller is a name or attribute read in src/ or benchmark/; the
+    # re-exports in __init__.py are none.  Names match by spelling alone,
+    # so a name that another attribute shares (bytes.decode in the
+    # benchmark, say) passes unseen.
+    sources = sorted((ROOT / "src" / "weaktensor").glob("*.py"))
+    used = set()
+    for path in sources + sorted((ROOT / "benchmark").glob("*.py")):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    public = {}  # qualified name -> the name a caller spells
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            for name in _bound_names(node):
+                public[f"{path.stem}.{name}"] = name
+            if isinstance(node, ast.ClassDef):  # methods, properties and class attributes
+                for member in node.body:
+                    for name in _bound_names(member):
+                        public[f"{path.stem}.{node.name}.{name}"] = name
+    assert [q for q, name in public.items() if not name.startswith("_") and name not in used] == []
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a statement at module or class level binds by def, class
+    or plain assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
 
 
 def test_readme_library_tour_runs_as_commented():
@@ -224,6 +259,8 @@ RECORDS = {
                  f"Subspace(ambient=2, basis=(({GQ0}, {GQ1}),))"),
     "ProductAtomPair": (lambda: hilbert.ProductAtomPair((hilbert.GQ(0, 2), hilbert.ZERO), E1),
                         f"ProductAtomPair(p1=({GQ1}, {GQ0}), p2=({GQ0}, {GQ1}))"),
+    # a value has one triple of ints, shown by its parts
+    "GQ": (lambda: hilbert.GQ(Fraction(3, 6), -3), "GQ(re=Fraction(1, 2), im=Fraction(-3, 1))"),
     "AntilinearMap": (lambda: hilbert.AntilinearMap(((hilbert.ONE, hilbert.ZERO),)),
                       f"AntilinearMap(matrix=(({GQ1}, {GQ0}),))"),
     "CheckRecord": (lambda: reports.CheckRecord("covering mo:3", "pass"),

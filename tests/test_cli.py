@@ -200,6 +200,25 @@ def test_join_beta_sequence_trace(capsys, tmp_path, monkeypatch):
     )
 
 
+def test_join_names_the_points_of_a_nested_target(capsys):
+    # a tuple is a point label of the product, whatever the nesting, with
+    # spaces allowed around its commas
+    code, out, _ = run(capsys, "join", "box(box(mo:2,mo:2),mo:3)", "--tuples", "a,a,a; a , a,b")
+    assert (code, out) == (0, "R0: a,a,a a,a,b\nRESULT: a,a,a a,a,b a,a,c\n")
+    code, out, err = run(capsys, "join", "box(box(mo:2,mo:2),mo:3)", "--tuples", "a,a")
+    assert (code, out, err) == (2, "", "error: unknown tuple 'a,a'\n")
+
+
+def test_join_refuses_factor_labels_that_make_one_point_label(capsys, tmp_path, monkeypatch):
+    # 'a,b' x 'c' and 'a' x 'b,c' are both labelled 'a,b,c'
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.lat").write_text("points: a,b a\n")
+    (tmp_path / "y.lat").write_text("points: c b,c\n")
+    for argv in (["join", "box(x.lat,y.lat)", "--tuples", "a,c"], ["build", "box(x.lat,y.lat)"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: point labels must be unique\n")
+
+
 def test_join_via_product_file(capsys, tmp_path):
     # lattice files by absolute path, so the target names them from any working directory
     mo3 = tmp_path / "mo3.lat"
@@ -252,7 +271,7 @@ def test_join_input_errors(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "join", box, "--tuples", "zz,a", "--method", "box")
     assert code == 2 and "zz" in err
     code, _, err = run(capsys, "join", box, "--tuples", "a,b,c", "--method", "box")
-    assert code == 2 and "bad tuple 'a,b,c': expected 2 coordinates, got 3" in err
+    assert code == 2 and "unknown tuple 'a,b,c'" in err
     code, _, err = run(capsys, "join", box, "--tuples", "a,a", "--method", "beta-sequence")
     assert code == 2 and "--betas" in err
     code, _, err = run(capsys, "join", box, "--tuples", "a,a", "--method", "beta-sequence",

@@ -52,9 +52,8 @@ elements (every tuple of members on at most 4 points, a seeded sample
 above) and on valid and broken maps of ``box(mo:4,mo:4)``; its
 complement law, read as disjointness, against the closure of a | a' on
 every atom-image map of the stock factors of at most 6 elements.
-Coatomisticity and centrality, read off the meet-irreducible members,
-are checked against the closure over the coatoms and the product split
-on every space above, and P4 on the
+Coatomisticity, read off the meet-irreducible members, is checked
+against the closure over the coatoms on every space above, and P4 on the
 irreducibles against P4 on every member.  The dual order report, which
 tests x v a = 1 for a coatom x by the bit test a & ~x, is checked
 against closing each join x | a on every space above.
@@ -93,7 +92,6 @@ from helpers import (
     in_xi,
     index_images,
     incidence_by_comprehension,
-    is_central_by_product_split,
     law_failures_by_closure,
     meet_irreducibles_by_definition,
     naive_intersection_closure,
@@ -194,7 +192,7 @@ def fraser_by_lines(universe) -> set[int]:
     for choice in itertools.product(factors[lay].masks, repeat=sizes[other]):
         cross = [sum(1 << i for i, sec in enumerate(choice) if sec >> q & 1)
                  for q in range(sizes[lay])]
-        if all(factors[other].is_closed(c) for c in cross):
+        if all(c in factors[other] for c in cross):
             out.add(sum(1 << flat(q, i) for i, sec in enumerate(choice)
                         for q in range(sizes[lay]) if sec >> q & 1))
     return out
@@ -488,16 +486,6 @@ def test_dual_order_matches_closing_each_join_on_every_space():
     assert failures, "no space breaks dual covering"
 
 
-def test_centrality_matches_the_product_split_on_every_element():
-    central = checked = 0
-    for name, space in every_space():
-        center = space.center()
-        assert center == [m for m in space.masks if is_central_by_product_split(space, m)], name
-        central += len(center)
-        checked += len(space)
-    assert (checked, central) == (20_317, 2_118)
-
-
 def _covering_cases() -> list[str]:
     """The stock factors, box and Fraser products of every ordered pair of
     them within the point cap, circle products of every ordered pair of
@@ -534,7 +522,7 @@ def test_covering_matches_pairwise_covers(case):
     w = got.witness
     assert not got.atom & got.element
     assert (w.lower, w.upper) == (got.element, space.closure(got.atom | got.element))
-    assert space.is_closed(w.intermediate) and w.intermediate not in (w.lower, w.upper)
+    assert w.intermediate in space and w.intermediate not in (w.lower, w.upper)
     assert w.lower & ~w.intermediate == 0 and w.intermediate & ~w.upper == 0
     assert not brute_cover_check(space, w.lower, w.upper)
 

@@ -7,8 +7,8 @@ from random import Random
 import pytest
 
 from helpers import (
-    box_family_oracle, closure_in_family, decode, distinct_coordinate_sets, fraser_family_oracle,
-    in_xi, section,
+    box_family_oracle, closure_in_family, decode, distinct_coordinate_sets, element_image,
+    fraser_family_oracle, in_xi, replace, section,
 )
 
 from weaktensor import (
@@ -18,6 +18,7 @@ from weaktensor import (
     beta_join_sequence,
     box_join,
     box_product,
+    check_factorization,
     check_p1_p2_p3,
     check_p4,
     decompose_coatom,
@@ -75,10 +76,10 @@ def test_section_recovery_identity(box33):
             rebuilt = 0
             for q in range(uni.sizes[beta]):
                 if sec >> q & 1:
-                    rebuilt |= 1 << uni.replace(p, beta, q)
+                    rebuilt |= 1 << replace(uni, p, beta, q)
             fiber = 0
             for q in range(uni.sizes[beta]):
-                fiber |= 1 << uni.replace(p, beta, q)
+                fiber |= 1 << replace(uni, p, beta, q)
             assert rebuilt == fiber & region
 
 
@@ -400,7 +401,7 @@ def test_single_coordinate_replacements_closed(box33, fraser33, circle33):
             p = rng.randrange(uni.n_points)
             beta = rng.choice((0, 1))
             b = rng.choice(uni.factors[beta].masks)
-            coords = list(uni.decode(p))
+            coords = list(uni.coords[p])
             region = 0
             for q in range(uni.sizes[beta]):
                 if b >> q & 1:
@@ -438,7 +439,7 @@ def test_two_coordinate_changes_join_trivially(box33, fraser33, circle33):
     uni = box33.product
     for space in (box33, fraser33, circle33):
         for p, q in itertools.combinations(range(uni.n_points), 2):
-            cp, cq = uni.decode(p), uni.decode(q)
+            cp, cq = uni.coords[p], uni.coords[q]
             if cp[0] != cq[0] and cp[1] != cq[1]:
                 assert space.closure((1 << p) | (1 << q)) == (1 << p) | (1 << q)
 
@@ -450,17 +451,17 @@ def test_replacement_pair_union_identity(box33, fraser33, circle33):
     for space in (box33, fraser33, circle33):
         for _ in range(40):
             p = rng.randrange(uni.n_points)
-            coords = uni.decode(p)
+            coords = uni.coords[p]
             b = rng.choice([m for m in uni.factors[0].masks if m >> coords[0] & 1])
             c = rng.choice([m for m in uni.factors[1].masks if m >> coords[1] & 1])
             first = 0
             for q in range(uni.sizes[0]):
                 if b >> q & 1:
-                    first |= 1 << uni.replace(p, 0, q)
+                    first |= 1 << replace(uni, p, 0, q)
             second = 0
             for q in range(uni.sizes[1]):
                 if c >> q & 1:
-                    second |= 1 << uni.replace(p, 1, q)
+                    second |= 1 << replace(uni, p, 1, q)
             assert space.closure(first | second) == first | second
 
 
@@ -473,7 +474,7 @@ def test_single_nontrivial_factor_makes_products_agree(pow2, mo3, mo4):
         uni = box.product
         explicit = set()
         for region in range(1 << uni.n_points):
-            if all(factor.is_closed(section(uni, region, 1, p))
+            if all(section(uni, region, 1, p) in factor
                    for p in range(uni.n_points)):
                 explicit.add(region)
         assert set(box.masks) == set(fraser.masks) == explicit
@@ -570,7 +571,7 @@ def test_sharp_of_a_point_is_the_partner_cross(box44, mo4_pairing):
     uni = box44.product
     maps = [mo4_pairing, mo4_pairing]
     point = 1 << pid(uni, 0, 1)  # (a, b); partners are b and a
-    image = sharp_map(box44, maps).product_map.image_mask(point)
+    image = element_image(sharp_map(box44, maps).product_map, point)
     assert image == uni.cylinder_mask((0b010, 0b001))
 
 
@@ -578,7 +579,7 @@ def test_sharp_agrees_with_sharp_map_on_every_element(box44, mo4_pairing):
     uni = box44.product
     maps = [mo4_pairing, mo4_pairing]
     product_map = sharp_map(box44, maps).product_map
-    partner = [mo4_pairing.image_mask(1 << q) for q in range(4)]
+    partner = mo4_pairing.atoms
     for m in box44.masks:
         # the meet over the points of m of the points with a partner coordinate
         want = box44.full_mask
@@ -588,13 +589,13 @@ def test_sharp_agrees_with_sharp_map_on_every_element(box44, mo4_pairing):
                 want &= sum(1 << q for q in range(uni.n_points)
                             if partner[i] >> decode(uni, q)[0] & 1
                             or partner[j] >> decode(uni, q)[1] & 1)
-        assert product_map.image_mask(m) == want
+        assert element_image(product_map, m) == want
 
 
 def test_sharp_endpoints(box44, mo4_pairing):
     product_map = sharp_map(box44, [mo4_pairing, mo4_pairing]).product_map
-    assert product_map.image_mask(box44.full_mask) == 0
-    assert product_map.image_mask(0) == box44.full_mask
+    assert element_image(product_map, box44.full_mask) == 0
+    assert element_image(product_map, 0) == box44.full_mask
 
 
 def test_sharp_is_involutive_on_random_elements(box44, mo4_pairing):
@@ -602,7 +603,7 @@ def test_sharp_is_involutive_on_random_elements(box44, mo4_pairing):
     rng = Random(17)
     for _ in range(50):
         a = rng.choice(box44.masks)
-        assert product_map.image_mask(product_map.image_mask(a)) == a
+        assert element_image(product_map, element_image(product_map, a)) == a
 
 
 def test_sharp_map_validates_across_factor_pairs(pow2, mo4, mo4_pairing):
@@ -759,6 +760,37 @@ def test_decompose_refuses_a_free_factor_outside_the_factors(box33, free_factor)
         decompose_coatom(box33, uni, cross, free_factor, [0b001])
 
 
+DECIDERS = {
+    "check_p4": lambda space, uni: check_p4(space, uni, [automorphisms(f) for f in uni.factors]),
+    "check_factorization": lambda space, uni: check_factorization(space, uni, tuple(range(9))),
+    "decompose_coatom": lambda space, uni: decompose_coatom(
+        space, uni, uni.cylinder_mask((0b001, 0b010)), 1, [0b001]),
+}
+
+
+@pytest.mark.parametrize("name", DECIDERS)
+def test_product_deciders_refuse_a_universe_over_other_points(box33, fraser33, mo3, name):
+    # P1's rule: MO3 read with the box universe once gave a P4 witness
+    # 'a,a maps to the non-closed b,a' and a factored form; the Fraser
+    # product has the box's points and is read with it
+    decide, uni = DECIDERS[name], box33.product
+    assert decide(fraser33, uni) == decide(fraser33, fraser33.product)
+    renamed = ClosureSpace.from_closed_sets([p.replace(",", ";") for p in uni.points],
+                                            box33.masks)
+    for space in (mo3, mo_space(9), renamed):
+        with pytest.raises(ValueError, match="^the space's points are not the points of the "
+                                             "product universe$"):
+            decide(space, uni)
+
+
+def test_universe_refuses_factor_labels_that_make_one_point_label():
+    # 'a,b' x 'c' and 'a' x 'b,c' are both labelled 'a,b,c'
+    x, y = ClosureSpace.from_closed_sets(["a,b", "a"]), ClosureSpace.from_closed_sets(["c", "b,c"])
+    with pytest.raises(ValueError, match="^point labels must be unique$"):
+        ProductUniverse([x, y])
+    assert ProductUniverse([x, x]).points == ("a,b,a,b", "a,b,a", "a,a,b", "a,a")
+
+
 # -- covering transfer ---------------------------------------------------------------------------------
 
 def test_fraser_covering_with_one_nontrivial_factor(pow2, mo4):
@@ -800,27 +832,13 @@ def test_universe_point_cap(mo3):
 
 
 def test_encode_decode_round_trip(box44):
+    # the coordinate table decodes what encode encodes, and labels each
+    # point by its coordinates' labels
     uni = box44.product
     for pid_ in range(uni.n_points):
-        assert uni.encode(uni.decode(pid_)) == pid_
-    assert uni.encode_labels(["a", "b"]) == pid(uni, 0, 1)
-    for short_or_long in (["a"], ["a", "b", "c"]):
-        with pytest.raises(ValueError, match="expected 2 coordinates"):
-            uni.encode_labels(short_or_long)
-    with pytest.raises(ValueError, match="unknown point label 'zz'"):
-        uni.encode_labels(["a", "zz"])
-
-
-def test_decode_and_replace_refuse_ids_outside_the_universe(mo3):
-    uni = ProductUniverse([mo3, mo3])
-    assert uni.decode(8) == (2, 2) and uni.replace(8, 0, 1) == 5
-    for bad in (-1, 9):
-        with pytest.raises(IndexError):
-            uni.decode(bad)
-        with pytest.raises(IndexError):
-            uni.replace(bad, 0, 1)
-    with pytest.raises(IndexError):
-        uni.replace(0, 0, 3)
+        assert uni.encode(uni.coords[pid_]) == pid_
+        assert uni.coords[pid_] == decode(uni, pid_)
+    assert uni.points[pid(uni, 0, 1)] == "a,b"
 
 
 def test_encode_refuses_coordinates_outside_the_universe(mo3):
@@ -892,14 +910,8 @@ def test_universe_refuses_coordinates_and_ids_that_are_no_int(mo3, bad):
     says = f"must be an integer, got {bad!r}$"
     with pytest.raises(ValueError, match="^coordinate " + says):
         uni.encode((bad, 0))
-    with pytest.raises(ValueError, match="^coordinate " + says):
-        uni.replace(0, 0, bad)
-    with pytest.raises(ValueError, match="^point id " + says):
-        uni.decode(bad)
-    with pytest.raises(ValueError, match="^point id " + says):
-        uni.replace(bad, 0, 1)
     with pytest.raises(ValueError, match="^factor index " + says):
-        uni.replace(0, bad, 1)
+        uni.preimage_mask(bad, 1)
     for call in (lambda: uni.preimage_mask(0, bad), lambda: uni.cylinder_mask((1, bad)),
                  lambda: uni.full_box_mask((bad, 1))):
         with pytest.raises(ValueError, match="^factor mask " + says):

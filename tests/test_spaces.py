@@ -237,7 +237,6 @@ FLOAT_MASK_CALLS = {
     "covers": lambda s: s.covers(1, 3.0),
     "meet": lambda s: s.meet(3.0, 1),
     "join": lambda s: s.join(1.0, 2),
-    "is_central": lambda s: s.is_central(1.0),
 }
 
 
@@ -254,7 +253,6 @@ OUTSIDE_MASK_CALLS = {
     "covers": (lambda s: s.covers(1, 9), "9"),
     "meet": (lambda s: s.meet(-1, 1), "-1"),
     "join": (lambda s: s.join(8, 1), "8"),
-    "is_central": (lambda s: s.is_central(16), "16"),
 }
 
 
@@ -367,45 +365,6 @@ def test_coatomistic_witness_is_the_least_irreducible_that_is_not_a_coatom():
     # a, so 0, b and c are no meets of coatoms; b and c are irreducible
     rep = ClosureSpace.from_closed_sets("abc", [0b011, 0b101]).dual_order_check()
     assert (rep.coatomistic, rep.coatomistic_witness) == (False, 0b010)
-
-
-# -- center ------------------------------------------------------------------------
-
-def test_center_of_mo3_is_trivial():
-    mo3 = mo_space(3)
-    assert mo3.center() == [0, mo3.full_mask]
-
-
-def test_center_of_powerset_is_everything():
-    p3 = powerset_space(3)
-    assert p3.center() == list(p3.masks)
-
-
-def _blockwise_union_space():
-    # two three-atom MO blocks glued as a direct product: closed sets are
-    # exactly the blockwise unions, 25 in total
-    block = [0, 1, 2, 4, 7]
-    family = [y | (z << 3) for y in block for z in block]
-    return ClosureSpace.from_closed_sets("abcdef", family)
-
-
-def test_center_of_two_mo3_blocks():
-    s = _blockwise_union_space()
-    assert len(s) == 25
-    assert s.center() == [0, 0b000111, 0b111000, s.full_mask]
-    # oracle: the blockwise-union family is the direct product by construction,
-    # and the center must split it back into the two intervals
-    for a in (0b000111, 0b111000):
-        below_a = [m for m in s.masks if m & ~a == 0]
-        below_c = [m for m in s.masks if m & a == 0]
-        assert len(below_a) * len(below_c) == len(s)
-
-
-def test_zero_one_glued_sum_is_irreducible():
-    # gluing only at 0 and 1 does not split: the blocks are not central
-    s = ClosureSpace.from_closed_sets("abcdef", [0b000111, 0b111000])
-    assert len(s) == 10
-    assert s.center() == [0, s.full_mask]
 
 
 # -- text format ---------------------------------------------------------------------
