@@ -17,9 +17,10 @@ from .spaces import (
 )
 
 DEFAULT_NODE_CAP = 10_000_000
-# Each complete assignment is checked once per element (about 20 ms at 4096 sets,
-# on a 2-core host), and the node budget bounds how many are checked; the cap keeps
-# each check that small.
+# Each complete assignment is checked at the meet-irreducible elements, up to the
+# first failure; a map that passes reads them all, at most every element (about
+# 5 ms for all 4096 sets of box(mo:2,mo:2,mo:6), min of 7, on a 2-core host), and
+# the node budget bounds how many are checked; the cap keeps each check that small.
 SEARCH_SET_CAP = 4096
 
 
@@ -52,11 +53,13 @@ class OrthoMap(NamedTuple):
 class ExhaustionCertificate(NamedTuple):
     """Proof token that the orthocomplementation search tree was exhausted.
 
-    ``nodes`` counts the candidates tried at every visited atom, rejected
-    ones included, read off candidate positions: a visited atom adds the
-    length of its candidate list.  The search tries the coatoms in
-    ascending mask order at every atom, so the count replays from the
-    space alone: a cap of ``nodes`` finishes again, one less does not.
+    ``nodes`` counts the candidates tried at every atom the tree reaches,
+    rejected ones included: each such atom adds the length of its
+    candidate list, whether the search visits it or counts it whole from
+    the atom before (an atom without candidates, or one that passes none
+    on).  The search tries the coatoms in ascending mask order at every
+    atom, so the count replays from the space alone: a cap of ``nodes``
+    finishes again, one less does not.
     """
 
     nodes: int
@@ -176,34 +179,28 @@ def validate_orthomap(space: ClosureSpace, om: OrthoMap) -> bool:
     return orthomap_violation(space, om) is None
 
 
-def _symmetry_buckets(coatoms: Sequence[int], n: int
-                      ) -> tuple[list[dict[int, list[tuple[int, int, int]]]], list[int]]:
-    """The search tables: per atom i, its candidates (the coatoms without i,
-    in order) bucketed by their points below i, and the candidate counts.
-
-    The symmetry patterns of all atoms are packed in one int, atom t's in
-    bits t*n .. t*n+n-1, where bit t*n+j says that atom j's image holds t.
-    A bucket entry is (position, coatom, spread), the spread being the bits
-    that choosing the coatom for atom i adds to the packed patterns.  The
-    tables end with one entry for the complete assignments, whose pattern
-    is always 0.
-    """
-    spread = {c: sum(1 << t * n for t in bits(c)) for c in coatoms}
-    buckets: list[dict[int, list[tuple[int, int, int]]]] = []
-    sizes = []
-    for i in range(n):
-        low = (1 << i) - 1
-        table: dict[int, list[tuple[int, int, int]]] = {}
-        k = 0  # the candidate's position
-        for c in coatoms:
-            if not c >> i & 1:
-                table.setdefault(c & low, []).append((k, c, spread[c] << i))
-                k += 1
-        buckets.append(table)
-        sizes.append(k)
-    buckets.append({0: []})
-    sizes.append(0)
-    return buckets, sizes
+def _laws_hold(elements: Sequence[int], atoms: Sequence[int], full: int) -> bool:
+    """Whether the atom images pass both laws, a ^ a' = 0 and a'' = a, at
+    each of ``elements``, read in order up to the first element where either
+    fails.  On every element of the space, with atom images that are
+    elements, it gives the verdict of :func:`_law_failures`, which lists
+    every failure."""
+    for a in elements:
+        image, rest = full, a
+        while rest:
+            low = rest & -rest
+            image &= atoms[low.bit_length() - 1]
+            rest ^= low
+        if a & image:
+            return False
+        back, rest = full, image
+        while rest:
+            low = rest & -rest
+            back &= atoms[low.bit_length() - 1]
+            rest ^= low
+        if back != a:
+            return False
+    return True
 
 
 def find_orthocomplementation(
@@ -220,15 +217,25 @@ def find_orthocomplementation(
     count.  Candidates are pruned by p not in p', injectivity, and the
     symmetry q <= p' iff p <= q'.
 
-    ``nodes`` counts the candidates tried at every visited atom, rejected
-    ones included.  The symmetry test fixes the points of p' below p, so
-    each atom's candidates are bucketed by those points and only the
-    bucket that passes is visited; the count is read off candidate
-    positions, a finished atom adding its whole candidate list.  The
-    patterns that select the buckets are packed in one int, which each
-    choice extends by a precomputed spread and passes down, so nothing is
-    undone on the way back.  An atom whose bucket is empty is counted
-    (its whole list, with the same budget test) without being visited.
+    ``nodes`` counts the candidates tried at every atom reached, rejected
+    ones included, read off candidate positions: a finished atom adds its
+    whole candidate list.  The symmetry test fixes the points of p' below
+    p, so an atom's candidates are tabled by those points, each table built
+    when the search first needs it.  One lookup per visited atom gives the
+    two buckets that its candidates can select for the next atom, and each
+    candidate picks one by its own bit.  When that bucket is empty, the
+    next atom is counted (its whole list) without a call.  Two more
+    lookups per visited atom look one atom further: when the atom after
+    the next passes nothing for either choice at the next atom, the next
+    atom is counted without a call too, its list plus the list of the atom
+    after it once per candidate of its bucket still unused.  The budget is
+    tested at each complete assignment and at each atom's end, which is
+    exact: no map lies in a subtree counted whole, and a search past the
+    budget raises at the end of the first atom it finishes.  A
+    complete assignment is checked at the meet-irreducible elements only,
+    up to the first failure: the symmetry gives a <= a'' at every element,
+    so a'' = a holds at every element once it holds at the irreducibles,
+    which every element is a meet of, and p not in p' gives a ^ a' = 0.
 
     Raises SearchBudgetExceeded past ``node_cap`` nodes, and ValueError on
     a ``node_cap`` that is not an int or a family of more than
@@ -241,59 +248,117 @@ def find_orthocomplementation(
     n = space.n_points
     # a negative cap stops at the first node, as a cap of 0 does
     cap = max(require_int(node_cap, "node_cap"), 0)
-    buckets, sizes = _symmetry_buckets(space.coatoms(), n)
-    field = (1 << n) - 1
+    coatoms = space.coatoms()
+    irreducibles, full, field = space.meet_irreducibles(), space.full_mask, (1 << n) - 1
+    # the symmetry patterns of all atoms are packed in one int, atom t's in bits
+    # t*n .. t*n+n-1, where bit t*n+j says that atom j's image holds t; the
+    # spread of a coatom has bit t*n for each of its points t
+    sep = "0" * (n - 1)
+    spreads = [int(sep.join(format(c, "b")), 2) for c in coatoms]
+    tables: list[Optional[dict]] = [None] * n
+    sizes = [0] * n
+    empty: tuple = ((), (), 0, 0)
     chosen: list[int] = []
-    used: set[int] = set()
     nodes = 0
 
-    def dfs(i: int, entries: list[tuple[int, int, int]], packed: int) -> Optional[OrthoMap]:
+    def table(j: int) -> None:
+        # atom j's candidates keyed by their points below j - 1, each key's split
+        # by point j - 1 into [entries without it, entries with it, the coatom
+        # bits of each]; an entry is (position, coatom, coatom bit, the spread
+        # that choosing the coatom for atom j adds to the packed patterns)
+        split = max(j - 1, 0)
+        low = (1 << split) - 1
+        out: dict = {}
+        k = 0
+        for x, c in enumerate(coatoms):
+            if not c >> j & 1:
+                pair = out.get(c & low)
+                if pair is None:
+                    pair = out[c & low] = [[], [], 0, 0]
+                half, bit = c >> split & 1, 1 << x
+                pair[half].append((k, c, bit, spreads[x] << j))
+                pair[half + 2] |= bit
+                k += 1
+        sizes[j] = k
+        tables[j] = out
+
+    def visit(i: int, entries: Sequence[tuple[int, int, int, int]], ahead: Sequence,
+              packed: int, used: int) -> Optional[OrthoMap]:
         # entries: the bucket of atom i that passes the symmetry test against the
-        # atoms assigned so far, whose patterns packed holds
+        # atoms assigned so far, whose patterns packed holds and whose coatoms'
+        # bits used holds; ahead: atom i + 1's split for those atoms
         nonlocal nodes
-        if i == n:
-            atoms = tuple(chosen)
-            if any(_law_failures(_atom_meets(space, atoms))):
-                return None
-            return OrthoMap(space, atoms)
-        j = i + 1
-        shift, size = j * n, sizes[j]
         base = nodes  # the count less this atom's positions: position k counts base + k + 1
-        for k, c, moved in entries:
-            if base + k >= cap:
-                raise SearchBudgetExceeded(cap + 1)
-            if c in used:
-                continue
-            child = packed | moved
-            below = buckets[j].get(child >> shift & field)
-            if below is None:
-                # no candidate of atom j passes the symmetry test: count its whole
-                # list, with the budget test its visit would make
-                base += size
+        j = i + 1
+        if j == n:
+            for k, c, bit, _ in entries:
+                if used & bit:
+                    continue
                 if base + k >= cap:
                     raise SearchBudgetExceeded(cap + 1)
-                continue
-            nodes = base + k + 1
-            chosen.append(c)
-            used.add(c)
-            found = dfs(j, below, child)
-            if found is not None:
-                return found
-            used.discard(c)
-            chosen.pop()
-            base = nodes - k - 1
+                chosen.append(c)
+                if _laws_hold(irreducibles, chosen, full):
+                    return OrthoMap(space, tuple(chosen))
+                chosen.pop()
+        else:
+            size = sizes[j]
+            e0, e1, m0, m1 = ahead
+            g = j + 1
+            if g < n:
+                if tables[g] is None:
+                    table(g)
+                # atom g's split for the atoms assigned so far and a choice for
+                # atom i without point g, then with it; None if nothing passes
+                key = packed >> g * n & field
+                q0, q1 = tables[g].get(key), tables[g].get(key | 1 << i)
+                size_g = sizes[g]
+            else:  # every candidate of the last atom is a complete assignment
+                q0 = q1 = empty
+            for k, c, bit, moved in entries:
+                if used & bit:
+                    continue
+                if c >> j & 1:
+                    below, mask = e1, m1
+                else:
+                    below, mask = e0, m0
+                if not below:
+                    base += size
+                    continue
+                grand = q1 if c >> g & 1 else q0
+                if grand is None:
+                    # atom j passes no candidate on: its list, and atom g's list
+                    # for each of its candidates still unused
+                    base += size + size_g * (len(below) - ((used | bit) & mask).bit_count())
+                    continue
+                nodes = base + k + 1
+                chosen.append(c)
+                found = visit(j, below, grand, packed | moved, used | bit)
+                if found is not None:
+                    return found
+                chosen.pop()
+                base = nodes - k - 1
         nodes = base + sizes[i]
         if nodes > cap:
             raise SearchBudgetExceeded(cap + 1)
         return None
 
+    over = False
     try:
-        found = dfs(0, buckets[0].get(0, []), 0)
+        table(0)
+        if n > 1:
+            table(1)
+        found = visit(0, tables[0].get(0, empty)[0], tables[1].get(0, empty) if n > 1 else empty,
+                      0, 0)
+    except SearchBudgetExceeded:
+        # raised again below: a budget error's traceback would hold the search
+        # frames, and so their buckets, for as long as the caller keeps the error
+        over = True
     finally:
-        # dfs refers to itself, a reference cycle that would keep the tables alive
-        # until the next full garbage collection, and a budget error's traceback
-        # holds the search frames for as long as the caller keeps the error
-        del dfs, buckets, sizes
+        # visit refers to itself, a reference cycle that would keep the tables
+        # alive until the next full garbage collection
+        del visit, table, tables, sizes, spreads
+    if over:
+        raise SearchBudgetExceeded(cap + 1)
     if found is not None:
         return found
     return ExhaustionCertificate(nodes=nodes)

@@ -50,7 +50,10 @@ every member's lifted image, coatomisticity by a closure over the
 coatoms scanning every member, and the complement law by closing each
 a | a'.  So is
 the dual covering scan that closed x | a for each coatom x and member a,
-which the bit test a & ~x replaced.
+which the bit test a & ~x replaced.  So is the orthocomplementation
+search that built every atom's bucket table up front, looked up the bucket
+of each candidate's next atom and checked each complete assignment at
+every element, which the search that looks one atom ahead replaced.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from typing import Optional, Sequence, Union
 from weaktensor.hilbert import GQ, Subspace, basis_vector, random_gq
 from weaktensor.props import (
     DEFAULT_NODE_CAP, SEARCH_SET_CAP, CoveringFailure, ExhaustionCertificate, OrthoMap,
-    SearchBudgetExceeded,
+    SearchBudgetExceeded, _atom_meets, _law_failures,
 )
 from weaktensor.products import P4Violation, ProductUniverse
 from weaktensor.spaces import (
@@ -643,6 +646,154 @@ def find_orthocomplementation_by_scan(
     if found is not None:
         return found
     return ExhaustionCertificate(nodes=nodes)
+
+
+def symmetry_buckets(coatoms: Sequence[int], n: int
+                     ) -> tuple[list[dict[int, list[tuple[int, int, int]]]], list[int]]:
+    """The tables of ``find_orthocomplementation_by_buckets``: per atom i,
+    its candidates (the coatoms without i, in order) bucketed by their
+    points below i, and the candidate counts.
+
+    The symmetry patterns of all atoms are packed in one int, atom t's in
+    bits t*n .. t*n+n-1, where bit t*n+j says that atom j's image holds t.
+    A bucket entry is (position, coatom, spread), the spread being the bits
+    that choosing the coatom for atom i adds to the packed patterns.  The
+    tables end with one entry for the complete assignments, whose pattern
+    is always 0.
+    """
+    spread = {c: sum(1 << t * n for t in bits(c)) for c in coatoms}
+    buckets: list[dict[int, list[tuple[int, int, int]]]] = []
+    sizes = []
+    for i in range(n):
+        low = (1 << i) - 1
+        table: dict[int, list[tuple[int, int, int]]] = {}
+        k = 0  # the candidate's position
+        for c in coatoms:
+            if not c >> i & 1:
+                table.setdefault(c & low, []).append((k, c, spread[c] << i))
+                k += 1
+        buckets.append(table)
+        sizes.append(k)
+    buckets.append({0: []})
+    sizes.append(0)
+    return buckets, sizes
+
+
+def find_orthocomplementation_by_buckets(
+    space: ClosureSpace,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> Union[OrthoMap, ExhaustionCertificate]:
+    """The orthocomplementation search that built every bucket table before
+    it started, looked up the next atom's bucket once per candidate and
+    checked each complete assignment at every element.
+
+    ``nodes`` counts the candidates tried at every visited atom, rejected
+    ones included.  The symmetry test fixes the points of p' below p, so
+    each atom's candidates are bucketed by those points and only the
+    bucket that passes is visited; the count is read off candidate
+    positions, a finished atom adding its whole candidate list.  An atom
+    whose bucket is empty is counted (its whole list, with the same budget
+    test) without being visited.  The budget is tested at every position.
+    """
+    if len(space) > SEARCH_SET_CAP:
+        raise ValueError(f"family of {len(space)} sets exceeds the search cap "
+                         f"of {SEARCH_SET_CAP}")
+    n = space.n_points
+    cap = max(node_cap, 0)
+    buckets, sizes = symmetry_buckets(space.coatoms(), n)
+    field = (1 << n) - 1
+    chosen: list[int] = []
+    used: set[int] = set()
+    nodes = 0
+
+    def dfs(i: int, entries: list[tuple[int, int, int]], packed: int) -> Optional[OrthoMap]:
+        # entries: the bucket of atom i that passes the symmetry test against the
+        # atoms assigned so far, whose patterns packed holds
+        nonlocal nodes
+        if i == n:
+            atoms = tuple(chosen)
+            if any(_law_failures(_atom_meets(space, atoms))):
+                return None
+            return OrthoMap(space, atoms)
+        j = i + 1
+        shift, size = j * n, sizes[j]
+        base = nodes  # the count less this atom's positions: position k counts base + k + 1
+        for k, c, moved in entries:
+            if base + k >= cap:
+                raise SearchBudgetExceeded(cap + 1)
+            if c in used:
+                continue
+            child = packed | moved
+            below = buckets[j].get(child >> shift & field)
+            if below is None:
+                # no candidate of atom j passes the symmetry test: count its whole
+                # list, with the budget test its visit would make
+                base += size
+                if base + k >= cap:
+                    raise SearchBudgetExceeded(cap + 1)
+                continue
+            nodes = base + k + 1
+            chosen.append(c)
+            used.add(c)
+            found = dfs(j, below, child)
+            if found is not None:
+                return found
+            used.discard(c)
+            chosen.pop()
+            base = nodes - k - 1
+        nodes = base + sizes[i]
+        if nodes > cap:
+            raise SearchBudgetExceeded(cap + 1)
+        return None
+
+    try:
+        found = dfs(0, buckets[0].get(0, []), 0)
+    finally:
+        del dfs
+    if found is not None:
+        return found
+    return ExhaustionCertificate(nodes=nodes)
+
+
+def budget_stop(space: ClosureSpace, cap: int) -> Optional[str]:
+    """Where the search stops on node ``cap`` + 1, read off the frame in which
+    ``find_orthocomplementation_by_scan`` raises its budget error: the atom
+    i of that node and the images chosen for the atoms before it.
+
+    "ahead" if the node lies in an atom that passes no candidate on to the
+    atom after it, or just below one (the look ahead counts such an atom
+    whole, with the empty buckets below it), "empty" if it lies in another
+    atom without candidates (counted whole from the atom before it),
+    "visited" otherwise; None if
+    the search ends within ``cap`` nodes.  Each test is written out over the
+    coatoms from the symmetry q <= p' iff p <= q'.
+    """
+    try:
+        find_orthocomplementation_by_scan(space, node_cap=cap)
+    except SearchBudgetExceeded as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        i, chosen = tb.tb_frame.f_locals["i"], list(tb.tb_frame.f_locals["chosen"])
+    else:
+        return None
+    n, coatoms = space.n_points, space.coatoms()
+
+    def passing(atom: int, before: int) -> bool:
+        # some candidate of atom passes the test against the atoms before `before`
+        pattern = sum(1 << t for t in range(before) if chosen[t] >> atom & 1)
+        low = (1 << before) - 1
+        return any(not e >> atom & 1 and e & low == pattern for e in coatoms)
+
+    def counted_ahead(atom: int) -> bool:
+        return 0 < atom < n - 1 and not passing(atom + 1, atom)
+
+    if counted_ahead(i - 1):  # the node lies below an atom counted whole
+        return "ahead"
+    if i and not passing(i, i):
+        return "empty"
+    return "ahead" if counted_ahead(i) else "visited"
 
 
 def relabelled(space: ClosureSpace, perm: Sequence[int]) -> ClosureSpace:

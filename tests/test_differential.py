@@ -75,6 +75,7 @@ from helpers import (
     automorphisms_by_scan,
     automorphisms_by_search,
     brute_cover_check,
+    budget_stop,
     closure_in_family,
     closure_over_every_member,
     coatomistic_witness_by_coatom_closure,
@@ -86,6 +87,7 @@ from helpers import (
     cylinder_oracle,
     decode,
     dual_order_by_closing_joins,
+    find_orthocomplementation_by_buckets,
     find_orthocomplementation_by_scan,
     fraser_by_laying,
     fraser_family_oracle,
@@ -815,12 +817,12 @@ def test_search_matches_oracle_where_it_finishes():
 DECIDE_NODE_CAP = 200_000
 
 
-def finished_count(space):
-    """The node count at which the search finishes: the certificate's, or
+def finished_count(space, search=find_orthocomplementation):
+    """The node count at which ``search`` finishes: the certificate's, or
     for a map the least cap under which it is found; None past
     ``ORACLE_NODES``."""
     def outcome(cap):
-        return search_outcome(find_orthocomplementation, space, node_cap=cap)
+        return search_outcome(search, space, node_cap=cap)
 
     first = outcome(ORACLE_NODES)
     if first[0] == "budget":
@@ -839,9 +841,10 @@ def finished_count(space):
 
 def test_search_matches_oracle_at_the_budget_edges():
     # a cap one short of the count fires on the last node counted.  In none of
-    # the 41 families' searches is that node an atom without candidates, which
-    # is counted without a visit; it is in the copy of box(mo:3,mo:3) with
-    # points 0 and 2 swapped, and in 12 of the 14 budget errors at the decide cap
+    # the 41 families' searches does that node lie in an atom that the search
+    # counts without a call; it does in the copy of box(mo:3,mo:3) with points
+    # 0 and 2 swapped (an atom without candidates), and in all 14 budget errors
+    # at the decide cap (12 below the look ahead, 2 without candidates)
     box33 = built("box(mo:3,mo:3)")
     swapped = ("box(mo:3,mo:3) with points 0 and 2 swapped",
                relabelled(box33, (2, 1, 0, *range(3, box33.n_points))))
@@ -864,8 +867,49 @@ def test_search_matches_oracle_at_the_budget_edges():
 def test_search_matches_oracle_on_random_spaces(family, cap):
     n, generators = family
     space = ClosureSpace.from_closed_sets(default_labels(n), generators)
-    assert (search_outcome(find_orthocomplementation, space, node_cap=cap)
-            == search_outcome(find_orthocomplementation_by_scan, space, node_cap=cap))
+    got = search_outcome(find_orthocomplementation, space, node_cap=cap)
+    assert got == search_outcome(find_orthocomplementation_by_scan, space, node_cap=cap)
+    assert got == search_outcome(find_orthocomplementation_by_buckets, space, node_cap=cap)
+
+
+# -- orthocomplementation search against the bucket search it replaced --------
+
+# the families whose search finishes within this many nodes are compared at
+# every cap up to one past the count
+SWEEP_NODES = 2_000
+
+
+def test_search_matches_the_bucket_search_at_every_cap():
+    stops = collections.Counter()
+    swept = 0
+    for name, space in searchable_spaces():
+        count = finished_count(space, find_orthocomplementation_by_buckets)
+        if count is not None and count <= SWEEP_NODES:
+            caps = range(count + 2)
+            swept += 1
+        else:
+            caps = NODE_CAPS + (DECIDE_NODE_CAP,)
+        for cap in caps:
+            got = search_outcome(find_orthocomplementation, space, node_cap=cap)
+            assert got == search_outcome(find_orthocomplementation_by_buckets, space,
+                                         node_cap=cap), (name, cap)
+            if got[0] == "budget" and cap in NODE_CAPS:
+                stops[budget_stop(space, cap)] += 1
+    assert swept == 35
+    # where the budget errors at the fixed caps stop: the look ahead and the
+    # empty buckets count the atoms of 99 of them without a call, and the
+    # search raises at its next complete assignment or atom end
+    assert stops == {"visited": 147, "ahead": 53, "empty": 46}, stops
+
+
+@pytest.mark.parametrize("name, count", [("circle(mo:3,mo:4)", 1_965_696),
+                                         ("fraser(mo:4,mo:4)", 5_005_638)])
+def test_search_pins_the_largest_exhaustion_counts(name, count):
+    space = built(name)
+    for cap in (count - 1, count):
+        got = search_outcome(find_orthocomplementation, space, node_cap=cap)
+        assert got == search_outcome(find_orthocomplementation_by_buckets, space, node_cap=cap)
+    assert got == ("ExhaustionCertificate", None, count)
 
 
 def law(violation):
@@ -897,17 +941,31 @@ LEAF_LAWS = {
 }
 
 
+def symmetric(atoms) -> bool:
+    """Whether q <= p' iff p <= q' for all points p, q, and p not in p'."""
+    return all((c >> q & 1) == (atoms[q] >> p & 1) and not c >> p & 1
+               for p, c in enumerate(atoms) for q in range(len(atoms)))
+
+
 @pytest.mark.parametrize("name", LEAF_LAWS)
 def test_leaf_accepts_what_orthomap_violation_accepts(name):
-    # the search leaf keeps a complete assignment iff no law fails on the meets
+    # the search leaf keeps a complete assignment iff no law fails on the meets;
+    # the search's leaves are symmetric, and on those, a'' = a at the
+    # meet-irreducible elements gives it at every element
     space = FACTORS.get(name) or built(name)
+    irreducibles = space.meet_irreducibles()
     laws = collections.Counter()
+    at_irreducibles = collections.Counter()
     for atoms in atom_maps(space, 0):
-        leaf = not any(props._law_failures(props._atom_meets(space, atoms)))
+        leaf = props._laws_hold(space.masks, atoms, space.full_mask)
         violation = orthomap_violation(space, OrthoMap(space, atoms))
         assert leaf == (violation is None) == valid_by_pairs(space, atoms), (name, atoms)
         laws[law(violation)] += 1
+        if symmetric(atoms):
+            assert props._laws_hold(irreducibles, atoms, space.full_mask) == leaf, (name, atoms)
+            at_irreducibles[leaf] += 1
     assert laws == LEAF_LAWS[name], laws
+    assert at_irreducibles[True] == LEAF_LAWS[name][None] and at_irreducibles[False]
 
 
 # -- the per-element validator against the pair validator it replaced ---------
