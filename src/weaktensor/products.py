@@ -38,26 +38,28 @@ class ProductUniverse:
         # coords[pid]: the coordinates of a flat id, the last one varying fastest
         self.coords = tuple(itertools.product(*(range(s) for s in self.sizes)))
         self.strides = tuple(math.prod(self.sizes[beta + 1:]) for beta in range(len(factors)))
-        self.points = tuple(",".join(f.points[c] for f, c in zip(factors, coords))
-                            for coords in self.coords)
+        self.points = tuple(map(",".join, itertools.product(*(f.points for f in factors))))
         # a factor label with a comma can make two tuples one label
         if len(set(self.points)) != len(self.points):
             raise ValueError("point labels must be unique")
-        # mask of all flat ids whose beta-th coordinate is q
-        self.coordinate_masks = tuple(
-            tuple(sum(1 << pid for pid, c in enumerate(self.coords) if c[beta] == q)
-                  for q in range(size))
-            for beta, size in enumerate(self.sizes))
-        # beta-fibers: the masks of the flat ids that agree off the beta-th
-        # coordinate, one fiber per point with that coordinate zero
-        self.fibers = tuple(
-            tuple(sum(1 << pid + q * self.strides[beta] for q in range(size))
-                  for pid, c in enumerate(self.coords) if c[beta] == 0)
-            for beta, size in enumerate(self.sizes))
-        # coordinate_bits[beta][pid]: the beta-th coordinate of a flat id as a
-        # factor bit, the point map that reads a section off a fiber
-        self.coordinate_bits = tuple(tuple(1 << c[beta] for c in self.coords)
-                                     for beta in range(len(self.sizes)))
+        coordinate_masks, fibers, coordinate_bits = [], [], []
+        for size, stride in zip(self.sizes, self.strides):
+            # the ids whose coordinate is 0: one run of stride ids per period
+            period = size * stride
+            zero = sum(((1 << stride) - 1) << start for start in range(0, self.n_points, period))
+            # mask q holds the ids whose coordinate is q
+            coordinate_masks.append(tuple(zero << q * stride for q in range(size)))
+            # the fibers: the ids that agree off this coordinate, one fiber per
+            # id with the coordinate zero
+            unit = sum(1 << q * stride for q in range(size))
+            fibers.append(tuple(unit << pid for pid in bits(zero)))
+            # the coordinate of a flat id as a factor bit, the point map that
+            # reads a section off a fiber
+            coordinate_bits.append(tuple(1 << pid // stride % size
+                                         for pid in range(self.n_points)))
+        self.coordinate_masks = tuple(coordinate_masks)
+        self.fibers = tuple(fibers)
+        self.coordinate_bits = tuple(coordinate_bits)
 
     @property
     def full_mask(self) -> int:

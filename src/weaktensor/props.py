@@ -163,16 +163,25 @@ def orthomap_violation(space: ClosureSpace, om: OrthoMap) -> Optional[str]:
     bijection, and order reversal holds by construction, as
     :class:`OrthoMap` describes.
     """
+    return _violation_and_images(space, om)[0]
+
+
+def _violation_and_images(space: ClosureSpace, om: OrthoMap
+                          ) -> tuple[Optional[str], Optional[dict[int, int]]]:
+    """What :func:`orthomap_violation` names, and each element's image
+    when it names nothing (None otherwise): the pair loop of
+    :func:`is_orthomodular` reads the images that validated the map."""
     if om.space is not space or len(om.atoms) != space.n_points:
-        return "map does not index this space"
+        return "map does not index this space", None
     for p, c in zip(space.points, om.atoms):
         # an int test first: 3.0 == 3, so a float can pass the member test
         if not isinstance(c, int) or c not in space:
-            return f"atom image of {p!r} is not an element"
-    failure = next(_law_failures(_atom_meets(space, om.atoms)), None)
+            return f"atom image of {p!r} is not an element", None
+    images = _atom_meets(space, om.atoms)
+    failure = next(_law_failures(images), None)
     if failure is None:
-        return None
-    return f"{failure[0]} {space.render_set(failure[1])!r}"
+        return None, images
+    return f"{failure[0]} {space.render_set(failure[1])!r}", None
 
 
 def validate_orthomap(space: ClosureSpace, om: OrthoMap) -> bool:
@@ -370,10 +379,10 @@ def is_orthomodular(space: ClosureSpace, om: OrthoMap) -> Union[bool, Orthomodul
     Returns True or the first failing pair in (a mask, b mask) order.
     An invalid map is rejected with the violated law named.
     """
-    violation = orthomap_violation(space, om)
+    violation, images = _violation_and_images(space, om)
     if violation is not None:
         raise ValueError(f"invalid orthocomplementation: {violation}")
-    for a, ia in _atom_meets(space, om.atoms).items():
+    for a, ia in images.items():
         for b in space.masks:
             if a & ~b:
                 continue

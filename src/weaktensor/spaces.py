@@ -327,16 +327,23 @@ class ClosureSpace:
         Returns None, or the first failing atom with the witness that
         ``covers(a, j)`` gives, in (atom id, element mask) order.  The rule
         is the one ``covers`` applies: j covers a iff a v q = j for every
-        point q of j outside a.  The joins come from a table with one row
-        per element a and one entry per point q, filled on first use, so
-        each join a v q is computed at most once per call, as the meet of
-        the generators above a, picked once per element, that hold q.
+        point q of j outside a.  The full set and the coatoms are skipped:
+        the full set is the only strict upper bound of a coatom, so every
+        join of a coatom is the full set and covers it.  The joins come
+        from a table with one row per element a and one entry per point q,
+        filled on first use, so each join a v q is computed at most once
+        per call: as a | q when that is a member, which needs no meet, and
+        otherwise as the meet of the generators above a, picked once per
+        element, that hold q.  A join a v p = a | p covers a at once.
         """
-        n, masks = self.n_points, self.masks
-        close = self._close
+        n, masks, members, close = self.n_points, self.masks, self._members, self._close
         meet, incidence = close.meet, close.incidence
-        # rows[k][q] is masks[k] v q, or 0 until first computed (a join is never
-        # empty), and rows[k][n] is the generators above masks[k]
+        coatoms = set(close.coatoms)
+        # rows[k][q] is masks[k] v q, and rows[k][n] the generators above
+        # masks[k]; each is 0 until first computed (a join is never empty, and
+        # a proper member lies below a coatom, a generator); a coatom gets the
+        # shared row of full joins, so every later atom skips it at once
+        coatom_row = [self.full_mask] * n
         rows: list[Optional[list[int]]] = [None] * len(masks)
         for i in range(n):
             bit = 1 << i
@@ -345,21 +352,33 @@ class ClosureSpace:
                     continue
                 row = rows[k]
                 if row is None:
-                    row = rows[k] = [0] * n + [close.above(a)]
+                    if a in coatoms:
+                        rows[k] = coatom_row
+                        continue
+                    row = rows[k] = [0] * (n + 1)
                 elif row[i]:
                     # filled by an earlier check of a, which passed with upper row[i]:
                     # this atom's check is that one again
                     continue
+                j = a | bit
+                if j in members:
+                    row[i] = j
+                    continue
                 above = row[n]
+                if not above:
+                    above = row[n] = close.above(a)
                 j = row[i] = meet(above & incidence[i])
                 # inline rather than bits(): this is the inner loop of the scan
-                least, rest = j, j & ~a
+                least, rest = j, (j & ~a) ^ bit
                 while rest:
                     low = rest & -rest
                     q = low.bit_length() - 1
                     jq = row[q]
                     if not jq:
-                        jq = row[q] = meet(above & incidence[q])
+                        jq = a | low
+                        if jq not in members:
+                            jq = meet(above & incidence[q])
+                        row[q] = jq
                     if jq < least:
                         least = jq
                     rest ^= low

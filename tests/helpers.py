@@ -17,7 +17,9 @@ that form), and the covering
 check that asked ``covers`` once per (atom, element) pair, which the
 per-call join table replaced, and that table as it was while it closed
 each join a v q afresh, before the joins were read off the generators
-above a, and the incidence table of the generator
+above a, and the scan that read them so for every element, coatoms
+included, before it skipped the coatoms and read a member a | q as the
+join, and the incidence table of the generator
 closure built one bit test at a time.  So is the Fraser builder that laid every
 choice of closed sections, kept the regions whose every section is
 closed and let ``from_closed_sets`` find the family again, which the
@@ -27,6 +29,10 @@ through ``section``, not through the library's fiber masks.  So are the
 coordinates replaced, and the closure over every member but the full
 set, which each space held before it kept only its meet-irreducible
 members.
+So are the point labels and the coordinate tables of a product universe
+as its constructor built them, one test per id over the coordinate
+tuples, before each coordinate mask became a shift of the ids whose
+coordinate is 0.
 So are the exact layer's operations that re-ran a row reduction on bases
 that ``Subspace`` already holds reduced: membership, kernel and perp, here
 over the ``Fraction``-pair row reduction, not the integer kernel, and the
@@ -148,6 +154,29 @@ def decode(universe, pid: int):
         out.append(rem % size)
         rem //= size
     return tuple(reversed(out))
+
+
+def universe_tables_by_comprehension(factors) -> dict[str, tuple]:
+    """The point labels and the per-factor tables of ``ProductUniverse``, as
+    its constructor built them before it laid each coordinate mask as a
+    shift of the ids whose coordinate is 0: one test per id and factor
+    coordinate over the coordinate tuples."""
+    sizes = tuple(f.n_points for f in factors)
+    coords = tuple(itertools.product(*(range(s) for s in sizes)))
+    strides = tuple(math.prod(sizes[beta + 1:]) for beta in range(len(factors)))
+    return {
+        "points": tuple(",".join(f.points[c] for f, c in zip(factors, cs)) for cs in coords),
+        "coordinate_masks": tuple(
+            tuple(sum(1 << pid for pid, c in enumerate(coords) if c[beta] == q)
+                  for q in range(size))
+            for beta, size in enumerate(sizes)),
+        "fibers": tuple(
+            tuple(sum(1 << pid + q * strides[beta] for q in range(size))
+                  for pid, c in enumerate(coords) if c[beta] == 0)
+            for beta, size in enumerate(sizes)),
+        "coordinate_bits": tuple(tuple(1 << c[beta] for c in coords)
+                                 for beta in range(len(sizes))),
+    }
 
 
 def replace(universe, pid: int, beta: int, q: int) -> int:
@@ -368,6 +397,40 @@ def covering_by_closure_table(space):
                 return CoveringFailure(atom=1 << i, element=a,
                                        witness=CoverWitness(lower=a, upper=j, intermediate=least))
     return True
+
+
+def covering_failure_by_rows(space) -> Optional[tuple[int, CoverWitness]]:
+    """The scan of ``ClosureSpace.covering_failure`` before it skipped the
+    coatoms and read a member a | q as the join a v q: one row of joins
+    per element, the full set's included, each join the meet of the
+    generators above the element, picked once per row, that hold q.
+    None, or the first failing atom with its witness."""
+    n, masks = space.n_points, space.masks
+    close = space._close
+    meet, incidence = close.meet, close.incidence
+    # rows[k][q] is masks[k] v q, or 0 until first computed (a join is never
+    # empty), and rows[k][n] is the generators above masks[k]
+    rows: list[Optional[list[int]]] = [None] * len(masks)
+    for i in range(n):
+        bit = 1 << i
+        for k, a in enumerate(masks):
+            if a & bit:
+                continue
+            row = rows[k]
+            if row is None:
+                row = rows[k] = [0] * n + [close.above(a)]
+            elif row[i]:
+                # filled by an earlier check of a, which passed with upper row[i]
+                continue
+            above = row[n]
+            j = row[i] = meet(above & incidence[i])
+            least = j
+            for q in bits(j & ~a):
+                jq = row[q] = row[q] or meet(above & incidence[q])
+                least = min(least, jq)
+            if least != j:
+                return bit, CoverWitness(lower=a, upper=j, intermediate=least)
+    return None
 
 
 def coatoms_by_maximality(space) -> list[int]:

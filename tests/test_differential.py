@@ -83,6 +83,7 @@ from helpers import (
     coatoms_by_maximality,
     covering_by_closure_table,
     covering_by_pairwise_covers,
+    covering_failure_by_rows,
     covers_by_family_scan,
     cylinder_oracle,
     decode,
@@ -533,6 +534,53 @@ def test_covering_matches_pairwise_covers(case):
 def test_covering_matches_the_closure_table(case):
     space = FACTORS[case] if case in FACTORS else built(case)
     assert has_covering_property(space) == covering_by_closure_table(space)
+
+
+@pytest.mark.parametrize("case", COVERING_CASES)
+def test_covering_scan_matches_the_row_scan(case):
+    # the passing circles, circle(mo:4,mo:5), (mo:4,mo:6) and (mo:3,mo:6) among
+    # them, are where the skipped coatoms and member joins save most
+    space = FACTORS[case] if case in FACTORS else built(case)
+    assert space.covering_failure() == covering_failure_by_rows(space)
+
+
+def test_covering_scan_matches_the_row_scan_on_random_families():
+    rng = random.Random("covering scan")
+    verdicts = collections.Counter()
+    for _ in range(300):
+        n = rng.randrange(3, 11)
+        generators = [sum(1 << p for p in rng.sample(range(n), rng.randrange(2, n)))
+                      for _ in range(rng.randrange(8))]
+        space = ClosureSpace.from_closed_sets(default_labels(n), generators)
+        got = space.covering_failure()
+        assert got == covering_failure_by_rows(space), (n, generators)
+        verdicts[got is None] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+
+@pytest.mark.parametrize("case", ["circle(mo:4,mo:6)", "box(mo:3,mo:3)", "fraser(mo:3,mo:3)",
+                                  "powerset:3"])
+def test_covering_scan_builds_no_row_for_a_coatom(case, monkeypatch):
+    base = FACTORS[case] if case in FACTORS else built(case)
+    space = ClosureSpace(base.points, base.masks)
+    coatoms = set(space.coatoms())
+    seen = []
+    above = _GeneratorClosure.above
+
+    def recorded(self, subset):
+        seen.append(subset)
+        return above(self, subset)
+
+    monkeypatch.setattr(_GeneratorClosure, "above", recorded)
+    got = space.covering_failure()
+    assert not coatoms & set(seen), case
+    # on powerset:3 every a | q is a member, so no join needs the generators above a
+    assert bool(seen) == (case != "powerset:3"), case
+    if got is None:
+        # the probe sees coatoms: the row scan visits every element and picks above each
+        seen.clear()
+        assert covering_failure_by_rows(space) is None
+        assert coatoms <= set(seen), case
 
 
 def test_p4_matches_all_tuples_on_the_stock_products():

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import pickle
 import re
 from random import Random
@@ -8,7 +9,7 @@ import pytest
 
 from helpers import (
     box_family_oracle, closure_in_family, decode, distinct_coordinate_sets, element_image,
-    fraser_family_oracle, in_xi, replace, section,
+    fraser_family_oracle, in_xi, replace, section, universe_tables_by_comprehension,
 )
 
 from weaktensor import (
@@ -789,6 +790,22 @@ def test_universe_refuses_factor_labels_that_make_one_point_label():
     with pytest.raises(ValueError, match="^point labels must be unique$"):
         ProductUniverse([x, y])
     assert ProductUniverse([x, x]).points == ("a,b,a,b", "a,b,a", "a,a,b", "a,a")
+
+
+def test_universe_tables_match_the_comprehensions():
+    stock = {"two": two_space(), **{f"mo:{n}": mo_space(n) for n in range(2, 7)},
+             **{f"powerset:{n}": powerset_space(n) for n in (2, 3)}}
+    checked = collections.Counter()
+    for k in (2, 3):
+        for names in itertools.product(stock, repeat=k):
+            factors = [stock[name] for name in names]
+            if math.prod(f.n_points for f in factors) > spaces.MAX_POINTS:
+                continue
+            uni = ProductUniverse(factors)
+            for table, expected in universe_tables_by_comprehension(factors).items():
+                assert getattr(uni, table) == expected, (names, table)
+            checked[k] += 1
+    assert checked == {2: 60, 3: 273}, checked
 
 
 # -- covering transfer ---------------------------------------------------------------------------------
