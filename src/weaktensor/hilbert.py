@@ -33,7 +33,7 @@ from operator import add, mul
 from random import Random
 from typing import Callable, NamedTuple, Sequence
 
-from .spaces import CheckedRecord
+from .spaces import CheckedRecord, require_int
 
 MAX_FACTOR_DIM = 3
 
@@ -114,9 +114,9 @@ Matrix = tuple[Vector, ...]
 # -- vectors ------------------------------------------------------------------
 
 def _check_dimension(n: int, name: str) -> None:
-    # a bool is an int to Python, and a zero or negative dimension would
-    # give the empty space, its own orthocomplement
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    # a zero or negative dimension would give the empty space, its own
+    # orthocomplement
+    if require_int(n, name) < 1:
         raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
@@ -124,7 +124,7 @@ def basis_vector(n: int, k: int) -> Vector:
     """The k-th unit vector of C^n; n must be a positive int and k an int
     in 0..n-1, else a ValueError."""
     _check_dimension(n, "dimension")
-    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < n:
+    if not 0 <= require_int(k, "index") < n:
         raise ValueError(f"index must be an integer in 0..{n - 1}, got {k!r}")
     return tuple(ONE if j == k else ZERO for j in range(n))
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .props import OrthoMap, orthomap_violation
 from .spaces import (
     FAMILY_CAP, MAX_POINTS, ClosureSpace, bits, image, intersection_closure, require_int,
-    require_permutation, require_points, unchecked_space,
+    require_mask, require_permutation, require_points, unchecked_space,
 )
 
 
@@ -83,8 +83,7 @@ class ProductUniverse:
         """Flat mask of the cylinder over one factor element; a factor index
         or a mask outside the factors, or one that is no int, is a ValueError."""
         _check_factor_index(self, beta)
-        if require_int(factor_mask, "factor mask") & ~((1 << self.sizes[beta]) - 1):
-            raise ValueError(f"factor mask {factor_mask} uses points outside factor {beta + 1}")
+        require_mask(factor_mask, (1 << self.sizes[beta]) - 1, "factor mask")
         return image(factor_mask, self.coordinate_masks[beta])
 
     def cylinder_mask(self, components: Sequence[int]) -> int:
@@ -116,11 +115,6 @@ class ProductUniverse:
 # image(region & fiber, coordinate_bits[beta]), and a factor mask sec is
 # laid back on the fiber as fiber & image(sec, coordinate_masks[beta]).
 
-def _check_region(universe: ProductUniverse, region: int) -> None:
-    if require_int(region, "region") & ~universe.full_mask:
-        raise ValueError("region uses points outside the universe")
-
-
 def _check_factor_index(universe: ProductUniverse, beta: int) -> None:
     # a negative index would pick a factor from the end
     if not 0 <= require_int(beta, "factor index") < len(universe.factors):
@@ -132,7 +126,7 @@ def beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
 
     Extensive, monotone and idempotent in the region argument.
     """
-    _check_region(universe, region)
+    require_mask(region, universe.full_mask, "region")
     _check_factor_index(universe, beta)
     return _beta_join(universe, region, beta)
 
@@ -151,7 +145,7 @@ def _beta_join(universe: ProductUniverse, region: int, beta: int) -> int:
 def beta_join_sequence(universe: ProductUniverse, region: int,
                        betas: Sequence[int]) -> list[int]:
     """The iterates R^0, R^1, ... under the given beta-join order."""
-    _check_region(universe, region)
+    require_mask(region, universe.full_mask, "region")
     for b in betas:
         _check_factor_index(universe, b)
     out = [region]
@@ -162,7 +156,7 @@ def beta_join_sequence(universe: ProductUniverse, region: int,
 
 def fraser_join(universe: ProductUniverse, region: int) -> int:
     """Round-robin beta-join fixpoint; equals the Fraser-product join."""
-    _check_region(universe, region)
+    require_mask(region, universe.full_mask, "region")
     cur = region
     while True:
         nxt = cur
@@ -175,7 +169,7 @@ def fraser_join(universe: ProductUniverse, region: int) -> int:
 
 def in_fraser(universe: ProductUniverse, region: int) -> bool:
     """Membership in the Fraser product: every section closed in its factor."""
-    _check_region(universe, region)
+    require_mask(region, universe.full_mask, "region")
     return all(image(region & fiber, coordinate_bits) in factor
                for factor, fibers, coordinate_bits
                in zip(universe.factors, universe.fibers, universe.coordinate_bits)
@@ -184,7 +178,7 @@ def in_fraser(universe: ProductUniverse, region: int) -> bool:
 
 def box_join(universe: ProductUniverse, region: int) -> int:
     """Intersection of all cylinders containing the region."""
-    _check_region(universe, region)
+    require_mask(region, universe.full_mask, "region")
     out = universe.full_mask
     for cyl in universe.cylinders:
         if region & ~cyl == 0:

@@ -13,7 +13,8 @@ import itertools
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .spaces import (
-    ClosureSpace, CoverWitness, bits, image, require_int, require_permutation, require_points,
+    ClosureSpace, CoverWitness, bits, image, require_int, require_mask, require_permutation,
+    require_points,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -174,8 +175,10 @@ def _violation_and_images(space: ClosureSpace, om: OrthoMap
     if om.space is not space or len(om.atoms) != space.n_points:
         return "map does not index this space", None
     for p, c in zip(space.points, om.atoms):
-        # an int test first: 3.0 == 3, so a float can pass the member test
-        if not isinstance(c, int) or c not in space:
+        # the element rule of join and covers: 3.0 and True pass the member test
+        try:
+            space._require_element(c)
+        except ValueError:
             return f"atom image of {p!r} is not an element", None
     images = _atom_meets(space, om.atoms)
     failure = next(_law_failures(images), None)
@@ -262,8 +265,8 @@ def find_orthocomplementation(
     # the symmetry patterns of all atoms are packed in one int, atom t's in bits
     # t*n .. t*n+n-1, where bit t*n+j says that atom j's image holds t; the
     # spread of a coatom has bit t*n for each of its points t
-    sep = "0" * (n - 1)
-    spreads = [int(sep.join(format(c, "b")), 2) for c in coatoms]
+    spread = [1 << t * n for t in range(n)]
+    spreads = [image(c, spread) for c in coatoms]
     tables: list[Optional[dict]] = [None] * n
     sizes = [0] * n
     empty: tuple = ((), (), 0, 0)
@@ -496,8 +499,7 @@ def validate_connected_covering(space: ClosureSpace, cov: ConnectedCovering) -> 
     that is no int, or has points outside the universe, is a ValueError."""
     blocks = cov.blocks
     for b in blocks:  # -3 has infinitely many bits: bits(-3) never ends
-        if not isinstance(b, int) or b & ~space.full_mask:
-            raise ValueError(f"block {b!r} is not a point set of this space")
+        require_mask(b, space.full_mask, "block")
     union = 0
     for b in blocks:
         union |= b

@@ -61,8 +61,7 @@ class Report:
 
     @property
     def all_expected(self) -> bool:
-        return all(r.matched for r in self.records) and not any(
-            r.verdict == "error" for r in self.records)
+        return not self.mismatches()
 
     def mismatches(self) -> list[CheckRecord]:
         return [r for r in self.records if not r.matched or r.verdict == "error"]

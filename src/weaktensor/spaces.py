@@ -111,18 +111,13 @@ class ClosureSpace:
     computed on first use from the family alone.
     """
 
-    def __init__(self, points: Sequence[str], masks: Iterable[int],
-                 product: "ProductUniverse | None" = None):
+    def __init__(self, points: Sequence[str], masks: Iterable[int]):
         points = _checked_points(points)
-        masks = tuple(masks)
-        for m in masks:  # 3.0 == 3, so a float would pass every membership test
-            if not isinstance(m, int):
-                raise ValueError(f"member {m!r} is not a point set of this space")
-        family = tuple(sorted(set(masks)))
-        if not family or family[0] != 0 or family[-1] != (1 << len(points)) - 1:
-            raise ValueError("closed family must contain the empty and the full set "
-                             "and no point outside the universe")
-        self._setup(points, family, product)
+        full = (1 << len(points)) - 1
+        family = tuple(sorted({require_mask(m, full, "member") for m in masks}))
+        if not family or family[0] != 0 or family[-1] != full:
+            raise ValueError("closed family must contain the empty and the full set")
+        self._setup(points, family)
         for i in range(len(self.points)):
             if (1 << i) not in self._members:
                 raise ValueError(f"closed family must contain the singleton {self.points[i]!r}")
@@ -234,11 +229,7 @@ class ClosureSpace:
         full = (1 << len(points)) - 1
         generators = {0, *(1 << i for i in range(len(points)))}
         for m in subsets:
-            if not isinstance(m, int):
-                raise ValueError(f"subset {m!r} is not a point set of this space")
-            if m & ~full:
-                raise ValueError(f"subset {m:#x} uses points outside the universe")
-            generators.add(m)
+            generators.add(require_mask(m, full, "subset"))
             # every generator is a member
             if len(generators) > FAMILY_CAP:
                 raise _family_cap_error()
@@ -249,27 +240,25 @@ class ClosureSpace:
 
     def closure(self, subset: int) -> int:
         """Smallest closed superset of ``subset``."""
-        if not isinstance(subset, int):
-            raise ValueError(f"{subset!r} is not a point set of this space")
-        if subset & ~self.full_mask:
-            raise ValueError("subset uses points outside the universe")
+        # require_mask's rule, inline: fraser_join closes one section per
+        # fiber through here, so a call would cost every section one more
+        if type(subset) is not int or subset & ~self.full_mask:
+            raise ValueError(f"subset {subset!r} is not a point set of this space")
         if subset in self._members:
             return subset
         return self._close(subset)
 
     def _require_element(self, mask: int) -> None:
-        # an int test first: 1.0 == 1, so a float can pass the member test
-        if not isinstance(mask, int):
+        # require_int's test, inline as in closure: covers runs it twice a
+        # call, and the light covers batch is decide's median operation.  It
+        # comes first, as 1.0 and True equal 1 and pass the member test
+        if type(mask) is not int:
             raise ValueError(f"{mask!r} is not an element of this space")
         if mask not in self._members:
-            # an int with points outside the universe names no set of it
-            shown = mask if mask < 0 or mask & ~self.full_mask else self.render_set(mask)
+            # an int with points outside the universe, a negative one
+            # included, names no set of it
+            shown = mask if mask & ~self.full_mask else self.render_set(mask)
             raise ValueError(f"{shown!r} is not an element of this space")
-
-    def meet(self, a: int, b: int) -> int:
-        self._require_element(a)
-        self._require_element(b)
-        return a & b
 
     def join(self, a: int, b: int) -> int:
         self._require_element(a)
@@ -587,10 +576,19 @@ def image(mask: int, table: Sequence[int]) -> int:
 
 
 def require_int(value: object, name: str) -> int:
-    """``value`` if it is an int, else a ValueError naming it; a bool is an
-    int to Python but no count or index here."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """``value`` if its type is int itself, else a ValueError naming it: a
+    bool, or any other int subclass, is no count, index or point set here."""
+    if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def require_mask(value: object, full: int, name: str) -> int:
+    """``value`` if it is an int, as ``require_int`` tests, with no point
+    outside ``full``, else a ValueError naming it.  A negative int has
+    infinitely many points, so it always fails."""
+    if type(value) is not int or value & ~full:
+        raise ValueError(f"{name} {value!r} is not a point set of this space")
     return value
 
 

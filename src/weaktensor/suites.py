@@ -29,7 +29,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from . import hilbert, products, props
 from .reports import CheckRecord, Report
 from .spaces import ClosureSpace, LatticeFormatError, bits, image, mo_space, \
-    parse_lattice_text, powerset_space, two_space
+    parse_lattice_text, powerset_space, require_int, two_space
 
 DEFAULT_SEED = 12345
 
@@ -67,8 +67,10 @@ def _int_arg(args: dict, key: str, default: Optional[int] = None,
     if key not in args and default is None:
         raise TargetError(f"argument {key!r} is required")
     value = args.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TargetError(f"argument {key!r} must be an integer, got {value!r}")
+    try:
+        require_int(value, f"argument {key!r}")
+    except ValueError as exc:
+        raise TargetError(str(exc)) from None
     if (lo is not None and value < lo) or (hi is not None and value > hi):
         bounds = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
         raise TargetError(f"argument {key!r} must be {bounds}, got {value}")

@@ -220,10 +220,11 @@ def test_samplers_refuse_a_dimension_below_one():
     # a float or a bool dimension once raised a bare TypeError or drew on C^1
     rng = Random(1)
     for bad in (0, -1, 2.0, True):
+        says = "a positive integer" if type(bad) is int else "an integer"
         for draw in (lambda: random_pair(rng, bad, 2),
                      lambda: random_pair(rng, 2, bad), lambda: random_antilinear(rng, bad, 2),
                      lambda: random_antilinear(rng, 2, bad), lambda: random_subspace(rng, bad)):
-            with pytest.raises(ValueError, match=f"must be a positive integer, got {bad!r}$"):
+            with pytest.raises(ValueError, match=f"must be {says}, got {bad!r}$"):
                 draw()
 
 
@@ -445,17 +446,20 @@ def test_vector_functions_refuse_an_entry_that_is_no_gq():
 def test_subspace_refuses_an_ambient_that_is_no_positive_int(ambient):
     # -2 once built a zero subspace that was its own perp, and 2.0 one
     # whose perp raised TypeError
-    with pytest.raises(ValueError, match=f"^ambient must be a positive integer, got {ambient!r}$"):
+    says = "a positive integer" if type(ambient) is int else "an integer"
+    with pytest.raises(ValueError, match=f"^ambient must be {says}, got {ambient!r}$"):
         Subspace(ambient)
 
 
 def test_basis_vector_refuses_an_index_outside_its_dimension():
     assert basis_vector(2, 1) == (ZERO, ONE)
     for k in (2, 5, -1, True, 1.0):
-        with pytest.raises(ValueError, match=f"^index must be an integer in 0..1, got {k!r}$"):
+        says = "an integer in 0..1" if type(k) is int else "an integer"
+        with pytest.raises(ValueError, match=f"^index must be {says}, got {k!r}$"):
             basis_vector(2, k)
     for n in (0, -1, False, 2.0):
-        with pytest.raises(ValueError, match=f"^dimension must be a positive integer, got {n!r}$"):
+        says = "a positive integer" if type(n) is int else "an integer"
+        with pytest.raises(ValueError, match=f"^dimension must be {says}, got {n!r}$"):
             basis_vector(n, 0)
 
 

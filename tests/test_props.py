@@ -69,6 +69,9 @@ def test_violations_are_named():
     # a float is named, not an indexing TypeError, though 3.0 in p2 holds
     assert 3.0 in p2
     assert orthomap_violation(p2, OrthoMap(p2, (3.0, 1))) == "atom image of 'a' is not an element"
+    # True == 1 is a member too, and once passed as b's image
+    assert orthomap_violation(p2, OrthoMap(p2, (2, True))) == "atom image of 'b' is not an element"
+    assert not validate_orthomap(p2, OrthoMap(p2, (2, True)))
     # both atoms to b: 0 goes to 1, and 1 to b
     assert orthomap_violation(p2, OrthoMap(p2, (2, 2))) == "involution fails at '-'"
     # each atom to itself: involutive, but an atom meets its image
@@ -403,10 +406,10 @@ def test_mo_is_weakly_connected(mo3, mo4):
         assert validate_connected_covering(s, cov)
 
 
-@pytest.mark.parametrize("block", [-3, 1.5, 1 << 3 | 3])
+@pytest.mark.parametrize("block", [-3, 1.5, 1 << 3 | 3, True])
 def test_connected_covering_refuses_a_block_that_is_no_point_set(block):
     # -3 once ran forever: bits(-3) never ends, and combinations reads all of it
-    # 1 << 3 | 3 holds a point past the three of MO3
+    # 1 << 3 | 3 holds a point past the three of MO3, and True == 1 is no point set here
     with pytest.raises(ValueError, match=f"^block {block!r} is not a point set of this space$"):
         validate_connected_covering(mo_space(3), ConnectedCovering(blocks=(block,)))
 
